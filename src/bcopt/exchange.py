@@ -119,7 +119,6 @@ def extension_candidates(chain: Chain | Iterable[int], class_ids: Iterable[int],
 
 def exset_matroid_intersection(instance: BCInstance, layout: ClassLayout, r: int,
                                class_ids: frozenset[int] | None = None, *,
-                               swap_roles: bool = False,
                                branch_budget: int = DEFAULT_BRANCH_BUDGET) -> ExchangeSet:
     """Exchange set for class r of a matroid-intersection instance.
 
@@ -129,9 +128,6 @@ def exset_matroid_intersection(instance: BCInstance, layout: ClassLayout, r: int
     B_S.  A branch is expanded once regardless of discovery order: expansion
     depends only on the branch as a set, so deduplication leaves the union
     unchanged while avoiding factorial re-exploration.
-
-    ``swap_roles`` additionally runs the recursion with the matroids swapped
-    and unions the results (safety margin, off by default).
     """
     cons = instance.constraint
     if not isinstance(cons, MatroidIntersection):
@@ -140,12 +136,8 @@ def exset_matroid_intersection(instance: BCInstance, layout: ClassLayout, r: int
         class_ids = class_partition(instance, layout).get(r, frozenset())
     q = q_of(layout.epsilon)
     union: set[int] = set()
-    roles = [(cons.oracle1, cons.oracle2)]
-    if swap_roles:
-        roles.append((cons.oracle2, cons.oracle1))
-    for gate, basis_src in roles:
-        _extend_chain(Chain(), class_ids, gate, basis_src, instance.cost_of, q,
-                      union, seen={frozenset()}, budget=[branch_budget, branch_budget])
+    _extend_chain(Chain(), class_ids, cons.oracle1, cons.oracle2, instance.cost_of, q,
+                  union, seen={frozenset()}, budget=[branch_budget, branch_budget])
     return ExchangeSet(r, frozenset(union))
 
 

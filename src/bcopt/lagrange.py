@@ -36,23 +36,18 @@ class LagrangeConfig:
     ``exact_fallback_threshold``: brute force the whole instance at or below
     this element count (0 disables the fallback).  ``inner_exact_guard``:
     element count up to which the inner oracle is exact rather than greedy.
-    ``lambda_max`` pins the upper end of the multiplier bracket; by default
-    it is one above the largest profit, where the inner optimum is free.
     """
 
     bisection_cap: int = 64
     exact_fallback_threshold: int = 20
     inner_exact_guard: int = 20
     force_greedy_inner: bool = False
-    lambda_max: Fraction | None = None
 
     def __post_init__(self) -> None:
         if self.bisection_cap < 1:
             raise BCError("bisection cap must be at least 1")
         if self.exact_fallback_threshold < 0 or self.inner_exact_guard < 0:
             raise BCError("guard thresholds must be non-negative")
-        if self.lambda_max is not None and self.lambda_max < 0:
-            raise BCError("lambda_max must be non-negative")
 
 
 def approx_opt(instance: BCInstance, config: LagrangeConfig | None = None,
@@ -144,9 +139,11 @@ def _candidate_pool(instance: BCInstance, config: LagrangeConfig) -> list[frozen
             return True
         return False
 
-    # Affordable singletons and a profit-density greedy fill.
+    # Feasible affordable singletons and a profit-density greedy fill.  A
+    # residual constraint may reject a singleton its skeleton spans.
     for e in sorted(instance.elements, key=lambda e: e.id):
-        offer((e.id,))
+        if instance.constraint.is_feasible((e.id,)):
+            offer((e.id,))
     cursor = instance.constraint.cursor()
     fill: list[int] = []
     spent = 0
@@ -161,31 +158,25 @@ def _candidate_pool(instance: BCInstance, config: LagrangeConfig) -> list[frozen
     offer(fill)
 
     # Bisection on lambda.  At lambda = 0 the inner optimum ignores cost; if
-    # it is affordable it is optimal outright.  At the upper end only
-    # zero-cost elements carry positive weight, so the optimum is affordable.
+    # it is affordable it is optimal outright.  At the upper end, one above
+    # the largest profit, only zero-cost elements carry positive weight, so
+    # the optimum is affordable.  s_minus stays affordable and s_plus over
+    # budget throughout, so the bracket never closes early.
     lo = Fraction(0)
     s_lo = inner_max_weight(instance, lo, config)
     if offer(s_lo):
         return pool
-    s_plus = s_lo  # over budget
-    if config.lambda_max is not None:
-        hi = config.lambda_max
-    else:
-        hi = Fraction(max((e.profit for e in instance.elements), default=0) + 1)
-    s_hi = inner_max_weight(instance, hi, config)
-    offer(s_hi)
-    s_minus = s_hi
+    s_plus = s_lo
+    hi = Fraction(max(e.profit for e in instance.elements) + 1)
+    s_minus = inner_max_weight(instance, hi, config)
+    offer(s_minus)
     for _ in range(config.bisection_cap):
-        if hi - lo <= 0:
-            break
         mid = (lo + hi) / 2
         s_mid = inner_max_weight(instance, mid, config)
         if offer(s_mid):
             hi, s_minus = mid, s_mid
         else:
             lo, s_plus = mid, s_mid
-        if s_minus == s_plus:
-            break
     pool.extend(_patched(instance, s_minus, s_plus))
     return pool
 

@@ -38,8 +38,8 @@ class RepresentativeSet:
 
 def rep_set(instance: BCInstance, epsilon: Epsilon, alpha_mode: str = "lagrangian",
             *, lagrange_config: LagrangeConfig | None = None,
-            swap_roles: bool = False, branch_budget: int = DEFAULT_BRANCH_BUDGET,
-            threads: int = 1, alpha: int | None = None) -> RepresentativeSet:
+            branch_budget: int = DEFAULT_BRANCH_BUDGET, threads: int = 1,
+            alpha: int | None = None) -> RepresentativeSet:
     """Build the representative set for ``instance`` and ``epsilon``.
 
     ``alpha`` may be supplied by a caller that already estimated the optimum
@@ -60,10 +60,8 @@ def rep_set(instance: BCInstance, epsilon: Epsilon, alpha_mode: str = "lagrangia
         ids = partition[r]
         if is_matching:
             return exset_matching(instance, layout, r, ids)
-        return exset_matroid_intersection(
-            instance, layout, r, ids,
-            swap_roles=swap_roles, branch_budget=branch_budget,
-        )
+        return exset_matroid_intersection(instance, layout, r, ids,
+                                          branch_budget=branch_budget)
 
     indices = sorted(partition)
     if threads > 1 and len(indices) > 1:

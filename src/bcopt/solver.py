@@ -2,9 +2,11 @@
 
 ``eptas`` enumerates the feasible subsets F of the representative set (up to
 cardinality floor(1/eps)), solves the residual low-profit instance next to
-each F, and returns the most profitable extended solution.  ``solve`` is the
-public entry point: it runs ``eptas`` at eps/8, which turns the scheme's
-(1 - 8 eps) guarantee into the advertised (1 - eps).
+each F, and returns the most profitable extended solution.  A skeleton whose
+fractional-knapsack bound cannot beat the incumbent is skipped before its
+residual is built.  ``solve`` is the public entry point: it runs ``eptas`` at
+eps/8, which turns the scheme's (1 - 8 eps) guarantee into the advertised
+(1 - eps).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 from .core import BCInstance, Epsilon, InfeasibleSetError, Solution, is_solution, preprocess_discard
 from .classes import small_profit_pool
-from .constraints import residual_constraint
+from .constraints import Matching, residual_constraint
 from .enumeration import feasible_subsets_within_budget
 from .lagrange import LagrangeConfig, approx_opt, declared_gamma, non_profitable_solver
 from .repset import rep_set
@@ -28,7 +30,6 @@ class SolveConfig:
     alpha_mode: str = "lagrangian"
     subset_cap: int = DEFAULT_SUBSET_CAP
     branch_budget: int = 10**6
-    swap_roles: bool = False
     threads: int = 1
     lagrange: LagrangeConfig = field(default_factory=LagrangeConfig)
 
@@ -52,12 +53,18 @@ class ResidualInstance:
 
 @dataclass
 class SolveStats:
-    """Run metadata surfaced through the CLI and the benchmark harness."""
+    """Run metadata surfaced through the CLI and the benchmark harness.
+
+    ``enumerated`` counts the feasible skeletons; ``pruned`` counts those
+    skipped by the residual bound, so ``enumerated - pruned`` residuals were
+    solved.
+    """
 
     alpha: int = 0
     gamma: Fraction = Fraction(2)
     rep_size: int = 0
     enumerated: int = 0
+    pruned: int = 0
     incumbent_profits: list[int] = field(default_factory=list)
     ms_total: float = 0.0
 
@@ -94,6 +101,14 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
 
 def eptas_detailed(instance: BCInstance, epsilon: Epsilon,
                    config: SolveConfig | None = None) -> tuple[Solution, SolveStats]:
+    """``eptas`` plus its run metadata.
+
+    The winner is the extension of maximum profit; among equal profits, the
+    one whose skeleton F comes first in (len(F), F) order.  Skeletons are
+    visited in that order and the incumbent is replaced only on a strict
+    gain, so a skeleton with ub(F) <= incumbent (see :class:`SkeletonBound`)
+    can neither win nor tie first and is skipped without changing the result.
+    """
     config = config or SolveConfig()
     start = time.perf_counter()
     working = preprocess_discard(instance)
@@ -102,8 +117,8 @@ def eptas_detailed(instance: BCInstance, epsilon: Epsilon,
     alpha = approx_opt(working, config.lagrange, mode=config.alpha_mode)
     rep = rep_set(
         working, epsilon, config.alpha_mode,
-        lagrange_config=config.lagrange, swap_roles=config.swap_roles,
-        branch_budget=config.branch_budget, threads=config.threads, alpha=alpha,
+        lagrange_config=config.lagrange, branch_budget=config.branch_budget,
+        threads=config.threads, alpha=alpha,
     )
     stats.alpha = alpha
     stats.rep_size = rep.size
@@ -114,10 +129,14 @@ def eptas_detailed(instance: BCInstance, epsilon: Epsilon,
         working, sorted(rep.elements), skeleton_cap, cap=config.subset_cap,
     )
     stats.enumerated = len(candidates)
+    bound = SkeletonBound(working, pool)
 
     best = Solution.empty()
     stats.incumbent_profits.append(best.total_profit)
     for skeleton_ids in candidates:
+        if bound(skeleton_ids) <= best.total_profit:
+            stats.pruned += 1
+            continue
         skeleton = frozenset(skeleton_ids)
         residual = _build_residual(working, pool, skeleton)
         extension = non_profitable_solver(residual.instance, config.lagrange)
@@ -144,3 +163,47 @@ def _build_residual(instance: BCInstance, pool: frozenset[int],
     elements = tuple(e for e in instance.elements if e.id in alive)
     inner = BCInstance(elements, constraint, instance.budget - instance.total_cost(skeleton))
     return ResidualInstance(instance, skeleton, inner)
+
+
+class SkeletonBound:
+    """Exact-integer upper bound ub(F) on the profit of a skeleton F plus any extension.
+
+    ub(F) = p(F) + floor(fractional knapsack over the residual pool) with
+    budget B - c(F).  The residual pool is the small-profit pool minus F and,
+    for a matching, minus every edge touching F's vertices.  It holds every
+    element of F's residual instance, so no residual solution can beat the
+    bound.  The pool is sorted once by exact density, zero-cost elements
+    first; each call walks it until the budget runs out.
+    """
+
+    def __init__(self, instance: BCInstance, pool: frozenset[int]):
+        # An element leaves F's residual pool when it shares a key with F:
+        # an endpoint for a matching (which covers F's own edges), else its id.
+        cons = instance.constraint
+        if isinstance(cons, Matching):
+            self._keys = {e.id: cons.edges[e.id] for e in instance.elements}
+        else:
+            self._keys = {e.id: (e.id, e.id) for e in instance.elements}
+        self._cost = instance.cost_of
+        self._profit = instance.profit_of
+        self._budget = instance.budget
+        items = [e for e in instance.elements if e.id in pool and e.profit > 0]
+        items.sort(key=lambda e: (e.cost > 0, -Fraction(e.profit, e.cost) if e.cost else 0))
+        self._order = [(e.cost, e.profit) + self._keys[e.id] for e in items]
+
+    def __call__(self, skeleton) -> int:
+        room = self._budget
+        gain = 0
+        blocked: set[int] = set()
+        for eid in skeleton:
+            room -= self._cost[eid]
+            gain += self._profit[eid]
+            blocked.update(self._keys[eid])
+        for cost, profit, a, b in self._order:
+            if a in blocked or b in blocked:
+                continue
+            if cost > room:
+                return gain + profit * room // cost
+            room -= cost
+            gain += profit
+        return gain

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from bcopt.core import BCError, preprocess_discard
+from bcopt.core import BCError, BCInstance, Element, preprocess_discard
 from bcopt.cli import generate_instance
+from bcopt.constraints import MatroidIntersection, residual_constraint
 from bcopt.lagrange import (
     LagrangeConfig,
     approx_opt,
@@ -12,6 +13,7 @@ from bcopt.lagrange import (
     inner_max_weight,
     non_profitable_solver,
 )
+from bcopt.matroids import PartitionMatroid, UniformMatroid
 from bcopt.oracle import brute_force_opt
 
 from conftest import free_instance
@@ -83,6 +85,19 @@ class TestNonProfitableSolver:
         for config in (None, HEURISTIC):
             sol = non_profitable_solver(inst, config)
             assert sol.total_profit >= opt - 2 * max_p
+
+    def test_singleton_spanned_by_the_skeleton_is_not_offered(self):
+        # Partition block {0, 1} of capacity 1, contracted by {0}: the
+        # 21-element residual goes down the Lagrangian path, where the
+        # singleton {1} is affordable but infeasible.
+        ids = frozenset(range(22))
+        elements = tuple(Element(i, 1, 1) for i in range(22))
+        parent = MatroidIntersection(PartitionMatroid(ids, [{0, 1}], [1]),
+                                     UniformMatroid(ids, 22))
+        residual = BCInstance(elements[1:], residual_constraint(parent, {0}), 21)
+        sol = non_profitable_solver(residual)
+        assert 1 not in sol.element_ids
+        assert sol.total_profit == 20
 
     def test_output_is_always_a_solution(self):
         inst = preprocess_discard(generate_instance(42, 10, "matching"))

@@ -1,14 +1,21 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import bcopt.solver
 from bcopt.core import (
     CapExceededError,
     Epsilon,
     InfeasibleSetError,
     preprocess_discard,
 )
+from bcopt.classes import small_profit_pool
 from bcopt.cli import generate_instance
+from bcopt.enumeration import feasible_subsets_within_budget
+from bcopt.lagrange import approx_opt, non_profitable_solver
 from bcopt.oracle import brute_force_opt
+from bcopt.repset import rep_set
 from bcopt.solver import (
+    SkeletonBound,
     SolveConfig,
     eptas,
     eptas_detailed,
@@ -117,3 +124,68 @@ class TestSolve:
         assert stats.gamma == 2
         assert stats.alpha == brute_force_opt(preprocess_discard(inst)).total_profit
         assert sol.total_cost <= inst.budget
+
+
+def unpruned_solve_ids(instance, epsilon):
+    """``solve`` without the skeleton bound: every skeleton's residual is solved."""
+    epsilon = epsilon.scaled_down(8)
+    working = preprocess_discard(instance)
+    alpha = approx_opt(working)
+    rep = rep_set(working, epsilon, alpha=alpha)
+    best_ids, best_profit = frozenset(), 0
+    for skeleton in feasible_subsets_within_budget(
+            working, sorted(rep.elements), epsilon.inverse_floor()):
+        residual = residual_instance(working, alpha, epsilon, skeleton)
+        ids = frozenset(skeleton) | non_profitable_solver(residual.instance).id_set
+        if working.total_profit(ids) > best_profit:
+            best_ids, best_profit = ids, working.total_profit(ids)
+    return tuple(sorted(best_ids))
+
+
+class TestSkeletonBound:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        size=st.integers(3, 9),
+        kind=st.sampled_from(["matching", "matroid-intersection"]),
+        alpha=st.integers(1, 400),
+        eps=st.sampled_from([Epsilon(1, 4), Epsilon(1, 10), Epsilon(2, 5)]),
+        pick=st.integers(0, 10**6),
+    )
+    def test_bound_covers_the_best_residual_extension(self, seed, size, kind, alpha, eps, pick):
+        inst = preprocess_discard(generate_instance(seed, size, kind))
+        skeletons = feasible_subsets_within_budget(inst, inst.sorted_ids(), 3)
+        skeleton = skeletons[pick % len(skeletons)]
+        pool = small_profit_pool(inst, alpha, eps)
+        residual = residual_instance(inst, alpha, eps, skeleton)
+        best = inst.total_profit(skeleton) + brute_force_opt(residual.instance).total_profit
+        assert SkeletonBound(inst, pool)(skeleton) >= best
+
+    def test_bound_is_the_fractional_knapsack_value(self):
+        # Path 0-1-2-3-4; the pool {0, 1, 2} has densities 3, 2 and 3/2.
+        inst = path_matching(4, costs=[2, 2, 2, 1], profits=[6, 4, 3, 1], budget=5)
+        bound = SkeletonBound(inst, frozenset({0, 1, 2}))
+        # Edges 0 and 1 share vertex 1, but the bound ignores the constraint
+        # within the pool; one unit of budget is left for half of edge 2.
+        assert bound(()) == 6 + 4 + 3 // 2
+        # Edge 2 touches the skeleton edge 3 at vertex 3 and leaves the pool.
+        assert bound((3,)) == 1 + 6 + 4
+
+    def test_pruned_plus_residual_solves_is_enumerated(self, monkeypatch):
+        solves = []
+
+        def counting(instance, config=None):
+            solves.append(instance)
+            return non_profitable_solver(instance, config)
+
+        monkeypatch.setattr(bcopt.solver, "non_profitable_solver", counting)
+        for seed, kind in ((5, "matching"), (31, "matroid-intersection")):
+            solves.clear()
+            _, stats = solve_detailed(generate_instance(seed, 12, kind), Epsilon(1, 4))
+            assert stats.pruned > 0
+            assert stats.pruned + len(solves) == stats.enumerated
+
+    def test_solve_matches_the_unpruned_loop_on_the_acceptance_corpus(self, main_corpus):
+        for eps in (Epsilon(1, 10), Epsilon(1, 4)):
+            for name, inst in main_corpus:
+                assert solve(inst, eps).element_ids == unpruned_solve_ids(inst, eps), name
