@@ -3,7 +3,9 @@
 Elements whose profit is large relative to the estimate ``alpha`` are binned
 into geometric classes; two elements of the same class have profits within a
 factor (1 - epsilon) of each other.  All interval boundaries are exact
-fractions, so membership at a boundary is decided exactly.
+fractions, so membership at a boundary is decided exactly.  They depend on
+epsilon and gamma only, so they are cached per (epsilon, gamma) pair and
+shared by every layout.
 
 The class-index range is parameterized by the estimator quality ``gamma``
 (alpha is guaranteed to be within [OPT/gamma, OPT]).  With gamma = 2 the
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import BCInstance, Element, Epsilon, InvalidParameterError
 
@@ -36,6 +39,39 @@ def q_of(epsilon: Epsilon) -> int:
     return -(-power_num // power_den)  # ceil
 
 
+@lru_cache(maxsize=64)
+def _class_bounds(epsilon: Epsilon, gamma: Fraction) -> tuple[int, int, tuple[Fraction, ...]]:
+    """``(r_lo, r_hi, boundaries)`` of a layout; they do not depend on alpha."""
+    eps = epsilon.fraction
+    base = epsilon.one_minus
+
+    # r_hi = floor(log_{1-eps}(eps/gamma)) + 1: smallest exponent whose
+    # power drops strictly below eps/gamma.
+    low_target = eps / gamma
+    power = Fraction(1)
+    r_hi = 0
+    while power >= low_target:
+        r_hi += 1
+        power *= base
+
+    # r_lo = 1 - ceil(log_{1/(1-eps)}(gamma/2)): widen upward until the
+    # class ceiling reaches gamma/2.  With gamma = 2 this is exactly 1.
+    high_target = gamma / 2
+    power = Fraction(1)
+    widen = 0
+    while power < high_target:
+        widen += 1
+        power /= base
+    r_lo = 1 - widen
+
+    bounds = []
+    power = base ** (r_lo - 1)
+    for _ in range(r_lo - 1, r_hi + 1):
+        bounds.append(power)
+        power *= base
+    return r_lo, r_hi, tuple(bounds)
+
+
 @dataclass(frozen=True)
 class ClassLayout:
     """Index range and exact boundaries of the profit classes for one (eps, alpha)."""
@@ -53,36 +89,10 @@ class ClassLayout:
             raise InvalidParameterError("alpha must be positive")
         if self.gamma < 2:
             raise InvalidParameterError("gamma must be at least 2")
-        eps = self.epsilon.fraction
-        base = self.epsilon.one_minus
-
-        # r_hi = floor(log_{1-eps}(eps/gamma)) + 1: smallest exponent whose
-        # power drops strictly below eps/gamma.
-        low_target = eps / self.gamma
-        power = Fraction(1)
-        r_hi = 0
-        while power >= low_target:
-            r_hi += 1
-            power *= base
-
-        # r_lo = 1 - ceil(log_{1/(1-eps)}(gamma/2)): widen upward until the
-        # class ceiling reaches gamma/2.  With gamma = 2 this is exactly 1.
-        high_target = self.gamma / 2
-        power = Fraction(1)
-        widen = 0
-        while power < high_target:
-            widen += 1
-            power /= base
-        r_lo = 1 - widen
-
+        r_lo, r_hi, bounds = _class_bounds(self.epsilon, self.gamma)
         object.__setattr__(self, "r_lo", r_lo)
         object.__setattr__(self, "r_hi", r_hi)
-        bounds = []
-        power = base ** (r_lo - 1)
-        for _ in range(r_lo - 1, r_hi + 1):
-            bounds.append(power)
-            power *= base
-        object.__setattr__(self, "boundaries", tuple(bounds))
+        object.__setattr__(self, "boundaries", bounds)
 
         if self.gamma == 2:
             # class count <= 3 / eps^2, exact integer comparison

@@ -3,6 +3,12 @@
 All engines walk elements in ascending id order and rely on downward closure
 of the feasible-set family: once a partial set is infeasible or over budget,
 no superset can recover, so the whole branch is pruned.
+
+Each engine's recursive ``walk`` closure refers to itself, so the engine
+unbinds it when the search ends.  Otherwise every search would leave a
+reference cycle, cursor and buffers included, for the cyclic garbage
+collector, and the process's peak memory would follow the collector's
+schedule.
 """
 
 from __future__ import annotations
@@ -46,7 +52,10 @@ def max_profit_solution_ids(instance: BCInstance) -> frozenset[int]:
             cursor.pop()
         walk(idx + 1, cost, profit)
 
-    walk(0, 0, 0)
+    try:
+        walk(0, 0, 0)
+    finally:
+        del walk
     return frozenset(best_ids)
 
 
@@ -84,7 +93,10 @@ def max_weight_feasible_ids(instance: BCInstance, weight: Mapping[int, int]) -> 
             cursor.pop()
         walk(idx + 1, acc)
 
-    walk(0, 0)
+    try:
+        walk(0, 0)
+    finally:
+        del walk
     return frozenset(best_ids)
 
 
@@ -124,8 +136,11 @@ def feasible_subsets_within_budget(
             chosen.pop()
             cursor.pop()
 
-    if max_size > 0:
-        walk(0, 0)
+    try:
+        if max_size > 0:
+            walk(0, 0)
+    finally:
+        del walk
     out.sort(key=lambda t: (len(t), t))
     return out
 
@@ -149,4 +164,7 @@ def iter_feasible_sets(instance: BCInstance, max_size: int | None = None) -> Ite
                 chosen.pop()
                 cursor.pop()
 
-    yield from walk(0)
+    try:
+        yield from walk(0)
+    finally:
+        del walk

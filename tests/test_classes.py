@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bcopt.core import Element, Epsilon, InvalidParameterError
-from bcopt.classes import ClassLayout, class_index, class_partition, q_of, small_profit_pool
+from bcopt.classes import (
+    ClassLayout,
+    _class_bounds,
+    class_index,
+    class_partition,
+    q_of,
+    small_profit_pool,
+)
 
 from conftest import free_instance
 
@@ -46,6 +53,20 @@ class TestClassLayout:
         wide = ClassLayout(eps, alpha=100, gamma=Fraction(4))
         assert wide.r_lo < narrow.r_lo
         assert wide.r_hi >= narrow.r_hi
+
+    @pytest.mark.parametrize("eps", [Epsilon(1, 32), Epsilon(1, 80), Epsilon(3, 7)])
+    @pytest.mark.parametrize("gamma", [Fraction(2), Fraction(4)])
+    def test_cached_bounds_equal_a_fresh_computation(self, eps, gamma):
+        base = eps.one_minus
+        r_hi = next(r for r in range(1, 10**4) if base**r < eps.fraction / gamma)
+        r_lo = 1 - next(w for w in range(10**4) if base**-w >= gamma / 2)
+        expected = tuple(base**k for k in range(r_lo - 1, r_hi + 1))
+        _class_bounds.cache_clear()
+        layouts = [ClassLayout(eps, alpha, gamma) for alpha in (1, 7, 1, 10**6)]
+        assert _class_bounds.cache_info().hits == 3
+        for layout in layouts:
+            assert (layout.r_lo, layout.r_hi) == (r_lo, r_hi)
+            assert layout.boundaries == expected
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidParameterError):

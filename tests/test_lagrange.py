@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bcopt.core import BCError, BCInstance, Element, preprocess_discard
+import bcopt.lagrange
+from bcopt.core import BCError, BCInstance, Element, Solution, preprocess_discard
 from bcopt.cli import generate_instance
-from bcopt.constraints import MatroidIntersection, residual_constraint
+from bcopt.constraints import Matching, MatroidIntersection, residual_constraint
 from bcopt.lagrange import (
     LagrangeConfig,
+    _GreedyOrders,
+    _patched,
     approx_opt,
     declared_gamma,
     inner_max_weight,
@@ -20,6 +24,7 @@ from conftest import free_instance
 
 
 HEURISTIC = LagrangeConfig(exact_fallback_threshold=0)
+GREEDY = LagrangeConfig(force_greedy_inner=True, exact_fallback_threshold=0)
 
 
 class TestApproxOpt:
@@ -123,3 +128,145 @@ class TestInnerOracle:
         config = LagrangeConfig(force_greedy_inner=True)
         ids = inner_max_weight(inst, Fraction(1, 2), config)
         assert inst.constraint.is_feasible(ids)
+
+
+# --- reference: the greedy oracle and candidate search without the order cache
+
+
+def reference_greedy_inner(instance, lam):
+    den = lam.denominator
+    weight = {
+        e.id: e.profit * den - lam.numerator * e.cost
+        for e in instance.elements
+    }
+    cursor = instance.constraint.cursor()
+    chosen = []
+    for eid in sorted(weight, key=lambda i: (-weight[i], i)):
+        if weight[eid] <= 0:
+            break
+        if cursor.try_push(eid):
+            chosen.append(eid)
+    return frozenset(chosen)
+
+
+def reference_candidate_pool(instance, config):
+    budget = instance.budget
+    cost = instance.cost_of
+    pool = [frozenset()]
+
+    def offer(ids):
+        s = frozenset(ids)
+        if sum(cost[i] for i in s) <= budget:
+            pool.append(s)
+            return True
+        return False
+
+    for e in sorted(instance.elements, key=lambda e: e.id):
+        if instance.constraint.is_feasible((e.id,)):
+            offer((e.id,))
+    cursor = instance.constraint.cursor()
+    fill = []
+    spent = 0
+    by_density = sorted(
+        instance.elements,
+        key=lambda e: (-Fraction(e.profit, e.cost) if e.cost else Fraction(-e.profit - 1), e.id),
+    )
+    for e in by_density:
+        if spent + e.cost <= budget and cursor.try_push(e.id):
+            fill.append(e.id)
+            spent += e.cost
+    offer(fill)
+
+    lo = Fraction(0)
+    s_lo = reference_greedy_inner(instance, lo)
+    if offer(s_lo):
+        return pool
+    s_plus = s_lo
+    hi = Fraction(max(e.profit for e in instance.elements) + 1)
+    s_minus = reference_greedy_inner(instance, hi)
+    offer(s_minus)
+    for _ in range(config.bisection_cap):
+        mid = (lo + hi) / 2
+        s_mid = reference_greedy_inner(instance, mid)
+        if offer(s_mid):
+            hi, s_minus = mid, s_mid
+        else:
+            lo, s_plus = mid, s_mid
+    pool.extend(_patched(instance, s_minus, s_plus))
+    return pool
+
+
+def reference_greedy_solver_ids(instance, config):
+    best = Solution.empty()
+    for ids in reference_candidate_pool(instance, config):
+        cand = Solution.build(instance, ids)
+        if cand.total_profit > best.total_profit or (
+            cand.total_profit == best.total_profit and cand.element_ids < best.element_ids
+        ):
+            best = cand
+    return best.element_ids
+
+
+def greedy_order(instance, lam):
+    """The positive-weight ids in the order the greedy oracle pushes them."""
+    weight = {e.id: e.profit * lam.denominator - lam.numerator * e.cost
+              for e in instance.elements}
+    return tuple(sorted((i for i in weight if weight[i] > 0),
+                        key=lambda i: (-weight[i], i)))
+
+
+class TestGreedyOrderCache:
+    @given(
+        seed=st.integers(0, 10**6),
+        size=st.integers(0, 30),
+        kind=st.sampled_from(["matching", "matroid-intersection"]),
+        top=st.integers(1, 100),
+        lams=st.lists(
+            st.builds(Fraction, st.integers(0, 120), st.integers(1, 6)),
+            min_size=1, max_size=25,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cached_equals_uncached(self, seed, size, kind, top, lams):
+        # Small value ranges make weight ties, and orders sharing a set, common.
+        inst = generate_instance(seed, size, kind, cost_range=(1, top), profit_range=(1, top))
+        orders = _GreedyOrders(inst)
+        for lam in lams:
+            cached = inner_max_weight(inst, lam, GREEDY, _orders=orders)
+            assert cached == inner_max_weight(inst, lam, GREEDY)
+            assert cached == reference_greedy_inner(inst, lam)
+
+    def test_search_runs_the_push_loop_once_per_distinct_order(self, monkeypatch):
+        # 40 edges, so the greedy oracle serves every probe; the lambda = 0
+        # optimum is over budget, so the search bisects.
+        inst = generate_instance(2, 40, "matching")
+        original_inner = bcopt.lagrange.inner_max_weight
+        original_cursor = Matching.cursor
+        probes = []
+        loops = []
+        inside = []
+
+        def recording_inner(instance, lam, config=None, **kwargs):
+            probes.append(greedy_order(instance, lam))
+            inside.append(True)
+            try:
+                return original_inner(instance, lam, config, **kwargs)
+            finally:
+                inside.pop()
+
+        def counting_cursor(self):
+            if inside:
+                loops.append(probes[-1])
+            return original_cursor(self)
+
+        monkeypatch.setattr(bcopt.lagrange, "inner_max_weight", recording_inner)
+        monkeypatch.setattr(Matching, "cursor", counting_cursor)
+        non_profitable_solver(inst)
+        assert len(probes) == 2 + LagrangeConfig().bisection_cap
+        assert loops == list(dict.fromkeys(probes))
+        assert len(loops) < len(probes) // 2
+
+    def test_forced_greedy_search_matches_the_uncached_reference_on_the_corpus(self, main_corpus):
+        for name, inst in main_corpus:
+            got = non_profitable_solver(inst, GREEDY).element_ids
+            assert got == reference_greedy_solver_ids(inst, GREEDY), name
