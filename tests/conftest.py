@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +64,16 @@ def random_matroid(rng: random.Random, ids: frozenset[int]):
         v = rng.randrange(vertices)
         edges[eid] = (u, v)  # self-loops possible: dependent singletons
     return GraphicMatroid(vertices, edges)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def children_import_this_checkout():
+    """CLI tests start ``python -m bcopt.cli``; pytest's ``pythonpath`` setting
+    reaches only this process, so children get the checkout's ``src`` too."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 # --- seeded corpora -------------------------------------------------------
