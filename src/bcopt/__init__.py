@@ -35,17 +35,16 @@ from .matroids import (
     weak_exchange_extend,
 )
 from .classes import ClassLayout, class_index, class_partition, q_of, small_profit_pool
-from .exchange import Chain, ExchangeSet, exset_matching, exset_matroid_intersection
+from .exchange import ExchangeSet, exset_matching, exset_matroid_intersection
 from .lagrange import LagrangeConfig, approx_opt, non_profitable_solver
 from .repset import RepresentativeSet, rep_set
-from .solver import ResidualInstance, SolveConfig, eptas, residual_instance, solve
+from .solver import ResidualInstance, SolveConfig, residual_instance, solve
 from .oracle import brute_force_opt, profitable_set
 
 __all__ = [
     "BCError",
     "BCInstance",
     "CapExceededError",
-    "Chain",
     "ClassLayout",
     "Element",
     "Epsilon",
@@ -71,7 +70,6 @@ __all__ = [
     "brute_force_opt",
     "class_index",
     "class_partition",
-    "eptas",
     "exset_matching",
     "exset_matroid_intersection",
     "is_solution",

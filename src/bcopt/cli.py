@@ -34,10 +34,10 @@ from .core import (
 from .classes import ClassLayout
 from .constraints import Constraint, Matching, MatroidIntersection
 from .exchange import exset_matching, exset_matroid_intersection
-from .lagrange import LagrangeConfig, approx_opt, declared_gamma
+from .lagrange import approx_opt, declared_gamma
 from .matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .repset import rep_set
-from .solver import SolveConfig, SolveStats, solve_detailed, eptas_detailed
+from .solver import SolveConfig, SolveStats, solve_detailed
 from . import oracle
 
 SCHEMA_VERSION = 1
@@ -289,21 +289,14 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     epsilon = _parse_epsilon(args.epsilon)
-    config = SolveConfig(
-        alpha_mode=args.alpha,
-        subset_cap=args.subset_cap,
-        branch_budget=args.branch_budget,
-        threads=args.threads,
-        lagrange=LagrangeConfig(),
-    )
     if args.mode == "brute":
         start = time.perf_counter()
         solution = oracle.brute_force_opt(instance, guard=args.guard)
         stats = SolveStats(alpha=solution.total_profit, gamma=Fraction(1),
                            ms_total=(time.perf_counter() - start) * 1000.0)
-    elif args.mode == "eptas":
-        solution, stats = eptas_detailed(instance, epsilon, config)
     else:
+        config = SolveConfig(alpha_mode=args.alpha, subset_cap=args.subset_cap,
+                             branch_budget=args.branch_budget)
         solution, stats = solve_detailed(instance, epsilon, config)
     print(json.dumps(_solve_record(args.instance, epsilon, args.mode, solution, stats)))
     return EXIT_OK
@@ -438,11 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p = sub.add_parser("solve", help="solve an instance file")
     solve_p.add_argument("instance")
     solve_p.add_argument("--epsilon", required=True, help="error parameter as num/den")
-    solve_p.add_argument("--mode", choices=["solve", "eptas", "brute"], default="solve")
+    solve_p.add_argument("--mode", choices=["solve", "brute"], default="solve")
     solve_p.add_argument("--alpha", choices=["exact", "lagrangian"], default="lagrangian")
     solve_p.add_argument("--subset-cap", type=int, default=10**7)
     solve_p.add_argument("--branch-budget", type=int, default=10**6)
-    solve_p.add_argument("--threads", type=int, default=1)
     solve_p.add_argument("--guard", type=int, default=oracle.DEFAULT_GUARD)
     solve_p.set_defaults(func=_cmd_solve)
 

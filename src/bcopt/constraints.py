@@ -124,18 +124,6 @@ def _contracted_oracle(base: MatroidOracle, fixed: frozenset[int]) -> MatroidOra
     return LambdaMatroid(ground, lambda s: base.is_independent(s | fixed))
 
 
-def is_feasible(constraint: Constraint, subset: Iterable[int]) -> bool:
-    return constraint.is_feasible(subset)
-
-
-def is_bounded_feasible(constraint: Constraint, subset: Iterable[int], q: int) -> bool:
-    """Feasible and of cardinality at most q."""
-    if q < 0:
-        raise BCError("q must be non-negative")
-    s = frozenset(subset)
-    return len(s) <= q and constraint.is_feasible(s)
-
-
 def residual_constraint(constraint: Constraint, fixed: Iterable[int]) -> Constraint:
     """The constraint left after committing to the feasible set ``fixed``.
 

@@ -19,8 +19,8 @@ from typing import Iterable
 
 from .core import BCError, BCInstance, CapExceededError
 from .classes import ClassLayout, class_partition, q_of
-from .constraints import Matching, MatroidIntersection, is_bounded_feasible
-from .matroids import MatroidOracle, min_cost_basis, restrict_truncate
+from .constraints import Matching, MatroidIntersection
+from .matroids import MatroidOracle, RestrictedTruncatedMatroid, min_cost_basis
 
 # The recursion over minimum bases is exponential in the worst case; fail
 # loudly instead of hanging.
@@ -33,23 +33,6 @@ class ExchangeSet:
 
     class_index: int
     elements: frozenset[int]
-
-
-@dataclass(frozen=True)
-class Chain:
-    """A branch of the matroid recursion, in order of discovery."""
-
-    elements: tuple[int, ...] = ()
-
-    def extended(self, eid: int) -> "Chain":
-        return Chain(self.elements + (eid,))
-
-    @property
-    def id_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 def greedy_min_cost_matching(edge_ids: Iterable[int], graph: Matching,
@@ -107,16 +90,6 @@ def exset_matching(instance: BCInstance, layout: ClassLayout, r: int,
     return ExchangeSet(r, frozenset(union))
 
 
-def extension_candidates(chain: Chain | Iterable[int], class_ids: Iterable[int],
-                         oracle1: MatroidOracle) -> frozenset[int]:
-    """Class elements that extend the branch independently in the first matroid."""
-    current = chain.id_set if isinstance(chain, Chain) else frozenset(chain)
-    return frozenset(
-        e for e in frozenset(class_ids) - current
-        if oracle1.is_independent(current | {e})
-    )
-
-
 def exset_matroid_intersection(instance: BCInstance, layout: ClassLayout, r: int,
                                class_ids: frozenset[int] | None = None, *,
                                branch_budget: int = DEFAULT_BRANCH_BUDGET) -> ExchangeSet:
@@ -136,12 +109,12 @@ def exset_matroid_intersection(instance: BCInstance, layout: ClassLayout, r: int
         class_ids = class_partition(instance, layout).get(r, frozenset())
     q = q_of(layout.epsilon)
     union: set[int] = set()
-    _extend_chain(Chain(), class_ids, cons.oracle1, cons.oracle2, instance.cost_of, q,
+    _extend_chain(frozenset(), class_ids, cons.oracle1, cons.oracle2, instance.cost_of, q,
                   union, seen={frozenset()}, budget=[branch_budget, branch_budget])
     return ExchangeSet(r, frozenset(union))
 
 
-def _extend_chain(chain: Chain, class_ids: frozenset[int], gate: MatroidOracle,
+def _extend_chain(current: frozenset[int], class_ids: frozenset[int], gate: MatroidOracle,
                   basis_src: MatroidOracle, cost: dict[int, int], q: int,
                   union: set[int], seen: set[frozenset[int]], budget: list[int]) -> None:
     budget[0] -= 1
@@ -149,53 +122,16 @@ def _extend_chain(chain: Chain, class_ids: frozenset[int], gate: MatroidOracle,
         raise CapExceededError(
             f"exchange-set recursion exceeded its branch budget of {budget[1]} nodes"
         )
-    assert len(chain) <= q + 1, "branch grew past q(eps) + 1"
-    if len(chain) > q:
+    assert len(current) <= q + 1, "branch grew past q(eps) + 1"
+    if len(current) > q:
         return
-    current = chain.id_set
     candidates = frozenset(
         e for e in class_ids - current if gate.is_independent(current | {e})
     )
-    basis = min_cost_basis(restrict_truncate(basis_src, candidates, q), cost)
+    basis = min_cost_basis(RestrictedTruncatedMatroid(basis_src, candidates, q), cost)
     union |= basis
     for b in sorted(basis):
         grown = current | {b}
         if grown not in seen:
             seen.add(grown)
-            _extend_chain(chain.extended(b), class_ids, gate, basis_src, cost, q,
-                          union, seen, budget)
-
-
-def is_shift(instance: BCInstance, delta: Iterable[int], a: int, b: int, q: int) -> bool:
-    """b replaces a in delta preserving both matroids, cost-non-increasingly."""
-    delta, cons = _check_shift_args(instance, delta, a, b, q)
-    if instance.cost_of[b] > instance.cost_of[a]:
-        return False
-    swapped = (delta - {a}) | {b}
-    return is_bounded_feasible(cons, swapped, q)
-
-
-def is_semi_shift(instance: BCInstance, delta: Iterable[int], a: int, b: int, q: int) -> bool:
-    """b replaces a preserving only the second matroid (the first breaks)."""
-    delta, cons = _check_shift_args(instance, delta, a, b, q)
-    if instance.cost_of[b] > instance.cost_of[a]:
-        return False
-    swapped = (delta - {a}) | {b}
-    if len(swapped) > q or not cons.oracle2.is_independent(swapped):
-        return False
-    return not cons.oracle1.is_independent(swapped)
-
-
-def _check_shift_args(instance: BCInstance, delta: Iterable[int], a: int, b: int,
-                      q: int) -> tuple[frozenset[int], MatroidIntersection]:
-    cons = instance.constraint
-    if not isinstance(cons, MatroidIntersection):
-        raise BCError("shift predicates require a matroid-intersection constraint")
-    delta = frozenset(delta)
-    if a not in delta:
-        raise BCError("a must belong to delta")
-    if b in delta:
-        raise BCError("b must lie outside delta")
-    if not is_bounded_feasible(cons, delta, q):
-        raise BCError("delta must be bounded feasible")
-    return delta, cons
+            _extend_chain(grown, class_ids, gate, basis_src, cost, q, union, seen, budget)

@@ -1,11 +1,11 @@
 """Matroid oracles: concrete families, derived matroids and exchange helpers.
 
 A matroid is exposed through a single independence predicate.  Everything the
-rest of the package needs (greedy minimum-cost bases, truncated restrictions,
-exchange witnesses) is built on top of that one test, so user-supplied
-matroids only have to implement :meth:`MatroidOracle.is_independent`.
-Axiom verification is a test utility (see :mod:`bcopt.oracle`), not a runtime
-guard; production oracles are trusted.
+rest of the package needs (greedy minimum-cost bases, truncated restrictions)
+is built on top of that one test, so user-supplied matroids only have to
+implement :meth:`MatroidOracle.is_independent`.  Axiom verification and
+exchange witnesses are test utilities (see :mod:`bcopt.oracle`), not runtime
+guards; production oracles are trusted.
 """
 
 from __future__ import annotations
@@ -149,14 +149,6 @@ class LambdaMatroid(MatroidOracle):
         return self._predicate(subset)
 
 
-def is_independent(oracle: MatroidOracle, subset: Iterable[int]) -> bool:
-    return oracle.is_independent(subset)
-
-
-def restrict_truncate(oracle: MatroidOracle, universe: Iterable[int], cap: int) -> RestrictedTruncatedMatroid:
-    return RestrictedTruncatedMatroid(oracle, universe, cap)
-
-
 def min_cost_basis(oracle: MatroidOracle, cost: Mapping[int, int] | Callable[[int], int]) -> frozenset[int]:
     """Greedy minimum-cost basis, scanning in ascending (cost, id) order.
 
@@ -191,21 +183,6 @@ def matroid_extend(oracle: MatroidOracle, target: frozenset[int], base: frozense
             raise BCError("exchange property violated: no extension found "
                           "(is the oracle really a matroid?)")
     return frozenset(added)
-
-
-def exchange_witness(oracle: MatroidOracle, a_set: frozenset[int], b_set: frozenset[int], a: int) -> int:
-    """Exhibit b in B - A with A - a + b independent.
-
-    Requires A, B independent, a in A - B and B + a dependent; such a b
-    always exists for a genuine matroid.
-    """
-    if a not in a_set or a in b_set:
-        raise BCError("need a in A \\ B")
-    reduced = a_set - {a}
-    for b in sorted(b_set - a_set):
-        if oracle.is_independent(reduced | {b}):
-            return b
-    raise BCError("no exchange witness found (is the oracle really a matroid?)")
 
 
 def weak_exchange_extend(constraint, a_set: Iterable[int], b_set: Iterable[int]) -> frozenset[int]:

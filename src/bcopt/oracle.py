@@ -1,8 +1,9 @@
-"""Exact brute-force solver and exhaustive definitional verifiers.
+"""Exact brute-force solver, exhaustive definitional verifiers and analysis predicates.
 
-Everything here is exponential and guarded by instance size.  These routines
-are the ground truth the test suite measures the real algorithms against;
-the solver path never calls them.
+The solvers and verifiers are exponential and guarded by instance size.  These
+routines, and the predicates from the analysis (bounded feasibility, shifts,
+extension candidates, exchange witnesses), are the ground truth the test
+suite measures the real algorithms against; the solver path never calls them.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import BCInstance, Epsilon, GuardExceededError, InfeasibleSetError, Solution
+from .core import BCError, BCInstance, Epsilon, GuardExceededError, InfeasibleSetError, Solution
 from .classes import ClassLayout, class_partition, q_of
-from .constraints import is_bounded_feasible
+from .constraints import Constraint, MatroidIntersection
 from .enumeration import iter_feasible_sets, max_profit_solution_ids
 from .matroids import MatroidOracle, weak_exchange_extend
 
@@ -37,6 +38,14 @@ def _check_guard(instance: BCInstance, guard: int) -> None:
         raise GuardExceededError(
             f"instance has {len(instance.elements)} elements, above the guard of {guard}"
         )
+
+
+def is_bounded_feasible(constraint: Constraint, subset: Iterable[int], q: int) -> bool:
+    """Feasible and of cardinality at most q."""
+    if q < 0:
+        raise BCError("q must be non-negative")
+    s = frozenset(subset)
+    return len(s) <= q and constraint.is_feasible(s)
 
 
 def brute_force_opt(instance: BCInstance, guard: int = DEFAULT_GUARD) -> Solution:
@@ -185,6 +194,66 @@ def find_substitution(instance: BCInstance, epsilon: Epsilon, layout: ClassLayou
         if is_bounded_feasible(cons, keep | z, q):
             return z
     return None
+
+
+def extension_candidates(branch: Iterable[int], class_ids: Iterable[int],
+                         oracle1: MatroidOracle) -> frozenset[int]:
+    """Class elements that extend the branch independently in the first matroid."""
+    current = frozenset(branch)
+    return frozenset(
+        e for e in frozenset(class_ids) - current
+        if oracle1.is_independent(current | {e})
+    )
+
+
+def is_shift(instance: BCInstance, delta: Iterable[int], a: int, b: int, q: int) -> bool:
+    """b replaces a in delta preserving both matroids, cost-non-increasingly."""
+    delta, cons = _check_shift_args(instance, delta, a, b, q)
+    if instance.cost_of[b] > instance.cost_of[a]:
+        return False
+    swapped = (delta - {a}) | {b}
+    return is_bounded_feasible(cons, swapped, q)
+
+
+def is_semi_shift(instance: BCInstance, delta: Iterable[int], a: int, b: int, q: int) -> bool:
+    """b replaces a preserving only the second matroid (the first breaks)."""
+    delta, cons = _check_shift_args(instance, delta, a, b, q)
+    if instance.cost_of[b] > instance.cost_of[a]:
+        return False
+    swapped = (delta - {a}) | {b}
+    if len(swapped) > q or not cons.oracle2.is_independent(swapped):
+        return False
+    return not cons.oracle1.is_independent(swapped)
+
+
+def _check_shift_args(instance: BCInstance, delta: Iterable[int], a: int, b: int,
+                      q: int) -> tuple[frozenset[int], MatroidIntersection]:
+    cons = instance.constraint
+    if not isinstance(cons, MatroidIntersection):
+        raise BCError("shift predicates require a matroid-intersection constraint")
+    delta = frozenset(delta)
+    if a not in delta:
+        raise BCError("a must belong to delta")
+    if b in delta:
+        raise BCError("b must lie outside delta")
+    if not is_bounded_feasible(cons, delta, q):
+        raise BCError("delta must be bounded feasible")
+    return delta, cons
+
+
+def exchange_witness(oracle: MatroidOracle, a_set: frozenset[int], b_set: frozenset[int], a: int) -> int:
+    """Exhibit b in B - A with A - a + b independent.
+
+    Requires A, B independent, a in A - B and B + a dependent; such a b
+    always exists for a genuine matroid.
+    """
+    if a not in a_set or a in b_set:
+        raise BCError("need a in A \\ B")
+    reduced = a_set - {a}
+    for b in sorted(b_set - a_set):
+        if oracle.is_independent(reduced | {b}):
+            return b
+    raise BCError("no exchange witness found (is the oracle really a matroid?)")
 
 
 def check_matroid_axioms(oracle: MatroidOracle, guard: int = 12) -> VerificationReport:

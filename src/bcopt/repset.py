@@ -7,7 +7,6 @@ from the kept pool.  The solver then only enumerates subsets of this pool.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .core import BCInstance, Epsilon
@@ -38,15 +37,14 @@ class RepresentativeSet:
 
 def rep_set(instance: BCInstance, epsilon: Epsilon, alpha_mode: str = "lagrangian",
             *, lagrange_config: LagrangeConfig | None = None,
-            branch_budget: int = DEFAULT_BRANCH_BUDGET, threads: int = 1,
+            branch_budget: int = DEFAULT_BRANCH_BUDGET,
             alpha: int | None = None) -> RepresentativeSet:
     """Build the representative set for ``instance`` and ``epsilon``.
 
     ``alpha`` may be supplied by a caller that already estimated the optimum
     (the solver does, so estimate and enumeration stay consistent); otherwise
-    it is computed here per ``alpha_mode``.  Classes are disjoint, so their
-    exchange sets may be built in parallel; results are unioned by class
-    index, which keeps the output independent of completion order.
+    it is computed here per ``alpha_mode``.  Classes are disjoint; each
+    class's exchange set is built on its own, in ascending class order.
     """
     if alpha is None:
         alpha = approx_opt(instance, lagrange_config, mode=alpha_mode)
@@ -63,14 +61,9 @@ def rep_set(instance: BCInstance, epsilon: Epsilon, alpha_mode: str = "lagrangia
         return exset_matroid_intersection(instance, layout, r, ids,
                                           branch_budget=branch_budget)
 
-    indices = sorted(partition)
-    if threads > 1 and len(indices) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            built = list(pool.map(build, indices))
-    else:
-        built = [build(r) for r in indices]
+    built = [build(r) for r in sorted(partition)]
     per_class = {ex.class_index: ex for ex in built}
-    elements = frozenset().union(*(ex.elements for ex in built)) if built else frozenset()
+    elements = frozenset().union(*(ex.elements for ex in built))
 
     q = q_of(epsilon)
     if is_matching:

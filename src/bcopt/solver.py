@@ -1,12 +1,12 @@
 """The approximation scheme: enumerate profitable skeletons, extend, keep the best.
 
-``eptas`` enumerates the feasible subsets F of the representative set (up to
-cardinality floor(1/eps)), solves the residual low-profit instance next to
-each F, and returns the most profitable extended solution.  A skeleton whose
-fractional-knapsack bound cannot beat the incumbent is skipped before its
-residual is built.  ``solve`` is the public entry point: it runs ``eptas`` at
-eps/8, which turns the scheme's (1 - 8 eps) guarantee into the advertised
-(1 - eps).
+``solve`` runs the scheme at eps' = eps/8, which turns its (1 - 8 eps')
+guarantee into the advertised (1 - eps).  It enumerates the feasible subsets
+F of the representative set (up to cardinality floor(1/eps')), solves the
+residual low-profit instance next to each F, and returns the most profitable
+extended solution.  A skeleton whose fractional-knapsack bound cannot beat
+the incumbent is skipped before its residual is built.  ``solve_detailed``
+also returns the run metadata.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class SolveConfig:
     alpha_mode: str = "lagrangian"
     subset_cap: int = DEFAULT_SUBSET_CAP
     branch_budget: int = 10**6
-    threads: int = 1
     lagrange: LagrangeConfig = field(default_factory=LagrangeConfig)
 
 
@@ -83,25 +82,14 @@ def residual_instance(instance: BCInstance, alpha: int, epsilon: Epsilon,
     return _build_residual(instance, pool, skeleton)
 
 
-def eptas(instance: BCInstance, epsilon: Epsilon, config: SolveConfig | None = None) -> Solution:
-    """Best extended solution over all profitable skeletons; profit within
-    (1 - 8 eps) of the optimum."""
-    return eptas_detailed(instance, epsilon, config)[0]
-
-
 def solve(instance: BCInstance, epsilon: Epsilon, config: SolveConfig | None = None) -> Solution:
-    """Public entry point: run the scheme at eps/8 for a (1 - eps) guarantee."""
+    """Public entry point: profit within (1 - eps) of the optimum."""
     return solve_detailed(instance, epsilon, config)[0]
 
 
 def solve_detailed(instance: BCInstance, epsilon: Epsilon,
                    config: SolveConfig | None = None) -> tuple[Solution, SolveStats]:
-    return eptas_detailed(instance, epsilon.scaled_down(8), config)
-
-
-def eptas_detailed(instance: BCInstance, epsilon: Epsilon,
-                   config: SolveConfig | None = None) -> tuple[Solution, SolveStats]:
-    """``eptas`` plus its run metadata.
+    """``solve`` plus its run metadata.
 
     The winner is the extension of maximum profit; among equal profits, the
     one whose skeleton F comes first in (len(F), F) order.  Skeletons are
@@ -109,6 +97,7 @@ def eptas_detailed(instance: BCInstance, epsilon: Epsilon,
     gain, so a skeleton with ub(F) <= incumbent (see :class:`SkeletonBound`)
     can neither win nor tie first and is skipped without changing the result.
     """
+    epsilon = epsilon.scaled_down(8)  # the scheme's own eps'
     config = config or SolveConfig()
     start = time.perf_counter()
     working = preprocess_discard(instance)
@@ -117,8 +106,7 @@ def eptas_detailed(instance: BCInstance, epsilon: Epsilon,
     alpha = approx_opt(working, config.lagrange, mode=config.alpha_mode)
     rep = rep_set(
         working, epsilon, config.alpha_mode,
-        lagrange_config=config.lagrange, branch_budget=config.branch_budget,
-        threads=config.threads, alpha=alpha,
+        lagrange_config=config.lagrange, branch_budget=config.branch_budget, alpha=alpha,
     )
     stats.alpha = alpha
     stats.rep_size = rep.size

@@ -20,10 +20,15 @@ from bcopt.classes import ClassLayout, class_partition, q_of
 from bcopt.constraints import Matching, MatroidIntersection, residual_constraint
 from bcopt.exchange import exset_matching, exset_matroid_intersection, greedy_min_cost_matching
 from bcopt.lagrange import LagrangeConfig, approx_opt, non_profitable_solver
-from bcopt.matroids import exchange_witness, min_cost_basis, weak_exchange_extend
-from bcopt.oracle import brute_force_opt, verify_exchange_set, verify_representative
+from bcopt.matroids import min_cost_basis, weak_exchange_extend
+from bcopt.oracle import (
+    brute_force_opt,
+    exchange_witness,
+    verify_exchange_set,
+    verify_representative,
+)
 from bcopt.repset import rep_set
-from bcopt.solver import SolveConfig, solve
+from bcopt.solver import solve
 
 from conftest import random_matroid
 
@@ -295,7 +300,7 @@ def _random_feasible(rng, cons, ids):
 
 
 def test_criterion_8_determinism(tmp_path):
-    """Byte-identical serialized outputs: 3 repeats, threads 1 and 4."""
+    """Byte-identical serialized outputs over 3 repeats."""
     picks = [
         generate_instance(0, 12, "matching"),
         generate_instance(1, 13, "matching"),
@@ -307,36 +312,33 @@ def test_criterion_8_determinism(tmp_path):
         blobs = set()
         rep_blobs = set()
         for run in range(3):
-            for threads in (1, 4):
-                sol = solve(inst, eps, SolveConfig(threads=threads))
-                blobs.add(json.dumps({
-                    "ids": list(sol.element_ids),
-                    "profit": sol.total_profit,
-                    "cost": sol.total_cost,
-                }, sort_keys=True))
-                rep = rep_set(preprocess_discard(inst), eps, alpha_mode="exact",
-                              threads=threads)
-                rep_blobs.add(json.dumps({
-                    "alpha": rep.alpha,
-                    "elements": sorted(rep.elements),
-                    "per_class": {str(r): sorted(ex.elements)
-                                  for r, ex in sorted(rep.per_class.items())},
-                }, sort_keys=True))
+            sol = solve(inst, eps)
+            blobs.add(json.dumps({
+                "ids": list(sol.element_ids),
+                "profit": sol.total_profit,
+                "cost": sol.total_cost,
+            }, sort_keys=True))
+            rep = rep_set(preprocess_discard(inst), eps, alpha_mode="exact")
+            rep_blobs.add(json.dumps({
+                "alpha": rep.alpha,
+                "elements": sorted(rep.elements),
+                "per_class": {str(r): sorted(ex.elements)
+                              for r, ex in sorted(rep.per_class.items())},
+            }, sort_keys=True))
         assert len(blobs) == 1, f"instance {idx}: solve output varied"
         assert len(rep_blobs) == 1, f"instance {idx}: rep_set output varied"
 
-    # CLI records must match across thread counts too (timings excluded)
+    # CLI records must match across repeated runs too (timings excluded)
     path = tmp_path / "det.json"
     path.write_text(dump_instance(picks[0]))
     records = set()
-    for threads in ("1", "4"):
+    for _ in range(2):
         proc = subprocess.run(
-            [sys.executable, "-m", "bcopt.cli", "solve", str(path),
-             "--epsilon", "1/4", "--threads", threads],
+            [sys.executable, "-m", "bcopt.cli", "solve", str(path), "--epsilon", "1/4"],
             capture_output=True, text=True, check=True,
         )
         record = json.loads(proc.stdout)
         record.pop("ms_total")
         records.add(json.dumps(record, sort_keys=True))
     assert len(records) == 1
-    _report("8 determinism", "4 instances x 3 repeats x threads {1,4}")
+    _report("8 determinism", "4 instances x 3 repeats, 2 CLI runs")

@@ -10,6 +10,7 @@ from bcopt.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    build_parser,
     dump_instance,
     generate_instance,
     instance_from_json,
@@ -84,14 +85,14 @@ class TestSolveCmd:
             assert key in record
         assert record["epsilon"] == "1/10"
 
-    def test_eptas_mode_runs_unrescaled(self, tmp_path):
+    def test_exact_alpha_declares_gamma_two(self, tmp_path):
         inst = generate_instance(8, 8, "matching")
         path = write_instance(tmp_path, inst)
         code, out, _ = run_cli(["solve", str(path), "--epsilon", "1/4",
-                                "--mode", "eptas", "--alpha", "exact"])
+                                "--mode", "solve", "--alpha", "exact"])
         assert code == EXIT_OK
         record = json.loads(out)
-        assert record["mode"] == "eptas"
+        assert record["mode"] == "solve"
         assert record["gamma"] == "2"
 
     def test_epsilon_one_is_usage_error(self, tmp_path):
@@ -113,18 +114,11 @@ class TestSolveCmd:
         assert code == EXIT_CAP_OVERFLOW
         assert "cap" in err
 
-    def test_threads_give_identical_records(self, tmp_path):
-        inst = generate_instance(13, 11, "matching")
-        path = write_instance(tmp_path, inst)
-        records = []
-        for threads in ("1", "4"):
-            code, out, _ = run_cli(["solve", str(path), "--epsilon", "1/4",
-                                    "--threads", threads])
-            assert code == EXIT_OK
-            record = json.loads(out)
-            record.pop("ms_total")
-            records.append(json.dumps(record, sort_keys=True))
-        assert records[0] == records[1]
+    @pytest.mark.parametrize("extra", [["--threads", "4"], ["--mode", "eptas"]])
+    def test_removed_options_are_usage_errors(self, extra):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["solve", "inst.json", "--epsilon", "1/4", *extra])
+        assert exc.value.code == EXIT_INVALID_INPUT
 
 
 class TestVerifyCmd:

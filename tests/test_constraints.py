@@ -4,14 +4,9 @@ import random
 import pytest
 
 from bcopt.core import InfeasibleSetError, UnknownElementError
-from bcopt.constraints import (
-    Matching,
-    MatroidIntersection,
-    is_bounded_feasible,
-    is_feasible,
-    residual_constraint,
-)
+from bcopt.constraints import Matching, MatroidIntersection, residual_constraint
 from bcopt.matroids import UniformMatroid
+from bcopt.oracle import is_bounded_feasible
 
 from conftest import random_matroid
 
@@ -24,23 +19,23 @@ def all_subsets(ids):
 
 class TestFeasibility:
     def test_empty_set_feasible_for_both_kinds(self):
-        assert is_feasible(Matching(2, {0: (0, 1)}), ())
+        assert Matching(2, {0: (0, 1)}).is_feasible(())
         ids = frozenset({0})
-        assert is_feasible(MatroidIntersection(UniformMatroid(ids, 1), UniformMatroid(ids, 1)), ())
+        assert MatroidIntersection(UniformMatroid(ids, 1), UniformMatroid(ids, 1)).is_feasible(())
 
     def test_path_edges_share_a_vertex(self):
         path = Matching(3, {0: (0, 1), 1: (1, 2)})
-        assert not is_feasible(path, (0, 1))
+        assert not path.is_feasible((0, 1))
 
     def test_rank_two_three_intersection(self):
         ids = frozenset({0, 1, 2})
         cons = MatroidIntersection(UniformMatroid(ids, 2), UniformMatroid(ids, 3))
-        assert not is_feasible(cons, (0, 1, 2))
-        assert is_feasible(cons, (0, 1))
+        assert not cons.is_feasible((0, 1, 2))
+        assert cons.is_feasible((0, 1))
 
     def test_unknown_id(self):
         with pytest.raises(UnknownElementError):
-            is_feasible(Matching(2, {0: (0, 1)}), (9,))
+            Matching(2, {0: (0, 1)}).is_feasible((9,))
 
 
 class TestBoundedFeasibility:

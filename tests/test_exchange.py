@@ -5,17 +5,9 @@ import pytest
 from bcopt.core import BCError, BCInstance, CapExceededError, Epsilon
 from bcopt.classes import ClassLayout, class_partition, q_of
 from bcopt.constraints import Matching, MatroidIntersection
-from bcopt.exchange import (
-    Chain,
-    exset_matching,
-    exset_matroid_intersection,
-    extension_candidates,
-    greedy_min_cost_matching,
-    is_semi_shift,
-    is_shift,
-)
+from bcopt.exchange import exset_matching, exset_matroid_intersection, greedy_min_cost_matching
 from bcopt.matroids import PartitionMatroid, UniformMatroid
-from bcopt.oracle import verify_exchange_set
+from bcopt.oracle import extension_candidates, is_semi_shift, is_shift, verify_exchange_set
 
 from conftest import make_elements, random_matroid
 
@@ -107,15 +99,15 @@ class TestExsetMatching:
 class TestExtensionCandidates:
     def test_free_oracle_admits_whole_class(self):
         o1 = UniformMatroid(range(4), 4)
-        assert extension_candidates(Chain(), {0, 1, 2, 3}, o1) == {0, 1, 2, 3}
+        assert extension_candidates(set(), {0, 1, 2, 3}, o1) == {0, 1, 2, 3}
 
     def test_saturated_rank_blocks_everything(self):
         o1 = UniformMatroid(range(4), 2)
-        assert extension_candidates(Chain((0, 1)), {2, 3}, o1) == frozenset()
+        assert extension_candidates({0, 1}, {2, 3}, o1) == frozenset()
 
     def test_partition_block_saturation(self):
         o1 = PartitionMatroid(range(4), [{0, 1}, {2, 3}], [1, 1])
-        got = extension_candidates(Chain((0,)), {1, 2, 3}, o1)
+        got = extension_candidates({0}, {1, 2, 3}, o1)
         assert got == {2, 3}
 
 

@@ -8,14 +8,13 @@ from bcopt.constraints import Matching, MatroidIntersection
 from bcopt.matroids import (
     GraphicMatroid,
     PartitionMatroid,
+    RestrictedTruncatedMatroid,
     UniformMatroid,
-    exchange_witness,
     matroid_extend,
     min_cost_basis,
-    restrict_truncate,
     weak_exchange_extend,
 )
-from bcopt.oracle import check_matroid_axioms
+from bcopt.oracle import check_matroid_axioms, exchange_witness
 
 from conftest import random_matroid
 
@@ -87,18 +86,18 @@ class TestMinCostBasis:
 
 class TestRestrictTruncate:
     def test_cap_beats_rank(self):
-        rt = restrict_truncate(UniformMatroid(range(5), 5), {1, 2, 3}, 2)
+        rt = RestrictedTruncatedMatroid(UniformMatroid(range(5), 5), {1, 2, 3}, 2)
         assert not rt.is_independent({1, 2, 3})
         assert rt.is_independent({1, 2})
 
     def test_cap_zero(self):
-        rt = restrict_truncate(UniformMatroid(range(3), 3), {0, 1, 2}, 0)
+        rt = RestrictedTruncatedMatroid(UniformMatroid(range(3), 3), {0, 1, 2}, 0)
         assert rt.is_independent(())
         assert not rt.is_independent({0})
 
     def test_partition_example_all_four_subsets(self):
         base = PartitionMatroid({1, 2, 3}, [{1, 2}, {3}], [1, 1])
-        rt = restrict_truncate(base, {1, 3}, 2)
+        rt = RestrictedTruncatedMatroid(base, {1, 3}, 2)
         # frozen from enumerating the definition over {1, 3}
         assert rt.is_independent(())
         assert rt.is_independent({1})
@@ -113,8 +112,8 @@ class TestRestrictTruncate:
             u1 = frozenset(i for i in ids if rng.random() < 0.7)
             u2 = frozenset(i for i in ids if rng.random() < 0.7)
             q1, q2 = rng.randint(0, 5), rng.randint(0, 5)
-            twice = restrict_truncate(restrict_truncate(m, u1, q1), u2, q2)
-            once = restrict_truncate(m, u1 & u2, min(q1, q2))
+            twice = RestrictedTruncatedMatroid(RestrictedTruncatedMatroid(m, u1, q1), u2, q2)
+            once = RestrictedTruncatedMatroid(m, u1 & u2, min(q1, q2))
             for s in brute_subsets(u1 & u2):
                 assert twice.is_independent(s) == once.is_independent(s)
 

@@ -61,11 +61,3 @@ class TestRepSet:
             rep = rep_set(inst, eps, alpha_mode=mode)
             report = verify_representative(inst, eps, rep.elements)
             assert report.passed, (mode, report.counterexample)
-
-    def test_threads_do_not_change_the_result(self):
-        inst = preprocess_discard(generate_instance(21, 12, "matroid-intersection"))
-        eps = Epsilon(1, 5)
-        serial = rep_set(inst, eps, alpha_mode="exact", threads=1)
-        parallel = rep_set(inst, eps, alpha_mode="exact", threads=4)
-        assert serial.elements == parallel.elements
-        assert serial.per_class == parallel.per_class

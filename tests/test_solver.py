@@ -17,8 +17,6 @@ from bcopt.repset import rep_set
 from bcopt.solver import (
     SkeletonBound,
     SolveConfig,
-    eptas,
-    eptas_detailed,
     residual_instance,
     solve,
     solve_detailed,
@@ -55,30 +53,30 @@ class TestResidualInstance:
 
 class TestEptas:
     def test_empty_instance(self):
-        sol = eptas(free_instance([], []), Epsilon(1, 4))
+        sol = solve(free_instance([], []), Epsilon(1, 4))
         assert sol.total_profit == 0
         assert sol.element_ids == ()
 
     def test_opt_zero_returns_empty(self):
         inst = free_instance([1, 1], [0, 0], budget=5)
-        sol = eptas(inst, Epsilon(1, 4))
+        sol = solve(inst, Epsilon(1, 4))
         assert sol.element_ids == ()
 
     def test_knapsack_like_reaches_opt(self):
         inst = free_instance([6, 5, 5], budget=10)
-        sol = eptas(inst, Epsilon(1, 10))
+        sol = solve(inst, Epsilon(1, 10))
         assert sol.total_profit == 10
 
     def test_incumbent_is_monotone(self):
         inst = generate_instance(5, 10, "matching")
-        _, stats = eptas_detailed(inst, Epsilon(1, 6))
+        _, stats = solve_detailed(inst, Epsilon(1, 6))
         profits = stats.incumbent_profits
         assert profits == sorted(profits)
 
     def test_subset_cap_overflow_raises(self):
         inst = generate_instance(6, 12, "matroid-intersection")
         with pytest.raises(CapExceededError):
-            eptas_detailed(inst, Epsilon(1, 6), SolveConfig(subset_cap=3))
+            solve_detailed(inst, Epsilon(1, 6), SolveConfig(subset_cap=3))
 
 
 class TestSolve:
@@ -109,13 +107,10 @@ class TestSolve:
         assert inst.constraint.is_feasible(sol.element_ids)
         assert sol.total_cost <= inst.budget
 
-    def test_deterministic_across_repeats_and_threads(self):
+    def test_deterministic_across_repeats(self):
         inst = generate_instance(31, 12, "matroid-intersection")
         eps = Epsilon(1, 4)
-        runs = [
-            solve_detailed(inst, eps, SolveConfig(threads=t))[0]
-            for t in (1, 1, 4)
-        ]
+        runs = [solve_detailed(inst, eps)[0] for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
 
     def test_exact_alpha_mode(self):
