@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .core import BCError, InfeasibleSetError, UnknownElementError
-from .matroids import LambdaMatroid, MatroidOracle
+from .matroids import MatroidOracle
 
 
 class Constraint:
@@ -105,23 +105,10 @@ class MatroidIntersection(Constraint):
 
     def restrict(self, keep: Iterable[int]) -> "MatroidIntersection":
         keep = frozenset(keep)
-        return MatroidIntersection(
-            _restricted_oracle(self.oracle1, keep),
-            _restricted_oracle(self.oracle2, keep),
-        )
+        return MatroidIntersection(self.oracle1.restrict(keep), self.oracle2.restrict(keep))
 
     def cursor(self) -> "IntersectionCursor":
         return IntersectionCursor(self)
-
-
-def _restricted_oracle(base: MatroidOracle, keep: frozenset[int]) -> MatroidOracle:
-    ground = base.ground_ids & keep
-    return LambdaMatroid(ground, base.is_independent)
-
-
-def _contracted_oracle(base: MatroidOracle, fixed: frozenset[int]) -> MatroidOracle:
-    ground = base.ground_ids - fixed
-    return LambdaMatroid(ground, lambda s: base.is_independent(s | fixed))
 
 
 def residual_constraint(constraint: Constraint, fixed: Iterable[int]) -> Constraint:
@@ -144,10 +131,8 @@ def residual_constraint(constraint: Constraint, fixed: Iterable[int]) -> Constra
         }
         return Matching(constraint.vertex_count, surviving)
     if isinstance(constraint, MatroidIntersection):
-        return MatroidIntersection(
-            _contracted_oracle(constraint.oracle1, fixed),
-            _contracted_oracle(constraint.oracle2, fixed),
-        )
+        return MatroidIntersection(constraint.oracle1.contract(fixed),
+                                   constraint.oracle2.contract(fixed))
     raise BCError(f"unsupported constraint type {type(constraint).__name__}")
 
 
@@ -172,7 +157,10 @@ class MatchingCursor(FeasibilityCursor):
         self._stack: list[tuple[int, int]] = []
 
     def try_push(self, eid: int) -> bool:
-        u, v = self._edges[eid]
+        try:
+            u, v = self._edges[eid]
+        except KeyError:
+            raise UnknownElementError(eid) from None
         if u == v or u in self._used or v in self._used:
             return False
         self._used.add(u)
@@ -187,17 +175,24 @@ class MatchingCursor(FeasibilityCursor):
 
 
 class IntersectionCursor(FeasibilityCursor):
+    """Pushes into one cursor per matroid; an element joins iff both accept it."""
+
     def __init__(self, intersection: MatroidIntersection):
-        self._o1 = intersection.oracle1
-        self._o2 = intersection.oracle2
-        self._current: list[int] = []
+        self._c1 = intersection.oracle1.cursor()
+        self._c2 = intersection.oracle2.cursor()
 
     def try_push(self, eid: int) -> bool:
-        grown = frozenset(self._current) | {eid}
-        if not (self._o1.is_independent(grown) and self._o2.is_independent(grown)):
+        if not self._c1.try_push(eid):
             return False
-        self._current.append(eid)
-        return True
+        try:
+            if self._c2.try_push(eid):
+                return True
+        except UnknownElementError:
+            self._c1.pop()
+            raise
+        self._c1.pop()
+        return False
 
     def pop(self) -> None:
-        self._current.pop()
+        self._c1.pop()
+        self._c2.pop()

@@ -174,11 +174,13 @@ def _candidate_pool(instance: BCInstance, config: LagrangeConfig) -> list[frozen
         return False
 
     # Feasible affordable singletons and a profit-density greedy fill.  A
-    # residual constraint may reject a singleton its skeleton spans.
-    for e in sorted(instance.elements, key=lambda e: e.id):
-        if instance.constraint.is_feasible((e.id,)):
-            offer((e.id,))
+    # residual constraint may reject a singleton its skeleton spans.  Each
+    # singleton is popped again, so the fill starts from an empty cursor.
     cursor = instance.constraint.cursor()
+    for e in sorted(instance.elements, key=lambda e: e.id):
+        if cursor.try_push(e.id):
+            cursor.pop()
+            offer((e.id,))
     fill: list[int] = []
     spent = 0
     by_density = sorted(

@@ -11,7 +11,7 @@ import pytest
 from bcopt.core import BCInstance, Element
 from bcopt.cli import generate_instance
 from bcopt.constraints import Matching, MatroidIntersection
-from bcopt.matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
+from bcopt.matroids import GraphicMatroid, MatroidOracle, PartitionMatroid, UniformMatroid
 from bcopt import oracle
 
 
@@ -64,6 +64,21 @@ def random_matroid(rng: random.Random, ids: frozenset[int]):
         v = rng.randrange(vertices)
         edges[eid] = (u, v)  # self-loops possible: dependent singletons
     return GraphicMatroid(vertices, edges)
+
+
+class BareOracle(MatroidOracle):
+    """Another oracle's matroid through ``_independent`` alone.
+
+    It overrides no cursor, so searches over it run the generic cursor that
+    re-tests the whole grown set.
+    """
+
+    def __init__(self, inner: MatroidOracle):
+        super().__init__(inner.ground_ids)
+        self._inner = inner
+
+    def _independent(self, subset: frozenset[int]) -> bool:
+        return self._inner.is_independent(subset)
 
 
 @pytest.fixture(scope="session", autouse=True)

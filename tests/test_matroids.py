@@ -2,11 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bcopt.core import InfeasibleSetError, UnknownElementError
 from bcopt.constraints import Matching, MatroidIntersection
 from bcopt.matroids import (
     GraphicMatroid,
+    MatroidMinor,
     PartitionMatroid,
     RestrictedTruncatedMatroid,
     UniformMatroid,
@@ -16,7 +18,7 @@ from bcopt.matroids import (
 )
 from bcopt.oracle import check_matroid_axioms, exchange_witness
 
-from conftest import random_matroid
+from conftest import BareOracle, random_matroid
 
 
 def brute_subsets(ids):
@@ -55,6 +57,82 @@ class TestFamilies:
         ids = frozenset(range(rng.randint(0, 7)))
         report = check_matroid_axioms(random_matroid(rng, ids), guard=12)
         assert report.passed, report.counterexample
+
+
+def random_subset(rng, ids, p):
+    return frozenset(i for i in ids if rng.random() < p)
+
+
+def random_minor(rng, base, kind):
+    """``base`` itself, or a restriction, contraction or restriction of a contraction."""
+    if kind == "restrict":
+        return base.restrict(random_subset(rng, base.ground_ids, 0.7))
+    if kind == "contract":
+        return base.contract(random_subset(rng, base.ground_ids, 0.3))
+    if kind == "restrict-contract":
+        contracted = base.contract(random_subset(rng, base.ground_ids, 0.3))
+        return contracted.restrict(random_subset(rng, contracted.ground_ids, 0.7))
+    return base
+
+
+class TestCursors:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 10**9),
+        bare=st.booleans(),
+        kind=st.sampled_from(["none", "restrict", "contract", "restrict-contract"]),
+        ops=st.lists(st.integers(0, 10**6), max_size=40),
+    )
+    def test_cursor_agrees_with_is_independent(self, seed, bare, kind, ops):
+        rng = random.Random(seed)
+        base = random_matroid(rng, frozenset(range(rng.randint(0, 8))))
+        m = random_minor(rng, BareOracle(base) if bare else base, kind)
+        outside = sorted((base.ground_ids - m.ground_ids) | {-1, 99})
+        cursor = m.cursor()
+        current: list[int] = []
+
+        def check_every_push():
+            # Each accepted probe is popped again, so the state is unchanged.
+            for e in sorted(m.ground_ids - set(current)):
+                expected = m.is_independent([*current, e])
+                assert cursor.try_push(e) == expected
+                if expected:
+                    cursor.pop()
+
+        for op in ops:
+            absent = sorted(m.ground_ids - set(current))
+            if op % 4 == 0 and current:
+                cursor.pop()
+                current.pop()
+                check_every_push()
+            elif op % 4 == 1:
+                with pytest.raises(UnknownElementError):
+                    cursor.try_push(outside[op % len(outside)])
+            elif absent:
+                e = absent[op % len(absent)]
+                accepted = cursor.try_push(e)
+                assert accepted == m.is_independent([*current, e])
+                if accepted:
+                    current.append(e)
+        check_every_push()
+
+    def test_minors_of_minors_share_one_base(self):
+        base = GraphicMatroid(4, {0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (3, 0)})
+        minor = base.contract({0}).restrict({1, 2, 3}).contract({1}).restrict({2, 3})
+        assert isinstance(minor, MatroidMinor)
+        assert minor.base is base
+        assert minor.fixed == {0, 1} and minor.ground_ids == {2, 3}
+        assert minor.is_independent({2}) and not minor.is_independent({2, 3})
+
+    def test_contracting_an_unknown_id_raises(self):
+        with pytest.raises(UnknownElementError):
+            UniformMatroid({0, 1}, 1).restrict({0}).contract({1})
+
+    def test_dependent_contraction_refuses_every_push(self):
+        cursor = UniformMatroid({0, 1, 2}, 1).contract({0, 1}).cursor()
+        assert not cursor.try_push(2)
+        with pytest.raises(UnknownElementError):
+            cursor.try_push(0)
 
 
 class TestMinCostBasis:

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 import bcopt.solver
 from bcopt.core import (
+    BCInstance,
     CapExceededError,
     Epsilon,
     InfeasibleSetError,
@@ -10,6 +11,7 @@ from bcopt.core import (
 )
 from bcopt.classes import small_profit_pool
 from bcopt.cli import generate_instance
+from bcopt.constraints import MatroidIntersection
 from bcopt.enumeration import feasible_subsets_within_budget
 from bcopt.lagrange import approx_opt, non_profitable_solver
 from bcopt.oracle import brute_force_opt
@@ -22,7 +24,7 @@ from bcopt.solver import (
     solve_detailed,
 )
 
-from conftest import free_instance, path_matching
+from conftest import BareOracle, free_instance, path_matching
 
 
 class TestResidualInstance:
@@ -112,6 +114,18 @@ class TestSolve:
         eps = Epsilon(1, 4)
         runs = [solve_detailed(inst, eps)[0] for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
+
+    def test_generic_cursor_gives_the_same_ids_on_the_acceptance_corpus(self, main_corpus):
+        # The built-in oracles answer pushes from counters and forests; the
+        # bare wrappers re-test every grown set.  The answers must agree.
+        for eps in (Epsilon(1, 10), Epsilon(1, 4)):
+            for name, inst in main_corpus:
+                cons = inst.constraint
+                if not isinstance(cons, MatroidIntersection):
+                    continue
+                bare = MatroidIntersection(BareOracle(cons.oracle1), BareOracle(cons.oracle2))
+                generic = BCInstance(inst.elements, bare, inst.budget)
+                assert solve(generic, eps).element_ids == solve(inst, eps).element_ids, name
 
     def test_exact_alpha_mode(self):
         inst = generate_instance(55, 10, "matching")
