@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 from typing import Iterable, TYPE_CHECKING
 
@@ -19,6 +20,17 @@ if TYPE_CHECKING:
 # Values must fit a signed 64-bit integer so serialized instances stay
 # portable; Python itself never overflows.
 MAX_VALUE = 2**63 - 1
+
+
+def _compare_ratios(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
+    return a[0] * b[1] - b[0] * a[1] or a[2] - b[2]
+
+
+# Sort key for (num, den, id) triples: num/den ascending, then id ascending,
+# decided by integer cross-multiplication.  den is non-negative; den == 0
+# with num != 0 stands for an infinity of num's sign, and all infinities in
+# one sort must share that sign.
+ratio_key = cmp_to_key(_compare_ratios)
 
 
 class BCError(Exception):

@@ -11,7 +11,12 @@ The Lagrangian relaxation folds the budget into the objective with a
 multiplier lambda: maximize p(S) - lambda * c(S) over constraint-feasible
 sets.  Bisection on lambda brackets the transition from over-budget to
 affordable inner optima; the bracketing pair is then patched into candidate
-solutions.  Exact rationals keep every probe deterministic.
+solutions.  The bracket starts at the integers 0 and P + 1 (P the largest
+profit) and is halved at every step, so each probe's lambda is a dyadic
+rational k / 2^j: the search keeps integer numerators over a doubling
+denominator and builds each probe's exact ``Fraction`` from them, with no
+rational arithmetic in the loop.  Profit densities are compared by integer
+cross-multiplication.
 
 Above the exact-oracle guard the inner oracle is greedy: it pushes the
 positive-weight ids in descending weight (ties by id) through a fresh
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import BCError, BCInstance, Solution
+from .core import BCError, BCInstance, Element, Solution, ratio_key
 from .constraints import Matching, MatroidIntersection
 from .enumeration import max_profit_solution_ids, max_weight_feasible_ids
 
@@ -119,7 +124,7 @@ def inner_max_weight(instance: BCInstance, lam: Fraction,
     orders = _orders if _orders is not None else _GreedyOrders(instance)
     weight = [p * den - num * c for p, c in zip(orders.profits, orders.costs)]
     # Descending weight; the stable sort keeps ascending ids on ties.
-    order = tuple(sorted((k for k, w in enumerate(weight) if w > 0),
+    order = tuple(sorted([k for k, w in enumerate(weight) if w > 0],
                          key=weight.__getitem__, reverse=True))
     chosen = orders.sets.get(order)
     if chosen is None:
@@ -148,16 +153,25 @@ class _GreedyOrders:
 
 
 def _best_lagrangian_solution(instance: BCInstance, config: LagrangeConfig) -> Solution:
-    pool = _candidate_pool(instance, config)
-    best: Solution = Solution.empty()
-    # Duplicates cannot change the winner, so each distinct set is built once.
-    for ids in dict.fromkeys(pool):
-        cand = Solution.build(instance, ids)
-        if cand.total_profit > best.total_profit or (
-            cand.total_profit == best.total_profit and cand.element_ids < best.element_ids
-        ):
-            best = cand
-    return best
+    """The candidate of maximum profit; among equal profits, the smaller sorted ids.
+
+    Candidates are compared by their profit sums alone, and only the winner
+    is built: ``Solution.build`` re-checks its feasibility and budget.  The
+    losers are never checked at run time; the test suite checks that every
+    candidate is feasible and affordable.
+    """
+    profit = instance.profit_of
+    # The pool starts with the empty set, whose ids () no other set undercuts.
+    best_profit, best_ids = 0, ()
+    # Duplicates cannot change the winner, so each distinct set is compared once.
+    for ids in dict.fromkeys(_candidate_pool(instance, config)):
+        total = sum(map(profit.__getitem__, ids))
+        if total < best_profit:
+            continue
+        key = tuple(sorted(ids))
+        if total > best_profit or key < best_ids:
+            best_profit, best_ids = total, key
+    return Solution.build(instance, best_ids)
 
 
 def _candidate_pool(instance: BCInstance, config: LagrangeConfig) -> list[frozenset[int]]:
@@ -168,7 +182,7 @@ def _candidate_pool(instance: BCInstance, config: LagrangeConfig) -> list[frozen
 
     def offer(ids: Iterable[int]) -> bool:
         s = frozenset(ids)
-        if sum(cost[i] for i in s) <= budget:
+        if sum(map(cost.__getitem__, s)) <= budget:
             pool.append(s)
             return True
         return False
@@ -183,11 +197,7 @@ def _candidate_pool(instance: BCInstance, config: LagrangeConfig) -> list[frozen
             offer((e.id,))
     fill: list[int] = []
     spent = 0
-    by_density = sorted(
-        instance.elements,
-        key=lambda e: (-Fraction(e.profit, e.cost) if e.cost else Fraction(-e.profit - 1), e.id),
-    )
-    for e in by_density:
+    for e in sorted(instance.elements, key=_density_key):
         if spent + e.cost <= budget and cursor.try_push(e.id):
             fill.append(e.id)
             spent += e.cost
@@ -200,17 +210,18 @@ def _candidate_pool(instance: BCInstance, config: LagrangeConfig) -> list[frozen
     # s_minus stays affordable and s_plus over budget throughout, so the
     # bracket never closes early.
     orders = _GreedyOrders(instance)
-    lo = Fraction(0)
-    s_lo = inner_max_weight(instance, lo, config, _orders=orders)
+    s_lo = inner_max_weight(instance, Fraction(0), config, _orders=orders)
     if offer(s_lo):
         return pool
     s_plus = s_lo
-    hi = Fraction(max(e.profit for e in instance.elements) + 1)
-    s_minus = inner_max_weight(instance, hi, config, _orders=orders)
+    # The bracket is [lo / den, hi / den]; each halving doubles den.
+    lo, hi, den = 0, max(e.profit for e in instance.elements) + 1, 1
+    s_minus = inner_max_weight(instance, Fraction(hi), config, _orders=orders)
     offer(s_minus)
     for _ in range(config.bisection_cap):
-        mid = (lo + hi) / 2
-        s_mid = inner_max_weight(instance, mid, config, _orders=orders)
+        mid = lo + hi
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        s_mid = inner_max_weight(instance, Fraction(mid, den), config, _orders=orders)
         if offer(s_mid):
             hi, s_minus = mid, s_mid
         else:
@@ -219,12 +230,21 @@ def _candidate_pool(instance: BCInstance, config: LagrangeConfig) -> list[frozen
     return pool
 
 
+def _density_key(e: Element):
+    """Greedy fill order: profit per cost descending, then id.
+
+    A zero-cost element counts as density profit + 1.
+    """
+    return ratio_key((-e.profit, e.cost, e.id) if e.cost else (-e.profit - 1, 1, e.id))
+
+
 def _patched(instance: BCInstance, s_minus: frozenset[int],
              s_plus: frozenset[int]) -> list[frozenset[int]]:
     """Blend the bracketing pair into further budget-feasible candidates."""
     cons = instance.constraint
     budget = instance.budget
     cost = instance.cost_of
+    profit = instance.profit_of
     out: list[frozenset[int]] = []
     if isinstance(cons, Matching):
         components = _symmetric_difference_components(cons, s_minus, s_plus)
@@ -245,17 +265,17 @@ def _patched(instance: BCInstance, s_minus: frozenset[int],
             if sum(cost[i] for i in swapped) <= budget:
                 out.append(frozenset(swapped))
     elif isinstance(cons, MatroidIntersection):
-        # Shrink the over-budget side: drop the worst profit-per-cost element
-        # until affordable, pooling every affordable intermediate.
-        current = set(s_plus)
-        while current and sum(cost[i] for i in current) > budget:
-            victim = min(
-                current,
-                key=lambda i: (Fraction(instance.profit_of[i], cost[i]) if cost[i] else Fraction(2**127), i),
-            )
-            current.discard(victim)
-        if current:
-            out.append(frozenset(current))
+        # Shrink the over-budget side until affordable: drop elements by
+        # ascending profit per cost, zero-cost ones last, ties by id.
+        victims = sorted(s_plus, key=lambda i: ratio_key(
+            (profit[i], cost[i], i) if cost[i] else (1, 0, i)))
+        spent = sum(cost[i] for i in s_plus)
+        k = 0
+        while k < len(victims) and spent > budget:
+            spent -= cost[victims[k]]
+            k += 1
+        if k < len(victims):
+            out.append(frozenset(victims[k:]))
         # And grow the affordable side from the other bracket greedily.
         cursor = cons.cursor()
         grown = []
@@ -264,8 +284,7 @@ def _patched(instance: BCInstance, s_minus: frozenset[int],
             if cursor.try_push(eid):
                 grown.append(eid)
                 spent += cost[eid]
-        for eid in sorted(s_plus - s_minus,
-                          key=lambda i: (-instance.profit_of[i], i)):
+        for eid in sorted(s_plus - s_minus, key=lambda i: (-profit[i], i)):
             if spent + cost[eid] <= budget and cursor.try_push(eid):
                 grown.append(eid)
                 spent += cost[eid]

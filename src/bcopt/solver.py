@@ -15,7 +15,9 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import BCInstance, Epsilon, InfeasibleSetError, Solution, is_solution, preprocess_discard
+from .core import (
+    BCInstance, Epsilon, InfeasibleSetError, Solution, is_solution, preprocess_discard, ratio_key,
+)
 from .classes import small_profit_pool
 from .constraints import Matching, residual_constraint
 from .enumeration import feasible_subsets_within_budget
@@ -176,7 +178,9 @@ class SkeletonBound:
         self._profit = instance.profit_of
         self._budget = instance.budget
         items = [e for e in instance.elements if e.id in pool and e.profit > 0]
-        items.sort(key=lambda e: (e.cost > 0, -Fraction(e.profit, e.cost) if e.cost else 0))
+        # Densest first; a zero-cost element's (-profit, 0) is minus infinity.
+        # The fractional knapsack does not depend on how equal densities tie.
+        items.sort(key=lambda e: ratio_key((-e.profit, e.cost, e.id)))
         self._order = [(e.cost, e.profit) + self._keys[e.id] for e in items]
 
     def __call__(self, skeleton) -> int:

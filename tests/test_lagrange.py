@@ -11,6 +11,8 @@ from bcopt.constraints import Matching, MatroidIntersection, residual_constraint
 from bcopt.lagrange import (
     LagrangeConfig,
     _GreedyOrders,
+    _candidate_pool,
+    _density_key,
     _patched,
     approx_opt,
     declared_gamma,
@@ -25,6 +27,15 @@ from conftest import free_instance
 
 HEURISTIC = LagrangeConfig(exact_fallback_threshold=0)
 GREEDY = LagrangeConfig(force_greedy_inner=True, exact_fallback_threshold=0)
+
+
+def large_instances():
+    """20 instances of 40-60 elements, where the default search is greedy.
+
+    Their budgets are a fifth of the total cost, so every search bisects.
+    """
+    return [generate_instance(6000 + seed, 40 + 2 * seed, kind, budget_percent=20)
+            for seed in range(10) for kind in ("matching", "matroid-intersection")]
 
 
 class TestApproxOpt:
@@ -270,3 +281,73 @@ class TestGreedyOrderCache:
         for name, inst in main_corpus:
             got = non_profitable_solver(inst, GREEDY).element_ids
             assert got == reference_greedy_solver_ids(inst, GREEDY), name
+
+    def test_default_search_matches_the_uncached_reference_on_large_instances(self):
+        config = LagrangeConfig()
+        for inst in large_instances():
+            assert len(inst.elements) > config.inner_exact_guard
+            got = non_profitable_solver(inst, config).element_ids
+            assert got == reference_greedy_solver_ids(inst, config)
+
+
+def assert_every_candidate_is_a_solution(inst, config):
+    for ids in _candidate_pool(inst, config):
+        assert inst.constraint.is_feasible(ids), sorted(ids)
+        assert inst.total_cost(ids) <= inst.budget, sorted(ids)
+
+
+class TestCandidatePool:
+    # Only the winner is built, and so checked, at run time.
+    def test_every_candidate_is_a_solution_on_the_corpus(self, main_corpus):
+        for name, inst in main_corpus:
+            assert_every_candidate_is_a_solution(inst, GREEDY)
+
+    def test_every_candidate_is_a_solution_on_large_instances(self):
+        for inst in large_instances():
+            assert_every_candidate_is_a_solution(inst, LagrangeConfig())
+
+
+# --- reference: the Fraction-keyed density orders the integer comparisons replace
+
+
+def reference_density_key(e):
+    return (-Fraction(e.profit, e.cost) if e.cost else Fraction(-e.profit - 1), e.id)
+
+
+def reference_trimmed(instance, s_plus):
+    cost = instance.cost_of
+    current = set(s_plus)
+    while current and sum(cost[i] for i in current) > instance.budget:
+        victim = min(
+            current,
+            key=lambda i: (Fraction(instance.profit_of[i], cost[i]) if cost[i] else Fraction(2**127), i),
+        )
+        current.discard(victim)
+    return [frozenset(current)] if current else []
+
+
+class TestExactDensityOrder:
+    # Small ranges make equal densities and zero costs common.
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)), max_size=30),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fill_order_matches_the_fraction_key(self, pairs, rng):
+        elements = [Element(i, c, p) for i, (c, p) in enumerate(pairs)]
+        rng.shuffle(elements)
+        assert sorted(elements, key=_density_key) == sorted(elements, key=reference_density_key)
+
+    @given(
+        seed=st.integers(0, 10**6),
+        size=st.integers(0, 14),
+        top=st.integers(1, 6),
+        picks=st.lists(st.integers(0, 13), max_size=14),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_intersection_trim_matches_the_fraction_key(self, seed, size, top, picks):
+        inst = generate_instance(seed, size, "matroid-intersection",
+                                 cost_range=(0, top), profit_range=(0, top))
+        s_plus = frozenset(i for i in picks if i < size)
+        # The last candidate grows the affordable side; the rest is the trim.
+        assert _patched(inst, frozenset(), s_plus)[:-1] == reference_trimmed(inst, s_plus)

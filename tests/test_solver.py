@@ -179,6 +179,9 @@ class TestSkeletonBound:
         assert bound(()) == 6 + 4 + 3 // 2
         # Edge 2 touches the skeleton edge 3 at vertex 3 and leaves the pool.
         assert bound((3,)) == 1 + 6 + 4
+        # A zero-cost element is taken before any other, however dense.
+        inst = free_instance([3, 0], [6, 1], budget=2)
+        assert SkeletonBound(inst, frozenset({0, 1}))(()) == 1 + 6 * 2 // 3
 
     def test_pruned_plus_residual_solves_is_enumerated(self, monkeypatch):
         solves = []
