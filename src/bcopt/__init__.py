@@ -32,14 +32,13 @@ from .matroids import (
     RestrictedTruncatedMatroid,
     UniformMatroid,
     min_cost_basis,
-    weak_exchange_extend,
 )
 from .classes import ClassLayout, class_index, class_partition, q_of, small_profit_pool
 from .exchange import ExchangeSet, exset_matching, exset_matroid_intersection
 from .lagrange import LagrangeConfig, approx_opt, non_profitable_solver
 from .repset import RepresentativeSet, rep_set
 from .solver import ResidualInstance, SolveConfig, residual_instance, solve
-from .oracle import brute_force_opt, profitable_set
+from .oracle import brute_force_opt, profitable_set, weak_exchange_extend
 
 __all__ = [
     "BCError",

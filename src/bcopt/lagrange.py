@@ -18,13 +18,18 @@ denominator and builds each probe's exact ``Fraction`` from them, with no
 rational arithmetic in the loop.  Profit densities are compared by integer
 cross-multiplication.
 
+The bisection stops at breakpoint resolution: the inner optimum changes only
+at rationals of bounded denominator, and once the bracket is too narrow to
+hold two of them, deeper probes could only return the bracketing pair again
+(the argument is in ``_candidate_pool``).  On the benchmark's low-profit
+workload a residual search makes 16 probes instead of 2 + ``bisection_cap``
+= 66.
+
 Above the exact-oracle guard the inner oracle is greedy: it pushes the
 positive-weight ids in descending weight (ties by id) through a fresh
 feasibility cursor, so its result depends only on that order, not on the
-weights.  Each search keeps one cache from order to result, and its dozens
-of lambda probes run the push loop only once per distinct order (a median
-of 10 orders over the default 66 probes on the benchmark's low-profit
-workload).
+weights.  Each search keeps one cache from order to result, and its lambda
+probes run the push loop only once per distinct order.
 """
 
 from __future__ import annotations
@@ -46,9 +51,11 @@ _MAX_PATCH_COMPONENTS = 16
 class LagrangeConfig:
     """Knobs for the Lagrangian search.
 
-    ``bisection_cap``: number of lambda bisection steps after the two end
-    probes, so a search that does not stop at lambda = 0 makes
-    2 + ``bisection_cap`` inner-oracle probes.  ``exact_fallback_threshold``:
+    ``bisection_cap``: depth of the dyadic lambda search, the number of
+    bisection steps after the two end probes.  A search that does not stop at
+    lambda = 0 makes at most 2 + ``bisection_cap`` inner-oracle probes; it
+    stops earlier once the bracket resolves the oracle's breakpoints.
+    ``exact_fallback_threshold``:
     brute force the whole instance at or below this element count (0
     disables the fallback).  ``inner_exact_guard``: element count up to which
     the inner oracle is exact rather than greedy.  ``force_greedy_inner``:
@@ -118,7 +125,7 @@ def inner_max_weight(instance: BCInstance, lam: Fraction,
     """
     config = config or LagrangeConfig()
     num, den = lam.numerator, lam.denominator
-    if not config.force_greedy_inner and len(instance.elements) <= config.inner_exact_guard:
+    if not _greedy_inner(instance, config):
         weight = {e.id: e.profit * den - num * e.cost for e in instance.elements}
         return max_weight_feasible_ids(instance, weight)
     orders = _orders if _orders is not None else _GreedyOrders(instance)
@@ -133,6 +140,11 @@ def inner_max_weight(instance: BCInstance, lam: Fraction,
         chosen = frozenset([ids[k] for k in order if cursor.try_push(ids[k])])
         orders.sets[order] = chosen
     return chosen
+
+
+def _greedy_inner(instance: BCInstance, config: LagrangeConfig) -> bool:
+    """Whether ``inner_max_weight`` answers greedily rather than exactly."""
+    return config.force_greedy_inner or len(instance.elements) > config.inner_exact_guard
 
 
 class _GreedyOrders:
@@ -175,7 +187,34 @@ def _best_lagrangian_solution(instance: BCInstance, config: LagrangeConfig) -> S
 
 
 def _candidate_pool(instance: BCInstance, config: LagrangeConfig) -> list[frozenset[int]]:
-    """Budget-feasible candidates, in a deterministic order."""
+    """Budget-feasible candidates, in a deterministic order.
+
+    The bisection stops once its bracket can hold only one breakpoint of the
+    inner oracle, and its pool then holds the same distinct sets, and hands
+    ``_patched`` the same pair, as a search that makes all
+    2 + ``bisection_cap`` probes:
+
+    - The oracle's result is piecewise constant in lambda.  The greedy one
+      changes only where two weights p - lambda c cross or one crosses zero,
+      at a rational whose denominator is at most the largest cost.  The exact
+      one also changes where the weights of two subsets cross, at a
+      denominator of at most c(E).  Call the bound D; it is at least 1 once
+      the search bisects, since the lambda = 0 optimum costs something.
+    - Two distinct such breakpoints are at least 1/D^2 apart.  The bracket
+      [lo / den, hi / den] has width (hi - lo) / den, so once
+      (hi - lo) * D^2 < den it holds exactly one breakpoint: its two ends
+      return different sets.
+    - hi - lo stays P + 1 (P the largest profit) and den is 2^t after t
+      steps.  Every later probe is an odd multiple of (P + 1) / 2^s for some
+      s > t, whose reduced denominator is at least 2^s / (P + 1) > D^2 >= D.
+      So no later probe lands on the breakpoint: a breakpoint's dyadic depth
+      is at most log2((P + 1) * D), and the search is already deeper than
+      that.
+    - So every skipped probe lies in the open piece of one bracket end and
+      would return that end's set, ``s_plus`` or ``s_minus``, again (for the
+      greedy oracle, through an order already cached): it would add only
+      duplicates to the pool and leave the pair unchanged.
+    """
     budget = instance.budget
     cost = instance.cost_of
     pool: list[frozenset[int]] = [frozenset()]
@@ -218,7 +257,12 @@ def _candidate_pool(instance: BCInstance, config: LagrangeConfig) -> list[frozen
     lo, hi, den = 0, max(e.profit for e in instance.elements) + 1, 1
     s_minus = inner_max_weight(instance, Fraction(hi), config, _orders=orders)
     offer(s_minus)
+    # Breakpoint denominators are at most d (see the docstring).
+    d = max(orders.costs) if _greedy_inner(instance, config) else sum(orders.costs)
     for _ in range(config.bisection_cap):
+        # Measured before halving: the bracket can hold only one breakpoint.
+        if (hi - lo) * d * d < den:
+            break
         mid = lo + hi
         lo, hi, den = 2 * lo, 2 * hi, 2 * den
         s_mid = inner_max_weight(instance, Fraction(mid, den), config, _orders=orders)

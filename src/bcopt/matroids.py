@@ -1,4 +1,4 @@
-"""Matroid oracles: concrete families, minors, cursors and exchange helpers.
+"""Matroid oracles: concrete families, minors, cursors and minimum-cost bases.
 
 A matroid is exposed through a single independence predicate.  Everything the
 rest of the package needs (greedy minimum-cost bases, truncated restrictions,
@@ -15,15 +15,16 @@ families keep counters (uniform, partition) or a forest with undo (graphic).
 
 Restrictions and contractions are one explicit minor, :class:`MatroidMinor`,
 over the original matroid; a minor of a minor re-targets that same base.
-Axiom verification and exchange witnesses are test utilities (see
-:mod:`bcopt.oracle`), not runtime guards; production oracles are trusted.
+Axiom verification, exchange witnesses and exchange extensions are analysis
+utilities (see :mod:`bcopt.oracle`), not runtime guards; production oracles
+are trusted.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
-from .core import BCError, InfeasibleSetError, UnknownElementError
+from .core import BCError, UnknownElementError
 
 
 class MatroidOracle:
@@ -348,59 +349,3 @@ def min_cost_basis(oracle: MatroidOracle, cost: Mapping[int, int] | Callable[[in
         if oracle.is_independent(basis | {eid}):
             basis.add(eid)
     return frozenset(basis)
-
-
-def matroid_extend(oracle: MatroidOracle, target: frozenset[int], base: frozenset[int]) -> frozenset[int]:
-    """Grow ``base`` from ``target`` up to |target| elements, staying independent.
-
-    Returns D, a subset of target - base with |D| = max(|target| - |base|, 0)
-    and base | D independent.  Repeated application of the matroid exchange
-    property; candidates are taken in ascending id order.
-    """
-    current = set(base)
-    added: set[int] = set()
-    while len(current) < len(target):
-        for eid in sorted(target - current):
-            if oracle.is_independent(current | {eid}):
-                current.add(eid)
-                added.add(eid)
-                break
-        else:
-            raise BCError("exchange property violated: no extension found "
-                          "(is the oracle really a matroid?)")
-    return frozenset(added)
-
-
-def weak_exchange_extend(constraint, a_set: Iterable[int], b_set: Iterable[int]) -> frozenset[int]:
-    """Extend feasible B with D from A - B, |D| = max(|A| - 2|B|, 0), keeping B | D feasible.
-
-    Both matchings and matroid intersections admit this weaker form of the
-    matroid exchange property.  For a matching the extension keeps the edges
-    of A that avoid every vertex of B; for an intersection it intersects the
-    two single-matroid extensions.  The result is trimmed to exactly the
-    mandated size in ascending id order.
-    """
-    from .constraints import Matching, MatroidIntersection
-
-    a_set, b_set = frozenset(a_set), frozenset(b_set)
-    if not constraint.is_feasible(a_set):
-        raise InfeasibleSetError("A is not feasible")
-    if not constraint.is_feasible(b_set):
-        raise InfeasibleSetError("B is not feasible")
-    target = max(len(a_set) - 2 * len(b_set), 0)
-    if target == 0:
-        return frozenset()
-    if isinstance(constraint, Matching):
-        blocked = {v for eid in b_set for v in constraint.edges[eid]}
-        pool = sorted(eid for eid in a_set - b_set
-                      if not (constraint.edges[eid][0] in blocked or constraint.edges[eid][1] in blocked))
-    elif isinstance(constraint, MatroidIntersection):
-        d1 = matroid_extend(constraint.oracle1, a_set, b_set)
-        d2 = matroid_extend(constraint.oracle2, a_set, b_set)
-        pool = sorted(d1 & d2)
-    else:
-        raise BCError(f"unsupported constraint type {type(constraint).__name__}")
-    if len(pool) < target:
-        raise BCError("weak exchange produced too few candidates "
-                      "(constraint violates the exchange property)")
-    return frozenset(pool[:target])

@@ -1,9 +1,10 @@
 """Exact brute-force solver, exhaustive definitional verifiers and analysis predicates.
 
 The solvers and verifiers are exponential and guarded by instance size.  These
-routines, and the predicates from the analysis (bounded feasibility, shifts,
-extension candidates, exchange witnesses), are the ground truth the test
-suite measures the real algorithms against; the solver path never calls them.
+routines, and the predicates and constructions from the analysis (bounded
+feasibility, shifts, extension candidates, exchange witnesses, weak-exchange
+extensions), are the ground truth the test suite measures the real algorithms
+against; the solver path never calls them.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from typing import Iterable
 
 from .core import BCError, BCInstance, Epsilon, GuardExceededError, InfeasibleSetError, Solution
 from .classes import ClassLayout, class_partition, q_of
-from .constraints import Constraint, MatroidIntersection
+from .constraints import Constraint, Matching, MatroidIntersection
 from .enumeration import iter_feasible_sets, max_profit_solution_ids
-from .matroids import MatroidOracle, weak_exchange_extend
+from .matroids import MatroidOracle
 
 DEFAULT_GUARD = 24
 
@@ -288,6 +289,61 @@ def check_matroid_axioms(oracle: MatroidOracle, guard: int = 12) -> Verification
                         {"axiom": "exchange", "a": sorted(a), "b": sorted(b)},
                     )
     return VerificationReport("matroid-axioms", True)
+
+
+def matroid_extend(oracle: MatroidOracle, target: frozenset[int], base: frozenset[int]) -> frozenset[int]:
+    """Grow ``base`` from ``target`` up to |target| elements, staying independent.
+
+    Returns D, a subset of target - base with |D| = max(|target| - |base|, 0)
+    and base | D independent.  Repeated application of the matroid exchange
+    property; candidates are taken in ascending id order.
+    """
+    current = set(base)
+    added: set[int] = set()
+    while len(current) < len(target):
+        for eid in sorted(target - current):
+            if oracle.is_independent(current | {eid}):
+                current.add(eid)
+                added.add(eid)
+                break
+        else:
+            raise BCError("exchange property violated: no extension found "
+                          "(is the oracle really a matroid?)")
+    return frozenset(added)
+
+
+def weak_exchange_extend(constraint: Constraint, a_set: Iterable[int],
+                         b_set: Iterable[int]) -> frozenset[int]:
+    """Extend feasible B with D from A - B, |D| = max(|A| - 2|B|, 0), keeping B | D feasible.
+
+    Both matchings and matroid intersections admit this weaker form of the
+    matroid exchange property.  For a matching the extension keeps the edges
+    of A that avoid every vertex of B; for an intersection it intersects the
+    two single-matroid extensions.  The result is trimmed to exactly the
+    mandated size in ascending id order.
+    """
+    a_set, b_set = frozenset(a_set), frozenset(b_set)
+    if not constraint.is_feasible(a_set):
+        raise InfeasibleSetError("A is not feasible")
+    if not constraint.is_feasible(b_set):
+        raise InfeasibleSetError("B is not feasible")
+    target = max(len(a_set) - 2 * len(b_set), 0)
+    if target == 0:
+        return frozenset()
+    if isinstance(constraint, Matching):
+        blocked = {v for eid in b_set for v in constraint.edges[eid]}
+        pool = sorted(eid for eid in a_set - b_set
+                      if not (constraint.edges[eid][0] in blocked or constraint.edges[eid][1] in blocked))
+    elif isinstance(constraint, MatroidIntersection):
+        d1 = matroid_extend(constraint.oracle1, a_set, b_set)
+        d2 = matroid_extend(constraint.oracle2, a_set, b_set)
+        pool = sorted(d1 & d2)
+    else:
+        raise BCError(f"unsupported constraint type {type(constraint).__name__}")
+    if len(pool) < target:
+        raise BCError("weak exchange produced too few candidates "
+                      "(constraint violates the exchange property)")
+    return frozenset(pool[:target])
 
 
 def verify_weak_exchange(instance: BCInstance, seed: int = 0, trials: int = 200,

@@ -20,12 +20,13 @@ from bcopt.classes import ClassLayout, class_partition, q_of
 from bcopt.constraints import Matching, MatroidIntersection, residual_constraint
 from bcopt.exchange import exset_matching, exset_matroid_intersection, greedy_min_cost_matching
 from bcopt.lagrange import LagrangeConfig, approx_opt, non_profitable_solver
-from bcopt.matroids import min_cost_basis, weak_exchange_extend
+from bcopt.matroids import min_cost_basis
 from bcopt.oracle import (
     brute_force_opt,
     exchange_witness,
     verify_exchange_set,
     verify_representative,
+    weak_exchange_extend,
 )
 from bcopt.repset import rep_set
 from bcopt.solver import solve

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,7 +161,12 @@ def reference_greedy_inner(instance, lam):
     return frozenset(chosen)
 
 
-def reference_candidate_pool(instance, config):
+def reference_candidate_pool(instance, config, inner=reference_greedy_inner, pairs=None):
+    """The search at full depth: all 2 + ``bisection_cap`` probes, every time.
+
+    ``inner(instance, lam)`` answers each probe; ``pairs``, when given,
+    receives the bracketing pair handed to ``_patched``.
+    """
     budget = instance.budget
     cost = instance.cost_of
     pool = [frozenset()]
@@ -189,20 +195,22 @@ def reference_candidate_pool(instance, config):
     offer(fill)
 
     lo = Fraction(0)
-    s_lo = reference_greedy_inner(instance, lo)
+    s_lo = inner(instance, lo)
     if offer(s_lo):
         return pool
     s_plus = s_lo
     hi = Fraction(max(e.profit for e in instance.elements) + 1)
-    s_minus = reference_greedy_inner(instance, hi)
+    s_minus = inner(instance, hi)
     offer(s_minus)
     for _ in range(config.bisection_cap):
         mid = (lo + hi) / 2
-        s_mid = reference_greedy_inner(instance, mid)
+        s_mid = inner(instance, mid)
         if offer(s_mid):
             hi, s_minus = mid, s_mid
         else:
             lo, s_plus = mid, s_mid
+    if pairs is not None:
+        pairs.append((s_minus, s_plus))
     pool.extend(_patched(instance, s_minus, s_plus))
     return pool
 
@@ -273,9 +281,23 @@ class TestGreedyOrderCache:
         monkeypatch.setattr(bcopt.lagrange, "inner_max_weight", recording_inner)
         monkeypatch.setattr(Matching, "cursor", counting_cursor)
         non_profitable_solver(inst)
-        assert len(probes) == 2 + LagrangeConfig().bisection_cap
+        # The search stops once (P + 1) * D^2 < 2^steps, D the largest cost.
+        largest_profit = max(e.profit for e in inst.elements)
+        resolution = (largest_profit + 1) * max(e.cost for e in inst.elements) ** 2
+        steps = min(LagrangeConfig().bisection_cap, resolution.bit_length())
+        assert len(probes) == 2 + steps
         assert loops == list(dict.fromkeys(probes))
-        assert len(loops) < len(probes) // 2
+        # The probes skipped past that point would only have repeated orders.
+        full_depth = []
+
+        def recording_reference(instance, lam):
+            full_depth.append(greedy_order(instance, lam))
+            return reference_greedy_inner(instance, lam)
+
+        reference_candidate_pool(inst, LagrangeConfig(), recording_reference)
+        assert len(full_depth) == 2 + LagrangeConfig().bisection_cap
+        assert loops == list(dict.fromkeys(full_depth))
+        assert len(loops) < len(full_depth) // 2
 
     def test_forced_greedy_search_matches_the_uncached_reference_on_the_corpus(self, main_corpus):
         for name, inst in main_corpus:
@@ -288,6 +310,73 @@ class TestGreedyOrderCache:
             assert len(inst.elements) > config.inner_exact_guard
             got = non_profitable_solver(inst, config).element_ids
             assert got == reference_greedy_solver_ids(inst, config)
+
+
+def searched_pool_and_pair(inst, config):
+    """``_candidate_pool``'s distinct candidates and the pair it patches."""
+    pairs = []
+
+    def recording_patched(instance, s_minus, s_plus):
+        pairs.append((s_minus, s_plus))
+        return _patched(instance, s_minus, s_plus)
+
+    with mock.patch.object(bcopt.lagrange, "_patched", recording_patched):
+        pool = _candidate_pool(inst, config)
+    return list(dict.fromkeys(pool)), pairs
+
+
+def full_depth_pool_and_pair(inst, config):
+    """The same for a search that probes all 2 + ``bisection_cap`` dyadic lambda."""
+    pairs = []
+    pool = reference_candidate_pool(
+        inst, config, lambda instance, lam: inner_max_weight(instance, lam, config), pairs)
+    return list(dict.fromkeys(pool)), pairs
+
+
+class TestBreakpointStop:
+    # Costs and profits from 0 make ties, zero costs and dyadic breakpoints
+    # common; budgets from 0 make most searches bisect.
+    @given(
+        seed=st.integers(0, 10**6),
+        size=st.integers(0, 20),
+        kind=st.sampled_from(["matching", "matroid-intersection"]),
+        top=st.integers(1, 9),
+        percent=st.integers(0, 100),
+        greedy=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_search_matches_the_full_depth_search(self, seed, size, kind, top, percent, greedy):
+        inst = generate_instance(seed, size, kind, cost_range=(0, top),
+                                 profit_range=(0, top), budget_percent=percent)
+        # The default config is exact at these sizes.
+        config = GREEDY if greedy else LagrangeConfig()
+        assert searched_pool_and_pair(inst, config) == full_depth_pool_and_pair(inst, config)
+
+    def test_greedy_stop_separates_two_close_zero_crossings(self):
+        # Edges 0 and 1 turn non-positive at lambda = 8/39 and 7/34, 1/1326
+        # apart.  The greedy optimum is {0, 1, 2}, over budget, below them,
+        # {1, 2} between them and {2} above them.  A guard one step too
+        # loose stops with s_minus = {2}.
+        inst = BCInstance(
+            (Element(0, 39, 8), Element(1, 34, 7), Element(2, 0, 9)),
+            Matching(6, {0: (0, 1), 1: (2, 3), 2: (4, 5)}), 36)
+        pool, pairs = searched_pool_and_pair(inst, GREEDY)
+        assert pairs == [(frozenset({1, 2}), frozenset({0, 1, 2}))]
+        assert (pool, pairs) == full_depth_pool_and_pair(inst, GREEDY)
+
+    def test_exact_stop_separates_a_crossing_beyond_the_largest_cost(self):
+        # Edges 0, 1, 2 form a path and edge 3 stands apart.  The exact
+        # optimum {0, 2, 3} gives way to the affordable {1, 3} at
+        # lambda = 12/17, and edge 3 turns non-positive at 5/7, 1/119 later.
+        # 17 is above the largest cost, 9, so the guard needs c(E) = 26: with
+        # the largest cost it stops with s_minus = {1}.
+        inst = BCInstance(
+            (Element(0, 9, 11), Element(1, 1, 10), Element(2, 9, 11), Element(3, 7, 5)),
+            Matching(6, {0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (4, 5)}), 8)
+        config = LagrangeConfig()
+        pool, pairs = searched_pool_and_pair(inst, config)
+        assert pairs == [(frozenset({1, 3}), frozenset({0, 2, 3}))]
+        assert (pool, pairs) == full_depth_pool_and_pair(inst, config)
 
 
 def assert_every_candidate_is_a_solution(inst, config):

@@ -12,11 +12,14 @@ from bcopt.matroids import (
     PartitionMatroid,
     RestrictedTruncatedMatroid,
     UniformMatroid,
-    matroid_extend,
     min_cost_basis,
+)
+from bcopt.oracle import (
+    check_matroid_axioms,
+    exchange_witness,
+    matroid_extend,
     weak_exchange_extend,
 )
-from bcopt.oracle import check_matroid_axioms, exchange_witness
 
 from conftest import BareOracle, random_matroid
 
