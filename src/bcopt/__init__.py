@@ -35,9 +35,9 @@ from .matroids import (
 )
 from .classes import ClassLayout, class_index, class_partition, q_of, small_profit_pool
 from .exchange import ExchangeSet, exset_matching, exset_matroid_intersection
-from .lagrange import LagrangeConfig, approx_opt, non_profitable_solver
+from .lagrange import approx_opt, non_profitable_solver
 from .repset import RepresentativeSet, rep_set
-from .solver import ResidualInstance, SolveConfig, residual_instance, solve
+from .solver import SolveConfig, residual_instance, solve
 from .oracle import brute_force_opt, profitable_set, weak_exchange_extend
 
 __all__ = [
@@ -52,13 +52,11 @@ __all__ = [
     "GuardExceededError",
     "InfeasibleSetError",
     "InvalidParameterError",
-    "LagrangeConfig",
     "Matching",
     "MatroidIntersection",
     "MatroidOracle",
     "PartitionMatroid",
     "RepresentativeSet",
-    "ResidualInstance",
     "RestrictedTruncatedMatroid",
     "SolveConfig",
     "Solution",

@@ -33,11 +33,11 @@ from .core import (
 )
 from .classes import ClassLayout
 from .constraints import Constraint, Matching, MatroidIntersection
-from .exchange import exset_matching, exset_matroid_intersection
+from .exchange import DEFAULT_BRANCH_BUDGET, exset_matching, exset_matroid_intersection
 from .lagrange import approx_opt, declared_gamma
 from .matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .repset import rep_set
-from .solver import SolveConfig, SolveStats, solve_detailed
+from .solver import DEFAULT_SUBSET_CAP, SolveConfig, SolveStats, solve_detailed
 from . import oracle
 
 SCHEMA_VERSION = 1
@@ -433,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--epsilon", required=True, help="error parameter as num/den")
     solve_p.add_argument("--mode", choices=["solve", "brute"], default="solve")
     solve_p.add_argument("--alpha", choices=["exact", "lagrangian"], default="lagrangian")
-    solve_p.add_argument("--subset-cap", type=int, default=10**7)
-    solve_p.add_argument("--branch-budget", type=int, default=10**6)
+    solve_p.add_argument("--subset-cap", type=int, default=DEFAULT_SUBSET_CAP)
+    solve_p.add_argument("--branch-budget", type=int, default=DEFAULT_BRANCH_BUDGET)
     solve_p.add_argument("--guard", type=int, default=oracle.DEFAULT_GUARD)
     solve_p.set_defaults(func=_cmd_solve)
 

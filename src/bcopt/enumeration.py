@@ -1,7 +1,8 @@
 """Depth-first subset search engines shared by the solver and the exact oracles.
 
-All engines walk elements in ascending id order and rely on downward closure
-of the feasible-set family: once a partial set is infeasible or over budget,
+The engines walk elements in a fixed order (ascending ids, or heaviest first
+for the maximum-weight search) and rely on downward closure of the
+feasible-set family: once a partial set is infeasible or over budget,
 no superset can recover, so the whole branch is pruned.
 
 Each engine's recursive ``walk`` closure refers to itself, so the engine
@@ -21,80 +22,60 @@ from .core import BCInstance, CapExceededError
 def max_profit_solution_ids(instance: BCInstance) -> frozenset[int]:
     """Exact maximum-profit feasible set within the budget.
 
-    Branch and bound: include/exclude per element with suffix-profit bounds.
     Ties keep the first optimum found in ascending-id, include-first order.
     """
     ids = instance.sorted_ids()
-    n = len(ids)
-    costs = [instance.cost_of[i] for i in ids]
-    profits = [instance.profit_of[i] for i in ids]
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + profits[i]
-    cursor = instance.constraint.cursor()
-    budget = instance.budget
-    best_ids: list[int] = []
-    best_profit = -1
-    chosen: list[int] = []
-
-    def walk(idx: int, cost: int, profit: int) -> None:
-        nonlocal best_profit, best_ids
-        if profit > best_profit:
-            best_profit = profit
-            best_ids = list(chosen)
-        if idx == n or profit + suffix[idx] <= best_profit:
-            return
-        eid = ids[idx]
-        if cost + costs[idx] <= budget and cursor.try_push(eid):
-            chosen.append(eid)
-            walk(idx + 1, cost + costs[idx], profit + profits[idx])
-            chosen.pop()
-            cursor.pop()
-        walk(idx + 1, cost, profit)
-
-    try:
-        walk(0, 0, 0)
-    finally:
-        del walk
-    return frozenset(best_ids)
+    return _branch_and_bound(instance, ids, [instance.profit_of[i] for i in ids],
+                             [instance.cost_of[i] for i in ids], instance.budget)
 
 
 def max_weight_feasible_ids(instance: BCInstance, weight: Mapping[int, int]) -> frozenset[int]:
     """Exact maximum-weight feasible set, ignoring the budget.
 
     Only strictly positive weights can help (the family is downward closed),
-    so the search is confined to them.  Weights are integers; rational
-    multipliers are cleared to a common denominator by the caller.
+    so the search is confined to them, heaviest first.  Weights are
+    integers; rational multipliers are cleared to a common denominator by
+    the caller.
     """
     ids = sorted((i for i in instance.cost_of if weight[i] > 0),
                  key=lambda i: (-weight[i], i))
+    return _branch_and_bound(instance, ids, [weight[i] for i in ids], [0] * len(ids), 0)
+
+
+def _branch_and_bound(instance: BCInstance, ids: list[int], values: list[int],
+                      costs: list[int], budget: int) -> frozenset[int]:
+    """Maximum-value feasible subset of ``ids`` whose cost fits ``budget``.
+
+    Include/exclude per id in the given order, pruned by suffix-value
+    bounds; values are non-negative.  Ties keep the first optimum found in
+    include-first order, the empty set when nothing has positive value.
+    """
     n = len(ids)
-    weights = [weight[i] for i in ids]
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + weights[i]
+        suffix[i] = suffix[i + 1] + values[i]
     cursor = instance.constraint.cursor()
     best_ids: list[int] = []
-    best_weight = 0
+    best_value = 0
     chosen: list[int] = []
 
-    def walk(idx: int, acc: int) -> None:
-        nonlocal best_weight, best_ids
-        if acc > best_weight:
-            best_weight = acc
+    def walk(idx: int, cost: int, value: int) -> None:
+        nonlocal best_value, best_ids
+        if value > best_value:
+            best_value = value
             best_ids = list(chosen)
-        if idx == n or acc + suffix[idx] <= best_weight:
+        if idx == n or value + suffix[idx] <= best_value:
             return
         eid = ids[idx]
-        if cursor.try_push(eid):
+        if cost + costs[idx] <= budget and cursor.try_push(eid):
             chosen.append(eid)
-            walk(idx + 1, acc + weights[idx])
+            walk(idx + 1, cost + costs[idx], value + values[idx])
             chosen.pop()
             cursor.pop()
-        walk(idx + 1, acc)
+        walk(idx + 1, cost, value)
 
     try:
-        walk(0, 0)
+        walk(0, 0, 0)
     finally:
         del walk
     return frozenset(best_ids)

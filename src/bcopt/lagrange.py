@@ -19,22 +19,23 @@ rational arithmetic in the loop.  Profit densities are compared by integer
 cross-multiplication.
 
 The bisection stops at breakpoint resolution: the inner optimum changes only
-at rationals of bounded denominator, and once the bracket is too narrow to
+at rationals of bounded denominator D, and once the bracket is too narrow to
 hold two of them, deeper probes could only return the bracketing pair again
-(the argument is in ``_candidate_pool``).  On the benchmark's low-profit
-workload a residual search makes 16 probes instead of 2 + ``bisection_cap``
-= 66.
+(the argument is in ``_candidate_pool``).  A search that bisects makes
+2 + ((P + 1) * D^2).bit_length() inner probes, whatever the size of the
+numbers: on the benchmark's low-profit workload, 16.
 
-Above the exact-oracle guard the inner oracle is greedy: it pushes the
-positive-weight ids in descending weight (ties by id) through a fresh
-feasibility cursor, so its result depends only on that order, not on the
-weights.  Each search keeps one cache from order to result, and its lambda
-probes run the push loop only once per distinct order.
+A residual of at most ``EXACT_LIMIT`` elements is brute-forced outright, and
+the optimum estimate's inner oracle is exact at those sizes.  Above it the
+inner oracle is greedy: it pushes the positive-weight ids in descending
+weight (ties by id) through a fresh feasibility cursor, so its result
+depends only on that order, not on the weights.  Each search keeps one cache
+from order to result, and its lambda probes run the push loop only once per
+distinct order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -46,37 +47,12 @@ from .enumeration import max_profit_solution_ids, max_weight_feasible_ids
 # symmetric-difference components; beyond it, a greedy ordering is used.
 _MAX_PATCH_COMPONENTS = 16
 
-
-@dataclass(frozen=True)
-class LagrangeConfig:
-    """Knobs for the Lagrangian search.
-
-    ``bisection_cap``: depth of the dyadic lambda search, the number of
-    bisection steps after the two end probes.  A search that does not stop at
-    lambda = 0 makes at most 2 + ``bisection_cap`` inner-oracle probes; it
-    stops earlier once the bracket resolves the oracle's breakpoints.
-    ``exact_fallback_threshold``:
-    brute force the whole instance at or below this element count (0
-    disables the fallback).  ``inner_exact_guard``: element count up to which
-    the inner oracle is exact rather than greedy.  ``force_greedy_inner``:
-    use the greedy inner oracle at every size.  Greedy probes share a
-    per-search cache keyed by weight order, which no knob controls.
-    """
-
-    bisection_cap: int = 64
-    exact_fallback_threshold: int = 20
-    inner_exact_guard: int = 20
-    force_greedy_inner: bool = False
-
-    def __post_init__(self) -> None:
-        if self.bisection_cap < 1:
-            raise BCError("bisection cap must be at least 1")
-        if self.exact_fallback_threshold < 0 or self.inner_exact_guard < 0:
-            raise BCError("guard thresholds must be non-negative")
+# Element count at or below which a residual is brute-forced and the inner
+# oracle is exact; above it the inner oracle is greedy.
+EXACT_LIMIT = 20
 
 
-def approx_opt(instance: BCInstance, config: LagrangeConfig | None = None,
-               mode: str = "lagrangian") -> int:
+def approx_opt(instance: BCInstance, mode: str = "lagrangian") -> int:
     """Lower estimate of the optimal profit; always the profit of some solution.
 
     ``exact`` mode brute-forces the optimum.  ``lagrangian`` mode returns the
@@ -87,7 +63,7 @@ def approx_opt(instance: BCInstance, config: LagrangeConfig | None = None,
         return Solution.build(instance, max_profit_solution_ids(instance)).total_profit
     if mode != "lagrangian":
         raise BCError(f"unknown alpha mode {mode!r}")
-    return _best_lagrangian_solution(instance, config or LagrangeConfig()).total_profit
+    return lagrangian_solution(instance).total_profit
 
 
 def declared_gamma(mode: str) -> Fraction:
@@ -99,33 +75,30 @@ def declared_gamma(mode: str) -> Fraction:
     raise BCError(f"unknown alpha mode {mode!r}")
 
 
-def non_profitable_solver(instance: BCInstance, config: LagrangeConfig | None = None) -> Solution:
+def non_profitable_solver(instance: BCInstance) -> Solution:
     """A solution with profit at least OPT minus twice the largest profit.
 
-    Small instances are brute-forced outright (the contract then holds with
-    equality to OPT).  Larger ones go through the Lagrangian search with
-    patching of the bracketing pair.
+    Instances of at most ``EXACT_LIMIT`` elements are brute-forced outright
+    (the contract then holds with equality to OPT).  Larger ones go through
+    the Lagrangian search with patching of the bracketing pair.
     """
-    config = config or LagrangeConfig()
-    if len(instance.elements) <= config.exact_fallback_threshold:
+    if len(instance.elements) <= EXACT_LIMIT:
         return Solution.build(instance, max_profit_solution_ids(instance))
-    return _best_lagrangian_solution(instance, config)
+    return lagrangian_solution(instance)
 
 
-def inner_max_weight(instance: BCInstance, lam: Fraction,
-                     config: LagrangeConfig | None = None, *,
+def inner_max_weight(instance: BCInstance, lam: Fraction, *,
                      _orders: _GreedyOrders | None = None) -> frozenset[int]:
     """Inner oracle: a maximum-(p - lambda c) feasible set, budget ignored.
 
-    Exact under the element-count guard, greedy in descending truncated
-    weight otherwise.  Weights are cleared to integers with lambda's
+    Exact up to ``EXACT_LIMIT`` elements, greedy in descending truncated
+    weight above it.  Weights are cleared to integers with lambda's
     denominator so the search never touches fractions.  ``_orders`` is the
     calling search's greedy cache; without it the greedy result is computed
     afresh.
     """
-    config = config or LagrangeConfig()
     num, den = lam.numerator, lam.denominator
-    if not _greedy_inner(instance, config):
+    if len(instance.elements) <= EXACT_LIMIT:
         weight = {e.id: e.profit * den - num * e.cost for e in instance.elements}
         return max_weight_feasible_ids(instance, weight)
     orders = _orders if _orders is not None else _GreedyOrders(instance)
@@ -140,11 +113,6 @@ def inner_max_weight(instance: BCInstance, lam: Fraction,
         chosen = frozenset([ids[k] for k in order if cursor.try_push(ids[k])])
         orders.sets[order] = chosen
     return chosen
-
-
-def _greedy_inner(instance: BCInstance, config: LagrangeConfig) -> bool:
-    """Whether ``inner_max_weight`` answers greedily rather than exactly."""
-    return config.force_greedy_inner or len(instance.elements) > config.inner_exact_guard
 
 
 class _GreedyOrders:
@@ -164,10 +132,12 @@ class _GreedyOrders:
         self.sets: dict[tuple[int, ...], frozenset[int]] = {}
 
 
-def _best_lagrangian_solution(instance: BCInstance, config: LagrangeConfig) -> Solution:
-    """The candidate of maximum profit; among equal profits, the smaller sorted ids.
+def lagrangian_solution(instance: BCInstance) -> Solution:
+    """The Lagrangian search's best candidate, at every size.
 
-    Candidates are compared by their profit sums alone, and only the winner
+    This is ``non_profitable_solver`` without its brute-force path.  The
+    winner is the candidate of maximum profit; among equal profits, the one
+    with the smaller sorted ids.  Candidates are compared by their profit sums alone, and only the winner
     is built: ``Solution.build`` re-checks its feasibility and budget.  The
     losers are never checked at run time; the test suite checks that every
     candidate is feasible and affordable.
@@ -176,7 +146,7 @@ def _best_lagrangian_solution(instance: BCInstance, config: LagrangeConfig) -> S
     # The pool starts with the empty set, whose ids () no other set undercuts.
     best_profit, best_ids = 0, ()
     # Duplicates cannot change the winner, so each distinct set is compared once.
-    for ids in dict.fromkeys(_candidate_pool(instance, config)):
+    for ids in dict.fromkeys(_candidate_pool(instance)):
         total = sum(map(profit.__getitem__, ids))
         if total < best_profit:
             continue
@@ -186,20 +156,22 @@ def _best_lagrangian_solution(instance: BCInstance, config: LagrangeConfig) -> S
     return Solution.build(instance, best_ids)
 
 
-def _candidate_pool(instance: BCInstance, config: LagrangeConfig) -> list[frozenset[int]]:
+def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     """Budget-feasible candidates, in a deterministic order.
 
     The bisection stops once its bracket can hold only one breakpoint of the
-    inner oracle, and its pool then holds the same distinct sets, and hands
-    ``_patched`` the same pair, as a search that makes all
-    2 + ``bisection_cap`` probes:
+    inner oracle, after ((P + 1) * D^2).bit_length() steps (P and D below),
+    so a search that bisects makes that many inner-oracle probes plus two.
+    Its pool then holds the same distinct sets, and hands ``_patched`` the
+    same pair, as a search that bisects to any greater depth:
 
     - The oracle's result is piecewise constant in lambda.  The greedy one
-      changes only where two weights p - lambda c cross or one crosses zero,
-      at a rational whose denominator is at most the largest cost.  The exact
-      one also changes where the weights of two subsets cross, at a
-      denominator of at most c(E).  Call the bound D; it is at least 1 once
-      the search bisects, since the lambda = 0 optimum costs something.
+      (above ``EXACT_LIMIT`` elements) changes only where two weights
+      p - lambda c cross or one crosses zero, at a rational whose denominator
+      is at most the largest cost.  The exact one also changes where the
+      weights of two subsets cross, at a denominator of at most c(E).  Call
+      the bound D; it is at least 1 once the search bisects, since the
+      lambda = 0 optimum costs something.
     - Two distinct such breakpoints are at least 1/D^2 apart.  The bracket
       [lo / den, hi / den] has width (hi - lo) / den, so once
       (hi - lo) * D^2 < den it holds exactly one breakpoint: its two ends
@@ -249,23 +221,22 @@ def _candidate_pool(instance: BCInstance, config: LagrangeConfig) -> list[frozen
     # s_minus stays affordable and s_plus over budget throughout, so the
     # bracket never closes early.
     orders = _GreedyOrders(instance)
-    s_lo = inner_max_weight(instance, Fraction(0), config, _orders=orders)
+    s_lo = inner_max_weight(instance, Fraction(0), _orders=orders)
     if offer(s_lo):
         return pool
     s_plus = s_lo
     # The bracket is [lo / den, hi / den]; each halving doubles den.
     lo, hi, den = 0, max(e.profit for e in instance.elements) + 1, 1
-    s_minus = inner_max_weight(instance, Fraction(hi), config, _orders=orders)
+    s_minus = inner_max_weight(instance, Fraction(hi), _orders=orders)
     offer(s_minus)
     # Breakpoint denominators are at most d (see the docstring).
-    d = max(orders.costs) if _greedy_inner(instance, config) else sum(orders.costs)
-    for _ in range(config.bisection_cap):
-        # Measured before halving: the bracket can hold only one breakpoint.
-        if (hi - lo) * d * d < den:
-            break
+    d = max(orders.costs) if len(instance.elements) > EXACT_LIMIT else sum(orders.costs)
+    # Measured before halving; hi - lo stays P + 1 and den doubles, so the
+    # loop ends after ((P + 1) * d * d).bit_length() steps.
+    while (hi - lo) * d * d >= den:
         mid = lo + hi
         lo, hi, den = 2 * lo, 2 * hi, 2 * den
-        s_mid = inner_max_weight(instance, Fraction(mid, den), config, _orders=orders)
+        s_mid = inner_max_weight(instance, Fraction(mid, den), _orders=orders)
         if offer(s_mid):
             hi, s_minus = mid, s_mid
         else:

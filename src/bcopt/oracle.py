@@ -376,11 +376,10 @@ def verify_weak_exchange(instance: BCInstance, seed: int = 0, trials: int = 200,
 def verify_npsolver(instance: BCInstance, guard: int = DEFAULT_GUARD,
                     force_heuristic: bool = False) -> VerificationReport:
     """Low-profit solver contract: profit >= OPT - 2 * max single profit."""
-    from .lagrange import LagrangeConfig, non_profitable_solver
+    from .lagrange import lagrangian_solution, non_profitable_solver
 
     _check_guard(instance, guard)
-    config = LagrangeConfig(exact_fallback_threshold=0) if force_heuristic else LagrangeConfig()
-    got = non_profitable_solver(instance, config)
+    got = (lagrangian_solution if force_heuristic else non_profitable_solver)(instance)
     opt = brute_force_opt(instance, guard).total_profit
     bound = opt - 2 * max((e.profit for e in instance.elements), default=0)
     if got.total_profit >= bound:

@@ -18,7 +18,7 @@ from .exchange import (
     exset_matching,
     exset_matroid_intersection,
 )
-from .lagrange import LagrangeConfig, approx_opt, declared_gamma
+from .lagrange import approx_opt, declared_gamma
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,7 @@ class RepresentativeSet:
 
 
 def rep_set(instance: BCInstance, epsilon: Epsilon, alpha_mode: str = "lagrangian",
-            *, lagrange_config: LagrangeConfig | None = None,
-            branch_budget: int = DEFAULT_BRANCH_BUDGET,
+            *, branch_budget: int = DEFAULT_BRANCH_BUDGET,
             alpha: int | None = None) -> RepresentativeSet:
     """Build the representative set for ``instance`` and ``epsilon``.
 
@@ -47,7 +46,7 @@ def rep_set(instance: BCInstance, epsilon: Epsilon, alpha_mode: str = "lagrangia
     class's exchange set is built on its own, in ascending class order.
     """
     if alpha is None:
-        alpha = approx_opt(instance, lagrange_config, mode=alpha_mode)
+        alpha = approx_opt(instance, mode=alpha_mode)
     if alpha == 0:
         return RepresentativeSet(frozenset(), 0, None, {})
     layout = ClassLayout(epsilon, alpha, declared_gamma(alpha_mode))

@@ -21,7 +21,8 @@ from .core import (
 from .classes import small_profit_pool
 from .constraints import Matching, residual_constraint
 from .enumeration import feasible_subsets_within_budget
-from .lagrange import LagrangeConfig, approx_opt, declared_gamma, non_profitable_solver
+from .exchange import DEFAULT_BRANCH_BUDGET
+from .lagrange import approx_opt, declared_gamma, non_profitable_solver
 from .repset import rep_set
 
 DEFAULT_SUBSET_CAP = 10**7
@@ -31,25 +32,7 @@ DEFAULT_SUBSET_CAP = 10**7
 class SolveConfig:
     alpha_mode: str = "lagrangian"
     subset_cap: int = DEFAULT_SUBSET_CAP
-    branch_budget: int = 10**6
-    lagrange: LagrangeConfig = field(default_factory=LagrangeConfig)
-
-
-@dataclass(frozen=True)
-class ResidualInstance:
-    """The low-profit subproblem next to a fixed skeleton F.
-
-    Elements are the small-profit pool minus F, the constraint is the parent
-    constraint with F committed, and the budget is what F left over.
-    """
-
-    parent: BCInstance
-    skeleton: frozenset[int]
-    instance: BCInstance
-
-    @property
-    def budget(self) -> int:
-        return self.instance.budget
+    branch_budget: int = DEFAULT_BRANCH_BUDGET
 
 
 @dataclass
@@ -71,11 +54,12 @@ class SolveStats:
 
 
 def residual_instance(instance: BCInstance, alpha: int, epsilon: Epsilon,
-                      skeleton) -> ResidualInstance:
+                      skeleton) -> BCInstance:
     """Residual instance of a skeleton F: small-profit pool, contracted constraint.
 
-    F must be a solution of the parent instance, so the leftover budget is
-    never negative.
+    Its elements are the small-profit pool minus F, its constraint the
+    parent's with F committed, and its budget what F left over.  F must be a
+    solution of the parent instance, so that budget is never negative.
     """
     skeleton = frozenset(skeleton)
     if not is_solution(instance, skeleton):
@@ -105,11 +89,9 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
     working = preprocess_discard(instance)
     stats = SolveStats(gamma=declared_gamma(config.alpha_mode))
 
-    alpha = approx_opt(working, config.lagrange, mode=config.alpha_mode)
-    rep = rep_set(
-        working, epsilon, config.alpha_mode,
-        lagrange_config=config.lagrange, branch_budget=config.branch_budget, alpha=alpha,
-    )
+    alpha = approx_opt(working, mode=config.alpha_mode)
+    rep = rep_set(working, epsilon, config.alpha_mode,
+                  branch_budget=config.branch_budget, alpha=alpha)
     stats.alpha = alpha
     stats.rep_size = rep.size
 
@@ -129,7 +111,7 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
             continue
         skeleton = frozenset(skeleton_ids)
         residual = _build_residual(working, pool, skeleton)
-        extension = non_profitable_solver(residual.instance, config.lagrange)
+        extension = non_profitable_solver(residual)
         combined_ids = skeleton | extension.id_set
         profit = working.total_profit(combined_ids)
         if profit > best.total_profit:
@@ -143,7 +125,7 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
 
 
 def _build_residual(instance: BCInstance, pool: frozenset[int],
-                    skeleton: frozenset[int]) -> ResidualInstance:
+                    skeleton: frozenset[int]) -> BCInstance:
     remaining = pool - skeleton
     constraint = residual_constraint(instance.constraint, skeleton).restrict(remaining)
     # Edges incident to the skeleton are deleted by the residual matching, so
@@ -151,8 +133,7 @@ def _build_residual(instance: BCInstance, pool: frozenset[int],
     # elements could never extend the skeleton anyway.
     alive = remaining & constraint.element_ids()
     elements = tuple(e for e in instance.elements if e.id in alive)
-    inner = BCInstance(elements, constraint, instance.budget - instance.total_cost(skeleton))
-    return ResidualInstance(instance, skeleton, inner)
+    return BCInstance(elements, constraint, instance.budget - instance.total_cost(skeleton))
 
 
 class SkeletonBound:

@@ -19,7 +19,7 @@ from bcopt.cli import dump_instance, generate_instance
 from bcopt.classes import ClassLayout, class_partition, q_of
 from bcopt.constraints import Matching, MatroidIntersection, residual_constraint
 from bcopt.exchange import exset_matching, exset_matroid_intersection, greedy_min_cost_matching
-from bcopt.lagrange import LagrangeConfig, approx_opt, non_profitable_solver
+from bcopt.lagrange import approx_opt, lagrangian_solution, non_profitable_solver
 from bcopt.matroids import min_cost_basis
 from bcopt.oracle import (
     brute_force_opt,
@@ -130,14 +130,14 @@ def test_criterion_4_size_bounds(main_corpus):
 
 def test_criterion_5_npsolver_contract(npsolver_corpus):
     """profit >= OPT - 2 max p(e), exact fallback on and off; zero violations."""
-    heuristic = LagrangeConfig(exact_fallback_threshold=0)
     violations = []
     for name, inst in npsolver_corpus:
         working = preprocess_discard(inst)
         opt = brute_force_opt(working).total_profit
         max_p = max((e.profit for e in working.elements), default=0)
-        for label, config in (("exact", None), ("heuristic", heuristic)):
-            got = non_profitable_solver(working, config)
+        for label, solver in (("exact", non_profitable_solver),
+                              ("heuristic", lagrangian_solution)):
+            got = solver(working)
             assert got.total_profit <= opt, f"{name}: beat the brute-force oracle"
             if got.total_profit < opt - 2 * max_p:
                 violations.append((name, label, got.total_profit, opt, max_p))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from unittest import mock
@@ -10,7 +11,7 @@ from bcopt.core import BCError, BCInstance, Element, Solution, preprocess_discar
 from bcopt.cli import generate_instance
 from bcopt.constraints import Matching, MatroidIntersection, residual_constraint
 from bcopt.lagrange import (
-    LagrangeConfig,
+    EXACT_LIMIT,
     _GreedyOrders,
     _candidate_pool,
     _density_key,
@@ -18,6 +19,7 @@ from bcopt.lagrange import (
     approx_opt,
     declared_gamma,
     inner_max_weight,
+    lagrangian_solution,
     non_profitable_solver,
 )
 from bcopt.matroids import PartitionMatroid, UniformMatroid
@@ -26,8 +28,14 @@ from bcopt.oracle import brute_force_opt
 from conftest import free_instance
 
 
-HEURISTIC = LagrangeConfig(exact_fallback_threshold=0)
-GREEDY = LagrangeConfig(force_greedy_inner=True, exact_fallback_threshold=0)
+# Bisection depth of the reference search; every search of these tests
+# resolves its breakpoints well before it.
+FULL_DEPTH = 64
+
+
+def exact_limit(limit):
+    """The exactness limit patched to ``limit``; at 0 every search is greedy."""
+    return mock.patch.object(bcopt.lagrange, "EXACT_LIMIT", limit)
 
 
 def large_instances():
@@ -37,6 +45,13 @@ def large_instances():
     """
     return [generate_instance(6000 + seed, 40 + 2 * seed, kind, budget_percent=20)
             for seed in range(10) for kind in ("matching", "matroid-intersection")]
+
+
+# sha256 of "{k} {ids}" per line for ``non_profitable_solver`` on the k-th of
+# ``large_instances()``, recorded before the Lagrangian search lost its
+# configuration.  These searches are greedy, which the main corpus never
+# reaches.  A change that moves any id must update it on purpose.
+LARGE_INSTANCES_IDS_SHA256 = "495537ffa6b8b0872ee02f70f688cfcb431328ee65246c02936ee8663b3d7ef9"
 
 
 class TestApproxOpt:
@@ -80,7 +95,7 @@ class TestNonProfitableSolver:
 
     def test_contract_vacuous_when_one_element_dominates(self):
         inst = free_instance([1, 1], [100, 1], budget=1)
-        sol = non_profitable_solver(inst, HEURISTIC)
+        sol = lagrangian_solution(inst)
         opt = brute_force_opt(inst).total_profit
         assert sol.total_profit >= opt - 2 * 100
 
@@ -89,8 +104,8 @@ class TestNonProfitableSolver:
         inst = preprocess_discard(generate_instance(3000 + seed, 12, "matching"))
         opt = brute_force_opt(inst).total_profit
         max_p = max(e.profit for e in inst.elements)
-        for config in (None, HEURISTIC):
-            sol = non_profitable_solver(inst, config)
+        for solver in (non_profitable_solver, lagrangian_solution):
+            sol = solver(inst)
             assert sol.total_profit >= opt - 2 * max_p
 
     @pytest.mark.parametrize("seed", range(15))
@@ -99,8 +114,8 @@ class TestNonProfitableSolver:
             generate_instance(4000 + seed, 12, "matroid-intersection"))
         opt = brute_force_opt(inst).total_profit
         max_p = max(e.profit for e in inst.elements)
-        for config in (None, HEURISTIC):
-            sol = non_profitable_solver(inst, config)
+        for solver in (non_profitable_solver, lagrangian_solution):
+            sol = solver(inst)
             assert sol.total_profit >= opt - 2 * max_p
 
     def test_singleton_spanned_by_the_skeleton_is_not_offered(self):
@@ -116,9 +131,14 @@ class TestNonProfitableSolver:
         assert 1 not in sol.element_ids
         assert sol.total_profit == 20
 
+    def test_ids_on_large_instances_are_pinned(self):
+        lines = [f"{k} {non_profitable_solver(inst).element_ids}"
+                 for k, inst in enumerate(large_instances())]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LARGE_INSTANCES_IDS_SHA256
+
     def test_output_is_always_a_solution(self):
         inst = preprocess_discard(generate_instance(42, 10, "matching"))
-        sol = non_profitable_solver(inst, HEURISTIC)
+        sol = lagrangian_solution(inst)
         assert sol.total_cost <= inst.budget
         assert inst.constraint.is_feasible(sol.element_ids)
 
@@ -137,8 +157,8 @@ class TestInnerOracle:
 
     def test_greedy_mode_returns_feasible_set(self):
         inst = preprocess_discard(generate_instance(77, 10, "matching"))
-        config = LagrangeConfig(force_greedy_inner=True)
-        ids = inner_max_weight(inst, Fraction(1, 2), config)
+        with exact_limit(0):
+            ids = inner_max_weight(inst, Fraction(1, 2))
         assert inst.constraint.is_feasible(ids)
 
 
@@ -161,8 +181,8 @@ def reference_greedy_inner(instance, lam):
     return frozenset(chosen)
 
 
-def reference_candidate_pool(instance, config, inner=reference_greedy_inner, pairs=None):
-    """The search at full depth: all 2 + ``bisection_cap`` probes, every time.
+def reference_candidate_pool(instance, depth, inner=reference_greedy_inner, pairs=None):
+    """The search bisected ``depth`` times: all 2 + ``depth`` probes, every time.
 
     ``inner(instance, lam)`` answers each probe; ``pairs``, when given,
     receives the bracketing pair handed to ``_patched``.
@@ -202,7 +222,7 @@ def reference_candidate_pool(instance, config, inner=reference_greedy_inner, pai
     hi = Fraction(max(e.profit for e in instance.elements) + 1)
     s_minus = inner(instance, hi)
     offer(s_minus)
-    for _ in range(config.bisection_cap):
+    for _ in range(depth):
         mid = (lo + hi) / 2
         s_mid = inner(instance, mid)
         if offer(s_mid):
@@ -215,9 +235,9 @@ def reference_candidate_pool(instance, config, inner=reference_greedy_inner, pai
     return pool
 
 
-def reference_greedy_solver_ids(instance, config):
+def reference_greedy_solver_ids(instance):
     best = Solution.empty()
-    for ids in reference_candidate_pool(instance, config):
+    for ids in reference_candidate_pool(instance, FULL_DEPTH):
         cand = Solution.build(instance, ids)
         if cand.total_profit > best.total_profit or (
             cand.total_profit == best.total_profit and cand.element_ids < best.element_ids
@@ -250,10 +270,11 @@ class TestGreedyOrderCache:
         # Small value ranges make weight ties, and orders sharing a set, common.
         inst = generate_instance(seed, size, kind, cost_range=(1, top), profit_range=(1, top))
         orders = _GreedyOrders(inst)
-        for lam in lams:
-            cached = inner_max_weight(inst, lam, GREEDY, _orders=orders)
-            assert cached == inner_max_weight(inst, lam, GREEDY)
-            assert cached == reference_greedy_inner(inst, lam)
+        with exact_limit(0):
+            for lam in lams:
+                cached = inner_max_weight(inst, lam, _orders=orders)
+                assert cached == inner_max_weight(inst, lam)
+                assert cached == reference_greedy_inner(inst, lam)
 
     def test_search_runs_the_push_loop_once_per_distinct_order(self, monkeypatch):
         # 40 edges, so the greedy oracle serves every probe; the lambda = 0
@@ -265,11 +286,11 @@ class TestGreedyOrderCache:
         loops = []
         inside = []
 
-        def recording_inner(instance, lam, config=None, **kwargs):
+        def recording_inner(instance, lam, **kwargs):
             probes.append(greedy_order(instance, lam))
             inside.append(True)
             try:
-                return original_inner(instance, lam, config, **kwargs)
+                return original_inner(instance, lam, **kwargs)
             finally:
                 inside.pop()
 
@@ -284,8 +305,7 @@ class TestGreedyOrderCache:
         # The search stops once (P + 1) * D^2 < 2^steps, D the largest cost.
         largest_profit = max(e.profit for e in inst.elements)
         resolution = (largest_profit + 1) * max(e.cost for e in inst.elements) ** 2
-        steps = min(LagrangeConfig().bisection_cap, resolution.bit_length())
-        assert len(probes) == 2 + steps
+        assert len(probes) == 2 + resolution.bit_length()
         assert loops == list(dict.fromkeys(probes))
         # The probes skipped past that point would only have repeated orders.
         full_depth = []
@@ -294,25 +314,25 @@ class TestGreedyOrderCache:
             full_depth.append(greedy_order(instance, lam))
             return reference_greedy_inner(instance, lam)
 
-        reference_candidate_pool(inst, LagrangeConfig(), recording_reference)
-        assert len(full_depth) == 2 + LagrangeConfig().bisection_cap
+        reference_candidate_pool(inst, FULL_DEPTH, recording_reference)
+        assert len(full_depth) == 2 + FULL_DEPTH
         assert loops == list(dict.fromkeys(full_depth))
         assert len(loops) < len(full_depth) // 2
 
     def test_forced_greedy_search_matches_the_uncached_reference_on_the_corpus(self, main_corpus):
-        for name, inst in main_corpus:
-            got = non_profitable_solver(inst, GREEDY).element_ids
-            assert got == reference_greedy_solver_ids(inst, GREEDY), name
+        with exact_limit(0):
+            for name, inst in main_corpus:
+                got = non_profitable_solver(inst).element_ids
+                assert got == reference_greedy_solver_ids(inst), name
 
     def test_default_search_matches_the_uncached_reference_on_large_instances(self):
-        config = LagrangeConfig()
         for inst in large_instances():
-            assert len(inst.elements) > config.inner_exact_guard
-            got = non_profitable_solver(inst, config).element_ids
-            assert got == reference_greedy_solver_ids(inst, config)
+            assert len(inst.elements) > EXACT_LIMIT
+            got = non_profitable_solver(inst).element_ids
+            assert got == reference_greedy_solver_ids(inst)
 
 
-def searched_pool_and_pair(inst, config):
+def searched_pool_and_pair(inst):
     """``_candidate_pool``'s distinct candidates and the pair it patches."""
     pairs = []
 
@@ -321,15 +341,14 @@ def searched_pool_and_pair(inst, config):
         return _patched(instance, s_minus, s_plus)
 
     with mock.patch.object(bcopt.lagrange, "_patched", recording_patched):
-        pool = _candidate_pool(inst, config)
+        pool = _candidate_pool(inst)
     return list(dict.fromkeys(pool)), pairs
 
 
-def full_depth_pool_and_pair(inst, config):
-    """The same for a search that probes all 2 + ``bisection_cap`` dyadic lambda."""
+def full_depth_pool_and_pair(inst, depth=FULL_DEPTH):
+    """The same for a search that probes all 2 + ``depth`` dyadic lambda."""
     pairs = []
-    pool = reference_candidate_pool(
-        inst, config, lambda instance, lam: inner_max_weight(instance, lam, config), pairs)
+    pool = reference_candidate_pool(inst, depth, inner_max_weight, pairs)
     return list(dict.fromkeys(pool)), pairs
 
 
@@ -348,9 +367,9 @@ class TestBreakpointStop:
     def test_search_matches_the_full_depth_search(self, seed, size, kind, top, percent, greedy):
         inst = generate_instance(seed, size, kind, cost_range=(0, top),
                                  profit_range=(0, top), budget_percent=percent)
-        # The default config is exact at these sizes.
-        config = GREEDY if greedy else LagrangeConfig()
-        assert searched_pool_and_pair(inst, config) == full_depth_pool_and_pair(inst, config)
+        # The default search is exact at these sizes.
+        with exact_limit(0 if greedy else EXACT_LIMIT):
+            assert searched_pool_and_pair(inst) == full_depth_pool_and_pair(inst)
 
     def test_greedy_stop_separates_two_close_zero_crossings(self):
         # Edges 0 and 1 turn non-positive at lambda = 8/39 and 7/34, 1/1326
@@ -360,9 +379,10 @@ class TestBreakpointStop:
         inst = BCInstance(
             (Element(0, 39, 8), Element(1, 34, 7), Element(2, 0, 9)),
             Matching(6, {0: (0, 1), 1: (2, 3), 2: (4, 5)}), 36)
-        pool, pairs = searched_pool_and_pair(inst, GREEDY)
-        assert pairs == [(frozenset({1, 2}), frozenset({0, 1, 2}))]
-        assert (pool, pairs) == full_depth_pool_and_pair(inst, GREEDY)
+        with exact_limit(0):
+            pool, pairs = searched_pool_and_pair(inst)
+            assert pairs == [(frozenset({1, 2}), frozenset({0, 1, 2}))]
+            assert (pool, pairs) == full_depth_pool_and_pair(inst)
 
     def test_exact_stop_separates_a_crossing_beyond_the_largest_cost(self):
         # Edges 0, 1, 2 form a path and edge 3 stands apart.  The exact
@@ -373,14 +393,35 @@ class TestBreakpointStop:
         inst = BCInstance(
             (Element(0, 9, 11), Element(1, 1, 10), Element(2, 9, 11), Element(3, 7, 5)),
             Matching(6, {0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (4, 5)}), 8)
-        config = LagrangeConfig()
-        pool, pairs = searched_pool_and_pair(inst, config)
+        pool, pairs = searched_pool_and_pair(inst)
         assert pairs == [(frozenset({1, 3}), frozenset({0, 2, 3}))]
-        assert (pool, pairs) == full_depth_pool_and_pair(inst, config)
+        assert (pool, pairs) == full_depth_pool_and_pair(inst)
+
+    def test_bisection_runs_past_64_steps_on_large_numbers(self, monkeypatch):
+        # 30 edges, so the search is greedy, with costs and profits near 2^40:
+        # the breakpoints are about 2^-80 apart, so resolving them takes
+        # ((P + 1) * D^2).bit_length() = 122 steps, D the largest cost.
+        inst = generate_instance(7, 30, "matching", cost_range=(2**39, 2**40),
+                                 profit_range=(2**39, 2**40), budget_percent=20)
+        assert len(inst.elements) > EXACT_LIMIT
+        probes = []
+        original_inner = bcopt.lagrange.inner_max_weight
+
+        def counting_inner(instance, lam, **kwargs):
+            probes.append(lam)
+            return original_inner(instance, lam, **kwargs)
+
+        monkeypatch.setattr(bcopt.lagrange, "inner_max_weight", counting_inner)
+        pool, pairs = searched_pool_and_pair(inst)
+        resolution = (max(e.profit for e in inst.elements) + 1) * max(
+            e.cost for e in inst.elements) ** 2
+        assert len(probes) == 2 + resolution.bit_length() == 122
+        assert (pool, pairs) == full_depth_pool_and_pair(inst, resolution.bit_length() + 40)
+        assert_every_candidate_is_a_solution(inst)
 
 
-def assert_every_candidate_is_a_solution(inst, config):
-    for ids in _candidate_pool(inst, config):
+def assert_every_candidate_is_a_solution(inst):
+    for ids in _candidate_pool(inst):
         assert inst.constraint.is_feasible(ids), sorted(ids)
         assert inst.total_cost(ids) <= inst.budget, sorted(ids)
 
@@ -388,12 +429,13 @@ def assert_every_candidate_is_a_solution(inst, config):
 class TestCandidatePool:
     # Only the winner is built, and so checked, at run time.
     def test_every_candidate_is_a_solution_on_the_corpus(self, main_corpus):
-        for name, inst in main_corpus:
-            assert_every_candidate_is_a_solution(inst, GREEDY)
+        with exact_limit(0):
+            for name, inst in main_corpus:
+                assert_every_candidate_is_a_solution(inst)
 
     def test_every_candidate_is_a_solution_on_large_instances(self):
         for inst in large_instances():
-            assert_every_candidate_is_a_solution(inst, LagrangeConfig())
+            assert_every_candidate_is_a_solution(inst)
 
 
 # --- reference: the Fraction-keyed density orders the integer comparisons replace

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,25 +29,25 @@ from bcopt.solver import (
 from conftest import BareOracle, free_instance, path_matching
 
 
-class TestResidualInstance:
+class TestResidual:
     def test_empty_skeleton_keeps_pool_and_budget(self):
         inst = free_instance([1, 2, 3], [1, 1, 1], budget=6)
         res = residual_instance(inst, alpha=2, epsilon=Epsilon(1, 4), skeleton=())
         # E(alpha) = {p <= 2 * (1/4) * 2 = 1} = everything here
-        assert res.instance.ids == {0, 1, 2}
+        assert res.ids == {0, 1, 2}
         assert res.budget == 6
 
     def test_matched_edge_excludes_neighbours(self):
         inst = path_matching(3, costs=[1, 1, 1], profits=[1, 1, 1], budget=3)
         res = residual_instance(inst, alpha=10, epsilon=Epsilon(1, 4), skeleton={0})
         # edge 1 shares vertex 1 with the skeleton; edge 2 survives
-        assert res.instance.ids == {2}
+        assert res.ids == {2}
         assert res.budget == 2
 
     def test_small_alpha_empties_the_pool(self):
         inst = free_instance([1, 1], [10, 20], budget=5)
         res = residual_instance(inst, alpha=1, epsilon=Epsilon(1, 4), skeleton=())
-        assert res.instance.ids == frozenset()
+        assert res.ids == frozenset()
 
     def test_non_solution_skeleton_raises(self):
         inst = path_matching(2, budget=10)
@@ -81,7 +83,18 @@ class TestEptas:
             solve_detailed(inst, Epsilon(1, 6), SolveConfig(subset_cap=3))
 
 
+# sha256 of "{name} {eps} {ids}" per line for ``solve`` on the main corpus at
+# eps = 1/10, then 1/4, recorded before the Lagrangian search lost its
+# configuration.  A change that moves any id must update it on purpose.
+MAIN_CORPUS_IDS_SHA256 = "93152d80feb876c8f5752a6cdd06aa57ff2ede018b6824a77fc82b86ba0e8a7e"
+
+
 class TestSolve:
+    def test_ids_on_the_main_corpus_are_pinned(self, main_corpus):
+        lines = [f"{name} {eps} {solve(inst, eps).element_ids}"
+                 for eps in (Epsilon(1, 10), Epsilon(1, 4)) for name, inst in main_corpus]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MAIN_CORPUS_IDS_SHA256
+
     def test_epsilon_is_rescaled_by_eight(self):
         inst = free_instance([1], [1], budget=1)
         _, stats = solve_detailed(inst, Epsilon(2, 5))
@@ -145,7 +158,7 @@ def unpruned_solve_ids(instance, epsilon):
     for skeleton in feasible_subsets_within_budget(
             working, sorted(rep.elements), epsilon.inverse_floor()):
         residual = residual_instance(working, alpha, epsilon, skeleton)
-        ids = frozenset(skeleton) | non_profitable_solver(residual.instance).id_set
+        ids = frozenset(skeleton) | non_profitable_solver(residual).id_set
         if working.total_profit(ids) > best_profit:
             best_ids, best_profit = ids, working.total_profit(ids)
     return tuple(sorted(best_ids))
@@ -167,7 +180,7 @@ class TestSkeletonBound:
         skeleton = skeletons[pick % len(skeletons)]
         pool = small_profit_pool(inst, alpha, eps)
         residual = residual_instance(inst, alpha, eps, skeleton)
-        best = inst.total_profit(skeleton) + brute_force_opt(residual.instance).total_profit
+        best = inst.total_profit(skeleton) + brute_force_opt(residual).total_profit
         assert SkeletonBound(inst, pool)(skeleton) >= best
 
     def test_bound_is_the_fractional_knapsack_value(self):
@@ -186,9 +199,9 @@ class TestSkeletonBound:
     def test_pruned_plus_residual_solves_is_enumerated(self, monkeypatch):
         solves = []
 
-        def counting(instance, config=None):
+        def counting(instance):
             solves.append(instance)
-            return non_profitable_solver(instance, config)
+            return non_profitable_solver(instance)
 
         monkeypatch.setattr(bcopt.solver, "non_profitable_solver", counting)
         for seed, kind in ((5, "matching"), (31, "matroid-intersection")):
