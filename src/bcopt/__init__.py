@@ -29,12 +29,11 @@ from .matroids import (
     GraphicMatroid,
     MatroidOracle,
     PartitionMatroid,
-    RestrictedTruncatedMatroid,
     UniformMatroid,
     min_cost_basis,
 )
 from .classes import ClassLayout, class_index, class_partition, q_of, small_profit_pool
-from .exchange import ExchangeSet, exset_matching, exset_matroid_intersection
+from .exchange import exset_matching, exset_matroid_intersection
 from .lagrange import approx_opt, non_profitable_solver
 from .repset import RepresentativeSet, rep_set
 from .solver import SolveConfig, residual_instance, solve
@@ -47,7 +46,6 @@ __all__ = [
     "ClassLayout",
     "Element",
     "Epsilon",
-    "ExchangeSet",
     "GraphicMatroid",
     "GuardExceededError",
     "InfeasibleSetError",
@@ -57,7 +55,6 @@ __all__ = [
     "MatroidOracle",
     "PartitionMatroid",
     "RepresentativeSet",
-    "RestrictedTruncatedMatroid",
     "SolveConfig",
     "Solution",
     "UniformMatroid",

@@ -33,7 +33,7 @@ from .core import (
 )
 from .classes import ClassLayout
 from .constraints import Constraint, Matching, MatroidIntersection
-from .exchange import DEFAULT_BRANCH_BUDGET, exset_matching, exset_matroid_intersection
+from .exchange import DEFAULT_BRANCH_BUDGET
 from .lagrange import approx_opt, declared_gamma
 from .matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .repset import rep_set
@@ -353,23 +353,15 @@ def _run_verifier(instance: BCInstance, epsilon: Epsilon,
     if prop == "exchange":
         if alpha == 0:
             return [oracle.VerificationReport("exchange-set", True)]
-        layout = ClassLayout(epsilon, alpha, declared_gamma(args.alpha))
-        from .classes import class_partition
-
-        partition = class_partition(working, layout)
         if args.x_ids is not None:
             if args.class_index is None:
                 raise InvalidParameterError("--x-ids needs --class-index")
+            layout = ClassLayout(epsilon, alpha, declared_gamma(args.alpha))
             x = frozenset(int(t) for t in args.x_ids.split(",") if t)
             return [oracle.verify_exchange_set(working, layout, args.class_index, x, guard=guard)]
-        reports = []
-        is_matching = isinstance(working.constraint, Matching)
-        for r in sorted(partition):
-            if is_matching:
-                ex = exset_matching(working, layout, r, partition[r])
-            else:
-                ex = exset_matroid_intersection(working, layout, r, partition[r])
-            reports.append(oracle.verify_exchange_set(working, layout, r, ex.elements, guard=guard))
+        rep = rep_set(working, epsilon, args.alpha, alpha=alpha)
+        reports = [oracle.verify_exchange_set(working, rep.layout, r, ex, guard=guard)
+                   for r, ex in rep.per_class.items()]
         return reports or [oracle.VerificationReport("exchange-set", True)]
     raise InvalidParameterError(f"unknown property {prop!r}")
 

@@ -66,11 +66,15 @@ class Element:
     profit: int
 
     def __post_init__(self) -> None:
+        # ``type(...) is int`` refuses bool, float and Fraction alike, and is
+        # the cheapest test for a constructor that runs once per element.
+        if type(self.id) is not int:
+            raise InvalidParameterError(f"element id must be an integer, got {self.id!r}")
         if self.id < 0:
             raise InvalidParameterError(f"element id must be non-negative, got {self.id}")
         for name, value in (("cost", self.cost), ("profit", self.profit)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidParameterError(f"element {name} must be an integer")
+            if type(value) is not int:
+                raise InvalidParameterError(f"element {name} must be an integer, got {value!r}")
             if value < 0:
                 raise InvalidParameterError(f"element {name} must be non-negative, got {value}")
             if value > MAX_VALUE:
@@ -90,6 +94,9 @@ class Epsilon:
     denominator: int
 
     def __post_init__(self) -> None:
+        if type(self.numerator) is not int or type(self.denominator) is not int:
+            raise InvalidParameterError(
+                f"epsilon terms must be integers, got {self.numerator!r}/{self.denominator!r}")
         if self.denominator <= 0 or self.numerator <= 0:
             raise InvalidParameterError("epsilon must be a positive fraction")
         g = gcd(self.numerator, self.denominator)
@@ -146,6 +153,8 @@ class BCInstance:
     profit_of: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if type(self.budget) is not int:
+            raise InvalidParameterError(f"budget must be an integer, got {self.budget!r}")
         if self.budget < 0:
             raise InvalidParameterError(f"budget must be non-negative, got {self.budget}")
         if self.budget > MAX_VALUE:

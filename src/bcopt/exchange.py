@@ -4,8 +4,9 @@ For matching constraints the exchange set is a union of bounded greedy
 matchings drawn from the class.  For matroid-intersection constraints the
 two matroids play asymmetric roles: the first gates which elements may
 extend a branch, the second supplies minimum-cost bases of truncated
-restrictions, and the recursion over those bases accumulates the exchange
-set.
+restrictions, and the search over those bases accumulates the exchange set.
+Both grow their greedy sets through the constraints' cursors with
+:func:`bcopt.matroids.greedy_min_cost`.
 
 The defining guarantee (any bounded feasible set can swap a class element it
 holds for a cheaper-or-equal one inside the exchange set) is checked
@@ -14,51 +15,18 @@ exhaustively on small instances by :mod:`bcopt.oracle`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
-
 from .core import BCError, BCInstance, CapExceededError
 from .classes import ClassLayout, class_partition, q_of
 from .constraints import Matching, MatroidIntersection
-from .matroids import MatroidOracle, RestrictedTruncatedMatroid, min_cost_basis
+from .matroids import greedy_min_cost
 
-# The recursion over minimum bases is exponential in the worst case; fail
+# The search over minimum bases is exponential in the worst case; fail
 # loudly instead of hanging.
 DEFAULT_BRANCH_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class ExchangeSet:
-    """Per-class exchange set: class index plus the selected element ids."""
-
-    class_index: int
-    elements: frozenset[int]
-
-
-def greedy_min_cost_matching(edge_ids: Iterable[int], graph: Matching,
-                             cost: dict[int, int], limit: int) -> frozenset[int]:
-    """Greedy matching over ``edge_ids``: ascending (cost, id), stop at ``limit``.
-
-    Adds an edge iff it is vertex-disjoint from the edges already chosen.
-    """
-    if limit < 0:
-        raise BCError("limit must be non-negative")
-    chosen: list[int] = []
-    used: set[int] = set()
-    for eid in sorted(edge_ids, key=lambda e: (cost[e], e)):
-        if len(chosen) >= limit:
-            break
-        u, v = graph.edges[eid]
-        if u == v or u in used or v in used:
-            continue
-        used.add(u)
-        used.add(v)
-        chosen.append(eid)
-    return frozenset(chosen)
-
-
 def exset_matching(instance: BCInstance, layout: ClassLayout, r: int,
-                   class_ids: frozenset[int] | None = None) -> ExchangeSet:
+                   class_ids: frozenset[int] | None = None) -> frozenset[int]:
     """Exchange set for class r of a matching instance.
 
     With q = q(eps), repeatedly extracts greedy matchings of size at most
@@ -73,34 +41,31 @@ def exset_matching(instance: BCInstance, layout: ClassLayout, r: int,
     if class_ids is None:
         class_ids = class_partition(instance, layout).get(r, frozenset())
     q = q_of(layout.epsilon)
-    per_round = 3 * q
-    rounds = 6 * q
     pool = set(class_ids)
     union: set[int] = set()
-    done = 0
-    while pool and done < rounds:
-        matched = greedy_min_cost_matching(pool, graph, instance.cost_of, per_round)
-        assert len(matched) <= per_round
+    for _ in range(6 * q):
+        matched = greedy_min_cost(graph.cursor(), pool, instance.cost_of, 3 * q)
         if not matched:
             break
         union |= matched
         pool -= matched
-        done += 1
     assert len(union) <= 18 * q * q, "exchange-set size bound violated"
-    return ExchangeSet(r, frozenset(union))
+    return frozenset(union)
 
 
 def exset_matroid_intersection(instance: BCInstance, layout: ClassLayout, r: int,
                                class_ids: frozenset[int] | None = None, *,
-                               branch_budget: int = DEFAULT_BRANCH_BUDGET) -> ExchangeSet:
+                               branch_budget: int = DEFAULT_BRANCH_BUDGET) -> frozenset[int]:
     """Exchange set for class r of a matroid-intersection instance.
 
-    Starting from the empty branch, each branch S collects the minimum-cost
-    basis B_S of the second matroid restricted to the first-matroid extension
-    candidates of S (truncated at q), then recurses on S + b for every b in
-    B_S.  A branch is expanded once regardless of discovery order: expansion
-    depends only on the branch as a set, so deduplication leaves the union
-    unchanged while avoiding factorial re-exploration.
+    Starting from the empty branch, each branch S of at most q elements
+    collects the minimum-cost basis B_S of the second matroid, restricted to
+    the first-matroid extension candidates of S and truncated at q, and
+    branches on S + b for every b in B_S.  B_S depends only on S as a set,
+    so the branches reached, their number and the union of their bases do
+    not depend on the order in which branches are expanded; each is expanded
+    once.  The (branch_budget + 1)-th branch raises
+    :class:`CapExceededError`.
     """
     cons = instance.constraint
     if not isinstance(cons, MatroidIntersection):
@@ -109,29 +74,31 @@ def exset_matroid_intersection(instance: BCInstance, layout: ClassLayout, r: int
         class_ids = class_partition(instance, layout).get(r, frozenset())
     q = q_of(layout.epsilon)
     union: set[int] = set()
-    _extend_chain(frozenset(), class_ids, cons.oracle1, cons.oracle2, instance.cost_of, q,
-                  union, seen={frozenset()}, budget=[branch_budget, branch_budget])
-    return ExchangeSet(r, frozenset(union))
-
-
-def _extend_chain(current: frozenset[int], class_ids: frozenset[int], gate: MatroidOracle,
-                  basis_src: MatroidOracle, cost: dict[int, int], q: int,
-                  union: set[int], seen: set[frozenset[int]], budget: list[int]) -> None:
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise CapExceededError(
-            f"exchange-set recursion exceeded its branch budget of {budget[1]} nodes"
-        )
-    assert len(current) <= q + 1, "branch grew past q(eps) + 1"
-    if len(current) > q:
-        return
-    candidates = frozenset(
-        e for e in class_ids - current if gate.is_independent(current | {e})
-    )
-    basis = min_cost_basis(RestrictedTruncatedMatroid(basis_src, candidates, q), cost)
-    union |= basis
-    for b in sorted(basis):
-        grown = current | {b}
-        if grown not in seen:
-            seen.add(grown)
-            _extend_chain(grown, class_ids, gate, basis_src, cost, q, union, seen, budget)
+    seen: set[frozenset[int]] = {frozenset()}
+    work = [frozenset()]
+    expanded = 0
+    while work:
+        branch = work.pop()
+        expanded += 1
+        if expanded > branch_budget:
+            raise CapExceededError(
+                f"exchange-set search exceeded its branch budget of {branch_budget} branches"
+            )
+        if len(branch) > q:
+            continue
+        gate = cons.oracle1.cursor()
+        for e in branch:  # independent in the first matroid by construction
+            gate.try_push(e)
+        candidates = []
+        for e in class_ids - branch:
+            if gate.try_push(e):
+                gate.pop()
+                candidates.append(e)
+        basis = greedy_min_cost(cons.oracle2.cursor(), candidates, instance.cost_of, q)
+        union |= basis
+        for b in basis:
+            grown = branch | {b}
+            if grown not in seen:
+                seen.add(grown)
+                work.append(grown)
+    return frozenset(union)

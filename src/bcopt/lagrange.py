@@ -137,10 +137,10 @@ def lagrangian_solution(instance: BCInstance) -> Solution:
 
     This is ``non_profitable_solver`` without its brute-force path.  The
     winner is the candidate of maximum profit; among equal profits, the one
-    with the smaller sorted ids.  Candidates are compared by their profit sums alone, and only the winner
-    is built: ``Solution.build`` re-checks its feasibility and budget.  The
-    losers are never checked at run time; the test suite checks that every
-    candidate is feasible and affordable.
+    with the smaller sorted ids.  Candidates are compared by their profit
+    sums alone, and only the winner is built: ``Solution.build`` re-checks
+    its feasibility and budget.  The losers are never checked at run time;
+    the test suite checks that every candidate is feasible and affordable.
     """
     profit = instance.profit_of
     # The pool starts with the empty set, whose ids () no other set undercuts.

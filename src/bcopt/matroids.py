@@ -1,9 +1,9 @@
 """Matroid oracles: concrete families, minors, cursors and minimum-cost bases.
 
 A matroid is exposed through a single independence predicate.  Everything the
-rest of the package needs (greedy minimum-cost bases, truncated restrictions,
-restrictions and contractions) is built on top of that one test, so a
-user-supplied matroid only has to implement :meth:`MatroidOracle._independent`.
+rest of the package needs (cursors, greedy minimum-cost bases, restrictions
+and contractions) is built on top of that one test, so a user-supplied
+matroid only has to implement :meth:`MatroidOracle._independent`.
 
 Searches grow and shrink one set an element at a time through a cursor
 (:meth:`MatroidOracle.cursor`): ``try_push(e)`` adds ``e`` iff the grown set
@@ -12,6 +12,8 @@ pushed while it is in the cursor's set.  The default cursor re-tests the whole
 grown set with ``_independent``.  Overriding ``cursor()`` is optional and only
 saves time; its answers must agree with ``_independent``.  The built-in
 families keep counters (uniform, partition) or a forest with undo (graphic).
+:func:`greedy_min_cost` grows minimum-cost bases, truncated ones included,
+through a cursor.
 
 Restrictions and contractions are one explicit minor, :class:`MatroidMinor`,
 over the original matroid; a minor of a minor re-targets that same base.
@@ -22,7 +24,7 @@ are trusted.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .core import BCError, UnknownElementError
 
@@ -316,36 +318,27 @@ class _ForestCursor(MatroidCursor):
         self._size[v] -= self._size.get(u, 1)
 
 
-class RestrictedTruncatedMatroid(MatroidOracle):
-    """Base matroid restricted to a universe and truncated at a cap.
+def greedy_min_cost(cursor, ids: Iterable[int], cost: Mapping[int, int],
+                    limit: int | None = None) -> frozenset[int]:
+    """The ids of ``ids`` that ``cursor`` accepts, pushed in ascending (cost, id) order.
 
-    Independent sets are exactly the subsets of the universe that are
-    independent in the base matroid and have at most ``cap`` elements.
+    ``cursor`` is any object with ``try_push`` (a matroid or feasibility
+    cursor); it is left holding the kept ids.  The scan stops once ``limit``
+    ids are kept.  Over a matroid's ground set this is Edmonds' greedy
+    minimum-cost basis; with a limit it is a minimum-cost basis of the
+    matroid truncated at that rank.  The scan order makes the output
+    canonical: any minimum basis would do for correctness, but a fixed one
+    keeps every downstream construction reproducible.
     """
-
-    def __init__(self, base: MatroidOracle, universe: Iterable[int], cap: int):
-        if cap < 0:
-            raise BCError(f"cap must be non-negative, got {cap}")
-        self.base = base
-        self.cap = cap
-        super().__init__(frozenset(universe) & base.ground_ids)
-
-    def _independent(self, subset: frozenset[int]) -> bool:
-        if len(subset) > self.cap:
-            return False
-        return self.base.is_independent(subset)
+    kept: list[int] = []
+    for eid in sorted(ids, key=lambda e: (cost[e], e)):
+        if limit is not None and len(kept) >= limit:
+            break
+        if cursor.try_push(eid):
+            kept.append(eid)
+    return frozenset(kept)
 
 
-def min_cost_basis(oracle: MatroidOracle, cost: Mapping[int, int] | Callable[[int], int]) -> frozenset[int]:
-    """Greedy minimum-cost basis, scanning in ascending (cost, id) order.
-
-    The scan order makes the output canonical; any minimum basis would do for
-    correctness, but a fixed one keeps every downstream construction
-    reproducible.
-    """
-    cost_fn = cost.__getitem__ if isinstance(cost, Mapping) else cost
-    basis: set[int] = set()
-    for eid in sorted(oracle.ground_ids, key=lambda e: (cost_fn(e), e)):
-        if oracle.is_independent(basis | {eid}):
-            basis.add(eid)
-    return frozenset(basis)
+def min_cost_basis(oracle: MatroidOracle, cost: Mapping[int, int]) -> frozenset[int]:
+    """Greedy minimum-cost basis of ``oracle``, scanning in ascending (cost, id) order."""
+    return greedy_min_cost(oracle.cursor(), oracle.ground_ids, cost)

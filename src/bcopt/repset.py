@@ -12,23 +12,18 @@ from dataclasses import dataclass
 from .core import BCInstance, Epsilon
 from .classes import ClassLayout, class_partition, q_of
 from .constraints import Matching
-from .exchange import (
-    DEFAULT_BRANCH_BUDGET,
-    ExchangeSet,
-    exset_matching,
-    exset_matroid_intersection,
-)
+from .exchange import DEFAULT_BRANCH_BUDGET, exset_matching, exset_matroid_intersection
 from .lagrange import approx_opt, declared_gamma
 
 
 @dataclass(frozen=True)
 class RepresentativeSet:
-    """Union of per-class exchange sets, with full per-class provenance."""
+    """Union of per-class exchange sets, keyed by class index in ``per_class``."""
 
     elements: frozenset[int]
     alpha: int
     layout: ClassLayout | None
-    per_class: dict[int, ExchangeSet]
+    per_class: dict[int, frozenset[int]]
 
     @property
     def size(self) -> int:
@@ -53,20 +48,19 @@ def rep_set(instance: BCInstance, epsilon: Epsilon, alpha_mode: str = "lagrangia
     partition = class_partition(instance, layout)
     is_matching = isinstance(instance.constraint, Matching)
 
-    def build(r: int) -> ExchangeSet:
+    def build(r: int) -> frozenset[int]:
         ids = partition[r]
         if is_matching:
             return exset_matching(instance, layout, r, ids)
         return exset_matroid_intersection(instance, layout, r, ids,
                                           branch_budget=branch_budget)
 
-    built = [build(r) for r in sorted(partition)]
-    per_class = {ex.class_index: ex for ex in built}
-    elements = frozenset().union(*(ex.elements for ex in built))
+    per_class = {r: build(r) for r in sorted(partition)}
+    elements = frozenset().union(*per_class.values())
 
     q = q_of(epsilon)
     if is_matching:
-        assert all(len(ex.elements) <= 18 * q * q for ex in built)
+        assert all(len(ex) <= 18 * q * q for ex in per_class.values())
         assert len(elements) <= layout.class_count * 18 * q * q
         if layout.gamma == 2:
             assert len(elements) <= 54 * q**3, "representative-set size bound violated"

@@ -18,9 +18,9 @@ from bcopt.core import Epsilon, preprocess_discard
 from bcopt.cli import dump_instance, generate_instance
 from bcopt.classes import ClassLayout, class_partition, q_of
 from bcopt.constraints import Matching, MatroidIntersection, residual_constraint
-from bcopt.exchange import exset_matching, exset_matroid_intersection, greedy_min_cost_matching
+from bcopt.exchange import exset_matching, exset_matroid_intersection
 from bcopt.lagrange import approx_opt, lagrangian_solution, non_profitable_solver
-from bcopt.matroids import min_cost_basis
+from bcopt.matroids import greedy_min_cost, min_cost_basis
 from bcopt.oracle import (
     brute_force_opt,
     exchange_witness,
@@ -89,7 +89,7 @@ def test_criterion_3_exchange_set_definition(main_corpus):
                     ex = exset_matching(working, layout, r, ids)
                 else:
                     ex = exset_matroid_intersection(working, layout, r, ids)
-                report = verify_exchange_set(working, layout, r, ex.elements)
+                report = verify_exchange_set(working, layout, r, ex)
                 assert report.passed, (name, str(eps), r, report.counterexample)
                 checked += 1
     assert checked > 100
@@ -110,13 +110,13 @@ def test_criterion_4_size_bounds(main_corpus):
         if rep.layout is None:
             continue
         for r, ex in rep.per_class.items():
-            assert len(ex.elements) <= 18 * q * q, (name, r)
+            assert len(ex) <= 18 * q * q, (name, r)
             # replay the rounds to check the per-round cap
             pool = set(class_partition(working, rep.layout)[r])
             rounds = 0
             while pool and rounds < 6 * q:
-                matched = greedy_min_cost_matching(pool, working.constraint,
-                                                   working.cost_of, 3 * q)
+                matched = greedy_min_cost(working.constraint.cursor(), pool,
+                                          working.cost_of, 3 * q)
                 if not matched:
                     break
                 assert len(matched) <= 3 * q
@@ -323,7 +323,7 @@ def test_criterion_8_determinism(tmp_path):
             rep_blobs.add(json.dumps({
                 "alpha": rep.alpha,
                 "elements": sorted(rep.elements),
-                "per_class": {str(r): sorted(ex.elements)
+                "per_class": {str(r): sorted(ex)
                               for r, ex in sorted(rep.per_class.items())},
             }, sort_keys=True))
         assert len(blobs) == 1, f"instance {idx}: solve output varied"

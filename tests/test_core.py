@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -34,6 +35,12 @@ class TestElement:
     def test_zero_values_permitted(self):
         Element(0, 0, 0)
 
+    @pytest.mark.parametrize("value", [1.0, True, Fraction(1), "1"])
+    def test_rejects_non_integer_values(self, value):
+        for args in ((value, 1, 1), (0, value, 1), (0, 1, value)):
+            with pytest.raises(InvalidParameterError):
+                Element(*args)
+
 
 class TestEpsilon:
     def test_normalizes_to_lowest_terms(self):
@@ -58,6 +65,23 @@ class TestEpsilon:
     def test_inverse_floor(self):
         assert Epsilon(1, 4).inverse_floor() == 4
         assert Epsilon(2, 5).inverse_floor() == 2
+
+    @pytest.mark.parametrize("num,den", [(0.1, 1), (1, 4.0), (True, 3), (1, Fraction(4)), ("1", 4)])
+    def test_rejects_non_integer_terms(self, num, den):
+        with pytest.raises(InvalidParameterError):
+            Epsilon(num, den)
+
+
+class TestBCInstance:
+    @pytest.mark.parametrize("budget", [6.5, 6.0, True, Fraction(6), "6"])
+    def test_rejects_non_integer_budget(self, budget):
+        with pytest.raises(InvalidParameterError):
+            BCInstance((Element(0, 1, 1),), free_constraint((0,)), budget)
+
+    def test_rejects_out_of_range_budget(self):
+        for budget in (-1, 2**63):
+            with pytest.raises(InvalidParameterError):
+                BCInstance((), free_constraint(()), budget)
 
 
 class TestValidateInstance:

@@ -5,11 +5,17 @@ import pytest
 from bcopt.core import BCError, BCInstance, CapExceededError, Epsilon
 from bcopt.classes import ClassLayout, class_partition, q_of
 from bcopt.constraints import Matching, MatroidIntersection
-from bcopt.exchange import exset_matching, exset_matroid_intersection, greedy_min_cost_matching
-from bcopt.matroids import PartitionMatroid, UniformMatroid
+from bcopt.exchange import exset_matching, exset_matroid_intersection
+from bcopt.matroids import (
+    GraphicMatroid,
+    PartitionMatroid,
+    UniformMatroid,
+    greedy_min_cost,
+    min_cost_basis,
+)
 from bcopt.oracle import extension_candidates, is_semi_shift, is_shift, verify_exchange_set
 
-from conftest import make_elements, random_matroid
+from conftest import BareOracle, make_elements, random_matroid
 
 
 def matching_instance(edges, costs, profits, budget=10**9):
@@ -24,23 +30,23 @@ def intersection_instance(o1, o2, costs, profits, budget=10**9):
 class TestGreedyMatching:
     def test_limit_zero(self):
         g = Matching(4, {0: (0, 1)})
-        assert greedy_min_cost_matching({0}, g, {0: 1}, 0) == frozenset()
+        assert greedy_min_cost(g.cursor(), {0}, {0: 1}, 0) == frozenset()
 
     def test_path_trace(self):
         # path v0-v1-v2-v3 with costs 1, 0, 2: the middle edge wins and
         # knocks out both neighbours.
         g = Matching(4, {0: (0, 1), 1: (1, 2), 2: (2, 3)})
-        got = greedy_min_cost_matching({0, 1, 2}, g, {0: 1, 1: 0, 2: 2}, 3)
+        got = greedy_min_cost(g.cursor(), {0, 1, 2}, {0: 1, 1: 0, 2: 2}, 3)
         assert got == {1}
 
     def test_triangle_keeps_cheapest_only(self):
         g = Matching(3, {0: (0, 1), 1: (1, 2), 2: (2, 0)})
-        got = greedy_min_cost_matching({0, 1, 2}, g, {0: 1, 1: 2, 2: 3}, 2)
+        got = greedy_min_cost(g.cursor(), {0, 1, 2}, {0: 1, 1: 2, 2: 3}, 2)
         assert got == {0}
 
     def test_ties_break_by_id(self):
         g = Matching(4, {0: (0, 1), 1: (0, 2), 2: (0, 3)})
-        got = greedy_min_cost_matching({0, 1, 2}, g, {0: 5, 1: 5, 2: 5}, 2)
+        got = greedy_min_cost(g.cursor(), {0, 1, 2}, {0: 5, 1: 5, 2: 5}, 2)
         assert got == {0}
 
 
@@ -48,7 +54,7 @@ class TestExsetMatching:
     def test_empty_class(self):
         inst = matching_instance({0: (0, 1)}, [1], [10])
         layout = ClassLayout(Epsilon(1, 3), alpha=10)
-        assert exset_matching(inst, layout, r=1, class_ids=frozenset()).elements == frozenset()
+        assert exset_matching(inst, layout, r=1, class_ids=frozenset()) == frozenset()
 
     def test_small_class_is_taken_whole(self):
         # pairwise-disjoint edges, far fewer than 18 q^2: pool exhausts
@@ -56,7 +62,7 @@ class TestExsetMatching:
         inst = matching_instance(edges, [1] * 5, [10] * 5)
         layout = ClassLayout(Epsilon(1, 3), alpha=10)
         ex = exset_matching(inst, layout, 1, frozenset(range(5)))
-        assert ex.elements == frozenset(range(5))
+        assert ex == frozenset(range(5))
 
     def test_star_removes_one_edge_per_round(self):
         # K_{1,5}: all edges share the hub, so every greedy round grabs one.
@@ -65,8 +71,8 @@ class TestExsetMatching:
         eps = Epsilon(1, 3)
         layout = ClassLayout(eps, alpha=10)
         ex = exset_matching(inst, layout, 1, frozenset(range(5)))
-        assert ex.elements == frozenset(range(5))
-        report = verify_exchange_set(inst, layout, 1, ex.elements)
+        assert ex == frozenset(range(5))
+        report = verify_exchange_set(inst, layout, 1, ex)
         assert report.passed
 
     def test_wrong_constraint_type(self):
@@ -92,8 +98,8 @@ class TestExsetMatching:
             layout = ClassLayout(eps, alpha)
             for r, ids in class_partition(inst, layout).items():
                 ex = exset_matching(inst, layout, r, ids)
-                assert len(ex.elements) <= 18 * q * q
-                assert ex.elements <= ids
+                assert len(ex) <= 18 * q * q
+                assert ex <= ids
 
 
 class TestExtensionCandidates:
@@ -116,14 +122,14 @@ class TestExsetMatroidIntersection:
         ids = frozenset({0})
         inst = intersection_instance(UniformMatroid(ids, 1), UniformMatroid(ids, 1), [1], [9])
         layout = ClassLayout(Epsilon(1, 3), alpha=9)
-        assert exset_matroid_intersection(inst, layout, 1, frozenset()).elements == frozenset()
+        assert exset_matroid_intersection(inst, layout, 1, frozenset()) == frozenset()
 
     def test_single_feasible_element(self):
         ids = frozenset({0})
         inst = intersection_instance(UniformMatroid(ids, 1), UniformMatroid(ids, 1), [1], [9])
         layout = ClassLayout(Epsilon(1, 3), alpha=9)
         ex = exset_matroid_intersection(inst, layout, 1, frozenset({0}))
-        assert ex.elements == {0}
+        assert ex == {0}
 
     def test_two_partition_matroids_verified(self):
         ids = frozenset(range(6))
@@ -135,7 +141,7 @@ class TestExsetMatroidIntersection:
         partition = class_partition(inst, layout)
         (r,) = partition
         ex = exset_matroid_intersection(inst, layout, r, partition[r])
-        report = verify_exchange_set(inst, layout, r, ex.elements)
+        report = verify_exchange_set(inst, layout, r, ex)
         assert report.passed, report.counterexample
 
     def test_wrong_constraint_type(self):
@@ -173,7 +179,82 @@ class TestExsetMatroidIntersection:
                                      [1] * 6, [10] * 6)
         layout = ClassLayout(Epsilon(1, 3), alpha=10)
         ex = exset_matroid_intersection(inst, layout, 1, ids, branch_budget=2**6)
-        assert ex.elements == ids
+        assert ex == ids
+
+
+def reference_exchange_set(instance, layout, class_ids):
+    """The matroid-intersection exchange set and its branch count, built by
+    recursion with whole-set independence tests.
+
+    Each branch's truncated basis is the greedy minimum-cost basis of the
+    second matroid on the branch's extension candidates, with a candidate
+    admitted only while fewer than q are kept.
+    """
+    cons = instance.constraint
+    cost = instance.cost_of
+    q = q_of(layout.epsilon)
+    union, seen = set(), {frozenset()}
+
+    def extend(current):
+        if len(current) > q:
+            return
+        candidates = [e for e in class_ids - current
+                      if cons.oracle1.is_independent(current | {e})]
+        basis = set()
+        for e in sorted(candidates, key=lambda e: (cost[e], e)):
+            if len(basis) < q and cons.oracle2.is_independent(basis | {e}):
+                basis.add(e)
+        union.update(basis)
+        for b in sorted(basis):
+            grown = current | {b}
+            if grown not in seen:
+                seen.add(grown)
+                extend(grown)
+
+    extend(frozenset())
+    return frozenset(union), len(seen)
+
+
+class TestAgainstRecursiveReference:
+    def assert_matches_reference(self, inst, layout, class_ids):
+        want, branches = reference_exchange_set(inst, layout, class_ids)
+        assert exset_matroid_intersection(inst, layout, 1, class_ids,
+                                          branch_budget=branches) == want
+        with pytest.raises(CapExceededError):
+            exset_matroid_intersection(inst, layout, 1, class_ids, branch_budget=branches - 1)
+
+    def test_random_intersections(self):
+        rng = random.Random(909)
+        for _ in range(150):
+            ids = frozenset(range(rng.randint(0, 8)))
+            # BareOracle runs the generic cursor that re-tests the grown set.
+            o1, o2 = (random_matroid(rng, ids) for _ in range(2))
+            if rng.random() < 0.5:
+                o1 = BareOracle(o1)
+            if rng.random() < 0.5:
+                o2 = BareOracle(o2)
+            inst = intersection_instance(o1, o2, [rng.randint(0, 9) for _ in ids],
+                                         [10] * len(ids))
+            eps = rng.choice([Epsilon(1, 3), Epsilon(2, 5), Epsilon(49, 100)])
+            layout = ClassLayout(eps, alpha=10)
+            class_ids = frozenset(i for i in ids if rng.random() < 0.8)
+            self.assert_matches_reference(inst, layout, class_ids)
+
+    def test_truncation_at_q(self):
+        # q(49/100) = 9.  The class has 11 elements and the second matroid
+        # (a bare path, so acyclic) keeps them all independent, so every
+        # branch's greedy basis stops at q before running out of candidates.
+        ids = frozenset(range(11))
+        o1 = PartitionMatroid(ids, [frozenset(range(6)), frozenset(range(6, 11))], [5, 5])
+        o2 = BareOracle(GraphicMatroid(12, {i: (i, i + 1) for i in ids}))
+        rng = random.Random(11)
+        inst = intersection_instance(o1, o2, [rng.randint(0, 9) for _ in ids], [10] * 11)
+        layout = ClassLayout(Epsilon(49, 100), alpha=10)
+        q = q_of(layout.epsilon)
+        assert q == 9
+        assert len(min_cost_basis(o2, inst.cost_of)) == 11
+        assert len(min_cost_basis(o1, inst.cost_of)) == 10 > q
+        self.assert_matches_reference(inst, layout, ids)
 
 
 class TestDefinitionalSweep:
@@ -217,7 +298,7 @@ class TestDefinitionalSweep:
                     ex = exset_matching(inst, layout, r, ids)
                 else:
                     ex = exset_matroid_intersection(inst, layout, r, ids)
-                report = verify_exchange_set(inst, layout, r, ex.elements)
+                report = verify_exchange_set(inst, layout, r, ex)
                 assert report.passed, report.counterexample
                 checks += 1
         assert checks > 50

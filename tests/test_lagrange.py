@@ -12,10 +12,13 @@ from bcopt.cli import generate_instance
 from bcopt.constraints import Matching, MatroidIntersection, residual_constraint
 from bcopt.lagrange import (
     EXACT_LIMIT,
+    _MAX_PATCH_COMPONENTS,
     _GreedyOrders,
     _candidate_pool,
+    _component_priority,
     _density_key,
     _patched,
+    _symmetric_difference_components,
     approx_opt,
     declared_gamma,
     inner_max_weight,
@@ -52,6 +55,30 @@ def large_instances():
 # configuration.  These searches are greedy, which the main corpus never
 # reaches.  A change that moves any id must update it on purpose.
 LARGE_INSTANCES_IDS_SHA256 = "495537ffa6b8b0872ee02f70f688cfcb431328ee65246c02936ee8663b3d7ef9"
+
+
+def patched_matchings():
+    """(seed, instance) for the seeded 60-element matchings whose bracketing
+    pair differs in at least two components, so ``_patched`` blends them.
+
+    Costs and profits in [1, 9] and a budget of a tenth of the total cost
+    make such pairs common; 60 of the 150 seeds give one.
+    """
+    kept = []
+    for seed in range(150):
+        inst = generate_instance(9000 + seed, 60, "matching", cost_range=(1, 9),
+                                 profit_range=(1, 9), budget_percent=10)
+        _, pairs = searched_pool_and_pair(inst)
+        if pairs and len(_symmetric_difference_components(inst.constraint, *pairs[0])) >= 2:
+            kept.append((seed, inst))
+    return kept
+
+
+# sha256 of "{seed} {ids}" per line for ``non_profitable_solver`` on
+# ``patched_matchings()``.  Some winners there come from a component subset
+# that is not a greedy prefix, so the digest moves if the exhaustive blend of
+# up to ``_MAX_PATCH_COMPONENTS`` components stops running.
+PATCHED_MATCHINGS_IDS_SHA256 = "9af4640201da0fefdf893c3ec0643dd6481c72922efa7548efc3f88c73fc72f8"
 
 
 class TestApproxOpt:
@@ -135,6 +162,12 @@ class TestNonProfitableSolver:
         lines = [f"{k} {non_profitable_solver(inst).element_ids}"
                  for k, inst in enumerate(large_instances())]
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LARGE_INSTANCES_IDS_SHA256
+
+    def test_ids_on_patched_matchings_are_pinned(self):
+        corpus = patched_matchings()
+        assert len(corpus) == 60
+        lines = [f"{seed} {non_profitable_solver(inst).element_ids}" for seed, inst in corpus]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PATCHED_MATCHINGS_IDS_SHA256
 
     def test_output_is_always_a_solution(self):
         inst = preprocess_discard(generate_instance(42, 10, "matching"))
@@ -418,6 +451,41 @@ class TestBreakpointStop:
         assert len(probes) == 2 + resolution.bit_length() == 122
         assert (pool, pairs) == full_depth_pool_and_pair(inst, resolution.bit_length() + 40)
         assert_every_candidate_is_a_solution(inst)
+
+
+class TestPatchedMatching:
+    def test_many_components_are_blended_as_greedy_prefixes(self):
+        # 18 disjoint paths 3i - 3i+1 - 3i+2: s_minus holds each path's first
+        # edge 2i, s_plus its second edge 2i+1, so the pair differs in 18
+        # two-edge components, more than are blended exhaustively.
+        paths = 18
+        rng = random.Random(18)
+        edges, elements = {}, []
+        for i in range(paths):
+            edges[2 * i] = (3 * i, 3 * i + 1)
+            edges[2 * i + 1] = (3 * i + 1, 3 * i + 2)
+            elements.append(Element(2 * i, rng.randint(1, 5), rng.randint(1, 9)))
+            elements.append(Element(2 * i + 1, rng.randint(1, 20), rng.randint(1, 30)))
+        s_minus = frozenset(range(0, 2 * paths, 2))
+        s_plus = frozenset(range(1, 2 * paths, 2))
+        cost = {e.id: e.cost for e in elements}
+        budget = sum(map(cost.get, s_minus)) + 40
+        inst = BCInstance(tuple(elements), Matching(3 * paths, edges), budget)
+        components = _symmetric_difference_components(inst.constraint, s_minus, s_plus)
+        assert len(components) == paths > _MAX_PATCH_COMPONENTS
+
+        ordered = sorted(components, key=lambda c: _component_priority(inst, c, s_minus))
+        assert ordered != components  # the priority order is not the id order
+        prefixes, swapped = [], set(s_minus)
+        for comp in ordered:
+            swapped ^= comp
+            prefixes.append(frozenset(swapped))
+        affordable = [p for p in prefixes if inst.total_cost(p) <= budget]
+        assert 0 < len(affordable) < len(prefixes)
+
+        got = _patched(inst, s_minus, s_plus)
+        assert got == affordable
+        assert all(inst.total_cost(ids) <= budget for ids in got)
 
 
 def assert_every_candidate_is_a_solution(inst):

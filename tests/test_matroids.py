@@ -10,7 +10,6 @@ from bcopt.matroids import (
     GraphicMatroid,
     MatroidMinor,
     PartitionMatroid,
-    RestrictedTruncatedMatroid,
     UniformMatroid,
     min_cost_basis,
 )
@@ -163,40 +162,6 @@ class TestMinCostBasis:
                     continue
                 blocker = {e for e in basis if cost[e] <= cost[a]}
                 assert not m.is_independent(blocker | {a})
-
-
-class TestRestrictTruncate:
-    def test_cap_beats_rank(self):
-        rt = RestrictedTruncatedMatroid(UniformMatroid(range(5), 5), {1, 2, 3}, 2)
-        assert not rt.is_independent({1, 2, 3})
-        assert rt.is_independent({1, 2})
-
-    def test_cap_zero(self):
-        rt = RestrictedTruncatedMatroid(UniformMatroid(range(3), 3), {0, 1, 2}, 0)
-        assert rt.is_independent(())
-        assert not rt.is_independent({0})
-
-    def test_partition_example_all_four_subsets(self):
-        base = PartitionMatroid({1, 2, 3}, [{1, 2}, {3}], [1, 1])
-        rt = RestrictedTruncatedMatroid(base, {1, 3}, 2)
-        # frozen from enumerating the definition over {1, 3}
-        assert rt.is_independent(())
-        assert rt.is_independent({1})
-        assert rt.is_independent({3})
-        assert rt.is_independent({1, 3})
-
-    def test_composition_laws(self):
-        rng = random.Random(3)
-        for _ in range(30):
-            ids = frozenset(range(rng.randint(0, 6)))
-            m = random_matroid(rng, ids)
-            u1 = frozenset(i for i in ids if rng.random() < 0.7)
-            u2 = frozenset(i for i in ids if rng.random() < 0.7)
-            q1, q2 = rng.randint(0, 5), rng.randint(0, 5)
-            twice = RestrictedTruncatedMatroid(RestrictedTruncatedMatroid(m, u1, q1), u2, q2)
-            once = RestrictedTruncatedMatroid(m, u1 & u2, min(q1, q2))
-            for s in brute_subsets(u1 & u2):
-                assert twice.is_independent(s) == once.is_independent(s)
 
 
 class TestMatroidExtendAndWitness:

@@ -88,7 +88,7 @@ class TestVerifyExchangeSet:
     def test_constructor_output_is_the_oracle_case(self):
         inst, layout, r, cls = self._setup()
         ex = exset_matching(inst, layout, r, cls)
-        assert verify_exchange_set(inst, layout, r, ex.elements).passed
+        assert verify_exchange_set(inst, layout, r, ex).passed
 
 
 class TestVerifyReplacement:

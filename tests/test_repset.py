@@ -32,7 +32,7 @@ class TestRepSet:
     def test_elements_union_of_per_class(self):
         inst = preprocess_discard(generate_instance(9, 10, "matroid-intersection"))
         rep = rep_set(inst, Epsilon(1, 5), alpha_mode="exact")
-        union = frozenset().union(*(ex.elements for ex in rep.per_class.values())) \
+        union = frozenset().union(*rep.per_class.values()) \
             if rep.per_class else frozenset()
         assert rep.elements == union
         assert rep.elements <= inst.ids
