@@ -104,24 +104,42 @@ def _matroid_to_json(oracle_obj) -> dict[str, Any]:
 
 
 def instance_from_json(data: dict[str, Any]) -> BCInstance:
+    """An instance from its JSON form; every number must be a JSON integer.
+
+    A fractional number (``6.9``, or even ``6.0``) or a boolean is refused
+    rather than truncated.  Edge ids are the object keys, so they are
+    integer strings.
+    """
     try:
         elements = tuple(
-            Element(int(e["id"]), int(e["cost"]), int(e["profit"]))
+            Element(_integer(e["id"], "id"), _integer(e["cost"], "cost"),
+                    _integer(e["profit"], "profit"))
             for e in data["elements"]
         )
         ids = frozenset(e.id for e in elements)
         constraint = _constraint_from_json(data["constraint"], ids)
-        budget = int(data["budget"])
+        budget = _integer(data["budget"], "budget")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed instance file: {exc}") from exc
     return BCInstance(elements, constraint, budget)
 
 
+def _integer(value: Any, what: str) -> int:
+    # bool is a subclass of int, so true and false are refused by type.
+    if type(value) is not int:
+        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _edges_from_json(edges: dict[str, Any]) -> dict[int, tuple[int, int]]:
+    return {int(eid): (_integer(uv[0], "edge endpoint"), _integer(uv[1], "edge endpoint"))
+            for eid, uv in edges.items()}
+
+
 def _constraint_from_json(data: dict[str, Any], ids: frozenset[int]) -> Constraint:
     kind = data["type"]
     if kind == "matching":
-        edges = {int(eid): (int(uv[0]), int(uv[1])) for eid, uv in data["edges"].items()}
-        return Matching(int(data["vertices"]), edges)
+        return Matching(_integer(data["vertices"], "vertices"), _edges_from_json(data["edges"]))
     if kind == "matroid_intersection":
         m1, m2 = data["matroids"]
         return MatroidIntersection(_matroid_from_json(m1, ids), _matroid_from_json(m2, ids))
@@ -131,16 +149,16 @@ def _constraint_from_json(data: dict[str, Any], ids: frozenset[int]) -> Constrai
 def _matroid_from_json(data: dict[str, Any], ids: frozenset[int]):
     kind = data["kind"]
     if kind == "uniform":
-        return UniformMatroid(ids, int(data["rank"]))
+        return UniformMatroid(ids, _integer(data["rank"], "rank"))
     if kind == "partition":
         return PartitionMatroid(
             ids,
-            [frozenset(int(x) for x in b) for b in data["blocks"]],
-            [int(c) for c in data["capacities"]],
+            [frozenset(_integer(x, "id") for x in b) for b in data["blocks"]],
+            [_integer(c, "capacity") for c in data["capacities"]],
         )
     if kind == "graphic":
-        edges = {int(eid): (int(uv[0]), int(uv[1])) for eid, uv in data["edges"].items()}
-        return GraphicMatroid(int(data["vertices"]), edges)
+        return GraphicMatroid(_integer(data["vertices"], "vertices"),
+                              _edges_from_json(data["edges"]))
     raise InvalidParameterError(f"unknown matroid kind {kind!r}")
 
 

@@ -14,7 +14,7 @@ schedule.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .core import BCInstance, CapExceededError
 
@@ -86,12 +86,18 @@ def feasible_subsets_within_budget(
     pool: list[int],
     max_size: int,
     cap: int | None = None,
+    keep: Callable[[list[int], int], bool] | None = None,
 ) -> list[tuple[int, ...]]:
     """All feasible, budget-respecting subsets of ``pool`` up to ``max_size``.
 
     Returned sorted by (size, ids) so callers can process candidates in
     canonical size-then-lexicographic order.  Raises CapExceededError when
     more than ``cap`` subsets would be collected.
+
+    ``keep(chosen, j)``, when given, is asked after each successful push,
+    with ``chosen`` the ids of the grown subset (a list the walk reuses) and
+    ``j`` the position of its last id in the sorted pool.  When it answers
+    false, that subset and every superset grown from it are left out.
     """
     pool = sorted(pool)
     n = len(pool)
@@ -109,6 +115,10 @@ def feasible_subsets_within_budget(
             if nc > budget or not cursor.try_push(pool[j]):
                 continue
             chosen.append(pool[j])
+            if keep is not None and not keep(chosen, j):
+                chosen.pop()
+                cursor.pop()
+                continue
             out.append(tuple(chosen))
             if cap is not None and len(out) > cap:
                 raise CapExceededError(

@@ -37,7 +37,6 @@ distinct order.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 from .core import BCError, BCInstance, Element, Solution, ratio_key
 from .constraints import Matching, MatroidIntersection
@@ -110,8 +109,10 @@ def inner_max_weight(instance: BCInstance, lam: Fraction, *,
     if chosen is None:
         ids = orders.ids
         cursor = instance.constraint.cursor()
-        chosen = frozenset([ids[k] for k in order if cursor.try_push(ids[k])])
+        kept = [k for k in order if cursor.try_push(ids[k])]
+        chosen = frozenset([ids[k] for k in kept])
         orders.sets[order] = chosen
+        orders.spent[chosen] = sum([orders.costs[k] for k in kept])
     return chosen
 
 
@@ -119,10 +120,12 @@ class _GreedyOrders:
     """One search's greedy inner optima, keyed by positive-weight order.
 
     The order is a tuple of positions in the id-ordered ``ids``, ``costs``
-    and ``profits`` lists, which are built once per search.
+    and ``profits`` lists, which are built once per search.  ``spent`` maps
+    each cached set to its cost, so a probe that repeats a set is not
+    re-summed.
     """
 
-    __slots__ = ("ids", "costs", "profits", "sets")
+    __slots__ = ("ids", "costs", "profits", "sets", "spent")
 
     def __init__(self, instance: BCInstance) -> None:
         elements = sorted(instance.elements, key=lambda e: e.id)
@@ -130,6 +133,7 @@ class _GreedyOrders:
         self.costs = [e.cost for e in elements]
         self.profits = [e.profit for e in elements]
         self.sets: dict[tuple[int, ...], frozenset[int]] = {}
+        self.spent: dict[frozenset[int], int] = {}
 
 
 def lagrangian_solution(instance: BCInstance) -> Solution:
@@ -190,10 +194,15 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     budget = instance.budget
     cost = instance.cost_of
     pool: list[frozenset[int]] = [frozenset()]
+    orders = _GreedyOrders(instance)
 
-    def offer(ids: Iterable[int]) -> bool:
-        s = frozenset(ids)
-        if sum(map(cost.__getitem__, s)) <= budget:
+    def offer(s: frozenset[int], spent: int | None = None) -> bool:
+        """Pool ``s`` if it is affordable; ``spent`` is its cost, when known."""
+        if spent is None:
+            spent = orders.spent.get(s)
+            if spent is None:
+                spent = sum(map(cost.__getitem__, s))
+        if spent <= budget:
             pool.append(s)
             return True
         return False
@@ -205,14 +214,14 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     for e in sorted(instance.elements, key=lambda e: e.id):
         if cursor.try_push(e.id):
             cursor.pop()
-            offer((e.id,))
+            offer(frozenset((e.id,)), e.cost)
     fill: list[int] = []
     spent = 0
     for e in sorted(instance.elements, key=_density_key):
         if spent + e.cost <= budget and cursor.try_push(e.id):
             fill.append(e.id)
             spent += e.cost
-    offer(fill)
+    offer(frozenset(fill), spent)
 
     # Bisection on lambda, all probes sharing one greedy cache.  At lambda = 0
     # the inner optimum ignores cost; if it is affordable it is optimal
@@ -220,7 +229,6 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     # zero-cost elements carry positive weight, so the optimum is affordable.
     # s_minus stays affordable and s_plus over budget throughout, so the
     # bracket never closes early.
-    orders = _GreedyOrders(instance)
     s_lo = inner_max_weight(instance, Fraction(0), _orders=orders)
     if offer(s_lo):
         return pool

@@ -4,9 +4,12 @@
 guarantee into the advertised (1 - eps).  It enumerates the feasible subsets
 F of the representative set (up to cardinality floor(1/eps')), solves the
 residual low-profit instance next to each F, and returns the most profitable
-extended solution.  A skeleton whose fractional-knapsack bound cannot beat
-the incumbent is skipped before its residual is built.  ``solve_detailed``
-also returns the run metadata.
+extended solution.  Two exact-integer bounds keep most of that work from
+being done: the listing leaves out every subtree of skeletons whose bound
+is below alpha, the profit of a real solution, and a listed skeleton whose
+bound cannot beat the incumbent is skipped before its residual is built.
+Should the winner fall below alpha after all, the listing is redone in full.
+``solve_detailed`` also returns the run metadata.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from .core import (
     BCInstance, Epsilon, InfeasibleSetError, Solution, is_solution, preprocess_discard, ratio_key,
 )
 from .classes import small_profit_pool
-from .constraints import Matching, residual_constraint
+from .constraints import Matching, MatroidIntersection, residual_constraint
 from .enumeration import feasible_subsets_within_budget
 from .exchange import DEFAULT_BRANCH_BUDGET
 from .lagrange import approx_opt, declared_gamma, non_profitable_solver
+from .matroids import greedy_min_cost
 from .repset import rep_set
 
 DEFAULT_SUBSET_CAP = 10**7
@@ -39,9 +43,10 @@ class SolveConfig:
 class SolveStats:
     """Run metadata surfaced through the CLI and the benchmark harness.
 
-    ``enumerated`` counts the feasible skeletons; ``pruned`` counts those
-    skipped by the residual bound, so ``enumerated - pruned`` residuals were
-    solved.
+    ``enumerated`` counts the listed skeletons and ``pruned`` those of them
+    skipped by the bound, both summed over the floored pass and, when it
+    runs, the full one; ``enumerated - pruned`` residuals were solved.
+    ``incumbent_profits`` follows the incumbent of the pass that answered.
     """
 
     alpha: int = 0
@@ -82,6 +87,14 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
     visited in that order and the incumbent is replaced only on a strict
     gain, so a skeleton with ub(F) <= incumbent (see :class:`SkeletonBound`)
     can neither win nor tie first and is skipped without changing the result.
+
+    The first pass lists only the skeletons that may reach alpha, the profit
+    of a real solution.  Let W be the winner's profit without that floor.
+    If W >= alpha, every prefix of the winning skeleton has a subtree bound
+    of at least W, so the skeleton is listed, solved and wins as before.  If
+    W < alpha, the pass ends below alpha and is redone without the floor,
+    which is the unfloored loop itself.  The incumbent is never seeded with
+    alpha's solution.
     """
     epsilon = epsilon.scaled_down(8)  # the scheme's own eps'
     config = config or SolveConfig()
@@ -96,17 +109,42 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
     stats.rep_size = rep.size
 
     pool = small_profit_pool(working, alpha, epsilon)
-    skeleton_cap = epsilon.inverse_floor()
+    rep_ids = sorted(rep.elements)
+    bound = SkeletonBound(working, pool, rep_ids)
+    args = (working, pool, rep_ids, epsilon.inverse_floor(), config.subset_cap, bound, stats)
+    best = _best_extension(*args, floor=alpha)
+    if best.total_profit < alpha:
+        best = _best_extension(*args, floor=0)
+
+    # Re-validate against the original, unpreprocessed instance.
+    final = Solution.build(instance, best.element_ids)
+    stats.ms_total = (time.perf_counter() - start) * 1000.0
+    return final, stats
+
+
+def _best_extension(working: BCInstance, pool: frozenset[int], rep_ids: list[int],
+                    skeleton_cap: int, subset_cap: int, bound: "SkeletonBound",
+                    stats: SolveStats, *, floor: int) -> Solution:
+    """One pass of the skeleton loop, blind to skeletons that cannot reach ``floor``.
+
+    A subtree whose bound is below ``floor`` is never listed, and a listed
+    skeleton whose bound is below it is skipped like one that cannot beat
+    the incumbent.  At floor 0 nothing is left out.
+    """
+    keep = None
+    if floor > 0:
+        def keep(chosen: list[int], j: int) -> bool:
+            return bound.subtree(chosen, j) >= floor
     candidates = feasible_subsets_within_budget(
-        working, sorted(rep.elements), skeleton_cap, cap=config.subset_cap,
+        working, rep_ids, skeleton_cap, cap=subset_cap, keep=keep,
     )
-    stats.enumerated = len(candidates)
-    bound = SkeletonBound(working, pool)
+    stats.enumerated += len(candidates)
 
     best = Solution.empty()
-    stats.incumbent_profits.append(best.total_profit)
+    stats.incumbent_profits = [best.total_profit]
     for skeleton_ids in candidates:
-        if bound(skeleton_ids) <= best.total_profit:
+        ub = bound(skeleton_ids)
+        if ub <= best.total_profit or ub < floor:
             stats.pruned += 1
             continue
         skeleton = frozenset(skeleton_ids)
@@ -117,11 +155,7 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
         if profit > best.total_profit:
             best = Solution.build(working, combined_ids)
             stats.incumbent_profits.append(profit)
-
-    # Re-validate against the original, unpreprocessed instance.
-    final = Solution.build(instance, best.element_ids)
-    stats.ms_total = (time.perf_counter() - start) * 1000.0
-    return final, stats
+    return best
 
 
 def _build_residual(instance: BCInstance, pool: frozenset[int],
@@ -137,17 +171,29 @@ def _build_residual(instance: BCInstance, pool: frozenset[int],
 
 
 class SkeletonBound:
-    """Exact-integer upper bound ub(F) on the profit of a skeleton F plus any extension.
+    """Exact-integer upper bounds on the profit a skeleton can lead to.
 
-    ub(F) = p(F) + floor(fractional knapsack over the residual pool) with
-    budget B - c(F).  The residual pool is the small-profit pool minus F and,
-    for a matching, minus every edge touching F's vertices.  It holds every
+    ``bound(F)``, the leaf bound ub(F), covers F plus any extension:
+    p(F) + floor(fractional knapsack over the residual pool) with budget
+    B - c(F).  The residual pool is the small-profit pool minus F and, for a
+    matching, minus every edge touching F's vertices.  It holds every
     element of F's residual instance, so no residual solution can beat the
-    bound.  The pool is sorted once by exact density, zero-cost elements
-    first; each call walks it until the budget runs out.
+    bound.
+
+    ``subtree(F, j)`` covers every skeleton grown from F with ids of
+    ``rep[j + 1:]``, each with any extension: the same knapsack, over the
+    unblocked elements of the pool and of ``rep[j + 1:]`` taken as one set
+    (with the declared gamma = 4 a classed element can also be in the
+    pool).  For a matroid intersection every such set is independent in
+    both matroids, so it has at most r - |F| elements beyond F, with
+    r = min(r1, r2); the bound is then the smaller of the knapsack and the
+    r - |F| largest unblocked profits.
+
+    The candidates are sorted once by exact density, zero-cost elements
+    first; each knapsack walks them until the budget runs out.
     """
 
-    def __init__(self, instance: BCInstance, pool: frozenset[int]):
+    def __init__(self, instance: BCInstance, pool: frozenset[int], rep):
         # An element leaves F's residual pool when it shares a key with F:
         # an endpoint for a matching (which covers F's own edges), else its id.
         cons = instance.constraint
@@ -158,13 +204,47 @@ class SkeletonBound:
         self._cost = instance.cost_of
         self._profit = instance.profit_of
         self._budget = instance.budget
-        items = [e for e in instance.elements if e.id in pool and e.profit > 0]
+        # An element is open to the subtrees at rep index j < its ``until``:
+        # its rep index, or len(rep) for a pool element.  At the last index
+        # only the pool is open, which is the leaf bound's knapsack.
+        until = {eid: i for i, eid in enumerate(sorted(rep))}
+        self._leaf = len(until) - 1
+        until.update(dict.fromkeys(pool, len(until)))
+        items = [e for e in instance.elements if e.id in until and e.profit > 0]
         # Densest first; a zero-cost element's (-profit, 0) is minus infinity.
         # The fractional knapsack does not depend on how equal densities tie.
         items.sort(key=lambda e: ratio_key((-e.profit, e.cost, e.id)))
-        self._order = [(e.cost, e.profit) + self._keys[e.id] for e in items]
+        self._order = [(e.cost, e.profit) + self._keys[e.id] + (until[e.id],) for e in items]
+        self._rank = None
+        if isinstance(cons, MatroidIntersection):
+            ids = instance.sorted_ids()
+            self._rank = min(len(greedy_min_cost(oracle.cursor(), ids, instance.cost_of))
+                             for oracle in (cons.oracle1, cons.oracle2))
+            # Largest profit first; how equal profits tie cannot change a sum.
+            self._by_profit = sorted(((p, eid, u) for _, p, eid, _, u in self._order),
+                                     reverse=True)
 
     def __call__(self, skeleton) -> int:
+        room, gain, blocked = self._committed(skeleton)
+        return gain + self._knapsack(room, blocked, self._leaf)
+
+    def subtree(self, skeleton, j: int) -> int:
+        room, gain, blocked = self._committed(skeleton)
+        value = self._knapsack(room, blocked, j)
+        if self._rank is not None:
+            room = self._rank - len(skeleton)
+            top = 0
+            for profit, a, until in self._by_profit:
+                if room <= 0 or top >= value:
+                    break
+                if j < until and a not in blocked:
+                    top += profit
+                    room -= 1
+            value = min(value, top)
+        return gain + value
+
+    def _committed(self, skeleton) -> tuple[int, int, set[int]]:
+        """Budget left by F, F's profit, and the keys F blocks."""
         room = self._budget
         gain = 0
         blocked: set[int] = set()
@@ -172,11 +252,16 @@ class SkeletonBound:
             room -= self._cost[eid]
             gain += self._profit[eid]
             blocked.update(self._keys[eid])
-        for cost, profit, a, b in self._order:
-            if a in blocked or b in blocked:
+        return room, gain, blocked
+
+    def _knapsack(self, room: int, blocked: set[int], j: int) -> int:
+        """Floor of the fractional knapsack over the elements open at ``j``."""
+        value = 0
+        for cost, profit, a, b, until in self._order:
+            if j >= until or a in blocked or b in blocked:
                 continue
             if cost > room:
-                return gain + profit * room // cost
+                return value + profit * room // cost
             room -= cost
-            gain += profit
-        return gain
+            value += profit
+        return value

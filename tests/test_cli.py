@@ -17,7 +17,7 @@ from bcopt.cli import (
     instance_to_json,
     load_instance,
 )
-from bcopt.core import validate_instance
+from bcopt.core import InvalidParameterError, validate_instance
 
 
 def run_cli(args):
@@ -63,6 +63,67 @@ class TestGen:
         assert again.ids == inst.ids
 
 
+def _matching_json():
+    return {"elements": [{"id": 0, "cost": 3, "profit": 4}, {"id": 1, "cost": 2, "profit": 5}],
+            "constraint": {"type": "matching", "vertices": 3, "edges": {"0": [0, 1], "1": [1, 2]}},
+            "budget": 6}
+
+
+def _intersection_json():
+    data = _matching_json()
+    data["constraint"] = {"type": "matroid_intersection", "matroids": [
+        {"kind": "uniform", "rank": 1},
+        {"kind": "partition", "blocks": [[0], [1]], "capacities": [1, 1]},
+    ]}
+    return data
+
+
+def _graphic_json():
+    data = _intersection_json()
+    data["constraint"]["matroids"][0] = {"kind": "graphic", "vertices": 3,
+                                         "edges": {"0": [0, 1], "1": [1, 2]}}
+    return data
+
+
+def _set(data, path, value):
+    *head, last = path
+    for key in head:
+        data = data[key]
+    data[last] = value
+
+
+# (instance maker, path to one number); every number of the file format is covered.
+NUMBER_FIELDS = [
+    (_matching_json, ("elements", 0, "id")),
+    (_matching_json, ("elements", 1, "cost")),
+    (_matching_json, ("elements", 0, "profit")),
+    (_matching_json, ("budget",)),
+    (_matching_json, ("constraint", "vertices")),
+    (_matching_json, ("constraint", "edges", "1", 0)),
+    (_intersection_json, ("constraint", "matroids", 0, "rank")),
+    (_intersection_json, ("constraint", "matroids", 1, "capacities", 0)),
+    (_intersection_json, ("constraint", "matroids", 1, "blocks", 1, 0)),
+    (_graphic_json, ("constraint", "matroids", 0, "vertices")),
+    (_graphic_json, ("constraint", "matroids", 0, "edges", "0", 1)),
+]
+
+
+class TestInstanceFromJson:
+    @pytest.mark.parametrize("make", [_matching_json, _intersection_json, _graphic_json])
+    def test_integer_files_load(self, make):
+        inst = instance_from_json(make())
+        assert inst.budget == 6
+        assert validate_instance(inst).ok
+
+    @pytest.mark.parametrize("make,path", NUMBER_FIELDS)
+    @pytest.mark.parametrize("value", [2.5, 1.0, True, "1"])
+    def test_non_integer_numbers_are_refused(self, make, path, value):
+        data = make()
+        _set(data, path, value)
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            instance_from_json(data)
+
+
 class TestSolveCmd:
     def test_brute_matches_record(self, tmp_path):
         from bcopt.oracle import brute_force_opt
@@ -105,6 +166,16 @@ class TestSolveCmd:
     def test_missing_file_is_invalid_input(self):
         code, _, _ = run_cli(["solve", "/nonexistent.json", "--epsilon", "1/4"])
         assert code == EXIT_INVALID_INPUT
+
+    def test_fractional_budget_is_invalid_input(self, tmp_path):
+        data = instance_to_json(generate_instance(2, 6, "matching"))
+        data["budget"] = 6.9
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["solve", str(path), "--epsilon", "1/4"])
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "budget must be an integer" in err
 
     def test_subset_cap_overflow_exit_code(self, tmp_path):
         inst = generate_instance(11, 12, "matroid-intersection")

@@ -16,6 +16,7 @@ from bcopt.cli import generate_instance
 from bcopt.constraints import MatroidIntersection
 from bcopt.enumeration import feasible_subsets_within_budget
 from bcopt.lagrange import approx_opt, non_profitable_solver
+from bcopt.matroids import PartitionMatroid, UniformMatroid
 from bcopt.oracle import brute_force_opt
 from bcopt.repset import rep_set
 from bcopt.solver import (
@@ -26,7 +27,7 @@ from bcopt.solver import (
     solve_detailed,
 )
 
-from conftest import BareOracle, free_instance, path_matching
+from conftest import BareOracle, free_instance, make_elements, path_matching
 
 
 class TestResidual:
@@ -181,12 +182,69 @@ class TestSkeletonBound:
         pool = small_profit_pool(inst, alpha, eps)
         residual = residual_instance(inst, alpha, eps, skeleton)
         best = inst.total_profit(skeleton) + brute_force_opt(residual).total_profit
-        assert SkeletonBound(inst, pool)(skeleton) >= best
+        assert SkeletonBound(inst, pool, ())(skeleton) >= best
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        size=st.integers(3, 8),
+        kind=st.sampled_from(["matching", "matroid-intersection"]),
+        alpha=st.integers(1, 400),
+        eps=st.sampled_from([Epsilon(1, 4), Epsilon(1, 10), Epsilon(2, 5)]),
+        rep_mask=st.integers(0, 2**8 - 1),
+        pick=st.integers(0, 10**6),
+    )
+    def test_subtree_bound_covers_every_descendant(self, seed, size, kind, alpha, eps,
+                                                   rep_mask, pick):
+        # The representative set is any subset of the ids, so it may overlap
+        # the small-profit pool as it does under the declared gamma = 4.
+        inst = preprocess_discard(generate_instance(seed, size, kind))
+        rep = [i for i in inst.sorted_ids() if rep_mask >> i & 1]
+        listed = feasible_subsets_within_budget(inst, rep, len(rep))
+        prefix = listed[pick % len(listed)]
+        j = rep.index(prefix[-1]) if prefix else -1
+        pool = small_profit_pool(inst, alpha, eps)
+        bound = SkeletonBound(inst, pool, rep).subtree(list(prefix), j)
+        for skeleton in listed:
+            if skeleton[:len(prefix)] != prefix:
+                continue
+            residual = residual_instance(inst, alpha, eps, skeleton)
+            best = inst.total_profit(skeleton) + brute_force_opt(residual).total_profit
+            assert bound >= best, skeleton
+
+    @pytest.mark.parametrize("ranks", [(2, 3), (3, 2)])
+    def test_intersection_subtree_bound_caps_at_the_smaller_rank(self, ranks):
+        # Five equal elements and room for all of them: only the rank limits.
+        ids = frozenset(range(5))
+        uniform = UniformMatroid(ids, ranks[0])
+        partition = PartitionMatroid(ids, [frozenset({0, 1, 2}), frozenset({3, 4})],
+                                     [ranks[1] - 1, 1])
+        inst = BCInstance(make_elements([1] * 5, [7] * 5),
+                          MatroidIntersection(uniform, partition), budget=10)
+        bound = SkeletonBound(inst, ids, sorted(ids))
+        assert bound.subtree([], -1) == 2 * 7
+        assert bound.subtree([0], 0) == 7 + 7
+        assert bound.subtree([0, 3], 3) == 7 + 7
+        # The leaf bound keeps to the knapsack.
+        assert bound(()) == 5 * 7
+
+    def test_subtree_bound_reaches_past_the_pool(self):
+        # Path 0-1-2-3-4; the pool is {3}, the representative set {0, 1, 2}.
+        inst = path_matching(4, costs=[1, 1, 1, 1], profits=[8, 6, 5, 1], budget=3)
+        bound = SkeletonBound(inst, frozenset({3}), [0, 1, 2])
+        # Edge 1 touches edge 0; edge 2 is a rep element after index 0.
+        assert bound.subtree([0], 0) == 8 + 5 + 1
+        # Nothing of the representative set lies after edge 2.
+        assert bound.subtree([2], 2) == 5
+        assert bound.subtree([], -1) == 8 + 6 + 5
+        # The leaf bound sees the pool alone.
+        assert bound(()) == 1
+        assert bound((0,)) == 8 + 1
 
     def test_bound_is_the_fractional_knapsack_value(self):
         # Path 0-1-2-3-4; the pool {0, 1, 2} has densities 3, 2 and 3/2.
         inst = path_matching(4, costs=[2, 2, 2, 1], profits=[6, 4, 3, 1], budget=5)
-        bound = SkeletonBound(inst, frozenset({0, 1, 2}))
+        bound = SkeletonBound(inst, frozenset({0, 1, 2}), ())
         # Edges 0 and 1 share vertex 1, but the bound ignores the constraint
         # within the pool; one unit of budget is left for half of edge 2.
         assert bound(()) == 6 + 4 + 3 // 2
@@ -194,7 +252,7 @@ class TestSkeletonBound:
         assert bound((3,)) == 1 + 6 + 4
         # A zero-cost element is taken before any other, however dense.
         inst = free_instance([3, 0], [6, 1], budget=2)
-        assert SkeletonBound(inst, frozenset({0, 1}))(()) == 1 + 6 * 2 // 3
+        assert SkeletonBound(inst, frozenset({0, 1}), ())(()) == 1 + 6 * 2 // 3
 
     def test_pruned_plus_residual_solves_is_enumerated(self, monkeypatch):
         solves = []
@@ -214,3 +272,43 @@ class TestSkeletonBound:
         for eps in (Epsilon(1, 10), Epsilon(1, 4)):
             for name, inst in main_corpus:
                 assert solve(inst, eps).element_ids == unpruned_solve_ids(inst, eps), name
+
+
+class TestFallback:
+    """The floored pass answers below the floor, so the unfloored pass must run."""
+
+    @pytest.fixture
+    def raised_floor(self, monkeypatch):
+        floors = []
+        passes = bcopt.solver._best_extension
+
+        def above_every_optimum(*args, floor):
+            floors.append(floor)
+            # A zero floor stays zero: that is the unfloored pass.
+            return passes(*args, floor=floor and 10**9)
+
+        monkeypatch.setattr(bcopt.solver, "_best_extension", above_every_optimum)
+        return floors
+
+    def test_fallback_gives_the_unpruned_ids(self, main_corpus, raised_floor):
+        for eps in (Epsilon(1, 10), Epsilon(1, 4)):
+            for name, inst in main_corpus[::10]:
+                raised_floor.clear()
+                solution, stats = solve_detailed(inst, eps)
+                assert solution.element_ids == unpruned_solve_ids(inst, eps), name
+                assert raised_floor == ([stats.alpha, 0] if stats.alpha else [0]), name
+
+    def test_pruned_plus_residual_solves_is_enumerated(self, monkeypatch, raised_floor):
+        solves = []
+
+        def counting(instance):
+            solves.append(instance)
+            return non_profitable_solver(instance)
+
+        monkeypatch.setattr(bcopt.solver, "non_profitable_solver", counting)
+        for seed, kind in ((5, "matching"), (31, "matroid-intersection")):
+            solves.clear()
+            raised_floor.clear()
+            _, stats = solve_detailed(generate_instance(seed, 12, kind), Epsilon(1, 4))
+            assert raised_floor == [stats.alpha, 0]
+            assert stats.pruned + len(solves) == stats.enumerated
