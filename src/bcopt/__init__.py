@@ -30,7 +30,6 @@ from .matroids import (
     MatroidOracle,
     PartitionMatroid,
     UniformMatroid,
-    min_cost_basis,
 )
 from .classes import ClassLayout, class_index, class_partition, q_of, small_profit_pool
 from .exchange import exset_matching, exset_matroid_intersection
@@ -67,7 +66,6 @@ __all__ = [
     "exset_matching",
     "exset_matroid_intersection",
     "is_solution",
-    "min_cost_basis",
     "non_profitable_solver",
     "preprocess_discard",
     "profitable_set",

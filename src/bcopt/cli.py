@@ -360,10 +360,9 @@ def _run_verifier(instance: BCInstance, epsilon: Epsilon,
     if prop == "replacement":
         h = oracle.profitable_set(working, epsilon, guard=guard)
         from .classes import q_of
-        from .enumeration import iter_feasible_sets
 
         q = q_of(epsilon)
-        for s in iter_feasible_sets(working, max_size=min(q, len(working.elements))):
+        for s in oracle.iter_feasible_sets(working, max_size=min(q, len(working.elements))):
             report = oracle.verify_replacement(working, epsilon, s, s & h, guard=guard)
             if not report.passed:
                 return [report]

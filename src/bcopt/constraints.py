@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .core import BCError, InfeasibleSetError, UnknownElementError
+from .core import BCError, UnknownElementError
 from .matroids import MatroidOracle
 
 
@@ -117,11 +117,11 @@ def residual_constraint(constraint: Constraint, fixed: Iterable[int]) -> Constra
     Feasible sets of the result are exactly the A disjoint from ``fixed``
     with A | fixed feasible in the original constraint.  For a matching this
     deletes the fixed edges and everything touching their endpoints; for an
-    intersection each oracle is contracted by the fixed set.
+    intersection each oracle is contracted by the fixed set.  ``fixed`` must
+    be feasible, and is not re-tested here: the solver lists only feasible
+    skeletons, and :func:`bcopt.solver.residual_instance` checks its input.
     """
     fixed = frozenset(fixed)
-    if not constraint.is_feasible(fixed):
-        raise InfeasibleSetError(f"residual skeleton {sorted(fixed)} is not feasible")
     if isinstance(constraint, Matching):
         blocked = {v for eid in fixed for v in constraint.edges[eid]}
         surviving = {

@@ -1,4 +1,7 @@
-"""Depth-first subset search engines shared by the solver and the exact oracles.
+"""Depth-first subset search engines of the solver.
+
+The skeleton listing serves the solver; the exact searches serve the
+low-profit solver and the brute-force oracle.
 
 The engines walk elements in a fixed order (ascending ids, or heaviest first
 for the maximum-weight search) and rely on downward closure of the
@@ -14,7 +17,7 @@ schedule.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 from .core import BCInstance, CapExceededError
 
@@ -135,27 +138,3 @@ def feasible_subsets_within_budget(
     out.sort(key=lambda t: (len(t), t))
     return out
 
-
-def iter_feasible_sets(instance: BCInstance, max_size: int | None = None) -> Iterator[frozenset[int]]:
-    """Yield every feasible set (budget ignored), smallest-id-first DFS order."""
-    ids = instance.sorted_ids()
-    n = len(ids)
-    limit = n if max_size is None else min(max_size, n)
-    cursor = instance.constraint.cursor()
-    chosen: list[int] = []
-
-    def walk(idx: int) -> Iterator[frozenset[int]]:
-        yield frozenset(chosen)
-        if len(chosen) == limit:
-            return
-        for j in range(idx, n):
-            if cursor.try_push(ids[j]):
-                chosen.append(ids[j])
-                yield from walk(j + 1)
-                chosen.pop()
-                cursor.pop()
-
-    try:
-        yield from walk(0)
-    finally:
-        del walk

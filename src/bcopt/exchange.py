@@ -16,7 +16,7 @@ exhaustively on small instances by :mod:`bcopt.oracle`.
 from __future__ import annotations
 
 from .core import BCError, BCInstance, CapExceededError
-from .classes import ClassLayout, class_partition, q_of
+from .classes import ClassLayout, q_of
 from .constraints import Matching, MatroidIntersection
 from .matroids import greedy_min_cost
 
@@ -25,9 +25,9 @@ from .matroids import greedy_min_cost
 DEFAULT_BRANCH_BUDGET = 10**6
 
 
-def exset_matching(instance: BCInstance, layout: ClassLayout, r: int,
-                   class_ids: frozenset[int] | None = None) -> frozenset[int]:
-    """Exchange set for class r of a matching instance.
+def exset_matching(instance: BCInstance, layout: ClassLayout,
+                   class_ids: frozenset[int]) -> frozenset[int]:
+    """Exchange set of one profit class, the ids ``class_ids``, of a matching instance.
 
     With q = q(eps), repeatedly extracts greedy matchings of size at most
     N = 3q from the remaining class edges, for at most k = 6q rounds, and
@@ -38,8 +38,6 @@ def exset_matching(instance: BCInstance, layout: ClassLayout, r: int,
     graph = instance.constraint
     if not isinstance(graph, Matching):
         raise BCError("exset_matching requires a matching constraint")
-    if class_ids is None:
-        class_ids = class_partition(instance, layout).get(r, frozenset())
     q = q_of(layout.epsilon)
     pool = set(class_ids)
     union: set[int] = set()
@@ -53,10 +51,10 @@ def exset_matching(instance: BCInstance, layout: ClassLayout, r: int,
     return frozenset(union)
 
 
-def exset_matroid_intersection(instance: BCInstance, layout: ClassLayout, r: int,
-                               class_ids: frozenset[int] | None = None, *,
+def exset_matroid_intersection(instance: BCInstance, layout: ClassLayout,
+                               class_ids: frozenset[int], *,
                                branch_budget: int = DEFAULT_BRANCH_BUDGET) -> frozenset[int]:
-    """Exchange set for class r of a matroid-intersection instance.
+    """Exchange set of one profit class, the ids ``class_ids``, of an intersection instance.
 
     Starting from the empty branch, each branch S of at most q elements
     collects the minimum-cost basis B_S of the second matroid, restricted to
@@ -70,8 +68,6 @@ def exset_matroid_intersection(instance: BCInstance, layout: ClassLayout, r: int
     cons = instance.constraint
     if not isinstance(cons, MatroidIntersection):
         raise BCError("exset_matroid_intersection requires a matroid-intersection constraint")
-    if class_ids is None:
-        class_ids = class_partition(instance, layout).get(r, frozenset())
     q = q_of(layout.epsilon)
     union: set[int] = set()
     seen: set[frozenset[int]] = {frozenset()}

@@ -337,8 +337,3 @@ def greedy_min_cost(cursor, ids: Iterable[int], cost: Mapping[int, int],
         if cursor.try_push(eid):
             kept.append(eid)
     return frozenset(kept)
-
-
-def min_cost_basis(oracle: MatroidOracle, cost: Mapping[int, int]) -> frozenset[int]:
-    """Greedy minimum-cost basis of ``oracle``, scanning in ascending (cost, id) order."""
-    return greedy_min_cost(oracle.cursor(), oracle.ground_ids, cost)

@@ -13,12 +13,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import BCError, BCInstance, Epsilon, GuardExceededError, InfeasibleSetError, Solution
 from .classes import ClassLayout, class_partition, q_of
 from .constraints import Constraint, Matching, MatroidIntersection
-from .enumeration import iter_feasible_sets, max_profit_solution_ids
+from .enumeration import max_profit_solution_ids
 from .matroids import MatroidOracle
 
 DEFAULT_GUARD = 24
@@ -39,6 +39,31 @@ def _check_guard(instance: BCInstance, guard: int) -> None:
         raise GuardExceededError(
             f"instance has {len(instance.elements)} elements, above the guard of {guard}"
         )
+
+
+def iter_feasible_sets(instance: BCInstance, max_size: int | None = None) -> Iterator[frozenset[int]]:
+    """Yield every feasible set (budget ignored), smallest-id-first DFS order."""
+    ids = instance.sorted_ids()
+    n = len(ids)
+    limit = n if max_size is None else min(max_size, n)
+    cursor = instance.constraint.cursor()
+    chosen: list[int] = []
+
+    def walk(idx: int) -> Iterator[frozenset[int]]:
+        yield frozenset(chosen)
+        if len(chosen) == limit:
+            return
+        for j in range(idx, n):
+            if cursor.try_push(ids[j]):
+                chosen.append(ids[j])
+                yield from walk(j + 1)
+                chosen.pop()
+                cursor.pop()
+
+    try:
+        yield from walk(0)
+    finally:
+        del walk  # the closure refers to itself; unbind it to free the cursor
 
 
 def is_bounded_feasible(constraint: Constraint, subset: Iterable[int], q: int) -> bool:

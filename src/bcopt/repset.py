@@ -51,8 +51,8 @@ def rep_set(instance: BCInstance, epsilon: Epsilon, alpha_mode: str = "lagrangia
     def build(r: int) -> frozenset[int]:
         ids = partition[r]
         if is_matching:
-            return exset_matching(instance, layout, r, ids)
-        return exset_matroid_intersection(instance, layout, r, ids,
+            return exset_matching(instance, layout, ids)
+        return exset_matroid_intersection(instance, layout, ids,
                                           branch_budget=branch_budget)
 
     per_class = {r: build(r) for r in sorted(partition)}

@@ -4,10 +4,11 @@
 guarantee into the advertised (1 - eps).  It enumerates the feasible subsets
 F of the representative set (up to cardinality floor(1/eps')), solves the
 residual low-profit instance next to each F, and returns the most profitable
-extended solution.  Two exact-integer bounds keep most of that work from
+extended solution.  One exact-integer bound keeps most of that work from
 being done: the listing leaves out every subtree of skeletons whose bound
 is below alpha, the profit of a real solution, and a listed skeleton whose
-bound cannot beat the incumbent is skipped before its residual is built.
+bound at the last rep index cannot beat the incumbent is skipped before its
+residual is built.
 Should the winner fall below alpha after all, the listing is redone in full.
 ``solve_detailed`` also returns the run metadata.
 """
@@ -85,12 +86,13 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
     The winner is the extension of maximum profit; among equal profits, the
     one whose skeleton F comes first in (len(F), F) order.  Skeletons are
     visited in that order and the incumbent is replaced only on a strict
-    gain, so a skeleton with ub(F) <= incumbent (see :class:`SkeletonBound`)
-    can neither win nor tie first and is skipped without changing the result.
+    gain, so a skeleton whose leaf bound (see :class:`SkeletonBound`) is at
+    most the incumbent can neither win nor tie first and is skipped without
+    changing the result.
 
     The first pass lists only the skeletons that may reach alpha, the profit
     of a real solution.  Let W be the winner's profit without that floor.
-    If W >= alpha, every prefix of the winning skeleton has a subtree bound
+    If W >= alpha, the winning skeleton and every prefix of it have a bound
     of at least W, so the skeleton is listed, solved and wins as before.  If
     W < alpha, the pass ends below alpha and is redone without the floor,
     which is the unfloored loop itself.  The incumbent is never seeded with
@@ -127,14 +129,15 @@ def _best_extension(working: BCInstance, pool: frozenset[int], rep_ids: list[int
                     stats: SolveStats, *, floor: int) -> Solution:
     """One pass of the skeleton loop, blind to skeletons that cannot reach ``floor``.
 
-    A subtree whose bound is below ``floor`` is never listed, and a listed
-    skeleton whose bound is below it is skipped like one that cannot beat
-    the incumbent.  At floor 0 nothing is left out.
+    A skeleton whose bound at its own rep index is below ``floor`` is never
+    listed, nor is any skeleton grown from it.  A listed skeleton whose
+    bound at the leaf index is below ``floor`` is skipped like one that
+    cannot beat the incumbent.  At floor 0 nothing is left out.
     """
     keep = None
     if floor > 0:
         def keep(chosen: list[int], j: int) -> bool:
-            return bound.subtree(chosen, j) >= floor
+            return bound.bound(chosen, j) >= floor
     candidates = feasible_subsets_within_budget(
         working, rep_ids, skeleton_cap, cap=subset_cap, keep=keep,
     )
@@ -143,7 +146,7 @@ def _best_extension(working: BCInstance, pool: frozenset[int], rep_ids: list[int
     best = Solution.empty()
     stats.incumbent_profits = [best.total_profit]
     for skeleton_ids in candidates:
-        ub = bound(skeleton_ids)
+        ub = bound.bound(skeleton_ids, bound.leaf)
         if ub <= best.total_profit or ub < floor:
             stats.pruned += 1
             continue
@@ -171,23 +174,22 @@ def _build_residual(instance: BCInstance, pool: frozenset[int],
 
 
 class SkeletonBound:
-    """Exact-integer upper bounds on the profit a skeleton can lead to.
+    """Exact-integer upper bound on the profit a skeleton can lead to.
 
-    ``bound(F)``, the leaf bound ub(F), covers F plus any extension:
-    p(F) + floor(fractional knapsack over the residual pool) with budget
-    B - c(F).  The residual pool is the small-profit pool minus F and, for a
-    matching, minus every edge touching F's vertices.  It holds every
-    element of F's residual instance, so no residual solution can beat the
-    bound.
+    ``bound(F, j)`` covers every skeleton grown from F with ids of
+    ``rep[j + 1:]``, F itself included, each with any extension.  It is
+    p(F) + floor(fractional knapsack) with budget B - c(F) over the
+    unblocked elements of the small-profit pool and of ``rep[j + 1:]``,
+    taken as one set (with the declared gamma = 4 a classed element can
+    also be in the pool).  An element is blocked when it is in F or, for a
+    matching, when it touches F's vertices.  For a matroid intersection
+    every extension S of F has F | S independent in both matroids, so
+    |S| <= r - |F| with r = min(r1, r2); the bound is then the smaller of
+    the knapsack and the r - |F| largest unblocked profits.
 
-    ``subtree(F, j)`` covers every skeleton grown from F with ids of
-    ``rep[j + 1:]``, each with any extension: the same knapsack, over the
-    unblocked elements of the pool and of ``rep[j + 1:]`` taken as one set
-    (with the declared gamma = 4 a classed element can also be in the
-    pool).  For a matroid intersection every such set is independent in
-    both matroids, so it has at most r - |F| elements beyond F, with
-    r = min(r1, r2); the bound is then the smaller of the knapsack and the
-    r - |F| largest unblocked profits.
+    At ``leaf = len(rep) - 1`` only the pool is open, so ``bound(F, leaf)``
+    covers F's residual instance, whose elements are the unblocked pool:
+    no residual solution can beat it.
 
     The candidates are sorted once by exact density, zero-cost elements
     first; each knapsack walks them until the budget runs out.
@@ -204,11 +206,10 @@ class SkeletonBound:
         self._cost = instance.cost_of
         self._profit = instance.profit_of
         self._budget = instance.budget
-        # An element is open to the subtrees at rep index j < its ``until``:
-        # its rep index, or len(rep) for a pool element.  At the last index
-        # only the pool is open, which is the leaf bound's knapsack.
+        # An element is open at rep index j < its ``until``: its rep index,
+        # or len(rep) for a pool element.
         until = {eid: i for i, eid in enumerate(sorted(rep))}
-        self._leaf = len(until) - 1
+        self.leaf = len(until) - 1
         until.update(dict.fromkeys(pool, len(until)))
         items = [e for e in instance.elements if e.id in until and e.profit > 0]
         # Densest first; a zero-cost element's (-profit, 0) is minus infinity.
@@ -224,27 +225,7 @@ class SkeletonBound:
             self._by_profit = sorted(((p, eid, u) for _, p, eid, _, u in self._order),
                                      reverse=True)
 
-    def __call__(self, skeleton) -> int:
-        room, gain, blocked = self._committed(skeleton)
-        return gain + self._knapsack(room, blocked, self._leaf)
-
-    def subtree(self, skeleton, j: int) -> int:
-        room, gain, blocked = self._committed(skeleton)
-        value = self._knapsack(room, blocked, j)
-        if self._rank is not None:
-            room = self._rank - len(skeleton)
-            top = 0
-            for profit, a, until in self._by_profit:
-                if room <= 0 or top >= value:
-                    break
-                if j < until and a not in blocked:
-                    top += profit
-                    room -= 1
-            value = min(value, top)
-        return gain + value
-
-    def _committed(self, skeleton) -> tuple[int, int, set[int]]:
-        """Budget left by F, F's profit, and the keys F blocks."""
+    def bound(self, skeleton, j: int) -> int:
         room = self._budget
         gain = 0
         blocked: set[int] = set()
@@ -252,7 +233,18 @@ class SkeletonBound:
             room -= self._cost[eid]
             gain += self._profit[eid]
             blocked.update(self._keys[eid])
-        return room, gain, blocked
+        value = self._knapsack(room, blocked, j)
+        if self._rank is not None:
+            slots = self._rank - len(skeleton)
+            top = 0
+            for profit, a, until in self._by_profit:
+                if slots <= 0 or top >= value:
+                    break
+                if j < until and a not in blocked:
+                    top += profit
+                    slots -= 1
+            value = min(value, top)
+        return gain + value
 
     def _knapsack(self, room: int, blocked: set[int], j: int) -> int:
         """Floor of the fractional knapsack over the elements open at ``j``."""

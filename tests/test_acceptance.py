@@ -20,7 +20,7 @@ from bcopt.classes import ClassLayout, class_partition, q_of
 from bcopt.constraints import Matching, MatroidIntersection, residual_constraint
 from bcopt.exchange import exset_matching, exset_matroid_intersection
 from bcopt.lagrange import approx_opt, lagrangian_solution, non_profitable_solver
-from bcopt.matroids import greedy_min_cost, min_cost_basis
+from bcopt.matroids import greedy_min_cost
 from bcopt.oracle import (
     brute_force_opt,
     exchange_witness,
@@ -86,9 +86,9 @@ def test_criterion_3_exchange_set_definition(main_corpus):
             is_matching = isinstance(working.constraint, Matching)
             for r, ids in sorted(partition.items()):
                 if is_matching:
-                    ex = exset_matching(working, layout, r, ids)
+                    ex = exset_matching(working, layout, ids)
                 else:
-                    ex = exset_matroid_intersection(working, layout, r, ids)
+                    ex = exset_matroid_intersection(working, layout, ids)
                 report = verify_exchange_set(working, layout, r, ex)
                 assert report.passed, (name, str(eps), r, report.counterexample)
                 checked += 1
@@ -177,7 +177,7 @@ def test_criterion_7_structural_properties():
         ids = frozenset(range(rng.randint(1, 10)))
         m = random_matroid(rng, ids)
         cost = {i: rng.randint(0, 9) for i in ids}
-        basis = min_cost_basis(m, cost)
+        basis = greedy_min_cost(m.cursor(), m.ground_ids, cost)
         for a in ids - basis:
             if m.is_independent({a}):
                 blocker = {e for e in basis if cost[e] <= cost[a]}

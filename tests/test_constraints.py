@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bcopt.core import InfeasibleSetError, UnknownElementError
+from bcopt.core import UnknownElementError
 from bcopt.constraints import Matching, MatroidIntersection, residual_constraint
 from bcopt.matroids import UniformMatroid
 from bcopt.oracle import is_bounded_feasible
@@ -83,11 +83,6 @@ class TestResidual:
         expected = MatroidIntersection(UniformMatroid(rest, 1), UniformMatroid(rest, 1))
         for s in all_subsets(rest):
             assert residual.is_feasible(s) == expected.is_feasible(s)
-
-    def test_infeasible_skeleton_raises(self):
-        path = Matching(3, {0: (0, 1), 1: (1, 2)})
-        with pytest.raises(InfeasibleSetError):
-            residual_constraint(path, {0, 1})
 
     @pytest.mark.parametrize("seed", range(10))
     def test_soundness_and_completeness_exhaustive(self, seed):

@@ -6,10 +6,10 @@ import pytest
 from bcopt.constraints import Matching
 from bcopt.enumeration import (
     feasible_subsets_within_budget,
-    iter_feasible_sets,
     max_profit_solution_ids,
     max_weight_feasible_ids,
 )
+from bcopt.oracle import iter_feasible_sets
 
 from conftest import path_matching
 

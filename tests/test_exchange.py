@@ -11,7 +11,6 @@ from bcopt.matroids import (
     PartitionMatroid,
     UniformMatroid,
     greedy_min_cost,
-    min_cost_basis,
 )
 from bcopt.oracle import extension_candidates, is_semi_shift, is_shift, verify_exchange_set
 
@@ -54,14 +53,14 @@ class TestExsetMatching:
     def test_empty_class(self):
         inst = matching_instance({0: (0, 1)}, [1], [10])
         layout = ClassLayout(Epsilon(1, 3), alpha=10)
-        assert exset_matching(inst, layout, r=1, class_ids=frozenset()) == frozenset()
+        assert exset_matching(inst, layout, frozenset()) == frozenset()
 
     def test_small_class_is_taken_whole(self):
         # pairwise-disjoint edges, far fewer than 18 q^2: pool exhausts
         edges = {i: (2 * i, 2 * i + 1) for i in range(5)}
         inst = matching_instance(edges, [1] * 5, [10] * 5)
         layout = ClassLayout(Epsilon(1, 3), alpha=10)
-        ex = exset_matching(inst, layout, 1, frozenset(range(5)))
+        ex = exset_matching(inst, layout, frozenset(range(5)))
         assert ex == frozenset(range(5))
 
     def test_star_removes_one_edge_per_round(self):
@@ -70,7 +69,7 @@ class TestExsetMatching:
         inst = matching_instance(edges, [1, 2, 3, 4, 5], [10] * 5)
         eps = Epsilon(1, 3)
         layout = ClassLayout(eps, alpha=10)
-        ex = exset_matching(inst, layout, 1, frozenset(range(5)))
+        ex = exset_matching(inst, layout, frozenset(range(5)))
         assert ex == frozenset(range(5))
         report = verify_exchange_set(inst, layout, 1, ex)
         assert report.passed
@@ -80,7 +79,7 @@ class TestExsetMatching:
         inst = intersection_instance(UniformMatroid(ids, 1), UniformMatroid(ids, 1), [1], [1])
         layout = ClassLayout(Epsilon(1, 3), alpha=1)
         with pytest.raises(BCError):
-            exset_matching(inst, layout, 1)
+            exset_matching(inst, layout, frozenset({0}))
 
     def test_size_caps_hold_on_random_instances(self):
         rng = random.Random(0)
@@ -97,7 +96,7 @@ class TestExsetMatching:
             alpha = max(e.profit for e in inst.elements)
             layout = ClassLayout(eps, alpha)
             for r, ids in class_partition(inst, layout).items():
-                ex = exset_matching(inst, layout, r, ids)
+                ex = exset_matching(inst, layout, ids)
                 assert len(ex) <= 18 * q * q
                 assert ex <= ids
 
@@ -122,13 +121,13 @@ class TestExsetMatroidIntersection:
         ids = frozenset({0})
         inst = intersection_instance(UniformMatroid(ids, 1), UniformMatroid(ids, 1), [1], [9])
         layout = ClassLayout(Epsilon(1, 3), alpha=9)
-        assert exset_matroid_intersection(inst, layout, 1, frozenset()) == frozenset()
+        assert exset_matroid_intersection(inst, layout, frozenset()) == frozenset()
 
     def test_single_feasible_element(self):
         ids = frozenset({0})
         inst = intersection_instance(UniformMatroid(ids, 1), UniformMatroid(ids, 1), [1], [9])
         layout = ClassLayout(Epsilon(1, 3), alpha=9)
-        ex = exset_matroid_intersection(inst, layout, 1, frozenset({0}))
+        ex = exset_matroid_intersection(inst, layout, frozenset({0}))
         assert ex == {0}
 
     def test_two_partition_matroids_verified(self):
@@ -140,7 +139,7 @@ class TestExsetMatroidIntersection:
         layout = ClassLayout(eps, alpha=50)
         partition = class_partition(inst, layout)
         (r,) = partition
-        ex = exset_matroid_intersection(inst, layout, r, partition[r])
+        ex = exset_matroid_intersection(inst, layout, partition[r])
         report = verify_exchange_set(inst, layout, r, ex)
         assert report.passed, report.counterexample
 
@@ -148,7 +147,7 @@ class TestExsetMatroidIntersection:
         inst = matching_instance({0: (0, 1)}, [1], [9])
         layout = ClassLayout(Epsilon(1, 3), alpha=9)
         with pytest.raises(BCError):
-            exset_matroid_intersection(inst, layout, 1)
+            exset_matroid_intersection(inst, layout, frozenset({0}))
 
     def test_branch_budget_overflow_raises(self):
         ids = frozenset(range(8))
@@ -156,7 +155,7 @@ class TestExsetMatroidIntersection:
                                      [1] * 8, [10] * 8)
         layout = ClassLayout(Epsilon(1, 3), alpha=10)
         with pytest.raises(CapExceededError):
-            exset_matroid_intersection(inst, layout, 1, ids, branch_budget=5)
+            exset_matroid_intersection(inst, layout, ids, branch_budget=5)
 
     def test_deterministic_across_runs(self):
         rng = random.Random(4)
@@ -167,8 +166,8 @@ class TestExsetMatroidIntersection:
         layout = ClassLayout(Epsilon(1, 3), alpha=60)
         partition = class_partition(inst, layout)
         for r, cls in partition.items():
-            a = exset_matroid_intersection(inst, layout, r, cls)
-            b = exset_matroid_intersection(inst, layout, r, cls)
+            a = exset_matroid_intersection(inst, layout, cls)
+            b = exset_matroid_intersection(inst, layout, cls)
             assert a == b
 
     def test_recursion_is_bounded_by_class_size(self):
@@ -178,7 +177,7 @@ class TestExsetMatroidIntersection:
         inst = intersection_instance(UniformMatroid(ids, 6), UniformMatroid(ids, 6),
                                      [1] * 6, [10] * 6)
         layout = ClassLayout(Epsilon(1, 3), alpha=10)
-        ex = exset_matroid_intersection(inst, layout, 1, ids, branch_budget=2**6)
+        ex = exset_matroid_intersection(inst, layout, ids, branch_budget=2**6)
         assert ex == ids
 
 
@@ -218,10 +217,10 @@ def reference_exchange_set(instance, layout, class_ids):
 class TestAgainstRecursiveReference:
     def assert_matches_reference(self, inst, layout, class_ids):
         want, branches = reference_exchange_set(inst, layout, class_ids)
-        assert exset_matroid_intersection(inst, layout, 1, class_ids,
+        assert exset_matroid_intersection(inst, layout, class_ids,
                                           branch_budget=branches) == want
         with pytest.raises(CapExceededError):
-            exset_matroid_intersection(inst, layout, 1, class_ids, branch_budget=branches - 1)
+            exset_matroid_intersection(inst, layout, class_ids, branch_budget=branches - 1)
 
     def test_random_intersections(self):
         rng = random.Random(909)
@@ -252,8 +251,8 @@ class TestAgainstRecursiveReference:
         layout = ClassLayout(Epsilon(49, 100), alpha=10)
         q = q_of(layout.epsilon)
         assert q == 9
-        assert len(min_cost_basis(o2, inst.cost_of)) == 11
-        assert len(min_cost_basis(o1, inst.cost_of)) == 10 > q
+        assert len(greedy_min_cost(o2.cursor(), o2.ground_ids, inst.cost_of)) == 11
+        assert len(greedy_min_cost(o1.cursor(), o1.ground_ids, inst.cost_of)) == 10 > q
         self.assert_matches_reference(inst, layout, ids)
 
 
@@ -295,9 +294,9 @@ class TestDefinitionalSweep:
             is_matching = isinstance(inst.constraint, Matching)
             for r, ids in class_partition(inst, layout).items():
                 if is_matching:
-                    ex = exset_matching(inst, layout, r, ids)
+                    ex = exset_matching(inst, layout, ids)
                 else:
-                    ex = exset_matroid_intersection(inst, layout, r, ids)
+                    ex = exset_matroid_intersection(inst, layout, ids)
                 report = verify_exchange_set(inst, layout, r, ex)
                 assert report.passed, report.counterexample
                 checks += 1

@@ -11,7 +11,7 @@ from bcopt.matroids import (
     MatroidMinor,
     PartitionMatroid,
     UniformMatroid,
-    min_cost_basis,
+    greedy_min_cost,
 )
 from bcopt.oracle import (
     check_matroid_axioms,
@@ -140,14 +140,15 @@ class TestCursors:
 class TestMinCostBasis:
     def test_uniform_greedy_is_forced(self):
         m = UniformMatroid({0, 1, 2}, 2)
-        assert min_cost_basis(m, {0: 1, 1: 2, 2: 3}) == {0, 1}
+        assert greedy_min_cost(m.cursor(), m.ground_ids, {0: 1, 1: 2, 2: 3}) == {0, 1}
 
     def test_empty_ground(self):
-        assert min_cost_basis(UniformMatroid((), 0), {}) == frozenset()
+        m = UniformMatroid((), 0)
+        assert greedy_min_cost(m.cursor(), m.ground_ids, {}) == frozenset()
 
     def test_triangle_spanning_tree(self):
         m = GraphicMatroid(3, {0: (0, 1), 1: (1, 2), 2: (2, 0)})
-        assert min_cost_basis(m, {0: 1, 1: 2, 2: 3}) == {0, 1}
+        assert greedy_min_cost(m.cursor(), m.ground_ids, {0: 1, 1: 2, 2: 3}) == {0, 1}
 
     def test_min_basis_blocking_property(self):
         # For every non-basis element, the cheaper part of the basis blocks it.
@@ -156,7 +157,7 @@ class TestMinCostBasis:
             ids = frozenset(range(rng.randint(1, 7)))
             m = random_matroid(rng, ids)
             cost = {i: rng.randint(0, 9) for i in ids}
-            basis = min_cost_basis(m, cost)
+            basis = greedy_min_cost(m.cursor(), m.ground_ids, cost)
             for a in ids - basis:
                 if not m.is_independent({a}):
                     continue

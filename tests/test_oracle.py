@@ -8,6 +8,7 @@ from bcopt.oracle import (
     brute_force_opt,
     check_matroid_axioms,
     find_substitution,
+    iter_feasible_sets,
     profitable_set,
     verify_exchange_set,
     verify_npsolver,
@@ -87,7 +88,7 @@ class TestVerifyExchangeSet:
 
     def test_constructor_output_is_the_oracle_case(self):
         inst, layout, r, cls = self._setup()
-        ex = exset_matching(inst, layout, r, cls)
+        ex = exset_matching(inst, layout, cls)
         assert verify_exchange_set(inst, layout, r, ex).passed
 
 
@@ -96,8 +97,6 @@ class TestVerifyReplacement:
         inst = preprocess_discard(generate_instance(12, 8, "matching"))
         eps = Epsilon(1, 4)
         h = profitable_set(inst, eps)
-        from bcopt.enumeration import iter_feasible_sets
-
         for s in iter_feasible_sets(inst, max_size=4):
             report = verify_replacement(inst, eps, s, s & h)
             assert report.passed, report.counterexample
@@ -140,8 +139,6 @@ class TestVerifyRepresentative:
 
 class TestSubstitution:
     def test_substitution_found_inside_rep_set(self):
-        from bcopt.enumeration import iter_feasible_sets
-
         inst = preprocess_discard(generate_instance(37, 8, "matching"))
         eps = Epsilon(1, 4)
         rep = rep_set(inst, eps, alpha_mode="exact")
@@ -155,8 +152,6 @@ class TestSubstitution:
 
     def test_every_bounded_feasible_set_has_a_substitute_in_r(self):
         import random
-
-        from bcopt.enumeration import iter_feasible_sets
 
         rng = random.Random(8)
         searches = 0

@@ -182,7 +182,8 @@ class TestSkeletonBound:
         pool = small_profit_pool(inst, alpha, eps)
         residual = residual_instance(inst, alpha, eps, skeleton)
         best = inst.total_profit(skeleton) + brute_force_opt(residual).total_profit
-        assert SkeletonBound(inst, pool, ())(skeleton) >= best
+        bound = SkeletonBound(inst, pool, ())
+        assert bound.bound(skeleton, bound.leaf) >= best
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -204,7 +205,7 @@ class TestSkeletonBound:
         prefix = listed[pick % len(listed)]
         j = rep.index(prefix[-1]) if prefix else -1
         pool = small_profit_pool(inst, alpha, eps)
-        bound = SkeletonBound(inst, pool, rep).subtree(list(prefix), j)
+        bound = SkeletonBound(inst, pool, rep).bound(list(prefix), j)
         for skeleton in listed:
             if skeleton[:len(prefix)] != prefix:
                 continue
@@ -222,24 +223,27 @@ class TestSkeletonBound:
         inst = BCInstance(make_elements([1] * 5, [7] * 5),
                           MatroidIntersection(uniform, partition), budget=10)
         bound = SkeletonBound(inst, ids, sorted(ids))
-        assert bound.subtree([], -1) == 2 * 7
-        assert bound.subtree([0], 0) == 7 + 7
-        assert bound.subtree([0, 3], 3) == 7 + 7
-        # The leaf bound keeps to the knapsack.
-        assert bound(()) == 5 * 7
+        assert bound.bound([], -1) == 2 * 7
+        assert bound.bound([0], 0) == 7 + 7
+        assert bound.bound([0, 3], 3) == 7 + 7
+        # The leaf bound has the same cap; the knapsack alone would give 5 * 7.
+        assert bound.leaf == 4
+        assert bound.bound((), bound.leaf) == 2 * 7
+        assert bound.bound((0,), bound.leaf) == 7 + 7
 
     def test_subtree_bound_reaches_past_the_pool(self):
         # Path 0-1-2-3-4; the pool is {3}, the representative set {0, 1, 2}.
         inst = path_matching(4, costs=[1, 1, 1, 1], profits=[8, 6, 5, 1], budget=3)
         bound = SkeletonBound(inst, frozenset({3}), [0, 1, 2])
         # Edge 1 touches edge 0; edge 2 is a rep element after index 0.
-        assert bound.subtree([0], 0) == 8 + 5 + 1
+        assert bound.bound([0], 0) == 8 + 5 + 1
         # Nothing of the representative set lies after edge 2.
-        assert bound.subtree([2], 2) == 5
-        assert bound.subtree([], -1) == 8 + 6 + 5
+        assert bound.bound([2], 2) == 5
+        assert bound.bound([], -1) == 8 + 6 + 5
         # The leaf bound sees the pool alone.
-        assert bound(()) == 1
-        assert bound((0,)) == 8 + 1
+        assert bound.leaf == 2
+        assert bound.bound((), bound.leaf) == 1
+        assert bound.bound((0,), bound.leaf) == 8 + 1
 
     def test_bound_is_the_fractional_knapsack_value(self):
         # Path 0-1-2-3-4; the pool {0, 1, 2} has densities 3, 2 and 3/2.
@@ -247,12 +251,13 @@ class TestSkeletonBound:
         bound = SkeletonBound(inst, frozenset({0, 1, 2}), ())
         # Edges 0 and 1 share vertex 1, but the bound ignores the constraint
         # within the pool; one unit of budget is left for half of edge 2.
-        assert bound(()) == 6 + 4 + 3 // 2
+        assert bound.bound((), bound.leaf) == 6 + 4 + 3 // 2
         # Edge 2 touches the skeleton edge 3 at vertex 3 and leaves the pool.
-        assert bound((3,)) == 1 + 6 + 4
+        assert bound.bound((3,), bound.leaf) == 1 + 6 + 4
         # A zero-cost element is taken before any other, however dense.
         inst = free_instance([3, 0], [6, 1], budget=2)
-        assert SkeletonBound(inst, frozenset({0, 1}), ())(()) == 1 + 6 * 2 // 3
+        bound = SkeletonBound(inst, frozenset({0, 1}), ())
+        assert bound.bound((), bound.leaf) == 1 + 6 * 2 // 3
 
     def test_pruned_plus_residual_solves_is_enumerated(self, monkeypatch):
         solves = []
