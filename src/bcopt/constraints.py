@@ -136,6 +136,31 @@ def residual_constraint(constraint: Constraint, fixed: Iterable[int]) -> Constra
     raise BCError(f"unsupported constraint type {type(constraint).__name__}")
 
 
+def size_cap(constraint: Constraint, ids: Iterable[int]) -> int:
+    """An upper bound on the size of every feasible subset of ``ids``.
+
+    For a matching it is floor(|V| / 2), V the endpoints of the edges
+    ``ids``: a matching covers two vertices per edge.  For an intersection
+    it is min(r1, r2), the ranks of ``ids`` in the two matroids, each found
+    by pushing ``ids`` into a fresh matroid cursor; any order gives the rank.
+    This is the cardinality row of Caprara, Kellerer, Pferschy and Pisinger
+    (EJOR 2000).  Other constraints get the trivial bound |ids|.  An id
+    outside the constraint raises :class:`UnknownElementError`, as a cursor
+    push would.
+    """
+    ids = list(ids)
+    if isinstance(constraint, Matching):
+        edges = constraint.edges
+        try:
+            return len({v for eid in ids for v in edges[eid]}) // 2
+        except KeyError as exc:
+            raise UnknownElementError(exc.args[0]) from None
+    if isinstance(constraint, MatroidIntersection):
+        return min(sum(map(oracle.cursor().try_push, ids))
+                   for oracle in (constraint.oracle1, constraint.oracle2))
+    return len(ids)
+
+
 class FeasibilityCursor:
     """Incremental feasibility state for depth-first subset search.
 

@@ -6,7 +6,10 @@ low-profit solver and the brute-force oracle.
 The engines walk elements in a fixed order (ascending ids, or heaviest first
 for the maximum-weight search) and rely on downward closure of the
 feasible-set family: once a partial set is infeasible or over budget,
-no superset can recover, so the whole branch is pruned.
+no superset can recover, so the whole branch is pruned.  The
+maximum-weight search also knows that no feasible set holds more than
+:func:`bcopt.constraints.size_cap` elements, so a branch can gain at most
+the heaviest values that fit in the slots it has left.
 
 Each engine's recursive ``walk`` closure refers to itself, so the engine
 unbinds it when the search ends.  Otherwise every search would leave a
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
+from .constraints import size_cap
 from .core import BCInstance, CapExceededError
 
 
@@ -29,32 +33,47 @@ def max_profit_solution_ids(instance: BCInstance) -> frozenset[int]:
     """
     ids = instance.sorted_ids()
     return _branch_and_bound(instance, ids, [instance.profit_of[i] for i in ids],
-                             [instance.cost_of[i] for i in ids], instance.budget)
+                             [instance.cost_of[i] for i in ids], instance.budget, len(ids))
 
 
 def max_weight_feasible_ids(instance: BCInstance, weight: Mapping[int, int]) -> frozenset[int]:
     """Exact maximum-weight feasible set, ignoring the budget.
 
     Only strictly positive weights can help (the family is downward closed),
-    so the search is confined to them, heaviest first.  Weights are
-    integers; rational multipliers are cleared to a common denominator by
-    the caller.
+    so the search is confined to them, heaviest first, and capped by their
+    :func:`~bcopt.constraints.size_cap`.  Weights are integers; rational
+    multipliers are cleared to a common denominator by the caller.
     """
     ids = sorted((i for i in instance.cost_of if weight[i] > 0),
                  key=lambda i: (-weight[i], i))
-    return _branch_and_bound(instance, ids, [weight[i] for i in ids], [0] * len(ids), 0)
+    return _branch_and_bound(instance, ids, [weight[i] for i in ids], [0] * len(ids), 0,
+                             size_cap(instance.constraint, ids))
 
 
 def _branch_and_bound(instance: BCInstance, ids: list[int], values: list[int],
-                      costs: list[int], budget: int) -> frozenset[int]:
+                      costs: list[int], budget: int, cap: int) -> frozenset[int]:
     """Maximum-value feasible subset of ``ids`` whose cost fits ``budget``.
 
-    Include/exclude per id in the given order, pruned by suffix-value
-    bounds; values are non-negative.  Ties keep the first optimum found in
-    include-first order, the empty set when nothing has positive value.
+    Include/exclude per id in the given order; values are non-negative.
+    Ties keep the first optimum found in include-first order, the empty set
+    when nothing has positive value.
+
+    No feasible set may hold more than ``cap`` ids.  When ``values`` do not
+    increase, a node at ``idx`` with k ids chosen can gain at most
+    ``values[idx:idx + cap - k]``, the heaviest values still open; with
+    ``cap = len(ids)`` this is the whole suffix, which bounds any order.
+    A node whose bound cannot beat the incumbent is cut.  The incumbent is
+    replaced only on a strict gain, so a cut subtree holds no set that would
+    have replaced it, and the walk meets the same incumbents in the same
+    order as with no cut at all.  In particular every ancestor of the first
+    optimum in include-first order has a bound of at least that optimum,
+    above the incumbent before it is reached, so it is reached and returned.
     """
     n = len(ids)
-    suffix = [0] * (n + 1)
+    cap = min(cap, n)
+    # suffix[i] is the sum of values[i:]; the padding past n makes
+    # suffix[idx] - suffix[idx + slots] the sum of the next ``slots`` values.
+    suffix = [0] * (n + cap + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + values[i]
     cursor = instance.constraint.cursor()
@@ -62,23 +81,23 @@ def _branch_and_bound(instance: BCInstance, ids: list[int], values: list[int],
     best_value = 0
     chosen: list[int] = []
 
-    def walk(idx: int, cost: int, value: int) -> None:
+    def walk(idx: int, cost: int, value: int, slots: int) -> None:
         nonlocal best_value, best_ids
         if value > best_value:
             best_value = value
             best_ids = list(chosen)
-        if idx == n or value + suffix[idx] <= best_value:
+        if idx == n or value + suffix[idx] - suffix[idx + slots] <= best_value:
             return
         eid = ids[idx]
         if cost + costs[idx] <= budget and cursor.try_push(eid):
             chosen.append(eid)
-            walk(idx + 1, cost + costs[idx], value + values[idx])
+            walk(idx + 1, cost + costs[idx], value + values[idx], slots - 1)
             chosen.pop()
             cursor.pop()
-        walk(idx + 1, cost, value)
+        walk(idx + 1, cost, value, slots)
 
     try:
-        walk(0, 0, 0)
+        walk(0, 0, 0, cap)
     finally:
         del walk
     return frozenset(best_ids)

@@ -39,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import BCError, BCInstance, Element, Solution, ratio_key
-from .constraints import Matching, MatroidIntersection
+from .constraints import Matching, MatroidIntersection, size_cap
 from .enumeration import max_profit_solution_ids, max_weight_feasible_ids
 
 # Exhaustive patching enumerates all component subsets up to this many
@@ -172,10 +172,14 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     - The oracle's result is piecewise constant in lambda.  The greedy one
       (above ``EXACT_LIMIT`` elements) changes only where two weights
       p - lambda c cross or one crosses zero, at a rational whose denominator
-      is at most the largest cost.  The exact one also changes where the
-      weights of two subsets cross, at a denominator of at most c(E).  Call
-      the bound D; it is at least 1 once the search bisects, since the
-      lambda = 0 optimum costs something.
+      is at most the largest cost.  The exact one changes where the weights
+      of two feasible sets A and B cross, at
+      lambda = (p(A) - p(B)) / (c(A) - c(B)), whose denominator divides
+      |c(A) - c(B)| <= max(c(A), c(B)).  A feasible set holds at most
+      ``size_cap`` elements, so that is at most the sum of the ``size_cap``
+      largest costs, never more than c(E).  Call the bound D; it is at least
+      1 once the search bisects, since the lambda = 0 optimum costs
+      something.
     - Two distinct such breakpoints are at least 1/D^2 apart.  The bracket
       [lo / den, hi / den] has width (hi - lo) / den, so once
       (hi - lo) * D^2 < den it holds exactly one breakpoint: its two ends
@@ -238,7 +242,11 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     s_minus = inner_max_weight(instance, Fraction(hi), _orders=orders)
     offer(s_minus)
     # Breakpoint denominators are at most d (see the docstring).
-    d = max(orders.costs) if len(instance.elements) > EXACT_LIMIT else sum(orders.costs)
+    if len(instance.elements) > EXACT_LIMIT:
+        d = max(orders.costs)
+    else:
+        cap = size_cap(instance.constraint, orders.ids)
+        d = sum(sorted(orders.costs, reverse=True)[:cap])
     # Measured before halving; hi - lo stays P + 1 and den doubles, so the
     # loop ends after ((P + 1) * d * d).bit_length() steps.
     while (hi - lo) * d * d >= den:

@@ -23,11 +23,10 @@ from .core import (
     BCInstance, Epsilon, InfeasibleSetError, Solution, is_solution, preprocess_discard, ratio_key,
 )
 from .classes import small_profit_pool
-from .constraints import Matching, MatroidIntersection, residual_constraint
+from .constraints import Matching, MatroidIntersection, residual_constraint, size_cap
 from .enumeration import feasible_subsets_within_budget
 from .exchange import DEFAULT_BRANCH_BUDGET
 from .lagrange import approx_opt, declared_gamma, non_profitable_solver
-from .matroids import greedy_min_cost
 from .repset import rep_set
 
 DEFAULT_SUBSET_CAP = 10**7
@@ -184,8 +183,8 @@ class SkeletonBound:
     also be in the pool).  An element is blocked when it is in F or, for a
     matching, when it touches F's vertices.  For a matroid intersection
     every extension S of F has F | S independent in both matroids, so
-    |S| <= r - |F| with r = min(r1, r2); the bound is then the smaller of
-    the knapsack and the r - |F| largest unblocked profits.
+    |S| <= r - |F| with r = min(r1, r2), its ``size_cap``; the bound is then
+    the smaller of the knapsack and the r - |F| largest unblocked profits.
 
     At ``leaf = len(rep) - 1`` only the pool is open, so ``bound(F, leaf)``
     covers F's residual instance, whose elements are the unblocked pool:
@@ -218,9 +217,7 @@ class SkeletonBound:
         self._order = [(e.cost, e.profit) + self._keys[e.id] + (until[e.id],) for e in items]
         self._rank = None
         if isinstance(cons, MatroidIntersection):
-            ids = instance.sorted_ids()
-            self._rank = min(len(greedy_min_cost(oracle.cursor(), ids, instance.cost_of))
-                             for oracle in (cons.oracle1, cons.oracle2))
+            self._rank = size_cap(cons, instance.sorted_ids())
             # Largest profit first; how equal profits tie cannot change a sum.
             self._by_profit = sorted(((p, eid, u) for _, p, eid, _, u in self._order),
                                      reverse=True)

@@ -1,9 +1,19 @@
 import gc
+import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bcopt.constraints import Matching
+from bcopt.cli import generate_instance
+from bcopt.constraints import (
+    IntersectionCursor,
+    Matching,
+    MatroidIntersection,
+    residual_constraint,
+    size_cap,
+)
+from bcopt.core import BCInstance
 from bcopt.enumeration import (
     feasible_subsets_within_budget,
     max_profit_solution_ids,
@@ -11,7 +21,7 @@ from bcopt.enumeration import (
 )
 from bcopt.oracle import iter_feasible_sets
 
-from conftest import path_matching
+from conftest import BareOracle, path_matching
 
 
 SEARCHES = {
@@ -41,3 +51,125 @@ def test_search_state_is_freed_without_the_cycle_collector(name, monkeypatch):
         assert cursors[0]() is None
     finally:
         gc.enable()
+
+
+def suffix_only_max_weight_feasible_ids(instance, weight):
+    """The maximum-weight search before the cardinality cap, kept as a reference.
+
+    A verbatim copy of the engine that pruned by the sum of all remaining
+    values alone.
+    """
+    ids = sorted((i for i in instance.cost_of if weight[i] > 0),
+                 key=lambda i: (-weight[i], i))
+    return _suffix_only_branch_and_bound(instance, ids, [weight[i] for i in ids],
+                                         [0] * len(ids), 0)
+
+
+def _suffix_only_branch_and_bound(instance, ids, values, costs, budget):
+    n = len(ids)
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + values[i]
+    cursor = instance.constraint.cursor()
+    best_ids: list[int] = []
+    best_value = 0
+    chosen: list[int] = []
+
+    def walk(idx: int, cost: int, value: int) -> None:
+        nonlocal best_value, best_ids
+        if value > best_value:
+            best_value = value
+            best_ids = list(chosen)
+        if idx == n or value + suffix[idx] <= best_value:
+            return
+        eid = ids[idx]
+        if cost + costs[idx] <= budget and cursor.try_push(eid):
+            chosen.append(eid)
+            walk(idx + 1, cost + costs[idx], value + values[idx])
+            chosen.pop()
+            cursor.pop()
+        walk(idx + 1, cost, value)
+
+    try:
+        walk(0, 0, 0)
+    finally:
+        del walk
+    return frozenset(best_ids)
+
+
+def seeded_instance(seed, size, kind, minor, bare):
+    """A generated instance, optionally on a seeded minor of its constraint.
+
+    The minor commits a random feasible set (``residual_constraint``
+    contracts an intersection and deletes a matching's touching edges) and
+    keeps a random part of the rest (``restrict``).  ``bare`` wraps an
+    intersection's oracles in :class:`BareOracle`, so its cursors are the
+    generic ones.
+    """
+    inst = generate_instance(seed, size, kind)
+    cons = inst.constraint
+    if minor:
+        rng = random.Random(seed)
+        order = inst.sorted_ids()
+        rng.shuffle(order)
+        cursor = cons.cursor()
+        fixed = [eid for eid in order[:rng.randint(0, size)] if cursor.try_push(eid)]
+        keep = [eid for eid in order if eid not in fixed and rng.random() < 0.8]
+        cons = residual_constraint(cons, fixed).restrict(keep)
+    if bare and isinstance(cons, MatroidIntersection):
+        cons = MatroidIntersection(BareOracle(cons.oracle1), BareOracle(cons.oracle2))
+    alive = cons.element_ids()
+    return BCInstance(tuple(e for e in inst.elements if e.id in alive), cons, inst.budget)
+
+
+instance_args = dict(
+    seed=st.integers(0, 10**6),
+    kind=st.sampled_from(["matching", "matroid-intersection"]),
+    minor=st.booleans(),
+    bare=st.booleans(),
+)
+
+
+class TestCardinalityCap:
+    # Weights from -3 to 6 make ties, zeros and negative weights common.
+    @given(size=st.integers(0, 20), weights=st.lists(st.integers(-3, 6), min_size=20,
+                                                     max_size=20), **instance_args)
+    @settings(max_examples=300, deadline=None)
+    def test_capped_search_matches_the_suffix_only_search(self, seed, size, kind, minor,
+                                                          bare, weights):
+        inst = seeded_instance(seed, size, kind, minor, bare)
+        weight = {e.id: weights[e.id] for e in inst.elements}
+        assert max_weight_feasible_ids(inst, weight) == \
+            suffix_only_max_weight_feasible_ids(inst, weight)
+
+    @given(size=st.integers(0, 12), **instance_args)
+    @settings(max_examples=200, deadline=None)
+    def test_size_cap_bounds_every_feasible_set(self, seed, size, kind, minor, bare):
+        inst = seeded_instance(seed, size, kind, minor, bare)
+        cap = size_cap(inst.constraint, inst.sorted_ids())
+        assert cap >= max(map(len, iter_feasible_sets(inst)))
+        if isinstance(inst.constraint, MatroidIntersection):
+            # The rank of M_k is the largest feasible set of M_k meet M_k.
+            ranks = [max(map(len, iter_feasible_sets(
+                BCInstance(inst.elements, MatroidIntersection(o, o), inst.budget))))
+                for o in (inst.constraint.oracle1, inst.constraint.oracle2)]
+            assert cap == min(ranks)
+
+    def test_cap_cuts_most_of_the_search(self, monkeypatch):
+        # Both searches return the same set; with the rank cap in force the
+        # capped one makes a fraction of the pushes.  A cap that fell back
+        # to the number of ids would make as many.
+        inst = generate_instance(0, 20, "matroid-intersection")
+        assert size_cap(inst.constraint, inst.sorted_ids()) < 20
+        pushes = [0]
+        original = IntersectionCursor.try_push
+
+        def counting(self, eid):
+            pushes[0] += 1
+            return original(self, eid)
+
+        monkeypatch.setattr(IntersectionCursor, "try_push", counting)
+        reference = suffix_only_max_weight_feasible_ids(inst, inst.profit_of)
+        reference_pushes, pushes[0] = pushes[0], 0
+        assert max_weight_feasible_ids(inst, inst.profit_of) == reference
+        assert 2 * pushes[0] < reference_pushes

@@ -421,8 +421,9 @@ class TestBreakpointStop:
         # Edges 0, 1, 2 form a path and edge 3 stands apart.  The exact
         # optimum {0, 2, 3} gives way to the affordable {1, 3} at
         # lambda = 12/17, and edge 3 turns non-positive at 5/7, 1/119 later.
-        # 17 is above the largest cost, 9, so the guard needs c(E) = 26: with
-        # the largest cost it stops with s_minus = {1}.
+        # 17 is above the largest cost, 9, so the guard needs the sum of the
+        # size_cap = 3 largest costs, 25: with the largest cost it stops with
+        # s_minus = {1}.
         inst = BCInstance(
             (Element(0, 9, 11), Element(1, 1, 10), Element(2, 9, 11), Element(3, 7, 5)),
             Matching(6, {0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (4, 5)}), 8)
