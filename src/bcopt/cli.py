@@ -353,7 +353,7 @@ def _run_verifier(instance: BCInstance, epsilon: Epsilon,
                                        force_heuristic=args.force_heuristic)]
 
     working = preprocess_discard(instance)
-    alpha = approx_opt(working, mode=args.alpha)
+    alpha = approx_opt(working, mode=args.alpha).total_profit
     if prop == "representative":
         rep = rep_set(working, epsilon, args.alpha, alpha=alpha)
         return [oracle.verify_representative(working, epsilon, rep.elements, guard=guard)]

@@ -1,11 +1,12 @@
 """Optimum estimation and the low-profit solver, via Lagrangian relaxation.
 
-Two subroutines live here.  ``approx_opt`` estimates the optimal profit from
-below (exactly in brute-force mode, within a declared factor gamma in
-Lagrangian mode).  ``non_profitable_solver`` produces a feasible,
-budget-respecting solution whose profit trails the optimum by at most twice
-the largest single profit in the instance; that contract is enforced by the
-test suite on every corpus instance small enough to brute force.
+Two subroutines live here.  ``approx_opt`` returns a solution whose profit
+estimates the optimal profit from below (exactly in brute-force mode, within
+a declared factor gamma in Lagrangian mode).  ``non_profitable_solver``
+produces a feasible, budget-respecting solution whose profit trails the
+optimum by at most twice the largest single profit in the instance; that
+contract is enforced by the test suite on every corpus instance small enough
+to brute force.
 
 The Lagrangian relaxation folds the budget into the objective with a
 multiplier lambda: maximize p(S) - lambda * c(S) over constraint-feasible
@@ -51,18 +52,19 @@ _MAX_PATCH_COMPONENTS = 16
 EXACT_LIMIT = 20
 
 
-def approx_opt(instance: BCInstance, mode: str = "lagrangian") -> int:
-    """Lower estimate of the optimal profit; always the profit of some solution.
+def approx_opt(instance: BCInstance, mode: str = "lagrangian") -> Solution:
+    """A solution whose profit, alpha, estimates the optimal profit from below.
 
-    ``exact`` mode brute-forces the optimum.  ``lagrangian`` mode returns the
-    best candidate the relaxation finds, never above the optimum and, on the
-    acceptance corpus, never below a quarter of it (declared gamma = 4).
+    ``exact`` mode brute-forces an optimum.  ``lagrangian`` mode returns the
+    best candidate the relaxation finds, whose profit is never above the
+    optimum and, on the acceptance corpus, never below a quarter of it
+    (declared gamma = 4).
     """
     if mode == "exact":
-        return Solution.build(instance, max_profit_solution_ids(instance)).total_profit
+        return Solution.build(instance, max_profit_solution_ids(instance))
     if mode != "lagrangian":
         raise BCError(f"unknown alpha mode {mode!r}")
-    return lagrangian_solution(instance).total_profit
+    return lagrangian_solution(instance)
 
 
 def declared_gamma(mode: str) -> Fraction:

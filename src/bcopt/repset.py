@@ -41,7 +41,7 @@ def rep_set(instance: BCInstance, epsilon: Epsilon, alpha_mode: str = "lagrangia
     class's exchange set is built on its own, in ascending class order.
     """
     if alpha is None:
-        alpha = approx_opt(instance, mode=alpha_mode)
+        alpha = approx_opt(instance, mode=alpha_mode).total_profit
     if alpha == 0:
         return RepresentativeSet(frozenset(), 0, None, {})
     layout = ClassLayout(epsilon, alpha, declared_gamma(alpha_mode))

@@ -4,12 +4,12 @@
 guarantee into the advertised (1 - eps).  It enumerates the feasible subsets
 F of the representative set (up to cardinality floor(1/eps')), solves the
 residual low-profit instance next to each F, and returns the most profitable
-extended solution.  One exact-integer bound keeps most of that work from
-being done: the listing leaves out every subtree of skeletons whose bound
-is below alpha, the profit of a real solution, and a listed skeleton whose
-bound at the last rep index cannot beat the incumbent is skipped before its
-residual is built.
-Should the winner fall below alpha after all, the listing is redone in full.
+extended solution.  The solution whose profit alpha estimates the optimum
+from below is the first incumbent, so the answer is never worse than it.
+One exact-integer bound keeps most of the work from being done: the listing
+leaves out every subtree of skeletons whose bound is below alpha, and a
+listed skeleton whose bound at the last rep index cannot beat the incumbent
+is skipped before its residual is built.
 ``solve_detailed`` also returns the run metadata.
 """
 
@@ -34,6 +34,14 @@ DEFAULT_SUBSET_CAP = 10**7
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """How ``solve`` estimates alpha, and the caps that stop its exponential stages.
+
+    ``alpha_mode`` is ``"lagrangian"`` (the default, declared gamma = 4) or
+    ``"exact"`` (brute force, gamma = 2).  More than ``subset_cap`` listed
+    skeletons, or more than ``branch_budget`` branches of one exchange-set
+    search, raise :class:`~bcopt.core.CapExceededError`.
+    """
+
     alpha_mode: str = "lagrangian"
     subset_cap: int = DEFAULT_SUBSET_CAP
     branch_budget: int = DEFAULT_BRANCH_BUDGET
@@ -44,9 +52,8 @@ class SolveStats:
     """Run metadata surfaced through the CLI and the benchmark harness.
 
     ``enumerated`` counts the listed skeletons and ``pruned`` those of them
-    skipped by the bound, both summed over the floored pass and, when it
-    runs, the full one; ``enumerated - pruned`` residuals were solved.
-    ``incumbent_profits`` follows the incumbent of the pass that answered.
+    skipped by the bound; ``enumerated - pruned`` residuals were solved.
+    ``incumbent_profits`` follows the incumbent, from alpha's solution on.
     """
 
     alpha: int = 0
@@ -82,20 +89,16 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
                    config: SolveConfig | None = None) -> tuple[Solution, SolveStats]:
     """``solve`` plus its run metadata.
 
-    The winner is the extension of maximum profit; among equal profits, the
-    one whose skeleton F comes first in (len(F), F) order.  Skeletons are
-    visited in that order and the incumbent is replaced only on a strict
-    gain, so a skeleton whose leaf bound (see :class:`SkeletonBound`) is at
-    most the incumbent can neither win nor tie first and is skipped without
-    changing the result.
-
-    The first pass lists only the skeletons that may reach alpha, the profit
-    of a real solution.  Let W be the winner's profit without that floor.
-    If W >= alpha, the winning skeleton and every prefix of it have a bound
-    of at least W, so the skeleton is listed, solved and wins as before.  If
-    W < alpha, the pass ends below alpha and is redone without the floor,
-    which is the unfloored loop itself.  The incumbent is never seeded with
-    alpha's solution.
+    The answer is the better of alpha's solution and the best extension,
+    the extension on a tie.  The best extension is the one of maximum
+    profit; among equal profits, the one whose skeleton F comes first in
+    (len(F), F) order.  Skeletons are visited in that order and alpha's
+    solution is the first incumbent; an extension replaces the incumbent
+    when its profit beats a threshold, max(alpha - 1, 0) at first and then
+    the incumbent's own profit.  A skeleton whose bound (see
+    :class:`SkeletonBound`) is at most the threshold cannot lead to the
+    answer, so it is left out of the listing, with its whole subtree, or
+    skipped before its residual is built, without changing the result.
     """
     epsilon = epsilon.scaled_down(8)  # the scheme's own eps'
     config = config or SolveConfig()
@@ -103,7 +106,8 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
     working = preprocess_discard(instance)
     stats = SolveStats(gamma=declared_gamma(config.alpha_mode))
 
-    alpha = approx_opt(working, mode=config.alpha_mode)
+    best = approx_opt(working, mode=config.alpha_mode)
+    alpha = best.total_profit
     rep = rep_set(working, epsilon, config.alpha_mode,
                   branch_budget=config.branch_budget, alpha=alpha)
     stats.alpha = alpha
@@ -112,41 +116,17 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
     pool = small_profit_pool(working, alpha, epsilon)
     rep_ids = sorted(rep.elements)
     bound = SkeletonBound(working, pool, rep_ids)
-    args = (working, pool, rep_ids, epsilon.inverse_floor(), config.subset_cap, bound, stats)
-    best = _best_extension(*args, floor=alpha)
-    if best.total_profit < alpha:
-        best = _best_extension(*args, floor=0)
-
-    # Re-validate against the original, unpreprocessed instance.
-    final = Solution.build(instance, best.element_ids)
-    stats.ms_total = (time.perf_counter() - start) * 1000.0
-    return final, stats
-
-
-def _best_extension(working: BCInstance, pool: frozenset[int], rep_ids: list[int],
-                    skeleton_cap: int, subset_cap: int, bound: "SkeletonBound",
-                    stats: SolveStats, *, floor: int) -> Solution:
-    """One pass of the skeleton loop, blind to skeletons that cannot reach ``floor``.
-
-    A skeleton whose bound at its own rep index is below ``floor`` is never
-    listed, nor is any skeleton grown from it.  A listed skeleton whose
-    bound at the leaf index is below ``floor`` is skipped like one that
-    cannot beat the incumbent.  At floor 0 nothing is left out.
-    """
-    keep = None
-    if floor > 0:
-        def keep(chosen: list[int], j: int) -> bool:
-            return bound.bound(chosen, j) >= floor
+    # The listing is complete before the loop starts, so it can leave out
+    # only the subtrees that cannot reach alpha.
     candidates = feasible_subsets_within_budget(
-        working, rep_ids, skeleton_cap, cap=subset_cap, keep=keep,
+        working, rep_ids, epsilon.inverse_floor(), cap=config.subset_cap,
+        keep=lambda chosen, j: bound.bound(chosen, j) >= alpha,
     )
-    stats.enumerated += len(candidates)
-
-    best = Solution.empty()
-    stats.incumbent_profits = [best.total_profit]
+    threshold = max(alpha - 1, 0)
+    stats.enumerated = len(candidates)
+    stats.incumbent_profits = [alpha]
     for skeleton_ids in candidates:
-        ub = bound.bound(skeleton_ids, bound.leaf)
-        if ub <= best.total_profit or ub < floor:
+        if bound.bound(skeleton_ids, bound.leaf) <= threshold:
             stats.pruned += 1
             continue
         skeleton = frozenset(skeleton_ids)
@@ -154,10 +134,14 @@ def _best_extension(working: BCInstance, pool: frozenset[int], rep_ids: list[int
         extension = non_profitable_solver(residual)
         combined_ids = skeleton | extension.id_set
         profit = working.total_profit(combined_ids)
-        if profit > best.total_profit:
-            best = Solution.build(working, combined_ids)
+        if profit > threshold:
+            best, threshold = Solution.build(working, combined_ids), profit
             stats.incumbent_profits.append(profit)
-    return best
+
+    # Re-validate against the original, unpreprocessed instance.
+    final = Solution.build(instance, best.element_ids)
+    stats.ms_total = (time.perf_counter() - start) * 1000.0
+    return final, stats
 
 
 def _build_residual(instance: BCInstance, pool: frozenset[int],

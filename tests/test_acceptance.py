@@ -78,7 +78,7 @@ def test_criterion_3_exchange_set_definition(main_corpus):
             if len(inst.elements) > 10:
                 continue
             working = preprocess_discard(inst)
-            alpha = approx_opt(working, mode="exact")
+            alpha = approx_opt(working, mode="exact").total_profit
             if alpha == 0:
                 continue
             layout = ClassLayout(eps, alpha)
@@ -150,9 +150,9 @@ def test_criterion_6_alpha_contract(main_corpus, opt_cache):
     for name, inst in main_corpus:
         working = preprocess_discard(inst)
         opt = opt_cache(inst)
-        exact = approx_opt(working, mode="exact")
+        exact = approx_opt(working, mode="exact").total_profit
         assert exact == opt, (name, exact, opt)
-        lag = approx_opt(working, mode="lagrangian")
+        lag = approx_opt(working, mode="lagrangian").total_profit
         assert lag <= opt, (name, lag, opt)
         assert 4 * lag >= opt, (name, lag, opt)
     _report("6 alpha contract", "exact == OPT and OPT/4 <= lagrangian <= OPT on 200")

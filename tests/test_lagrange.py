@@ -84,17 +84,17 @@ PATCHED_MATCHINGS_IDS_SHA256 = "9af4640201da0fefdf893c3ec0643dd6481c72922efa7548
 class TestApproxOpt:
     def test_empty_instance(self):
         inst = free_instance([], [])
-        assert approx_opt(inst, mode="exact") == 0
-        assert approx_opt(inst, mode="lagrangian") == 0
+        assert approx_opt(inst, mode="exact").total_profit == 0
+        assert approx_opt(inst, mode="lagrangian").total_profit == 0
 
     def test_single_element_exact(self):
         inst = free_instance([3], [7], budget=5)
-        assert approx_opt(inst, mode="exact") == 7
+        assert approx_opt(inst, mode="exact").total_profit == 7
 
     def test_knapsack_like_exact(self):
         # profits = costs = {6, 5, 5}, budget 10: the pair of fives wins
         inst = free_instance([6, 5, 5], budget=10)
-        assert approx_opt(inst, mode="exact") == 10
+        assert approx_opt(inst, mode="exact").total_profit == 10
 
     def test_unknown_mode(self):
         with pytest.raises(BCError):
@@ -109,7 +109,7 @@ class TestApproxOpt:
         kind = "matching" if seed % 2 == 0 else "matroid-intersection"
         inst = preprocess_discard(generate_instance(seed, 6 + seed % 7, kind))
         opt = brute_force_opt(inst).total_profit
-        alpha = approx_opt(inst, mode="lagrangian")
+        alpha = approx_opt(inst, mode="lagrangian").total_profit
         assert alpha <= opt
         assert 4 * alpha >= opt
 
@@ -429,6 +429,20 @@ class TestBreakpointStop:
             Matching(6, {0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (4, 5)}), 8)
         pool, pairs = searched_pool_and_pair(inst)
         assert pairs == [(frozenset({1, 3}), frozenset({0, 2, 3}))]
+        assert (pool, pairs) == full_depth_pool_and_pair(inst)
+
+    def test_exact_stop_separates_a_crossing_at_a_whole_set_cost(self):
+        # Edges 0 and 1 share vertex 0, so size_cap is 1 and D is the largest
+        # cost, 9.  The exact optimum {0} gives way to {1} at lambda = 1/5,
+        # and {1} to the empty set at 9/4.  The budget, 3, affords neither
+        # edge, so 9/4 is the separating crossing: its denominator is the
+        # whole cost of {1}.  A D that leaves out one cost, the sum of the
+        # size_cap - 1 = 0 largest, never bisects and pairs the empty set
+        # with {0}.
+        inst = BCInstance((Element(0, 9, 10), Element(1, 4, 9)),
+                          Matching(3, {0: (0, 1), 1: (0, 2)}), 3)
+        pool, pairs = searched_pool_and_pair(inst)
+        assert pairs == [(frozenset(), frozenset({1}))]
         assert (pool, pairs) == full_depth_pool_and_pair(inst)
 
     def test_bisection_runs_past_64_steps_on_large_numbers(self, monkeypatch):

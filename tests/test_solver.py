@@ -9,6 +9,7 @@ from bcopt.core import (
     CapExceededError,
     Epsilon,
     InfeasibleSetError,
+    Solution,
     preprocess_discard,
 )
 from bcopt.classes import small_profit_pool
@@ -85,9 +86,9 @@ class TestEptas:
 
 
 # sha256 of "{name} {eps} {ids}" per line for ``solve`` on the main corpus at
-# eps = 1/10, then 1/4, recorded before the Lagrangian search lost its
-# configuration.  A change that moves any id must update it on purpose.
-MAIN_CORPUS_IDS_SHA256 = "93152d80feb876c8f5752a6cdd06aa57ff2ede018b6824a77fc82b86ba0e8a7e"
+# eps = 1/10, then 1/4, recorded when alpha's solution became the first
+# incumbent.  A change that moves any id must update it on purpose.
+MAIN_CORPUS_IDS_SHA256 = "f69952defd45a916917b878d4ca58bb78452e70730b2b1f16b9f93e7b7802948"
 
 
 class TestSolve:
@@ -141,6 +142,36 @@ class TestSolve:
                 generic = BCInstance(inst.elements, bare, inst.budget)
                 assert solve(generic, eps).element_ids == solve(inst, eps).element_ids, name
 
+    def test_inter_087_reaches_the_optimum_through_alpha(self, main_corpus):
+        # No extension reaches alpha = 92 here; the best one is (8,), worth 91.
+        inst = dict(main_corpus)["inter-087"]
+        assert solve(inst, Epsilon(1, 10)) == brute_force_opt(inst)
+
+    def test_never_below_alpha_on_the_acceptance_corpus(self, main_corpus):
+        for eps in (Epsilon(1, 10), Epsilon(1, 4)):
+            for name, inst in main_corpus:
+                solution, stats = solve_detailed(inst, eps)
+                assert solution.total_profit >= stats.alpha, name
+
+    def test_alpha_solution_answers_when_no_extension_reaches_alpha(self, monkeypatch):
+        listings = []
+
+        def counting(*args, **kwargs):
+            listings.append(args)
+            return feasible_subsets_within_budget(*args, **kwargs)
+
+        # With empty extensions every candidate is a skeleton of the
+        # representative set alone; alpha's solution holds element 7, which
+        # is not in it.
+        monkeypatch.setattr(bcopt.solver, "non_profitable_solver", lambda _: Solution.empty())
+        monkeypatch.setattr(bcopt.solver, "feasible_subsets_within_budget", counting)
+        inst = generate_instance(1, 10, "matroid-intersection")
+        solution, stats = solve_detailed(inst, Epsilon(1, 4))
+        assert solution.element_ids == approx_opt(preprocess_discard(inst)).element_ids
+        assert 7 in solution.element_ids and stats.alpha == solution.total_profit
+        assert stats.enumerated > stats.pruned
+        assert len(listings) == 1
+
     def test_exact_alpha_mode(self):
         inst = generate_instance(55, 10, "matching")
         sol, stats = solve_detailed(inst, Epsilon(1, 4), SolveConfig(alpha_mode="exact"))
@@ -150,10 +181,14 @@ class TestSolve:
 
 
 def unpruned_solve_ids(instance, epsilon):
-    """``solve`` without the skeleton bound: every skeleton's residual is solved."""
+    """``solve`` without the skeleton bound: every skeleton's residual is solved.
+
+    alpha's solution answers when no extension reaches alpha.
+    """
     epsilon = epsilon.scaled_down(8)
     working = preprocess_discard(instance)
-    alpha = approx_opt(working)
+    alpha_solution = approx_opt(working)
+    alpha = alpha_solution.total_profit
     rep = rep_set(working, epsilon, alpha=alpha)
     best_ids, best_profit = frozenset(), 0
     for skeleton in feasible_subsets_within_budget(
@@ -162,6 +197,8 @@ def unpruned_solve_ids(instance, epsilon):
         ids = frozenset(skeleton) | non_profitable_solver(residual).id_set
         if working.total_profit(ids) > best_profit:
             best_ids, best_profit = ids, working.total_profit(ids)
+    if best_profit < alpha:
+        return alpha_solution.element_ids
     return tuple(sorted(best_ids))
 
 
@@ -278,42 +315,3 @@ class TestSkeletonBound:
             for name, inst in main_corpus:
                 assert solve(inst, eps).element_ids == unpruned_solve_ids(inst, eps), name
 
-
-class TestFallback:
-    """The floored pass answers below the floor, so the unfloored pass must run."""
-
-    @pytest.fixture
-    def raised_floor(self, monkeypatch):
-        floors = []
-        passes = bcopt.solver._best_extension
-
-        def above_every_optimum(*args, floor):
-            floors.append(floor)
-            # A zero floor stays zero: that is the unfloored pass.
-            return passes(*args, floor=floor and 10**9)
-
-        monkeypatch.setattr(bcopt.solver, "_best_extension", above_every_optimum)
-        return floors
-
-    def test_fallback_gives_the_unpruned_ids(self, main_corpus, raised_floor):
-        for eps in (Epsilon(1, 10), Epsilon(1, 4)):
-            for name, inst in main_corpus[::10]:
-                raised_floor.clear()
-                solution, stats = solve_detailed(inst, eps)
-                assert solution.element_ids == unpruned_solve_ids(inst, eps), name
-                assert raised_floor == ([stats.alpha, 0] if stats.alpha else [0]), name
-
-    def test_pruned_plus_residual_solves_is_enumerated(self, monkeypatch, raised_floor):
-        solves = []
-
-        def counting(instance):
-            solves.append(instance)
-            return non_profitable_solver(instance)
-
-        monkeypatch.setattr(bcopt.solver, "non_profitable_solver", counting)
-        for seed, kind in ((5, "matching"), (31, "matroid-intersection")):
-            solves.clear()
-            raised_floor.clear()
-            _, stats = solve_detailed(generate_instance(seed, 12, kind), Epsilon(1, 4))
-            assert raised_floor == [stats.alpha, 0]
-            assert stats.pruned + len(solves) == stats.enumerated
