@@ -3,13 +3,14 @@
 The skeleton listing serves the solver; the exact searches serve the
 low-profit solver and the brute-force oracle.
 
-The engines walk elements in a fixed order (ascending ids, or heaviest first
-for the maximum-weight search) and rely on downward closure of the
-feasible-set family: once a partial set is infeasible or over budget,
-no superset can recover, so the whole branch is pruned.  The
-maximum-weight search also knows that no feasible set holds more than
-:func:`bcopt.constraints.size_cap` elements, so a branch can gain at most
-the heaviest values that fit in the slots it has left.
+The engines walk elements in a fixed order (the caller's for the listing,
+ascending ids for the exact search, heaviest first for the maximum-weight
+search) and rely on downward closure of the feasible-set family: once a
+partial set is infeasible or over budget, no superset can recover, so the
+whole branch is pruned.  The maximum-weight search also knows that no
+feasible set holds more than :func:`bcopt.constraints.size_cap` elements,
+so a branch can gain at most the heaviest values that fit in the slots it
+has left.
 
 Each engine's recursive ``walk`` closure refers to itself, so the engine
 unbinds it when the search ends.  Otherwise every search would leave a
@@ -110,50 +111,44 @@ def feasible_subsets_within_budget(
     cap: int | None = None,
     keep: Callable[[list[int], int], bool] | None = None,
 ) -> list[tuple[int, ...]]:
-    """All feasible, budget-respecting subsets of ``pool`` up to ``max_size``.
+    """Feasible, budget-respecting subsets of ``pool`` up to ``max_size``.
 
-    Returned sorted by (size, ids) so callers can process candidates in
-    canonical size-then-lexicographic order.  Raises CapExceededError when
-    more than ``cap`` subsets would be collected.
+    The walk takes ``pool`` in the caller's order and lists the subsets in
+    depth-first preorder: the empty set first, each subset before those grown
+    from it, a subset's ids in pool order.  Raises CapExceededError when more
+    than ``cap`` subsets would be listed.
 
-    ``keep(chosen, j)``, when given, is asked after each successful push,
-    with ``chosen`` the ids of the grown subset (a list the walk reuses) and
-    ``j`` the position of its last id in the sorted pool.  When it answers
-    false, that subset and every superset grown from it are left out.
+    ``keep(chosen, j)``, when given, is asked of each subset as it is reached,
+    with ``chosen`` its ids (a list the walk reuses) and ``j`` the position of
+    its last id in ``pool``, -1 for the empty set.  When it answers false,
+    that subset and every superset grown from it are left out.
     """
-    pool = sorted(pool)
     n = len(pool)
     costs = [instance.cost_of[i] for i in pool]
     cursor = instance.constraint.cursor()
     budget = instance.budget
-    out: list[tuple[int, ...]] = [()]
+    out: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
-    def walk(idx: int, cost: int) -> None:
+    def walk(j: int, cost: int) -> None:
+        if keep is not None and not keep(chosen, j):
+            return
+        out.append(tuple(chosen))
+        if cap is not None and len(out) > cap:
+            raise CapExceededError(f"subset enumeration exceeded the configured cap of {cap}")
         if len(chosen) == max_size:
             return
-        for j in range(idx, n):
-            nc = cost + costs[j]
-            if nc > budget or not cursor.try_push(pool[j]):
+        for k in range(j + 1, n):
+            nc = cost + costs[k]
+            if nc > budget or not cursor.try_push(pool[k]):
                 continue
-            chosen.append(pool[j])
-            if keep is not None and not keep(chosen, j):
-                chosen.pop()
-                cursor.pop()
-                continue
-            out.append(tuple(chosen))
-            if cap is not None and len(out) > cap:
-                raise CapExceededError(
-                    f"subset enumeration exceeded the configured cap of {cap}")
-            walk(j + 1, nc)
+            chosen.append(pool[k])
+            walk(k, nc)
             chosen.pop()
             cursor.pop()
 
     try:
-        if max_size > 0:
-            walk(0, 0)
+        walk(-1, 0)
     finally:
         del walk
-    out.sort(key=lambda t: (len(t), t))
     return out
-

@@ -1,16 +1,16 @@
 """The approximation scheme: enumerate profitable skeletons, extend, keep the best.
 
 ``solve`` runs the scheme at eps' = eps/8, which turns its (1 - 8 eps')
-guarantee into the advertised (1 - eps).  It enumerates the feasible subsets
-F of the representative set (up to cardinality floor(1/eps')), solves the
-residual low-profit instance next to each F, and returns the most profitable
-extended solution.  The solution whose profit alpha estimates the optimum
-from below is the first incumbent, so the answer is never worse than it.
-One exact-integer bound keeps most of the work from being done: the listing
-leaves out every subtree of skeletons whose bound is below alpha, and a
-listed skeleton whose bound at the last rep index cannot beat the incumbent
-is skipped before its residual is built.
-``solve_detailed`` also returns the run metadata.
+guarantee into the advertised (1 - eps).  It walks the feasible subsets F of
+the representative set (up to cardinality floor(1/eps')) in one depth-first
+pass, solves the residual low-profit instance next to each F, and returns the
+most profitable extended solution, on a tie the one whose F has the smaller
+(len(F), sorted ids) key.  The solution whose profit alpha estimates the
+optimum from below is the first incumbent and loses every tie, so the answer
+is never worse than it.  One exact-integer bound keeps most of the work from
+being done: the walk leaves out every subtree of skeletons that cannot beat
+the incumbent, and skips the residual of a skeleton whose bound at the last
+rep index cannot.  ``solve_detailed`` also returns the run metadata.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class SolveConfig:
     """How ``solve`` estimates alpha, and the caps that stop its exponential stages.
 
     ``alpha_mode`` is ``"lagrangian"`` (the default, declared gamma = 4) or
-    ``"exact"`` (brute force, gamma = 2).  More than ``subset_cap`` listed
+    ``"exact"`` (brute force, gamma = 2).  More than ``subset_cap`` visited
     skeletons, or more than ``branch_budget`` branches of one exchange-set
     search, raise :class:`~bcopt.core.CapExceededError`.
     """
@@ -51,9 +51,10 @@ class SolveConfig:
 class SolveStats:
     """Run metadata surfaced through the CLI and the benchmark harness.
 
-    ``enumerated`` counts the listed skeletons and ``pruned`` those of them
-    skipped by the bound; ``enumerated - pruned`` residuals were solved.
-    ``incumbent_profits`` follows the incumbent, from alpha's solution on.
+    ``enumerated`` counts the skeletons the walk visited and ``pruned`` those
+    whose residual the bound skipped; ``enumerated - pruned`` residuals were
+    solved.  ``incumbent_profits`` follows the incumbent, from alpha's
+    solution on; a tie won by a smaller skeleton key repeats a profit.
     """
 
     alpha: int = 0
@@ -89,16 +90,16 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
                    config: SolveConfig | None = None) -> tuple[Solution, SolveStats]:
     """``solve`` plus its run metadata.
 
-    The answer is the better of alpha's solution and the best extension,
-    the extension on a tie.  The best extension is the one of maximum
-    profit; among equal profits, the one whose skeleton F comes first in
-    (len(F), F) order.  Skeletons are visited in that order and alpha's
-    solution is the first incumbent; an extension replaces the incumbent
-    when its profit beats a threshold, max(alpha - 1, 0) at first and then
-    the incumbent's own profit.  A skeleton whose bound (see
-    :class:`SkeletonBound`) is at most the threshold cannot lead to the
-    answer, so it is left out of the listing, with its whole subtree, or
-    skipped before its residual is built, without changing the result.
+    The winner is stated as a rule, not by visiting order: maximum profit,
+    then the smaller key (len(F), sorted ids) of the extension's skeleton F;
+    alpha's solution, the first incumbent, loses every tie.  One depth-first
+    walk takes the representative set by descending profit, then id, and
+    tests each skeleton F, the empty one first, against the incumbent under
+    that rule: F's subtree bound (see :class:`SkeletonBound`) decides whether
+    F and its subtree are visited, its leaf bound whether its residual is
+    solved, and the extension's profit whether it replaces the incumbent.
+    At equal value F's key decides; no skeleton grown from F has a smaller
+    key, so no prune can change the winner.
     """
     epsilon = epsilon.scaled_down(8)  # the scheme's own eps'
     config = config or SolveConfig()
@@ -114,29 +115,35 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
     stats.rep_size = rep.size
 
     pool = small_profit_pool(working, alpha, epsilon)
-    rep_ids = sorted(rep.elements)
+    rep_ids = sorted(rep.elements, key=lambda i: (-working.profit_of[i], i))
     bound = SkeletonBound(working, pool, rep_ids)
-    # The listing is complete before the loop starts, so it can leave out
-    # only the subtrees that cannot reach alpha.
-    candidates = feasible_subsets_within_budget(
-        working, rep_ids, epsilon.inverse_floor(), cap=config.subset_cap,
-        keep=lambda chosen, j: bound.bound(chosen, j) >= alpha,
-    )
-    threshold = max(alpha - 1, 0)
-    stats.enumerated = len(candidates)
     stats.incumbent_profits = [alpha]
-    for skeleton_ids in candidates:
-        if bound.bound(skeleton_ids, bound.leaf) <= threshold:
+    best_profit, best_key = alpha, (float("inf"),)  # alpha's solution loses every tie
+
+    def can_win(value: int, chosen: list[int]) -> bool:
+        if value != best_profit:
+            return value > best_profit
+        return (len(chosen), tuple(sorted(chosen))) < best_key
+
+    def visit(chosen: list[int], j: int) -> bool:
+        nonlocal best, best_profit, best_key
+        if not can_win(bound.bound(chosen, j), chosen):
+            return False
+        if not can_win(bound.bound(chosen, bound.leaf), chosen):
             stats.pruned += 1
-            continue
-        skeleton = frozenset(skeleton_ids)
+            return True
+        skeleton = frozenset(chosen)
         residual = _build_residual(working, pool, skeleton)
-        extension = non_profitable_solver(residual)
-        combined_ids = skeleton | extension.id_set
+        combined_ids = skeleton | non_profitable_solver(residual).id_set
         profit = working.total_profit(combined_ids)
-        if profit > threshold:
-            best, threshold = Solution.build(working, combined_ids), profit
+        if can_win(profit, chosen):
+            best = Solution.build(working, combined_ids)
+            best_profit, best_key = profit, (len(chosen), tuple(sorted(chosen)))
             stats.incumbent_profits.append(profit)
+        return True
+
+    stats.enumerated = len(feasible_subsets_within_budget(
+        working, rep_ids, epsilon.inverse_floor(), cap=config.subset_cap, keep=visit))
 
     # Re-validate against the original, unpreprocessed instance.
     final = Solution.build(instance, best.element_ids)
@@ -160,7 +167,7 @@ class SkeletonBound:
     """Exact-integer upper bound on the profit a skeleton can lead to.
 
     ``bound(F, j)`` covers every skeleton grown from F with ids of
-    ``rep[j + 1:]``, F itself included, each with any extension.  It is
+    ``rep[j + 1:]``, in the order given, F itself included, each with any extension.  It is
     p(F) + floor(fractional knapsack) with budget B - c(F) over the
     unblocked elements of the small-profit pool and of ``rep[j + 1:]``,
     taken as one set (with the declared gamma = 4 a classed element can
@@ -191,7 +198,7 @@ class SkeletonBound:
         self._budget = instance.budget
         # An element is open at rep index j < its ``until``: its rep index,
         # or len(rep) for a pool element.
-        until = {eid: i for i, eid in enumerate(sorted(rep))}
+        until = {eid: i for i, eid in enumerate(rep)}
         self.leaf = len(until) - 1
         until.update(dict.fromkeys(pool, len(until)))
         items = [e for e in instance.elements if e.id in until and e.profit > 0]

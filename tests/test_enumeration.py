@@ -173,3 +173,28 @@ class TestCardinalityCap:
         reference_pushes, pushes[0] = pushes[0], 0
         assert max_weight_feasible_ids(inst, inst.profit_of) == reference
         assert 2 * pushes[0] < reference_pushes
+
+
+class TestSkeletonListing:
+    @given(size=st.integers(0, 10), max_size=st.integers(0, 4),
+           pool_mask=st.integers(0, 2**10 - 1), shuffle=st.integers(0, 10**6),
+           **instance_args)
+    @settings(max_examples=200, deadline=None)
+    def test_shuffled_pool_lists_each_feasible_subset_once_in_preorder(
+            self, seed, size, kind, minor, bare, max_size, pool_mask, shuffle):
+        inst = seeded_instance(seed, size, kind, minor, bare)
+        pool = [i for i in inst.sorted_ids() if pool_mask >> i & 1]
+        random.Random(shuffle).shuffle(pool)
+        listed = feasible_subsets_within_budget(inst, pool, max_size)
+        expected = {s for s in iter_feasible_sets(inst, max_size)
+                    if s <= set(pool) and inst.total_cost(s) <= inst.budget}
+        assert len(listed) == len(expected)
+        assert set(map(frozenset, listed)) == expected
+        # Depth-first preorder in pool order: a subset's ids follow the pool,
+        # and the subset it was grown from is listed before it.
+        position = {eid: k for k, eid in enumerate(pool)}
+        seen = set()
+        for subset in listed:
+            assert [position[e] for e in subset] == sorted(position[e] for e in subset)
+            assert subset[:-1] in seen or subset == ()
+            seen.add(subset)

@@ -1,7 +1,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bcopt.solver
 from bcopt.core import (
@@ -172,6 +172,19 @@ class TestSolve:
         assert stats.enumerated > stats.pruned
         assert len(listings) == 1
 
+    def test_a_tie_goes_to_the_smaller_skeleton_key(self, monkeypatch):
+        # {1} and {0, 2, 3, 4, 5} are both worth 104.  The walk visits the
+        # representative set {0, 1} by descending profit, so it meets the
+        # skeleton (1,) before (0,), whose key is smaller and which wins.
+        inst = free_instance([50, 60, 2, 2, 2, 2], [100, 104, 1, 1, 1, 1], budget=60)
+        # alpha's own solution is that winner; a weaker one leaves the tie
+        # to the extensions.
+        monkeypatch.setattr(bcopt.solver, "approx_opt",
+                            lambda working, mode: Solution.build(working, {0}))
+        solution, stats = solve_detailed(inst, Epsilon(1, 4))
+        assert solution.element_ids == (0, 2, 3, 4, 5)
+        assert stats.incumbent_profits == [100, 104, 104]
+
     def test_exact_alpha_mode(self):
         inst = generate_instance(55, 10, "matching")
         sol, stats = solve_detailed(inst, Epsilon(1, 4), SolveConfig(alpha_mode="exact"))
@@ -183,6 +196,7 @@ class TestSolve:
 def unpruned_solve_ids(instance, epsilon):
     """``solve`` without the skeleton bound: every skeleton's residual is solved.
 
+    The winner is the first extension of maximum profit in (len(F), F) order;
     alpha's solution answers when no extension reaches alpha.
     """
     epsilon = epsilon.scaled_down(8)
@@ -191,8 +205,10 @@ def unpruned_solve_ids(instance, epsilon):
     alpha = alpha_solution.total_profit
     rep = rep_set(working, epsilon, alpha=alpha)
     best_ids, best_profit = frozenset(), 0
-    for skeleton in feasible_subsets_within_budget(
-            working, sorted(rep.elements), epsilon.inverse_floor()):
+    # Visited in (len(F), F) order, so the strict gain keeps the smaller key.
+    listed = feasible_subsets_within_budget(working, sorted(rep.elements),
+                                            epsilon.inverse_floor())
+    for skeleton in sorted(listed, key=lambda t: (len(t), t)):
         residual = residual_instance(working, alpha, epsilon, skeleton)
         ids = frozenset(skeleton) | non_profitable_solver(residual).id_set
         if working.total_profit(ids) > best_profit:
@@ -230,14 +246,23 @@ class TestSkeletonBound:
         alpha=st.integers(1, 400),
         eps=st.sampled_from([Epsilon(1, 4), Epsilon(1, 10), Epsilon(2, 5)]),
         rep_mask=st.integers(0, 2**8 - 1),
+        by_profit=st.booleans(),
         pick=st.integers(0, 10**6),
     )
+    # Edge 2 is worth more than edge 0: a bound that indexed the walk by
+    # ascending id would close edge 0 after the prefix (2,).
+    @example(seed=2, size=4, kind="matching", alpha=1, eps=Epsilon(1, 4), rep_mask=5,
+             by_profit=True, pick=1)
     def test_subtree_bound_covers_every_descendant(self, seed, size, kind, alpha, eps,
-                                                   rep_mask, pick):
+                                                   rep_mask, by_profit, pick):
         # The representative set is any subset of the ids, so it may overlap
-        # the small-profit pool as it does under the declared gamma = 4.
+        # the small-profit pool as it does under the declared gamma = 4.  It
+        # is walked by ascending id or, as the solver walks it, by
+        # descending profit.
         inst = preprocess_discard(generate_instance(seed, size, kind))
         rep = [i for i in inst.sorted_ids() if rep_mask >> i & 1]
+        if by_profit:
+            rep.sort(key=lambda i: (-inst.profit_of[i], i))
         listed = feasible_subsets_within_budget(inst, rep, len(rep))
         prefix = listed[pick % len(listed)]
         j = rep.index(prefix[-1]) if prefix else -1
