@@ -16,6 +16,7 @@ element still lands in exactly one class.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -114,19 +115,18 @@ class ClassLayout:
 
 def class_index(element: Element, layout: ClassLayout) -> int | None:
     """The unique class r with p(e) / (2 alpha) in ((1-eps)^r, (1-eps)^(r-1)], or None."""
-    ratio = Fraction(element.profit, 2 * layout.alpha)
+    p, two_alpha = element.profit, 2 * layout.alpha
     bounds = layout.boundaries
-    if ratio > bounds[0] or ratio <= bounds[-1]:
+
+    def below(b: Fraction) -> bool:  # b < p / (2 alpha), by integer cross-multiplication
+        return p * b.denominator > two_alpha * b.numerator
+
+    # Most elements of a solve sit under the last boundary, in no class.
+    if not below(bounds[-1]):
         return None
-    # binary search: smallest r with (1-eps)^r < ratio over the decreasing list
-    lo, hi = 1, len(bounds) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if bounds[mid] < ratio:
-            hi = mid
-        else:
-            lo = mid + 1
-    return layout.r_lo - 1 + lo
+    # The first boundary strictly below the ratio, over the decreasing list.
+    k = bisect_left(bounds, True, key=below)
+    return None if k == 0 else layout.r_lo - 1 + k
 
 
 def class_partition(instance: BCInstance, layout: ClassLayout) -> dict[int, frozenset[int]]:

@@ -33,7 +33,6 @@ from .core import (
 )
 from .classes import ClassLayout
 from .constraints import Constraint, Matching, MatroidIntersection
-from .exchange import DEFAULT_BRANCH_BUDGET
 from .lagrange import approx_opt, declared_gamma
 from .matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .repset import rep_set
@@ -108,7 +107,7 @@ def instance_from_json(data: dict[str, Any]) -> BCInstance:
 
     A fractional number (``6.9``, or even ``6.0``) or a boolean is refused
     rather than truncated.  Edge ids are the object keys, so they are
-    integer strings.
+    integer strings, each written as ``str(id)``.
     """
     try:
         elements = tuple(
@@ -132,8 +131,19 @@ def _integer(value: Any, what: str) -> int:
 
 
 def _edges_from_json(edges: dict[str, Any]) -> dict[int, tuple[int, int]]:
-    return {int(eid): (_integer(uv[0], "edge endpoint"), _integer(uv[1], "edge endpoint"))
+    return {_edge_id(eid): (_integer(uv[0], "edge endpoint"), _integer(uv[1], "edge endpoint"))
             for eid, uv in edges.items()}
+
+
+def _edge_id(key: Any) -> int:
+    # Only the key ``str(id)`` names an id, so "03", "+3", " 3" or "٤" cannot
+    # stand for 3 and silently replace another edge 3.
+    try:
+        if str(int(key)) == key:
+            return int(key)
+    except (TypeError, ValueError):
+        pass
+    raise InvalidParameterError(f"edge id {key!r} is not a canonical integer string")
 
 
 def _constraint_from_json(data: dict[str, Any], ids: frozenset[int]) -> Constraint:
@@ -313,9 +323,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         stats = SolveStats(alpha=solution.total_profit, gamma=Fraction(1),
                            ms_total=(time.perf_counter() - start) * 1000.0)
     else:
-        config = SolveConfig(alpha_mode=args.alpha, subset_cap=args.subset_cap,
-                             branch_budget=args.branch_budget)
-        solution, stats = solve_detailed(instance, epsilon, config)
+        solution, stats = solve_detailed(instance, epsilon, SolveConfig(subset_cap=args.subset_cap))
     print(json.dumps(_solve_record(args.instance, epsilon, args.mode, solution, stats)))
     return EXIT_OK
 
@@ -353,7 +361,10 @@ def _run_verifier(instance: BCInstance, epsilon: Epsilon,
                                        force_heuristic=args.force_heuristic)]
 
     working = preprocess_discard(instance)
-    alpha = approx_opt(working, mode=args.alpha).total_profit
+    if args.alpha == "exact":
+        alpha = oracle.brute_force_opt(working, guard=guard).total_profit
+    else:
+        alpha = approx_opt(working).total_profit
     if prop == "representative":
         rep = rep_set(working, epsilon, args.alpha, alpha=alpha)
         return [oracle.verify_representative(working, epsilon, rep.elements, guard=guard)]
@@ -393,7 +404,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         instance = load_instance(path)
         opt = oracle.brute_force_opt(instance, guard=args.guard).total_profit
         for epsilon in epsilons:
-            solution, stats = solve_detailed(instance, epsilon, SolveConfig(alpha_mode=args.alpha))
+            solution, stats = solve_detailed(instance, epsilon)
             ratio = f"{1:.6f}" if opt == 0 else f"{solution.total_profit / opt:.6f}"
             rows.append({
                 "instance": path.name,
@@ -441,9 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("instance")
     solve_p.add_argument("--epsilon", required=True, help="error parameter as num/den")
     solve_p.add_argument("--mode", choices=["solve", "brute"], default="solve")
-    solve_p.add_argument("--alpha", choices=["exact", "lagrangian"], default="lagrangian")
     solve_p.add_argument("--subset-cap", type=int, default=DEFAULT_SUBSET_CAP)
-    solve_p.add_argument("--branch-budget", type=int, default=DEFAULT_BRANCH_BUDGET)
     solve_p.add_argument("--guard", type=int, default=oracle.DEFAULT_GUARD)
     solve_p.set_defaults(func=_cmd_solve)
 
@@ -469,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("corpus")
     bench.add_argument("--epsilon", action="append", default=None,
                        help="repeatable; defaults to 1/10")
-    bench.add_argument("--alpha", choices=["exact", "lagrangian"], default="lagrangian")
     bench.add_argument("--guard", type=int, default=oracle.DEFAULT_GUARD)
     bench.add_argument("--out", default=None)
     bench.set_defaults(func=_cmd_bench)

@@ -50,7 +50,7 @@ class InfeasibleSetError(BCError):
 
 
 class CapExceededError(BCError):
-    """A configured work cap (subset count, branch budget) was exceeded."""
+    """A work cap (visited skeletons, exchange-set branches) was exceeded."""
 
 
 class GuardExceededError(BCError):
@@ -109,16 +109,12 @@ class Epsilon:
 
     @classmethod
     def parse(cls, text: str) -> "Epsilon":
-        """Parse ``"num/den"`` (or a bare integer numerator over 1)."""
-        parts = text.strip().split("/")
+        """Parse ``"num/den"``; the constructor then checks 0 < epsilon < 1/2."""
         try:
-            if len(parts) == 1:
-                return cls(int(parts[0]), 1)
-            if len(parts) == 2:
-                return cls(int(parts[0]), int(parts[1]))
+            num, den = (int(part) for part in text.strip().split("/"))
         except ValueError as exc:
-            raise InvalidParameterError(f"cannot parse epsilon {text!r}") from exc
-        raise InvalidParameterError(f"cannot parse epsilon {text!r}")
+            raise InvalidParameterError(f"cannot parse epsilon {text!r} as num/den") from exc
+        return cls(num, den)
 
     @property
     def fraction(self) -> Fraction:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .core import BCInstance, Epsilon
 from .classes import ClassLayout, class_partition, q_of
 from .constraints import Matching
-from .exchange import DEFAULT_BRANCH_BUDGET, exset_matching, exset_matroid_intersection
+from .exchange import exset_matching, exset_matroid_intersection
 from .lagrange import approx_opt, declared_gamma
 
 
@@ -31,8 +31,7 @@ class RepresentativeSet:
 
 
 def rep_set(instance: BCInstance, epsilon: Epsilon, alpha_mode: str = "lagrangian",
-            *, branch_budget: int = DEFAULT_BRANCH_BUDGET,
-            alpha: int | None = None) -> RepresentativeSet:
+            *, alpha: int | None = None) -> RepresentativeSet:
     """Build the representative set for ``instance`` and ``epsilon``.
 
     ``alpha`` may be supplied by a caller that already estimated the optimum
@@ -52,8 +51,7 @@ def rep_set(instance: BCInstance, epsilon: Epsilon, alpha_mode: str = "lagrangia
         ids = partition[r]
         if is_matching:
             return exset_matching(instance, layout, ids)
-        return exset_matroid_intersection(instance, layout, ids,
-                                          branch_budget=branch_budget)
+        return exset_matroid_intersection(instance, layout, ids)
 
     per_class = {r: build(r) for r in sorted(partition)}
     elements = frozenset().union(*per_class.values())

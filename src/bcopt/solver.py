@@ -25,7 +25,6 @@ from .core import (
 from .classes import small_profit_pool
 from .constraints import Matching, MatroidIntersection, residual_constraint, size_cap
 from .enumeration import feasible_subsets_within_budget
-from .exchange import DEFAULT_BRANCH_BUDGET
 from .lagrange import approx_opt, declared_gamma, non_profitable_solver
 from .repset import rep_set
 
@@ -34,17 +33,16 @@ DEFAULT_SUBSET_CAP = 10**7
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """How ``solve`` estimates alpha, and the caps that stop its exponential stages.
+    """The cap on ``solve``'s skeleton walk.
 
-    ``alpha_mode`` is ``"lagrangian"`` (the default, declared gamma = 4) or
-    ``"exact"`` (brute force, gamma = 2).  More than ``subset_cap`` visited
-    skeletons, or more than ``branch_budget`` branches of one exchange-set
-    search, raise :class:`~bcopt.core.CapExceededError`.
+    More than ``subset_cap`` visited skeletons raise
+    :class:`~bcopt.core.CapExceededError`.  The other exponential stage, the
+    exchange-set search, has a fixed cap of
+    :data:`~bcopt.exchange.DEFAULT_BRANCH_BUDGET` branches.  alpha is always
+    the Lagrangian estimate (declared gamma = 4).
     """
 
-    alpha_mode: str = "lagrangian"
     subset_cap: int = DEFAULT_SUBSET_CAP
-    branch_budget: int = DEFAULT_BRANCH_BUDGET
 
 
 @dataclass
@@ -105,12 +103,11 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
     config = config or SolveConfig()
     start = time.perf_counter()
     working = preprocess_discard(instance)
-    stats = SolveStats(gamma=declared_gamma(config.alpha_mode))
+    stats = SolveStats(gamma=declared_gamma("lagrangian"))
 
-    best = approx_opt(working, mode=config.alpha_mode)
+    best = approx_opt(working)
     alpha = best.total_profit
-    rep = rep_set(working, epsilon, config.alpha_mode,
-                  branch_budget=config.branch_budget, alpha=alpha)
+    rep = rep_set(working, epsilon, alpha=alpha)
     stats.alpha = alpha
     stats.rep_size = rep.size
 

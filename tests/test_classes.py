@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bcopt.core import Element, Epsilon, InvalidParameterError
+from bcopt.core import MAX_VALUE, Element, Epsilon, InvalidParameterError
 from bcopt.classes import (
     ClassLayout,
     _class_bounds,
@@ -179,3 +179,41 @@ def test_membership_unique_within_coverage(num, den, alpha, profit):
         for other in (r - 1, r + 1):
             if layout.r_lo <= other <= layout.r_hi:
                 assert not (layout.power(other) < ratio <= layout.power(other - 1))
+
+
+def _class_index_reference(element, layout):
+    """The class by a linear scan over the exact ``Fraction`` intervals."""
+    ratio = Fraction(element.profit, 2 * layout.alpha)
+    for r in layout.index_range:
+        if layout.power(r) < ratio <= layout.power(r - 1):
+            return r
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num=st.integers(min_value=1, max_value=30),
+    den=st.integers(min_value=3, max_value=100),
+    gamma=st.sampled_from([Fraction(2), Fraction(4), Fraction(9, 2)]),
+    k=st.integers(min_value=0, max_value=10**6),
+    scale=st.integers(min_value=1, max_value=50),
+    alpha=st.integers(min_value=1, max_value=10**6),
+    profit=st.integers(min_value=0, max_value=10**7),
+)
+def test_class_index_matches_a_fraction_reference(num, den, gamma, k, scale, alpha, profit):
+    """The integer bisection agrees with exact ``Fraction`` comparisons,
+    on every boundary and one step either side of it."""
+    if 2 * num >= den:
+        den = 2 * num + 1
+    eps = Epsilon(num, den)
+    layout = ClassLayout(eps, alpha, gamma)
+    assert class_index(Element(0, 0, profit), layout) == _class_index_reference(
+        Element(0, 0, profit), layout)
+    # alpha chosen so that p / (2 alpha) hits the boundary b exactly at
+    # p = 2 b.num * scale; b = 1 is always a boundary whose p fits an element.
+    fitting = [b for b in layout.boundaries if 2 * b.numerator * scale < MAX_VALUE]
+    b = fitting[k % len(fitting)]
+    on_boundary = ClassLayout(eps, b.denominator * scale, gamma)
+    for p in (2 * b.numerator * scale + step for step in (-1, 0, 1)):
+        assert class_index(Element(0, 0, p), on_boundary) == _class_index_reference(
+            Element(0, 0, p), on_boundary)

@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+import bcopt.enumeration
+import bcopt.lagrange
+import bcopt.oracle
 from bcopt.cli import (
     EXIT_CAP_OVERFLOW,
     EXIT_GUARD_EXCEEDED,
@@ -16,6 +19,7 @@ from bcopt.cli import (
     instance_from_json,
     instance_to_json,
     load_instance,
+    main,
 )
 from bcopt.core import InvalidParameterError, validate_instance
 
@@ -123,6 +127,27 @@ class TestInstanceFromJson:
         with pytest.raises(InvalidParameterError, match="must be an integer"):
             instance_from_json(data)
 
+    @pytest.mark.parametrize("make,path", [(_matching_json, ("constraint", "edges")),
+                                           (_graphic_json, ("constraint", "matroids", 0, "edges"))])
+    @pytest.mark.parametrize("key", ["01", "+1", " 1", "1 ", "1_0", "1.0", "\u0661", ""])
+    def test_non_canonical_edge_ids_are_refused(self, make, path, key):
+        data = make()
+        edges = data
+        for step in path:
+            edges = edges[step]
+        edges[key] = edges.pop("1")
+        with pytest.raises(InvalidParameterError, match="edge id"):
+            instance_from_json(data)
+
+    def test_two_spellings_of_one_edge_id_are_refused(self, tmp_path):
+        # int() reads "1" and "01" as the same id: the second edge would
+        # silently replace the first, and the file would still validate.
+        data = _matching_json()
+        data["constraint"]["edges"]["01"] = [0, 2]
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", str(path), "--epsilon", "1/4"]) == EXIT_INVALID_INPUT
+
 
 class TestSolveCmd:
     def test_brute_matches_record(self, tmp_path):
@@ -145,16 +170,6 @@ class TestSolveCmd:
                     "alpha", "gamma", "rep_size", "enumerated", "ms_total"):
             assert key in record
         assert record["epsilon"] == "1/10"
-
-    def test_exact_alpha_declares_gamma_two(self, tmp_path):
-        inst = generate_instance(8, 8, "matching")
-        path = write_instance(tmp_path, inst)
-        code, out, _ = run_cli(["solve", str(path), "--epsilon", "1/4",
-                                "--mode", "solve", "--alpha", "exact"])
-        assert code == EXIT_OK
-        record = json.loads(out)
-        assert record["mode"] == "solve"
-        assert record["gamma"] == "2"
 
     def test_epsilon_one_is_usage_error(self, tmp_path):
         inst = generate_instance(2, 6, "matching")
@@ -185,11 +200,13 @@ class TestSolveCmd:
         assert code == EXIT_CAP_OVERFLOW
         assert "cap" in err
 
-    @pytest.mark.parametrize("extra", [["--threads", "4"], ["--mode", "eptas"]])
+    @pytest.mark.parametrize("extra", [["--threads", "4"], ["--mode", "eptas"],
+                                       ["--alpha", "exact"], ["--branch-budget", "5"]])
     def test_removed_options_are_usage_errors(self, extra):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["solve", "inst.json", "--epsilon", "1/4", *extra])
-        assert exc.value.code == EXIT_INVALID_INPUT
+        for command in (["solve", "inst.json"], ["bench", "corpus"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([*command, "--epsilon", "1/4", *extra])
+            assert exc.value.code == EXIT_INVALID_INPUT
 
 
 class TestVerifyCmd:
@@ -254,6 +271,17 @@ class TestVerifyCmd:
         code, _, _ = run_cli(["verify", str(path), "--epsilon", "1/4",
                               "--property", "representative", "--guard", "5"])
         assert code == EXIT_GUARD_EXCEEDED
+
+    def test_exact_alpha_is_guarded(self, tmp_path, monkeypatch):
+        # 60 edges: far above the guard, so no brute force may start.
+        def no_brute_force(instance):
+            raise AssertionError("brute force ran above the guard")
+
+        for module in (bcopt.enumeration, bcopt.lagrange, bcopt.oracle):
+            monkeypatch.setattr(module, "max_profit_solution_ids", no_brute_force)
+        path = write_instance(tmp_path, generate_instance(3, 60, "matching"))
+        assert main(["verify", str(path), "--epsilon", "1/4",
+                     "--property", "representative"]) == EXIT_GUARD_EXCEEDED
 
     def test_weak_exchange_and_replacement_and_npsolver(self, tmp_path):
         inst = generate_instance(20, 7, "matroid-intersection")

@@ -54,10 +54,15 @@ class TestEpsilon:
 
     def test_parse(self):
         assert Epsilon.parse("1/4") == Epsilon(1, 4)
+        assert Epsilon.parse(" 2/10 ") == Epsilon(1, 5)
         with pytest.raises(InvalidParameterError):
             Epsilon.parse("1/1")
-        with pytest.raises(InvalidParameterError):
-            Epsilon.parse("bogus")
+        # A well-formed epsilon out of range is reported as out of range.
+        with pytest.raises(InvalidParameterError, match="0 < epsilon < 1/2"):
+            Epsilon.parse("1/2")
+        for text in ("1", "0", "bogus", "1/4/2", "1.5/4"):
+            with pytest.raises(InvalidParameterError, match="cannot parse"):
+                Epsilon.parse(text)
 
     def test_scaled_down(self):
         assert Epsilon(2, 5).scaled_down(8) == Epsilon(1, 20)

@@ -180,17 +180,10 @@ class TestSolve:
         # alpha's own solution is that winner; a weaker one leaves the tie
         # to the extensions.
         monkeypatch.setattr(bcopt.solver, "approx_opt",
-                            lambda working, mode: Solution.build(working, {0}))
+                            lambda working: Solution.build(working, {0}))
         solution, stats = solve_detailed(inst, Epsilon(1, 4))
         assert solution.element_ids == (0, 2, 3, 4, 5)
         assert stats.incumbent_profits == [100, 104, 104]
-
-    def test_exact_alpha_mode(self):
-        inst = generate_instance(55, 10, "matching")
-        sol, stats = solve_detailed(inst, Epsilon(1, 4), SolveConfig(alpha_mode="exact"))
-        assert stats.gamma == 2
-        assert stats.alpha == brute_force_opt(preprocess_discard(inst)).total_profit
-        assert sol.total_cost <= inst.budget
 
 
 def unpruned_solve_ids(instance, epsilon):
