@@ -8,6 +8,7 @@ floating-point drift.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -72,6 +73,8 @@ class Element:
             raise InvalidParameterError(f"element id must be an integer, got {self.id!r}")
         if self.id < 0:
             raise InvalidParameterError(f"element id must be non-negative, got {self.id}")
+        if self.id > MAX_VALUE:
+            raise InvalidParameterError(f"element id exceeds 64-bit range: {self.id}")
         for name, value in (("cost", self.cost), ("profit", self.profit)):
             if type(value) is not int:
                 raise InvalidParameterError(f"element {name} must be an integer, got {value!r}")
@@ -158,6 +161,11 @@ class BCInstance:
         object.__setattr__(self, "elements", tuple(self.elements))
         object.__setattr__(self, "cost_of", {e.id: e.cost for e in self.elements})
         object.__setattr__(self, "profit_of", {e.id: e.profit for e in self.elements})
+        # Every lookup and tie-break is by id, so an id names one element.
+        if len(self.cost_of) < len(self.elements):
+            counts = Counter(e.id for e in self.elements)
+            raise InvalidParameterError(
+                f"duplicate element ids {sorted(i for i, k in counts.items() if k > 1)}")
 
     @property
     def ids(self) -> frozenset[int]:
@@ -223,18 +231,11 @@ class ValidationReport:
 def validate_instance(instance: BCInstance) -> ValidationReport:
     """Check structural integrity; returns a report instead of raising.
 
-    Flags duplicate element ids, dangling constraint references, self-loop
-    edges and mismatched oracle ground sets.  Negative values never get this
-    far: they are rejected when elements are constructed.
+    Flags dangling constraint references, self-loop edges and mismatched
+    oracle ground sets.  Negative values and duplicate ids never get this
+    far: they are rejected when elements and instances are constructed.
     """
-    problems: list[str] = []
-    seen: set[int] = set()
-    for e in instance.elements:
-        if e.id in seen:
-            problems.append(f"duplicate id {e.id}")
-        seen.add(e.id)
-    problems.extend(instance.constraint.validate(seen))
-    return ValidationReport(tuple(problems))
+    return ValidationReport(tuple(instance.constraint.validate(set(instance.cost_of))))
 
 
 def is_solution(instance: BCInstance, ids: Iterable[int]) -> bool:

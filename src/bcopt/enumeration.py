@@ -10,7 +10,11 @@ partial set is infeasible or over budget, no superset can recover, so the
 whole branch is pruned.  The maximum-weight search also knows that no
 feasible set holds more than :func:`bcopt.constraints.size_cap` elements,
 so a branch can gain at most the heaviest values that fit in the slots it
-has left.
+has left.  The listing also takes the caller's bound test: it leaves out
+every subtree the test rejects, and after a rejected child of a parent that
+is not itself wanted it asks the test once more for the parent over the
+later positions, which covers every later child and its subtree, and on a
+rejection stops taking the parent's children.
 
 Each engine's recursive ``walk`` closure refers to itself, so the engine
 unbinds it when the search ends.  Otherwise every search would leave a
@@ -109,7 +113,8 @@ def feasible_subsets_within_budget(
     pool: list[int],
     max_size: int,
     cap: int | None = None,
-    keep: Callable[[list[int], int], bool] | None = None,
+    promising: Callable[[list[int], int], bool] | None = None,
+    visit: Callable[[list[int]], None] | None = None,
 ) -> list[tuple[int, ...]]:
     """Feasible, budget-respecting subsets of ``pool`` up to ``max_size``.
 
@@ -118,10 +123,19 @@ def feasible_subsets_within_budget(
     from it, a subset's ids in pool order.  Raises CapExceededError when more
     than ``cap`` subsets would be listed.
 
-    ``keep(chosen, j)``, when given, is asked of each subset as it is reached,
-    with ``chosen`` its ids (a list the walk reuses) and ``j`` the position of
-    its last id in ``pool``, -1 for the empty set.  When it answers false,
-    that subset and every superset grown from it are left out.
+    ``promising(chosen, j)``, when given, says whether any subset grown from
+    ``chosen`` (a list the walk reuses) with ids of ``pool[j + 1:]``,
+    ``chosen`` itself included, is still wanted; at the last position it
+    says whether ``chosen`` itself is.  The walk asks it of each subset as it
+    is reached, with ``j`` the position of its last id, -1 for the empty set;
+    on false, that subset and every superset grown from it are left out.
+    Otherwise the subset is listed, and ``visit(chosen)``, when given, is
+    called on it if it is itself wanted.  When the walk leaves out the child
+    that adds ``pool[k]`` to a subset F that is not itself wanted, and
+    ``pool`` goes on past ``k``, it asks ``promising`` of F at ``k``, which
+    covers F's later children and their subtrees; on false, it stops taking
+    F's children.  For an F that is itself wanted that answer was true when
+    F was listed, so the walk does not ask.
     """
     n = len(pool)
     costs = [instance.cost_of[i] for i in pool]
@@ -130,22 +144,28 @@ def feasible_subsets_within_budget(
     out: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
-    def walk(j: int, cost: int) -> None:
-        if keep is not None and not keep(chosen, j):
-            return
+    def walk(j: int, cost: int) -> bool:
+        if promising is not None and not promising(chosen, j):
+            return False
         out.append(tuple(chosen))
         if cap is not None and len(out) > cap:
             raise CapExceededError(f"subset enumeration exceeded the configured cap of {cap}")
+        wanted = promising is None or j == n - 1 or promising(chosen, n - 1)
+        if wanted and visit is not None:
+            visit(chosen)
         if len(chosen) == max_size:
-            return
+            return True
         for k in range(j + 1, n):
             nc = cost + costs[k]
             if nc > budget or not cursor.try_push(pool[k]):
                 continue
             chosen.append(pool[k])
-            walk(k, nc)
+            kept = walk(k, nc)
             chosen.pop()
             cursor.pop()
+            if not (kept or wanted or k + 1 == n or promising(chosen, k)):
+                break
+        return True
 
     try:
         walk(-1, 0)

@@ -22,9 +22,11 @@ cross-multiplication.
 The bisection stops at breakpoint resolution: the inner optimum changes only
 at rationals of bounded denominator D, and once the bracket is too narrow to
 hold two of them, deeper probes could only return the bracketing pair again
-(the argument is in ``_candidate_pool``).  A search that bisects makes
-2 + ((P + 1) * D^2).bit_length() inner probes, whatever the size of the
-numbers: on the benchmark's low-profit workload, 16.
+(the argument is in ``_candidate_pool``).  D is the largest cost for the
+greedy inner oracle; for the exact one it also shrinks with the bracket's
+cost range.  A search that bisects makes at most
+2 + ((P + 1) * D^2).bit_length() inner probes, D as it is at the start,
+whatever the size of the numbers: on the benchmark's low-profit workload, 16.
 
 A residual of at most ``EXACT_LIMIT`` elements is brute-forced outright, and
 the optimum estimate's inner oracle is exact at those sizes.  Above it the
@@ -40,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import BCError, BCInstance, Element, Solution, ratio_key
-from .constraints import Matching, MatroidIntersection, size_cap
+from .constraints import Matching, MatroidIntersection
 from .enumeration import max_profit_solution_ids, max_weight_feasible_ids
 
 # Exhaustive patching enumerates all component subsets up to this many
@@ -166,22 +168,35 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     """Budget-feasible candidates, in a deterministic order.
 
     The bisection stops once its bracket can hold only one breakpoint of the
-    inner oracle, after ((P + 1) * D^2).bit_length() steps (P and D below),
-    so a search that bisects makes that many inner-oracle probes plus two.
-    Its pool then holds the same distinct sets, and hands ``_patched`` the
-    same pair, as a search that bisects to any greater depth:
+    inner oracle, so a search that bisects makes at most
+    ((P + 1) * D^2).bit_length() steps (P and D below, D as it is before the
+    first step), and two inner-oracle probes more.  Its pool then holds the
+    same distinct sets, and hands ``_patched`` the same pair, as a search
+    that bisects to any greater depth:
 
-    - The oracle's result is piecewise constant in lambda.  The greedy one
-      (above ``EXACT_LIMIT`` elements) changes only where two weights
-      p - lambda c cross or one crosses zero, at a rational whose denominator
-      is at most the largest cost.  The exact one changes where the weights
-      of two feasible sets A and B cross, at
-      lambda = (p(A) - p(B)) / (c(A) - c(B)), whose denominator divides
-      |c(A) - c(B)| <= max(c(A), c(B)).  A feasible set holds at most
-      ``size_cap`` elements, so that is at most the sum of the ``size_cap``
-      largest costs, never more than c(E).  Call the bound D; it is at least
-      1 once the search bisects, since the lambda = 0 optimum costs
-      something.
+    - The oracle's result is piecewise constant in lambda; its breakpoints
+      are the lambda where it changes.  The greedy one (above
+      ``EXACT_LIMIT`` elements) changes only where two weights p - lambda c
+      cross or one crosses zero, at a rational whose denominator is at most
+      the largest cost.  The exact one breaks ties among equally heavy sets
+      by the same weight order, so it changes at those points, or where the
+      family of optimal sets changes.
+    - The exact optimum's cost does not increase with lambda: for
+      lambda < mu, with A optimal at lambda and B at mu, adding
+      p(A) - lambda c(A) >= p(B) - lambda c(B) and
+      p(B) - mu c(B) >= p(A) - mu c(A) gives (mu - lambda)(c(A) - c(B)) >= 0.
+      So a set optimal anywhere inside the bracket costs between c(s_minus)
+      and c(s_plus).  Where the family changes at a point of the bracket, two
+      sets of different costs are optimal there: each is optimal on a side of
+      the point inside the bracket, or is the set of an end.  The point is
+      where their weights cross, at (p(A) - p(B)) / (c(A) - c(B)), so its
+      denominator is at most c(s_plus) - c(s_minus).
+    - Call D the largest cost for the greedy oracle, and the larger of the
+      largest cost and c(s_plus) - c(s_minus) for the exact one, taken anew
+      after every probe; it bounds the denominator of every breakpoint in
+      the bracket.  It is at least 1 once the search bisects, since the
+      lambda = 0 optimum costs something, and it never grows, since the
+      bracket's cost range only narrows.
     - Two distinct such breakpoints are at least 1/D^2 apart.  The bracket
       [lo / den, hi / den] has width (hi - lo) / den, so once
       (hi - lo) * D^2 < den it holds exactly one breakpoint: its two ends
@@ -202,16 +217,15 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     pool: list[frozenset[int]] = [frozenset()]
     orders = _GreedyOrders(instance)
 
-    def offer(s: frozenset[int], spent: int | None = None) -> bool:
-        """Pool ``s`` if it is affordable; ``spent`` is its cost, when known."""
+    def offer(s: frozenset[int], spent: int | None = None) -> int:
+        """Pool ``s`` if it is affordable; return its cost, ``spent`` when known."""
         if spent is None:
             spent = orders.spent.get(s)
             if spent is None:
                 spent = sum(map(cost.__getitem__, s))
         if spent <= budget:
             pool.append(s)
-            return True
-        return False
+        return spent
 
     # Feasible affordable singletons and a profit-density greedy fill.  A
     # residual constraint may reject a singleton its skeleton spans.  Each
@@ -235,30 +249,32 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     # zero-cost elements carry positive weight, so the optimum is affordable.
     # s_minus stays affordable and s_plus over budget throughout, so the
     # bracket never closes early.
-    s_lo = inner_max_weight(instance, Fraction(0), _orders=orders)
-    if offer(s_lo):
+    s_plus = inner_max_weight(instance, Fraction(0), _orders=orders)
+    c_plus = offer(s_plus)
+    if c_plus <= budget:
         return pool
-    s_plus = s_lo
     # The bracket is [lo / den, hi / den]; each halving doubles den.
     lo, hi, den = 0, max(e.profit for e in instance.elements) + 1, 1
     s_minus = inner_max_weight(instance, Fraction(hi), _orders=orders)
-    offer(s_minus)
-    # Breakpoint denominators are at most d (see the docstring).
-    if len(instance.elements) > EXACT_LIMIT:
-        d = max(orders.costs)
-    else:
-        cap = size_cap(instance.constraint, orders.ids)
-        d = sum(sorted(orders.costs, reverse=True)[:cap])
-    # Measured before halving; hi - lo stays P + 1 and den doubles, so the
-    # loop ends after ((P + 1) * d * d).bit_length() steps.
-    while (hi - lo) * d * d >= den:
+    c_minus = offer(s_minus)
+    # Breakpoint denominators are at most d (see the docstring): the largest
+    # cost, and on the exact path also the bracket's cost range.  hi - lo
+    # stays P + 1 and den doubles, so the loop ends after at most
+    # ((P + 1) * d * d).bit_length() steps, d as it is before the first.
+    exact = len(instance.elements) <= EXACT_LIMIT
+    largest = max(orders.costs)
+    while True:
+        d = max(largest, c_plus - c_minus) if exact else largest
+        if (hi - lo) * d * d < den:
+            break
         mid = lo + hi
         lo, hi, den = 2 * lo, 2 * hi, 2 * den
         s_mid = inner_max_weight(instance, Fraction(mid, den), _orders=orders)
-        if offer(s_mid):
-            hi, s_minus = mid, s_mid
+        c_mid = offer(s_mid)
+        if c_mid <= budget:
+            hi, s_minus, c_minus = mid, s_mid, c_mid
         else:
-            lo, s_plus = mid, s_mid
+            lo, s_plus, c_plus = mid, s_mid, c_mid
     pool.extend(_patched(instance, s_minus, s_plus))
     return pool
 

@@ -98,6 +98,16 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
     solved, and the extension's profit whether it replaces the incumbent.
     At equal value F's key decides; no skeleton grown from F has a smaller
     key, so no prune can change the winner.
+
+    When the walk leaves out F's child at rep index k < leaf, and F's
+    residual was skipped, it tests F's bound at k the same way, with F's
+    key, and on a failure takes no later child of F.  (Had F's leaf bound
+    won, so would the bound at k, which is at least as large.)  That bound
+    covers every later child's subtree bound (see :class:`SkeletonBound`),
+    and each child's key is larger than F's, so every child it cuts would
+    have failed its own test against the same or a better incumbent: the
+    visited skeletons, and with them the stats, are those of the walk
+    without the cut.
     """
     epsilon = epsilon.scaled_down(8)  # the scheme's own eps'
     config = config or SolveConfig()
@@ -122,13 +132,14 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
             return value > best_profit
         return (len(chosen), tuple(sorted(chosen))) < best_key
 
-    def visit(chosen: list[int], j: int) -> bool:
-        nonlocal best, best_profit, best_key
-        if not can_win(bound.bound(chosen, j), chosen):
-            return False
-        if not can_win(bound.bound(chosen, bound.leaf), chosen):
-            stats.pruned += 1
-            return True
+    def promising(chosen: list[int], j: int) -> bool:
+        return can_win(bound.bound(chosen, j), chosen)
+
+    solved = 0
+
+    def visit(chosen: list[int]) -> None:
+        nonlocal best, best_profit, best_key, solved
+        solved += 1
         skeleton = frozenset(chosen)
         residual = _build_residual(working, pool, skeleton)
         combined_ids = skeleton | non_profitable_solver(residual).id_set
@@ -137,10 +148,11 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
             best = Solution.build(working, combined_ids)
             best_profit, best_key = profit, (len(chosen), tuple(sorted(chosen)))
             stats.incumbent_profits.append(profit)
-        return True
 
     stats.enumerated = len(feasible_subsets_within_budget(
-        working, rep_ids, epsilon.inverse_floor(), cap=config.subset_cap, keep=visit))
+        working, rep_ids, epsilon.inverse_floor(), cap=config.subset_cap,
+        promising=promising, visit=visit))
+    stats.pruned = stats.enumerated - solved
 
     # Re-validate against the original, unpreprocessed instance.
     final = Solution.build(instance, best.element_ids)
@@ -177,6 +189,11 @@ class SkeletonBound:
     At ``leaf = len(rep) - 1`` only the pool is open, so ``bound(F, leaf)``
     covers F's residual instance, whose elements are the unblocked pool:
     no residual solution can beat it.
+
+    For j < k, with F | {rep[k]} a skeleton, bound(F | {rep[k]}, k) <=
+    bound(F, j): forcing rep[k], which is open at j, into F's knapsack is one
+    feasible point of F's relaxation, and it also takes one of F's r - |F|
+    slots.
 
     The candidates are sorted once by exact density, zero-cost elements
     first; each knapsack walks them until the budget runs out.

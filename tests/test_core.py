@@ -29,8 +29,10 @@ class TestElement:
             Element(-1, 1, 5)
 
     def test_rejects_values_beyond_64_bits(self):
-        with pytest.raises(InvalidParameterError):
-            Element(0, 2**63, 0)
+        for args in ((0, 2**63, 0), (0, 0, 2**63), (2**63, 0, 0)):
+            with pytest.raises(InvalidParameterError):
+                Element(*args)
+        Element(2**63 - 1, 2**63 - 1, 2**63 - 1)
 
     def test_zero_values_permitted(self):
         Element(0, 0, 0)
@@ -102,11 +104,14 @@ class TestValidateInstance:
         assert any("dangling id 7" in v for v in report.violations)
 
     def test_duplicate_ids(self):
-        inst = BCInstance(
-            (Element(3, 1, 1), Element(3, 2, 2)), Matching(4, {3: (0, 1)}), 5
-        )
-        report = validate_instance(inst)
-        assert any("duplicate id 3" in v for v in report.violations)
+        # Refused at construction, whatever the order: solving such an
+        # instance would depend on which of the two id-0 elements comes first.
+        for elements in ((Element(0, 100, 1), Element(0, 1, 1), Element(1, 5, 1)),
+                         (Element(0, 1, 1), Element(0, 100, 1), Element(1, 5, 1))):
+            with pytest.raises(InvalidParameterError, match=r"duplicate element ids \[0\]"):
+                BCInstance(elements, free_constraint((0, 1)), 50)
+        with pytest.raises(InvalidParameterError, match=r"duplicate element ids \[3\]"):
+            BCInstance((Element(3, 1, 1), Element(3, 2, 2)), Matching(4, {3: (0, 1)}), 5)
 
     def test_self_loop_is_flagged(self):
         inst = BCInstance((Element(0, 1, 1),), Matching(3, {0: (1, 1)}), 5)

@@ -177,16 +177,21 @@ class TestNonProfitableSolver:
 
 
 class TestInnerOracle:
-    def test_cost_monotone_in_lambda_when_exact(self):
-        rng = random.Random(1)
-        for trial in range(10):
-            kind = "matching" if trial % 2 == 0 else "matroid-intersection"
-            inst = preprocess_discard(generate_instance(5000 + trial, 9, kind))
-            lams = sorted(Fraction(rng.randint(0, 400), rng.randint(1, 8)) for _ in range(6))
-            costs = [
-                inst.total_cost(inner_max_weight(inst, lam)) for lam in lams
-            ]
-            assert all(a >= b for a, b in zip(costs, costs[1:]))
+    @given(
+        seed=st.integers(0, 10**6),
+        size=st.integers(0, 10),
+        kind=st.sampled_from(["matching", "matroid-intersection"]),
+        top=st.integers(1, 100),
+        lams=st.lists(st.builds(Fraction, st.integers(0, 100), st.integers(1, 64)),
+                      min_size=2, max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cost_monotone_in_lambda_when_exact(self, seed, size, kind, top, lams):
+        # What lets the exact search shrink its breakpoint bound with the
+        # bracket.  Ranges from 0, often small, make ties and zero costs common.
+        inst = generate_instance(seed, size, kind, cost_range=(0, top), profit_range=(0, top))
+        costs = [inst.total_cost(inner_max_weight(inst, lam)) for lam in sorted(lams)]
+        assert costs == sorted(costs, reverse=True)
 
     def test_greedy_mode_returns_feasible_set(self):
         inst = preprocess_discard(generate_instance(77, 10, "matching"))
@@ -443,6 +448,23 @@ class TestBreakpointStop:
                           Matching(3, {0: (0, 1), 1: (0, 2)}), 3)
         pool, pairs = searched_pool_and_pair(inst)
         assert pairs == [(frozenset(), frozenset({1}))]
+        assert (pool, pairs) == full_depth_pool_and_pair(inst)
+
+    def test_exact_stop_separates_a_tie_break_flip_past_the_bracket_costs(self):
+        # Edges 0, 3, 1, 2 form the cycle 0-1-2-3-0, whose perfect matchings
+        # {0, 1} and {2, 3} tie at every lambda: each costs 4 and is worth 7.
+        # The exact oracle takes the one holding the heavier of edges 3 and 0,
+        # which cross at lambda = 3/4.  The stand-alone edge 4 turns
+        # non-positive at 2/3, where the over-budget {2, 3, 4} gives way.
+        # The bracket's cost range is then 7 - 4 = 3, below the crossing's
+        # denominator 4: a D without the largest-cost floor stops with the
+        # bracket [21/32, 49/64], which holds both points, and s_minus = {0, 1}.
+        inst = BCInstance(
+            (Element(0, 0, 3), Element(1, 4, 4), Element(2, 0, 1), Element(3, 4, 6),
+             Element(4, 3, 2)),
+            Matching(6, {0: (0, 1), 1: (2, 3), 2: (3, 0), 3: (1, 2), 4: (4, 5)}), 6)
+        pool, pairs = searched_pool_and_pair(inst)
+        assert pairs == [(frozenset({2, 3}), frozenset({2, 3, 4}))]
         assert (pool, pairs) == full_depth_pool_and_pair(inst)
 
     def test_bisection_runs_past_64_steps_on_large_numbers(self, monkeypatch):

@@ -211,6 +211,39 @@ def unpruned_solve_ids(instance, epsilon):
     return tuple(sorted(best_ids))
 
 
+def untailed_listing(instance, pool, max_size, cap=None, promising=None, visit=None):
+    """The skeleton listing without its sibling-tail cut: every child is tested."""
+    cursor = instance.constraint.cursor()
+    out, chosen = [], []
+    last = len(pool) - 1
+
+    def walk(j, cost):
+        if not promising(chosen, j):
+            return
+        out.append(tuple(chosen))
+        if j == last or promising(chosen, last):
+            visit(chosen)
+        if len(chosen) == max_size:
+            return
+        for k in range(j + 1, len(pool)):
+            grown = cost + instance.cost_of[pool[k]]
+            if grown <= instance.budget and cursor.try_push(pool[k]):
+                chosen.append(pool[k])
+                walk(k, grown)
+                chosen.pop()
+                cursor.pop()
+
+    walk(-1, 0)
+    return out
+
+
+def low_rank(instance, ranks):
+    """``instance`` under two uniform matroids of the given ranks."""
+    ids = frozenset(instance.cost_of)
+    return BCInstance(instance.elements, MatroidIntersection(
+        UniformMatroid(ids, ranks[0]), UniformMatroid(ids, ranks[1])), instance.budget)
+
+
 class TestSkeletonBound:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -267,6 +300,42 @@ class TestSkeletonBound:
             residual = residual_instance(inst, alpha, eps, skeleton)
             best = inst.total_profit(skeleton) + brute_force_opt(residual).total_profit
             assert bound >= best, skeleton
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        size=st.integers(3, 9),
+        kind=st.sampled_from(["matching", "matroid-intersection", "low-rank"]),
+        ranks=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        alpha=st.integers(1, 400),
+        eps=st.sampled_from([Epsilon(1, 4), Epsilon(1, 10), Epsilon(2, 5)]),
+        rep_mask=st.integers(0, 2**9 - 1),
+        pick=st.integers(0, 10**6),
+    )
+    def test_tail_bound_covers_every_later_child(self, seed, size, kind, ranks, alpha, eps,
+                                                 rep_mask, pick):
+        # bound(F | {rep[k2]}, k2) <= bound(F, k) for j < k < k2, j the rep
+        # index of F's last id: what lets the walk stop taking F's children
+        # once bound(F, k) cannot win.  "low-rank" intersections make the
+        # rank cap bind.
+        inst = generate_instance(seed, size, kind if kind == "matching" else
+                                 "matroid-intersection")
+        if kind == "low-rank":
+            inst = low_rank(inst, ranks)
+        inst = preprocess_discard(inst)
+        rep = sorted((i for i in inst.sorted_ids() if rep_mask >> i & 1),
+                     key=lambda i: (-inst.profit_of[i], i))
+        listed = feasible_subsets_within_budget(inst, rep, len(rep))
+        skeleton = listed[pick % len(listed)]
+        bound = SkeletonBound(inst, small_profit_pool(inst, alpha, eps), rep)
+        j = rep.index(skeleton[-1]) if skeleton else -1
+        children = [(k2, skeleton + (rep[k2],)) for k2 in range(j + 1, len(rep))]
+        children = [(k2, child) for k2, child in children if child in listed]
+        for k in range(j + 1, len(rep)):
+            tail = bound.bound(list(skeleton), k)
+            for k2, child in children:
+                if k2 > k:
+                    assert bound.bound(list(child), k2) <= tail, (skeleton, k, k2)
 
     @pytest.mark.parametrize("ranks", [(2, 3), (3, 2)])
     def test_intersection_subtree_bound_caps_at_the_smaller_rank(self, ranks):
@@ -333,3 +402,38 @@ class TestSkeletonBound:
             for name, inst in main_corpus:
                 assert solve(inst, eps).element_ids == unpruned_solve_ids(inst, eps), name
 
+
+    def test_the_sibling_tail_cut_leaves_every_visit_as_it_was(self, main_corpus,
+                                                               npsolver_corpus, monkeypatch):
+        # The cut stops F's loop over its children only when every child it
+        # skips would have failed its own test, so the listing, the stats and
+        # the answer equal those of a walk that tests every child.
+        def run(listing, inst, eps):
+            record = {"tests": 0}
+
+            def recording(*args, promising, **kwargs):
+                def counted(chosen, j):
+                    record["tests"] += 1
+                    return promising(chosen, j)
+
+                record["listed"] = listing(*args, promising=counted, **kwargs)
+                return record["listed"]
+
+            monkeypatch.setattr(bcopt.solver, "feasible_subsets_within_budget", recording)
+            solution, stats = solve_detailed(inst, eps)
+            seen = (solution.element_ids, record["listed"], stats.enumerated, stats.pruned,
+                    stats.incumbent_profits)
+            return seen, record["tests"]
+
+        corpus = [(name, inst, eps) for eps in (Epsilon(1, 10), Epsilon(1, 4))
+                  for name, inst in main_corpus]
+        corpus += [(name, inst, Epsilon(1, 4)) for name, inst in npsolver_corpus]
+        cut_tests = full_tests = 0
+        for name, inst, eps in corpus:
+            cut, tests = run(feasible_subsets_within_budget, inst, eps)
+            cut_tests += tests
+            full, tests = run(untailed_listing, inst, eps)
+            full_tests += tests
+            assert cut == full, (name, eps)
+        # The cut fires: the bound is tested less often than child by child.
+        assert cut_tests < full_tests
