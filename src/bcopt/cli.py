@@ -31,9 +31,8 @@ from .core import (
     preprocess_discard,
     validate_instance,
 )
-from .classes import ClassLayout
+from .classes import ClassLayout, q_of
 from .constraints import Constraint, Matching, MatroidIntersection
-from .lagrange import approx_opt, declared_gamma
 from .matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .repset import rep_set
 from .solver import DEFAULT_SUBSET_CAP, SolveConfig, SolveStats, solve_detailed
@@ -270,10 +269,6 @@ def _random_matroid(rng: random.Random, ids: frozenset[int]):
 # Subcommands
 
 
-def _parse_epsilon(text: str) -> Epsilon:
-    return Epsilon.parse(text)
-
-
 def _solve_record(path: str, epsilon: Epsilon, mode: str, solution: Solution,
                   stats: SolveStats) -> dict[str, Any]:
     return {
@@ -316,7 +311,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    epsilon = _parse_epsilon(args.epsilon)
+    epsilon = Epsilon.parse(args.epsilon)
     if args.mode == "brute":
         start = time.perf_counter()
         solution = oracle.brute_force_opt(instance, guard=args.guard)
@@ -330,7 +325,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    epsilon = _parse_epsilon(args.epsilon)
+    epsilon = Epsilon.parse(args.epsilon)
     reports = _run_verifier(instance, epsilon, args)
     failed = [r for r in reports if not r.passed]
     for report in reports:
@@ -361,33 +356,30 @@ def _run_verifier(instance: BCInstance, epsilon: Epsilon,
                                        force_heuristic=args.force_heuristic)]
 
     working = preprocess_discard(instance)
-    if args.alpha == "exact":
-        alpha = oracle.brute_force_opt(working, guard=guard).total_profit
-    else:
-        alpha = approx_opt(working).total_profit
-    if prop == "representative":
-        rep = rep_set(working, epsilon, args.alpha, alpha=alpha)
-        return [oracle.verify_representative(working, epsilon, rep.elements, guard=guard)]
     if prop == "replacement":
         h = oracle.profitable_set(working, epsilon, guard=guard)
-        from .classes import q_of
-
         q = q_of(epsilon)
         for s in oracle.iter_feasible_sets(working, max_size=min(q, len(working.elements))):
             report = oracle.verify_replacement(working, epsilon, s, s & h, guard=guard)
             if not report.passed:
                 return [report]
         return [oracle.VerificationReport("replacement", True)]
+
+    # The classes are built from the exact optimum, under the guard.
+    alpha = oracle.brute_force_opt(working, guard=guard).total_profit
+    if prop == "representative":
+        rep = rep_set(working, epsilon, alpha=alpha, gamma=oracle.EXACT_GAMMA)
+        return [oracle.verify_representative(working, epsilon, rep.elements, guard=guard)]
     if prop == "exchange":
         if alpha == 0:
             return [oracle.VerificationReport("exchange-set", True)]
         if args.x_ids is not None:
             if args.class_index is None:
                 raise InvalidParameterError("--x-ids needs --class-index")
-            layout = ClassLayout(epsilon, alpha, declared_gamma(args.alpha))
+            layout = ClassLayout(epsilon, alpha, oracle.EXACT_GAMMA)
             x = frozenset(int(t) for t in args.x_ids.split(",") if t)
             return [oracle.verify_exchange_set(working, layout, args.class_index, x, guard=guard)]
-        rep = rep_set(working, epsilon, args.alpha, alpha=alpha)
+        rep = rep_set(working, epsilon, alpha=alpha, gamma=oracle.EXACT_GAMMA)
         reports = [oracle.verify_exchange_set(working, rep.layout, r, ex, guard=guard)
                    for r, ex in rep.per_class.items()]
         return reports or [oracle.VerificationReport("exchange-set", True)]
@@ -397,7 +389,7 @@ def _run_verifier(instance: BCInstance, epsilon: Epsilon,
 def _cmd_bench(args: argparse.Namespace) -> int:
     corpus = sorted(Path(args.corpus).glob("*.json"))
     epsilons = [
-        _parse_epsilon(t) for t in (args.epsilon or ["1/10"])
+        Epsilon.parse(t) for t in (args.epsilon or ["1/10"])
     ]
     rows = []
     for path in corpus:
@@ -464,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["exchange", "representative", "replacement", "axioms",
                  "weak-exchange", "npsolver"],
     )
-    verify.add_argument("--alpha", choices=["exact", "lagrangian"], default="exact")
     verify.add_argument("--guard", type=int, default=oracle.DEFAULT_GUARD)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--trials", type=int, default=200)

@@ -22,7 +22,7 @@ from .matroids import greedy_min_cost
 
 # The search over minimum bases is exponential in the worst case; fail
 # loudly instead of hanging.
-DEFAULT_BRANCH_BUDGET = 10**6
+BRANCH_BUDGET = 10**6
 
 
 def exset_matching(instance: BCInstance, layout: ClassLayout,
@@ -52,8 +52,7 @@ def exset_matching(instance: BCInstance, layout: ClassLayout,
 
 
 def exset_matroid_intersection(instance: BCInstance, layout: ClassLayout,
-                               class_ids: frozenset[int], *,
-                               branch_budget: int = DEFAULT_BRANCH_BUDGET) -> frozenset[int]:
+                               class_ids: frozenset[int]) -> frozenset[int]:
     """Exchange set of one profit class, the ids ``class_ids``, of an intersection instance.
 
     Starting from the empty branch, each branch S of at most q elements
@@ -62,7 +61,7 @@ def exset_matroid_intersection(instance: BCInstance, layout: ClassLayout,
     branches on S + b for every b in B_S.  B_S depends only on S as a set,
     so the branches reached, their number and the union of their bases do
     not depend on the order in which branches are expanded; each is expanded
-    once.  The (branch_budget + 1)-th branch raises
+    once.  The (``BRANCH_BUDGET`` + 1)-th branch raises
     :class:`CapExceededError`.
     """
     cons = instance.constraint
@@ -76,9 +75,9 @@ def exset_matroid_intersection(instance: BCInstance, layout: ClassLayout,
     while work:
         branch = work.pop()
         expanded += 1
-        if expanded > branch_budget:
+        if expanded > BRANCH_BUDGET:
             raise CapExceededError(
-                f"exchange-set search exceeded its branch budget of {branch_budget} branches"
+                f"exchange-set search exceeded its branch budget of {BRANCH_BUDGET} branches"
             )
         if len(branch) > q:
             continue

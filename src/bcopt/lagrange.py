@@ -1,12 +1,11 @@
 """Optimum estimation and the low-profit solver, via Lagrangian relaxation.
 
 Two subroutines live here.  ``approx_opt`` returns a solution whose profit
-estimates the optimal profit from below (exactly in brute-force mode, within
-a declared factor gamma in Lagrangian mode).  ``non_profitable_solver``
-produces a feasible, budget-respecting solution whose profit trails the
-optimum by at most twice the largest single profit in the instance; that
-contract is enforced by the test suite on every corpus instance small enough
-to brute force.
+estimates the optimal profit from below, within the declared factor
+``GAMMA``.  ``non_profitable_solver`` produces a feasible, budget-respecting
+solution whose profit trails the optimum by at most twice the largest single
+profit in the instance; that contract is enforced by the test suite on every
+corpus instance small enough to brute force.
 
 The Lagrangian relaxation folds the budget into the objective with a
 multiplier lambda: maximize p(S) - lambda * c(S) over constraint-feasible
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import BCError, BCInstance, Element, Solution, ratio_key
+from .core import BCInstance, Element, Solution, ratio_key
 from .constraints import Matching, MatroidIntersection
 from .enumeration import max_profit_solution_ids, max_weight_feasible_ids
 
@@ -53,29 +52,9 @@ _MAX_PATCH_COMPONENTS = 16
 # oracle is exact; above it the inner oracle is greedy.
 EXACT_LIMIT = 20
 
-
-def approx_opt(instance: BCInstance, mode: str = "lagrangian") -> Solution:
-    """A solution whose profit, alpha, estimates the optimal profit from below.
-
-    ``exact`` mode brute-forces an optimum.  ``lagrangian`` mode returns the
-    best candidate the relaxation finds, whose profit is never above the
-    optimum and, on the acceptance corpus, never below a quarter of it
-    (declared gamma = 4).
-    """
-    if mode == "exact":
-        return Solution.build(instance, max_profit_solution_ids(instance))
-    if mode != "lagrangian":
-        raise BCError(f"unknown alpha mode {mode!r}")
-    return lagrangian_solution(instance)
-
-
-def declared_gamma(mode: str) -> Fraction:
-    """Approximation factor guaranteed by each alpha mode (exact counts as 2)."""
-    if mode == "exact":
-        return Fraction(2)
-    if mode == "lagrangian":
-        return Fraction(4)
-    raise BCError(f"unknown alpha mode {mode!r}")
+# The factor alpha = approx_opt(...).total_profit is declared to be within:
+# OPT / GAMMA <= alpha <= OPT, checked on the acceptance corpus.
+GAMMA = Fraction(4)
 
 
 def non_profitable_solver(instance: BCInstance) -> Solution:
@@ -87,7 +66,7 @@ def non_profitable_solver(instance: BCInstance) -> Solution:
     """
     if len(instance.elements) <= EXACT_LIMIT:
         return Solution.build(instance, max_profit_solution_ids(instance))
-    return lagrangian_solution(instance)
+    return approx_opt(instance)
 
 
 def inner_max_weight(instance: BCInstance, lam: Fraction, *,
@@ -140,12 +119,14 @@ class _GreedyOrders:
         self.spent: dict[frozenset[int], int] = {}
 
 
-def lagrangian_solution(instance: BCInstance) -> Solution:
+def approx_opt(instance: BCInstance) -> Solution:
     """The Lagrangian search's best candidate, at every size.
 
-    This is ``non_profitable_solver`` without its brute-force path.  The
-    winner is the candidate of maximum profit; among equal profits, the one
-    with the smaller sorted ids.  Candidates are compared by their profit
+    Its profit, alpha, estimates the optimal profit from below: it is never
+    above the optimum and, on the acceptance corpus, never below
+    OPT / ``GAMMA``.  This is ``non_profitable_solver`` without its
+    brute-force path.  The winner is the candidate of maximum profit; among
+    equal profits, the one with the smaller sorted ids.  Candidates are compared by their profit
     sums alone, and only the winner is built: ``Solution.build`` re-checks
     its feasibility and budget.  The losers are never checked at run time;
     the test suite checks that every candidate is feasible and affordable.

@@ -74,6 +74,11 @@ def is_bounded_feasible(constraint: Constraint, subset: Iterable[int], q: int) -
     return len(s) <= q and constraint.is_feasible(s)
 
 
+# The factor an exact estimate is known within: alpha = OPT is at least
+# OPT / 2, the tightest gamma a ClassLayout takes.
+EXACT_GAMMA = Fraction(2)
+
+
 def brute_force_opt(instance: BCInstance, guard: int = DEFAULT_GUARD) -> Solution:
     """Exact optimum by pruned subset enumeration; canonical tie-break."""
     _check_guard(instance, guard)
@@ -401,10 +406,10 @@ def verify_weak_exchange(instance: BCInstance, seed: int = 0, trials: int = 200,
 def verify_npsolver(instance: BCInstance, guard: int = DEFAULT_GUARD,
                     force_heuristic: bool = False) -> VerificationReport:
     """Low-profit solver contract: profit >= OPT - 2 * max single profit."""
-    from .lagrange import lagrangian_solution, non_profitable_solver
+    from .lagrange import approx_opt, non_profitable_solver
 
     _check_guard(instance, guard)
-    got = (lagrangian_solution if force_heuristic else non_profitable_solver)(instance)
+    got = (approx_opt if force_heuristic else non_profitable_solver)(instance)
     opt = brute_force_opt(instance, guard).total_profit
     bound = opt - 2 * max((e.profit for e in instance.elements), default=0)
     if got.total_profit >= bound:

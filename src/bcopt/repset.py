@@ -8,12 +8,13 @@ from the kept pool.  The solver then only enumerates subsets of this pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import BCInstance, Epsilon
 from .classes import ClassLayout, class_partition, q_of
 from .constraints import Matching
 from .exchange import exset_matching, exset_matroid_intersection
-from .lagrange import approx_opt, declared_gamma
+from .lagrange import GAMMA, approx_opt
 
 
 @dataclass(frozen=True)
@@ -30,20 +31,22 @@ class RepresentativeSet:
         return len(self.elements)
 
 
-def rep_set(instance: BCInstance, epsilon: Epsilon, alpha_mode: str = "lagrangian",
-            *, alpha: int | None = None) -> RepresentativeSet:
+def rep_set(instance: BCInstance, epsilon: Epsilon, *, alpha: int | None = None,
+            gamma: Fraction = GAMMA) -> RepresentativeSet:
     """Build the representative set for ``instance`` and ``epsilon``.
 
-    ``alpha`` may be supplied by a caller that already estimated the optimum
-    (the solver does, so estimate and enumeration stay consistent); otherwise
-    it is computed here per ``alpha_mode``.  Classes are disjoint; each
-    class's exchange set is built on its own, in ascending class order.
+    The classes are laid out for an estimate ``alpha`` known to lie in
+    [OPT / gamma, OPT].  A caller that already estimated the optimum passes
+    ``alpha`` (the solver does, so estimate and enumeration stay consistent);
+    otherwise it is ``approx_opt``'s, whose factor is the default ``gamma``.
+    Classes are disjoint; each class's exchange set is built on its own, in
+    ascending class order.
     """
     if alpha is None:
-        alpha = approx_opt(instance, mode=alpha_mode).total_profit
+        alpha = approx_opt(instance).total_profit
     if alpha == 0:
         return RepresentativeSet(frozenset(), 0, None, {})
-    layout = ClassLayout(epsilon, alpha, declared_gamma(alpha_mode))
+    layout = ClassLayout(epsilon, alpha, gamma)
     partition = class_partition(instance, layout)
     is_matching = isinstance(instance.constraint, Matching)
 

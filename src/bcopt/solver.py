@@ -25,7 +25,7 @@ from .core import (
 from .classes import small_profit_pool
 from .constraints import Matching, MatroidIntersection, residual_constraint, size_cap
 from .enumeration import feasible_subsets_within_budget
-from .lagrange import approx_opt, declared_gamma, non_profitable_solver
+from .lagrange import GAMMA, approx_opt, non_profitable_solver
 from .repset import rep_set
 
 DEFAULT_SUBSET_CAP = 10**7
@@ -38,8 +38,8 @@ class SolveConfig:
     More than ``subset_cap`` visited skeletons raise
     :class:`~bcopt.core.CapExceededError`.  The other exponential stage, the
     exchange-set search, has a fixed cap of
-    :data:`~bcopt.exchange.DEFAULT_BRANCH_BUDGET` branches.  alpha is always
-    the Lagrangian estimate (declared gamma = 4).
+    :data:`~bcopt.exchange.BRANCH_BUDGET` branches.  alpha is always the
+    Lagrangian estimate (declared gamma :data:`~bcopt.lagrange.GAMMA` = 4).
     """
 
     subset_cap: int = DEFAULT_SUBSET_CAP
@@ -113,7 +113,7 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
     config = config or SolveConfig()
     start = time.perf_counter()
     working = preprocess_discard(instance)
-    stats = SolveStats(gamma=declared_gamma("lagrangian"))
+    stats = SolveStats(gamma=GAMMA)
 
     best = approx_opt(working)
     alpha = best.total_profit

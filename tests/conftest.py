@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from bcopt.core import BCInstance, Element
 from bcopt.cli import generate_instance
 from bcopt.constraints import Matching, MatroidIntersection
 from bcopt.matroids import GraphicMatroid, MatroidOracle, PartitionMatroid, UniformMatroid
+from bcopt.repset import rep_set
 from bcopt import oracle
 
 
@@ -64,6 +66,13 @@ def random_matroid(rng: random.Random, ids: frozenset[int]):
         v = rng.randrange(vertices)
         edges[eid] = (u, v)  # self-loops possible: dependent singletons
     return GraphicMatroid(vertices, edges)
+
+
+def exact_rep_set(instance, epsilon):
+    """The representative set built from the exact optimum, alpha = OPT
+    (gamma = 2): the layout the paper's class-count and size bounds assume."""
+    alpha = oracle.brute_force_opt(instance).total_profit
+    return rep_set(instance, epsilon, alpha=alpha, gamma=Fraction(2))
 
 
 class BareOracle(MatroidOracle):

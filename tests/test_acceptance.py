@@ -19,7 +19,7 @@ from bcopt.cli import dump_instance, generate_instance
 from bcopt.classes import ClassLayout, class_partition, q_of
 from bcopt.constraints import Matching, MatroidIntersection, residual_constraint
 from bcopt.exchange import exset_matching, exset_matroid_intersection
-from bcopt.lagrange import approx_opt, lagrangian_solution, non_profitable_solver
+from bcopt.lagrange import GAMMA, approx_opt, non_profitable_solver
 from bcopt.matroids import greedy_min_cost
 from bcopt.oracle import (
     brute_force_opt,
@@ -31,7 +31,7 @@ from bcopt.oracle import (
 from bcopt.repset import rep_set
 from bcopt.solver import solve
 
-from conftest import random_matroid
+from conftest import exact_rep_set, random_matroid
 
 
 def _report(criterion: str, detail: str = "") -> None:
@@ -78,7 +78,7 @@ def test_criterion_3_exchange_set_definition(main_corpus):
             if len(inst.elements) > 10:
                 continue
             working = preprocess_discard(inst)
-            alpha = approx_opt(working, mode="exact").total_profit
+            alpha = brute_force_opt(working).total_profit
             if alpha == 0:
                 continue
             layout = ClassLayout(eps, alpha)
@@ -105,7 +105,7 @@ def test_criterion_4_size_bounds(main_corpus):
         if not isinstance(inst.constraint, Matching):
             continue
         working = preprocess_discard(inst)
-        rep = rep_set(working, eps, alpha_mode="exact")  # gamma = 2
+        rep = exact_rep_set(working, eps)  # gamma = 2
         assert rep.size <= 54 * q**3, name
         if rep.layout is None:
             continue
@@ -136,7 +136,7 @@ def test_criterion_5_npsolver_contract(npsolver_corpus):
         opt = brute_force_opt(working).total_profit
         max_p = max((e.profit for e in working.elements), default=0)
         for label, solver in (("exact", non_profitable_solver),
-                              ("heuristic", lagrangian_solution)):
+                              ("heuristic", approx_opt)):
             got = solver(working)
             assert got.total_profit <= opt, f"{name}: beat the brute-force oracle"
             if got.total_profit < opt - 2 * max_p:
@@ -146,16 +146,14 @@ def test_criterion_5_npsolver_contract(npsolver_corpus):
 
 
 def test_criterion_6_alpha_contract(main_corpus, opt_cache):
-    """exact mode: alpha = OPT; lagrangian mode: OPT/4 <= alpha <= OPT."""
+    """OPT / GAMMA <= alpha <= OPT, with GAMMA = 4."""
     for name, inst in main_corpus:
         working = preprocess_discard(inst)
         opt = opt_cache(inst)
-        exact = approx_opt(working, mode="exact").total_profit
-        assert exact == opt, (name, exact, opt)
-        lag = approx_opt(working, mode="lagrangian").total_profit
-        assert lag <= opt, (name, lag, opt)
-        assert 4 * lag >= opt, (name, lag, opt)
-    _report("6 alpha contract", "exact == OPT and OPT/4 <= lagrangian <= OPT on 200")
+        alpha = approx_opt(working).total_profit
+        assert alpha <= opt, (name, alpha, opt)
+        assert GAMMA * alpha >= opt, (name, alpha, opt)
+    _report("6 alpha contract", "OPT/4 <= alpha <= OPT on 200")
 
 
 def test_criterion_7_structural_properties():
@@ -319,7 +317,7 @@ def test_criterion_8_determinism(tmp_path):
                 "profit": sol.total_profit,
                 "cost": sol.total_cost,
             }, sort_keys=True))
-            rep = rep_set(preprocess_discard(inst), eps, alpha_mode="exact")
+            rep = exact_rep_set(preprocess_discard(inst), eps)
             rep_blobs.add(json.dumps({
                 "alpha": rep.alpha,
                 "elements": sorted(rep.elements),

@@ -203,7 +203,8 @@ class TestSolveCmd:
     @pytest.mark.parametrize("extra", [["--threads", "4"], ["--mode", "eptas"],
                                        ["--alpha", "exact"], ["--branch-budget", "5"]])
     def test_removed_options_are_usage_errors(self, extra):
-        for command in (["solve", "inst.json"], ["bench", "corpus"]):
+        for command in (["solve", "inst.json"], ["bench", "corpus"],
+                        ["verify", "inst.json", "--property", "representative"]):
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args([*command, "--epsilon", "1/4", *extra])
             assert exc.value.code == EXIT_INVALID_INPUT

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import bcopt.exchange
 from bcopt.core import BCError, BCInstance, CapExceededError, Epsilon
 from bcopt.classes import ClassLayout, class_partition, q_of
 from bcopt.constraints import Matching, MatroidIntersection
@@ -149,13 +150,14 @@ class TestExsetMatroidIntersection:
         with pytest.raises(BCError):
             exset_matroid_intersection(inst, layout, frozenset({0}))
 
-    def test_branch_budget_overflow_raises(self):
+    def test_branch_budget_overflow_raises(self, monkeypatch):
         ids = frozenset(range(8))
         inst = intersection_instance(UniformMatroid(ids, 8), UniformMatroid(ids, 8),
                                      [1] * 8, [10] * 8)
         layout = ClassLayout(Epsilon(1, 3), alpha=10)
+        monkeypatch.setattr(bcopt.exchange, "BRANCH_BUDGET", 5)
         with pytest.raises(CapExceededError):
-            exset_matroid_intersection(inst, layout, ids, branch_budget=5)
+            exset_matroid_intersection(inst, layout, ids)
 
     def test_deterministic_across_runs(self):
         rng = random.Random(4)
@@ -170,14 +172,15 @@ class TestExsetMatroidIntersection:
             b = exset_matroid_intersection(inst, layout, cls)
             assert a == b
 
-    def test_recursion_is_bounded_by_class_size(self):
+    def test_recursion_is_bounded_by_class_size(self, monkeypatch):
         # branches grow strictly inside the class, so the visited-set count
         # never exceeds 2^|class|; with budget exactly that, no overflow.
         ids = frozenset(range(6))
         inst = intersection_instance(UniformMatroid(ids, 6), UniformMatroid(ids, 6),
                                      [1] * 6, [10] * 6)
         layout = ClassLayout(Epsilon(1, 3), alpha=10)
-        ex = exset_matroid_intersection(inst, layout, ids, branch_budget=2**6)
+        monkeypatch.setattr(bcopt.exchange, "BRANCH_BUDGET", 2**6)
+        ex = exset_matroid_intersection(inst, layout, ids)
         assert ex == ids
 
 
@@ -215,14 +218,15 @@ def reference_exchange_set(instance, layout, class_ids):
 
 
 class TestAgainstRecursiveReference:
-    def assert_matches_reference(self, inst, layout, class_ids):
+    def assert_matches_reference(self, monkeypatch, inst, layout, class_ids):
         want, branches = reference_exchange_set(inst, layout, class_ids)
-        assert exset_matroid_intersection(inst, layout, class_ids,
-                                          branch_budget=branches) == want
+        monkeypatch.setattr(bcopt.exchange, "BRANCH_BUDGET", branches)
+        assert exset_matroid_intersection(inst, layout, class_ids) == want
+        monkeypatch.setattr(bcopt.exchange, "BRANCH_BUDGET", branches - 1)
         with pytest.raises(CapExceededError):
-            exset_matroid_intersection(inst, layout, class_ids, branch_budget=branches - 1)
+            exset_matroid_intersection(inst, layout, class_ids)
 
-    def test_random_intersections(self):
+    def test_random_intersections(self, monkeypatch):
         rng = random.Random(909)
         for _ in range(150):
             ids = frozenset(range(rng.randint(0, 8)))
@@ -237,9 +241,9 @@ class TestAgainstRecursiveReference:
             eps = rng.choice([Epsilon(1, 3), Epsilon(2, 5), Epsilon(49, 100)])
             layout = ClassLayout(eps, alpha=10)
             class_ids = frozenset(i for i in ids if rng.random() < 0.8)
-            self.assert_matches_reference(inst, layout, class_ids)
+            self.assert_matches_reference(monkeypatch, inst, layout, class_ids)
 
-    def test_truncation_at_q(self):
+    def test_truncation_at_q(self, monkeypatch):
         # q(49/100) = 9.  The class has 11 elements and the second matroid
         # (a bare path, so acyclic) keeps them all independent, so every
         # branch's greedy basis stops at q before running out of candidates.
@@ -253,7 +257,7 @@ class TestAgainstRecursiveReference:
         assert q == 9
         assert len(greedy_min_cost(o2.cursor(), o2.ground_ids, inst.cost_of)) == 11
         assert len(greedy_min_cost(o1.cursor(), o1.ground_ids, inst.cost_of)) == 10 > q
-        self.assert_matches_reference(inst, layout, ids)
+        self.assert_matches_reference(monkeypatch, inst, layout, ids)
 
 
 class TestDefinitionalSweep:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bcopt.lagrange
-from bcopt.core import BCError, BCInstance, Element, Solution, preprocess_discard
+from bcopt.core import BCInstance, Element, Solution, preprocess_discard
 from bcopt.cli import generate_instance
 from bcopt.constraints import Matching, MatroidIntersection, residual_constraint
 from bcopt.lagrange import (
@@ -19,10 +19,9 @@ from bcopt.lagrange import (
     _density_key,
     _patched,
     _symmetric_difference_components,
+    GAMMA,
     approx_opt,
-    declared_gamma,
     inner_max_weight,
-    lagrangian_solution,
     non_profitable_solver,
 )
 from bcopt.matroids import PartitionMatroid, UniformMatroid
@@ -83,35 +82,16 @@ PATCHED_MATCHINGS_IDS_SHA256 = "9af4640201da0fefdf893c3ec0643dd6481c72922efa7548
 
 class TestApproxOpt:
     def test_empty_instance(self):
-        inst = free_instance([], [])
-        assert approx_opt(inst, mode="exact").total_profit == 0
-        assert approx_opt(inst, mode="lagrangian").total_profit == 0
-
-    def test_single_element_exact(self):
-        inst = free_instance([3], [7], budget=5)
-        assert approx_opt(inst, mode="exact").total_profit == 7
-
-    def test_knapsack_like_exact(self):
-        # profits = costs = {6, 5, 5}, budget 10: the pair of fives wins
-        inst = free_instance([6, 5, 5], budget=10)
-        assert approx_opt(inst, mode="exact").total_profit == 10
-
-    def test_unknown_mode(self):
-        with pytest.raises(BCError):
-            approx_opt(free_instance([1]), mode="bogus")
-
-    def test_declared_gamma(self):
-        assert declared_gamma("exact") == 2
-        assert declared_gamma("lagrangian") == 4
+        assert approx_opt(free_instance([], [])).total_profit == 0
 
     @pytest.mark.parametrize("seed", range(20))
     def test_lagrangian_within_declared_factor(self, seed):
         kind = "matching" if seed % 2 == 0 else "matroid-intersection"
         inst = preprocess_discard(generate_instance(seed, 6 + seed % 7, kind))
         opt = brute_force_opt(inst).total_profit
-        alpha = approx_opt(inst, mode="lagrangian").total_profit
+        alpha = approx_opt(inst).total_profit
         assert alpha <= opt
-        assert 4 * alpha >= opt
+        assert GAMMA * alpha >= opt
 
 
 class TestNonProfitableSolver:
@@ -122,7 +102,7 @@ class TestNonProfitableSolver:
 
     def test_contract_vacuous_when_one_element_dominates(self):
         inst = free_instance([1, 1], [100, 1], budget=1)
-        sol = lagrangian_solution(inst)
+        sol = approx_opt(inst)
         opt = brute_force_opt(inst).total_profit
         assert sol.total_profit >= opt - 2 * 100
 
@@ -131,7 +111,7 @@ class TestNonProfitableSolver:
         inst = preprocess_discard(generate_instance(3000 + seed, 12, "matching"))
         opt = brute_force_opt(inst).total_profit
         max_p = max(e.profit for e in inst.elements)
-        for solver in (non_profitable_solver, lagrangian_solution):
+        for solver in (non_profitable_solver, approx_opt):
             sol = solver(inst)
             assert sol.total_profit >= opt - 2 * max_p
 
@@ -141,7 +121,7 @@ class TestNonProfitableSolver:
             generate_instance(4000 + seed, 12, "matroid-intersection"))
         opt = brute_force_opt(inst).total_profit
         max_p = max(e.profit for e in inst.elements)
-        for solver in (non_profitable_solver, lagrangian_solution):
+        for solver in (non_profitable_solver, approx_opt):
             sol = solver(inst)
             assert sol.total_profit >= opt - 2 * max_p
 
@@ -171,7 +151,7 @@ class TestNonProfitableSolver:
 
     def test_output_is_always_a_solution(self):
         inst = preprocess_discard(generate_instance(42, 10, "matching"))
-        sol = lagrangian_solution(inst)
+        sol = approx_opt(inst)
         assert sol.total_cost <= inst.budget
         assert inst.constraint.is_feasible(sol.element_ids)
 

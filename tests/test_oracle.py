@@ -19,7 +19,7 @@ from bcopt.oracle import (
 from bcopt.matroids import UniformMatroid
 from bcopt.repset import rep_set
 
-from conftest import free_instance, path_matching, triangle_matching
+from conftest import exact_rep_set, free_instance, path_matching, triangle_matching
 
 
 class TestBruteForce:
@@ -128,7 +128,7 @@ class TestVerifyRepresentative:
     def test_rep_set_output_passes(self):
         inst = preprocess_discard(generate_instance(23, 10, "matroid-intersection"))
         eps = Epsilon(1, 4)
-        rep = rep_set(inst, eps, alpha_mode="exact")
+        rep = exact_rep_set(inst, eps)
         assert verify_representative(inst, eps, rep.elements).passed
 
     def test_empty_r_fails_when_high_profit_is_essential(self):
@@ -141,7 +141,7 @@ class TestSubstitution:
     def test_substitution_found_inside_rep_set(self):
         inst = preprocess_discard(generate_instance(37, 8, "matching"))
         eps = Epsilon(1, 4)
-        rep = rep_set(inst, eps, alpha_mode="exact")
+        rep = exact_rep_set(inst, eps)
         layout = rep.layout
         budget_checked = 0
         for g in iter_feasible_sets(inst, max_size=3):
@@ -163,7 +163,7 @@ class TestSubstitution:
                 continue
             eps = rng.choice([Epsilon(1, 4), Epsilon(1, 8)])
             mode = rng.choice(["exact", "lagrangian"])
-            rep = rep_set(inst, eps, alpha_mode=mode)
+            rep = exact_rep_set(inst, eps) if mode == "exact" else rep_set(inst, eps)
             if rep.layout is None:
                 continue
             for g in iter_feasible_sets(inst, max_size=4):

@@ -3,10 +3,11 @@ import pytest
 from bcopt.core import Epsilon, preprocess_discard
 from bcopt.cli import generate_instance
 from bcopt.classes import class_partition, q_of
+from bcopt.lagrange import GAMMA, approx_opt
 from bcopt.oracle import verify_representative
 from bcopt.repset import rep_set
 
-from conftest import free_instance
+from conftest import exact_rep_set, free_instance
 
 
 class TestRepSet:
@@ -20,9 +21,17 @@ class TestRepSet:
         rep = rep_set(free_instance([1, 1], [0, 0], budget=5), Epsilon(1, 4))
         assert rep.elements == frozenset()
 
+    @pytest.mark.parametrize("seed, kind", [(9, "matching"), (1003, "matroid-intersection")])
+    def test_default_alpha_is_approx_opt_with_its_gamma(self, seed, kind):
+        inst = preprocess_discard(generate_instance(seed, 10, kind))
+        eps = Epsilon(1, 4)
+        rep = rep_set(inst, eps)
+        assert rep == rep_set(inst, eps, alpha=approx_opt(inst).total_profit)
+        assert rep.alpha > 0 and rep.layout.gamma == GAMMA
+
     def test_tiny_classes_saturate(self):
         inst = preprocess_discard(generate_instance(8, 8, "matching"))
-        rep = rep_set(inst, Epsilon(1, 4), alpha_mode="exact")
+        rep = exact_rep_set(inst, Epsilon(1, 4))
         classed = {
             i for ids in class_partition(inst, rep.layout).values() for i in ids
         }
@@ -31,7 +40,7 @@ class TestRepSet:
 
     def test_elements_union_of_per_class(self):
         inst = preprocess_discard(generate_instance(9, 10, "matroid-intersection"))
-        rep = rep_set(inst, Epsilon(1, 5), alpha_mode="exact")
+        rep = exact_rep_set(inst, Epsilon(1, 5))
         union = frozenset().union(*rep.per_class.values()) \
             if rep.per_class else frozenset()
         assert rep.elements == union
@@ -42,14 +51,14 @@ class TestRepSet:
         q = q_of(eps)
         for seed in range(6):
             inst = preprocess_discard(generate_instance(seed, 12, "matching"))
-            rep = rep_set(inst, eps, alpha_mode="exact")
+            rep = exact_rep_set(inst, eps)
             assert rep.size <= 54 * q**3
 
     @pytest.mark.parametrize("seed", [0, 3, 11, 17])
     def test_representative_property_random_matching(self, seed):
         inst = preprocess_discard(generate_instance(seed, 10, "matching"))
         eps = Epsilon(1, 4)
-        rep = rep_set(inst, eps, alpha_mode="exact")
+        rep = exact_rep_set(inst, eps)
         report = verify_representative(inst, eps, rep.elements)
         assert report.passed, report.counterexample
 
@@ -57,7 +66,7 @@ class TestRepSet:
     def test_representative_property_random_intersection(self, seed):
         inst = preprocess_discard(generate_instance(seed, 9, "matroid-intersection"))
         eps = Epsilon(1, 4)
-        for mode in ("exact", "lagrangian"):
-            rep = rep_set(inst, eps, alpha_mode=mode)
+        for build in (exact_rep_set, rep_set):
+            rep = build(inst, eps)
             report = verify_representative(inst, eps, rep.elements)
-            assert report.passed, (mode, report.counterexample)
+            assert report.passed, (build.__name__, report.counterexample)
