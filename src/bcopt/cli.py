@@ -104,34 +104,22 @@ def _matroid_to_json(oracle_obj) -> dict[str, Any]:
 def instance_from_json(data: dict[str, Any]) -> BCInstance:
     """An instance from its JSON form; every number must be a JSON integer.
 
-    A fractional number (``6.9``, or even ``6.0``) or a boolean is refused
-    rather than truncated.  Edge ids are the object keys, so they are
-    integer strings, each written as ``str(id)``.
+    Numbers reach the constructors as they are, so ``6.9``, even ``6.0``, or a
+    boolean is refused rather than truncated.  Edge ids are the object keys,
+    so they are integer strings, each written as ``str(id)``.
     """
     try:
-        elements = tuple(
-            Element(_integer(e["id"], "id"), _integer(e["cost"], "cost"),
-                    _integer(e["profit"], "profit"))
-            for e in data["elements"]
-        )
+        elements = tuple(Element(e["id"], e["cost"], e["profit"]) for e in data["elements"])
         ids = frozenset(e.id for e in elements)
         constraint = _constraint_from_json(data["constraint"], ids)
-        budget = _integer(data["budget"], "budget")
+        budget = data["budget"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed instance file: {exc}") from exc
     return BCInstance(elements, constraint, budget)
 
 
-def _integer(value: Any, what: str) -> int:
-    # bool is a subclass of int, so true and false are refused by type.
-    if type(value) is not int:
-        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _edges_from_json(edges: dict[str, Any]) -> dict[int, tuple[int, int]]:
-    return {_edge_id(eid): (_integer(uv[0], "edge endpoint"), _integer(uv[1], "edge endpoint"))
-            for eid, uv in edges.items()}
+def _edges_from_json(edges: dict[str, Any]) -> dict[int, Any]:
+    return {_edge_id(eid): uv for eid, uv in edges.items()}
 
 
 def _edge_id(key: Any) -> int:
@@ -148,7 +136,7 @@ def _edge_id(key: Any) -> int:
 def _constraint_from_json(data: dict[str, Any], ids: frozenset[int]) -> Constraint:
     kind = data["type"]
     if kind == "matching":
-        return Matching(_integer(data["vertices"], "vertices"), _edges_from_json(data["edges"]))
+        return Matching(data["vertices"], _edges_from_json(data["edges"]))
     if kind == "matroid_intersection":
         m1, m2 = data["matroids"]
         return MatroidIntersection(_matroid_from_json(m1, ids), _matroid_from_json(m2, ids))
@@ -158,16 +146,11 @@ def _constraint_from_json(data: dict[str, Any], ids: frozenset[int]) -> Constrai
 def _matroid_from_json(data: dict[str, Any], ids: frozenset[int]):
     kind = data["kind"]
     if kind == "uniform":
-        return UniformMatroid(ids, _integer(data["rank"], "rank"))
+        return UniformMatroid(ids, data["rank"])
     if kind == "partition":
-        return PartitionMatroid(
-            ids,
-            [frozenset(_integer(x, "id") for x in b) for b in data["blocks"]],
-            [_integer(c, "capacity") for c in data["capacities"]],
-        )
+        return PartitionMatroid(ids, data["blocks"], data["capacities"])
     if kind == "graphic":
-        return GraphicMatroid(_integer(data["vertices"], "vertices"),
-                              _edges_from_json(data["edges"]))
+        return GraphicMatroid(data["vertices"], _edges_from_json(data["edges"]))
     raise InvalidParameterError(f"unknown matroid kind {kind!r}")
 
 
@@ -309,6 +292,13 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise InvalidParameterError(f"ranges look like LO:HI, got {text!r}") from exc
 
 
+def _id_list(text: str) -> frozenset[int]:
+    try:
+        return frozenset(int(t) for t in text.split(",") if t)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must list integer ids, got {text!r}") from None
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     epsilon = Epsilon.parse(args.epsilon)
@@ -374,11 +364,12 @@ def _run_verifier(instance: BCInstance, epsilon: Epsilon,
         if alpha == 0:
             return [oracle.VerificationReport("exchange-set", True)]
         if args.x_ids is not None:
-            if args.class_index is None:
-                raise InvalidParameterError("--x-ids needs --class-index")
             layout = ClassLayout(epsilon, alpha, oracle.EXACT_GAMMA)
-            x = frozenset(int(t) for t in args.x_ids.split(",") if t)
-            return [oracle.verify_exchange_set(working, layout, args.class_index, x, guard=guard)]
+            if args.class_index not in layout.index_range:
+                raise InvalidParameterError(f"--x-ids needs a --class-index in "
+                                            f"{layout.r_lo}..{layout.r_hi}, got {args.class_index}")
+            return [oracle.verify_exchange_set(working, layout, args.class_index, args.x_ids,
+                                               guard=guard)]
         rep = rep_set(working, epsilon, alpha=alpha, gamma=oracle.EXACT_GAMMA)
         reports = [oracle.verify_exchange_set(working, rep.layout, r, ex, guard=guard)
                    for r, ex in rep.per_class.items()]
@@ -460,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--trials", type=int, default=200)
     verify.add_argument("--force-heuristic", action="store_true")
-    verify.add_argument("--x-ids", default=None,
+    verify.add_argument("--x-ids", type=_id_list, default=None,
                         help="comma-separated ids to verify as the exchange set")
     verify.add_argument("--class-index", type=int, default=None)
     verify.set_defaults(func=_cmd_verify)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .core import BCError, UnknownElementError
+from .core import BCError, UnknownElementError, checked_int
 from .matroids import MatroidOracle
 
 
@@ -35,13 +35,16 @@ class Constraint:
 
 
 class Matching(Constraint):
-    """Elements are edges of a graph; feasible sets are vertex-disjoint edge sets."""
+    """Elements are edges of a graph; feasible sets are vertex-disjoint edge sets.
+
+    Numbers are checked, never converted, by :func:`~bcopt.core.checked_int`.
+    """
 
     def __init__(self, vertex_count: int, edges: Mapping[int, tuple[int, int]]):
-        if vertex_count < 0:
-            raise BCError("vertex_count must be non-negative")
-        self.vertex_count = vertex_count
-        self.edges = {int(eid): (int(u), int(v)) for eid, (u, v) in edges.items()}
+        self.vertex_count = checked_int(vertex_count, "vertex count")
+        self.edges = {checked_int(eid, "edge id"): (checked_int(u, "edge endpoint"),
+                                                    checked_int(v, "edge endpoint"))
+                      for eid, (u, v) in edges.items()}
 
     def element_ids(self) -> frozenset[int]:
         return frozenset(self.edges)

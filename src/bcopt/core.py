@@ -1,9 +1,9 @@
 """Domain types and the solution predicate shared by every other module.
 
-Costs, profits and budgets are non-negative integers; the error parameter is
-an exact rational in (0, 1/2).  All arithmetic on these values is exact, so
-boundary comparisons (class membership, profit thresholds) never suffer from
-floating-point drift.
+Every number of an instance is a non-negative 64-bit integer (see
+:func:`checked_int`); the error parameter is an exact rational in
+(0, 1/2).  All arithmetic on these values is exact, so boundary comparisons
+(class membership, profit thresholds) never suffer from floating-point drift.
 """
 
 from __future__ import annotations
@@ -58,6 +58,22 @@ class GuardExceededError(BCError):
     """An exhaustive verifier was invoked above its instance-size guard."""
 
 
+def checked_int(value: object, what: str) -> int:
+    """``value`` if it is a plain ``int`` in [0, MAX_VALUE], else an error naming ``what``.
+
+    The one integer rule, called by every constructor that takes a number.
+    ``type(...) is int`` refuses bool, float, str and Fraction alike, and is
+    the cheapest test for constructors that run once per element or residual.
+    """
+    if type(value) is not int:
+        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+    if value < 0:
+        raise InvalidParameterError(f"{what} must be non-negative, got {value}")
+    if value > MAX_VALUE:
+        raise InvalidParameterError(f"{what} exceeds 64-bit range: {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Element:
     """A selectable item with an integer cost and an integer profit."""
@@ -67,21 +83,9 @@ class Element:
     profit: int
 
     def __post_init__(self) -> None:
-        # ``type(...) is int`` refuses bool, float and Fraction alike, and is
-        # the cheapest test for a constructor that runs once per element.
-        if type(self.id) is not int:
-            raise InvalidParameterError(f"element id must be an integer, got {self.id!r}")
-        if self.id < 0:
-            raise InvalidParameterError(f"element id must be non-negative, got {self.id}")
-        if self.id > MAX_VALUE:
-            raise InvalidParameterError(f"element id exceeds 64-bit range: {self.id}")
-        for name, value in (("cost", self.cost), ("profit", self.profit)):
-            if type(value) is not int:
-                raise InvalidParameterError(f"element {name} must be an integer, got {value!r}")
-            if value < 0:
-                raise InvalidParameterError(f"element {name} must be non-negative, got {value}")
-            if value > MAX_VALUE:
-                raise InvalidParameterError(f"element {name} exceeds 64-bit range: {value}")
+        checked_int(self.id, "element id")
+        checked_int(self.cost, "element cost")
+        checked_int(self.profit, "element profit")
 
 
 @dataclass(frozen=True)
@@ -152,12 +156,7 @@ class BCInstance:
     profit_of: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if type(self.budget) is not int:
-            raise InvalidParameterError(f"budget must be an integer, got {self.budget!r}")
-        if self.budget < 0:
-            raise InvalidParameterError(f"budget must be non-negative, got {self.budget}")
-        if self.budget > MAX_VALUE:
-            raise InvalidParameterError(f"budget exceeds 64-bit range: {self.budget}")
+        checked_int(self.budget, "budget")
         object.__setattr__(self, "elements", tuple(self.elements))
         object.__setattr__(self, "cost_of", {e.id: e.cost for e in self.elements})
         object.__setattr__(self, "profit_of", {e.id: e.profit for e in self.elements})

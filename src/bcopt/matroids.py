@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .core import BCError, UnknownElementError
+from .core import BCError, UnknownElementError, checked_int
 
 
 class MatroidOracle:
@@ -145,13 +145,14 @@ class _MinorCursor(MatroidCursor):
 
 
 class UniformMatroid(MatroidOracle):
-    """Independent iff the subset has at most ``rank`` elements."""
+    """Independent iff the subset has at most ``rank`` elements.
+
+    ``rank`` is checked, never converted, by :func:`~bcopt.core.checked_int`.
+    """
 
     def __init__(self, ground_ids: Iterable[int], rank: int):
-        if rank < 0:
-            raise BCError(f"rank must be non-negative, got {rank}")
         super().__init__(ground_ids)
-        self.rank = rank
+        self.rank = checked_int(rank, "rank")
 
     def _independent(self, subset: frozenset[int]) -> bool:
         return len(subset) <= self.rank
@@ -183,17 +184,16 @@ class PartitionMatroid(MatroidOracle):
     """Per-block cardinality caps over disjoint blocks.
 
     Elements outside every block are unconstrained (a free direct summand).
+    Block ids and capacities are integers (:func:`~bcopt.core.checked_int`).
     """
 
     def __init__(self, ground_ids: Iterable[int], blocks: Iterable[Iterable[int]],
                  capacities: Iterable[int]):
         super().__init__(ground_ids)
-        self.blocks = tuple(frozenset(b) for b in blocks)
-        self.capacities = tuple(capacities)
+        self.blocks = tuple(frozenset(checked_int(e, "block id") for e in b) for b in blocks)
+        self.capacities = tuple(checked_int(c, "capacity") for c in capacities)
         if len(self.blocks) != len(self.capacities):
             raise BCError("one capacity per block required")
-        if any(c < 0 for c in self.capacities):
-            raise BCError("capacities must be non-negative")
         self._block_of: dict[int, int] = {}
         for idx, block in enumerate(self.blocks):
             if not block <= self.ground_ids:
@@ -247,12 +247,15 @@ class GraphicMatroid(MatroidOracle):
     """Edges of a graph; independent iff the edge set is acyclic.
 
     A self-loop edge is a one-element circuit, i.e. dependent on its own.
+    Numbers are checked, never converted, by :func:`~bcopt.core.checked_int`.
     """
 
     def __init__(self, vertex_count: int, edges: Mapping[int, tuple[int, int]]):
         super().__init__(edges)
-        self.vertex_count = vertex_count
-        self.edges = {eid: (int(u), int(v)) for eid, (u, v) in edges.items()}
+        self.vertex_count = checked_int(vertex_count, "vertex count")
+        self.edges = {checked_int(eid, "edge id"): (checked_int(u, "edge endpoint"),
+                                                    checked_int(v, "edge endpoint"))
+                      for eid, (u, v) in edges.items()}
         for eid, (u, v) in self.edges.items():
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise BCError(f"edge {eid} endpoints out of range")

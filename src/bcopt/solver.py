@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import (
-    BCInstance, Epsilon, InfeasibleSetError, Solution, is_solution, preprocess_discard, ratio_key,
+    BCInstance, Epsilon, InfeasibleSetError, Solution, checked_int, is_solution, preprocess_discard,
+    ratio_key,
 )
 from .classes import small_profit_pool
 from .constraints import Matching, MatroidIntersection, residual_constraint, size_cap
@@ -43,6 +44,9 @@ class SolveConfig:
     """
 
     subset_cap: int = DEFAULT_SUBSET_CAP
+
+    def __post_init__(self) -> None:
+        checked_int(self.subset_cap, "subset cap")
 
 
 @dataclass

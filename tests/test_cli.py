@@ -200,6 +200,12 @@ class TestSolveCmd:
         assert code == EXIT_CAP_OVERFLOW
         assert "cap" in err
 
+    def test_negative_subset_cap_is_invalid_input(self, tmp_path, capsys):
+        path = write_instance(tmp_path, generate_instance(11, 6, "matching"))
+        assert main(["solve", str(path), "--epsilon", "1/4",
+                     "--subset-cap", "-1"]) == EXIT_INVALID_INPUT
+        assert "subset cap must be non-negative" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [["--threads", "4"], ["--mode", "eptas"],
                                        ["--alpha", "exact"], ["--branch-budget", "5"]])
     def test_removed_options_are_usage_errors(self, extra):
@@ -250,6 +256,18 @@ class TestVerifyCmd:
         report = json.loads(out.splitlines()[0])
         assert not report["passed"]
         assert "counterexample" in report
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--x-ids", "1,a", "--class-index", "1"], "--x-ids: must list integer ids, got '1,a'"),
+        (["--x-ids", "1", "--class-index", "99"], "--x-ids needs a --class-index in 1..8, got 99"),
+    ])
+    def test_bad_exchange_arguments_are_invalid_input(self, tmp_path, extra, message):
+        path = write_instance(tmp_path, generate_instance(16, 6, "matching"))
+        code, out, err = run_cli(["verify", str(path), "--epsilon", "1/4",
+                                  "--property", "exchange", *extra])
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert message in err
 
     @pytest.mark.parametrize("kind,seed", [("matroid-intersection", 17), ("matching", 22)])
     def test_exchange_constructor_output_passes(self, tmp_path, kind, seed):

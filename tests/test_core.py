@@ -15,6 +15,7 @@ from bcopt.core import (
     validate_instance,
 )
 from bcopt.constraints import Matching
+from bcopt.matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 
 from conftest import free_constraint, free_instance, triangle_matching
 
@@ -89,6 +90,61 @@ class TestBCInstance:
         for budget in (-1, 2**63):
             with pytest.raises(InvalidParameterError):
                 BCInstance((), free_constraint(()), budget)
+
+
+# Every number argument of the six constructors that take one, as a function
+# of that number; 2 builds each of them.
+NUMBER_ARGUMENTS = {
+    "Element id": lambda v: Element(v, 1, 1),
+    "Element cost": lambda v: Element(0, v, 1),
+    "Element profit": lambda v: Element(0, 1, v),
+    "BCInstance budget": lambda v: BCInstance((), free_constraint(()), v),
+    "Matching vertex count": lambda v: Matching(v, {0: (0, 1)}),
+    "Matching edge id": lambda v: Matching(3, {v: (0, 1)}),
+    "Matching endpoint": lambda v: Matching(3, {0: (0, v)}),
+    "GraphicMatroid vertex count": lambda v: GraphicMatroid(v, {0: (0, 1)}),
+    "GraphicMatroid edge id": lambda v: GraphicMatroid(3, {v: (0, 1)}),
+    "GraphicMatroid endpoint": lambda v: GraphicMatroid(3, {0: (v, 1)}),
+    "UniformMatroid rank": lambda v: UniformMatroid(range(3), v),
+    "PartitionMatroid block id": lambda v: PartitionMatroid(range(3), [[0, v]], [1]),
+    "PartitionMatroid capacity": lambda v: PartitionMatroid(range(3), [[0, 1]], [v]),
+}
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("argument", sorted(NUMBER_ARGUMENTS))
+    def test_an_integer_builds(self, argument):
+        NUMBER_ARGUMENTS[argument](2)
+
+    @pytest.mark.parametrize("argument", sorted(NUMBER_ARGUMENTS))
+    @pytest.mark.parametrize("value,message", [
+        (True, "must be an integer"), (1.5, "must be an integer"), ("1", "must be an integer"),
+        (-1, "must be non-negative"), (2**63, "exceeds 64-bit range"),
+    ])
+    def test_every_number_argument_is_checked(self, argument, value, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            NUMBER_ARGUMENTS[argument](value)
+
+    @pytest.mark.parametrize("build", [
+        lambda: UniformMatroid(range(3), 1.5),
+        lambda: PartitionMatroid(range(3), [[0, 1, 2]], [1.5]),
+    ])
+    def test_fractional_rank_or_capacity_builds_no_matroid(self, build):
+        # Built, such a matroid's cursor would take 3 pushes while
+        # is_independent({0, 1}) is False, and solve would fail inside
+        # approx_opt with InfeasibleSetError.
+        with pytest.raises(InvalidParameterError, match="must be an integer, got 1.5"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: Matching(3, {0: (1.9, 2)}),
+        lambda: Matching(3, {0: (1.9, 2.2), "1": ("0", "1")}),
+        lambda: GraphicMatroid(3, {0: (0.5, 1)}),
+    ])
+    def test_float_endpoints_are_refused_not_truncated(self, build):
+        # Truncation would silently read the second as {0: (1, 2), 1: (0, 1)}.
+        with pytest.raises(InvalidParameterError, match="edge (id|endpoint) must be an integer"):
+            build()
 
 
 class TestValidateInstance:

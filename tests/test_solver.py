@@ -9,6 +9,7 @@ from bcopt.core import (
     CapExceededError,
     Epsilon,
     InfeasibleSetError,
+    InvalidParameterError,
     Solution,
     preprocess_discard,
 )
@@ -83,6 +84,11 @@ class TestEptas:
         inst = generate_instance(6, 12, "matroid-intersection")
         with pytest.raises(CapExceededError):
             solve_detailed(inst, Epsilon(1, 6), SolveConfig(subset_cap=3))
+
+    @pytest.mark.parametrize("cap", [-1, 1.5, True])
+    def test_subset_cap_follows_the_integer_rule(self, cap):
+        with pytest.raises(InvalidParameterError):
+            SolveConfig(subset_cap=cap)
 
 
 # sha256 of "{name} {eps} {ids}" per line for ``solve`` on the main corpus at
