@@ -31,7 +31,7 @@ from .core import (
     preprocess_discard,
     validate_instance,
 )
-from .classes import ClassLayout, q_of
+from .classes import ClassLayout, _class_bounds, q_of
 from .constraints import Constraint, Matching, MatroidIntersection
 from .matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .repset import rep_set
@@ -299,6 +299,13 @@ def _id_list(text: str) -> frozenset[int]:
         raise argparse.ArgumentTypeError(f"must list integer ids, got {text!r}") from None
 
 
+def _count(text: str) -> int:
+    """A guard or a trial count: a non-negative integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     epsilon = Epsilon.parse(args.epsilon)
@@ -355,6 +362,13 @@ def _run_verifier(instance: BCInstance, epsilon: Epsilon,
                 return [report]
         return [oracle.VerificationReport("replacement", True)]
 
+    if prop == "exchange" and args.x_ids is not None:
+        # The class indices do not depend on alpha, so they are checked first.
+        r_lo, r_hi, _ = _class_bounds(epsilon, oracle.EXACT_GAMMA)
+        if args.class_index not in range(r_lo, r_hi + 1):
+            raise InvalidParameterError(f"--x-ids needs a --class-index in "
+                                        f"{r_lo}..{r_hi}, got {args.class_index}")
+
     # The classes are built from the exact optimum, under the guard.
     alpha = oracle.brute_force_opt(working, guard=guard).total_profit
     if prop == "representative":
@@ -365,9 +379,6 @@ def _run_verifier(instance: BCInstance, epsilon: Epsilon,
             return [oracle.VerificationReport("exchange-set", True)]
         if args.x_ids is not None:
             layout = ClassLayout(epsilon, alpha, oracle.EXACT_GAMMA)
-            if args.class_index not in layout.index_range:
-                raise InvalidParameterError(f"--x-ids needs a --class-index in "
-                                            f"{layout.r_lo}..{layout.r_hi}, got {args.class_index}")
             return [oracle.verify_exchange_set(working, layout, args.class_index, args.x_ids,
                                                guard=guard)]
         rep = rep_set(working, epsilon, alpha=alpha, gamma=oracle.EXACT_GAMMA)
@@ -436,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--epsilon", required=True, help="error parameter as num/den")
     solve_p.add_argument("--mode", choices=["solve", "brute"], default="solve")
     solve_p.add_argument("--subset-cap", type=int, default=DEFAULT_SUBSET_CAP)
-    solve_p.add_argument("--guard", type=int, default=oracle.DEFAULT_GUARD)
+    solve_p.add_argument("--guard", type=_count, default=oracle.DEFAULT_GUARD)
     solve_p.set_defaults(func=_cmd_solve)
 
     verify = sub.add_parser("verify", help="run an exhaustive definitional verifier")
@@ -447,9 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["exchange", "representative", "replacement", "axioms",
                  "weak-exchange", "npsolver"],
     )
-    verify.add_argument("--guard", type=int, default=oracle.DEFAULT_GUARD)
+    verify.add_argument("--guard", type=_count, default=oracle.DEFAULT_GUARD)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--trials", type=int, default=200)
+    verify.add_argument("--trials", type=_count, default=200)
     verify.add_argument("--force-heuristic", action="store_true")
     verify.add_argument("--x-ids", type=_id_list, default=None,
                         help="comma-separated ids to verify as the exchange set")
@@ -460,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("corpus")
     bench.add_argument("--epsilon", action="append", default=None,
                        help="repeatable; defaults to 1/10")
-    bench.add_argument("--guard", type=int, default=oracle.DEFAULT_GUARD)
+    bench.add_argument("--guard", type=_count, default=oracle.DEFAULT_GUARD)
     bench.add_argument("--out", default=None)
     bench.set_defaults(func=_cmd_bench)
     return parser

@@ -9,31 +9,38 @@ corpus instance small enough to brute force.
 
 The Lagrangian relaxation folds the budget into the objective with a
 multiplier lambda: maximize p(S) - lambda * c(S) over constraint-feasible
-sets.  Bisection on lambda brackets the transition from over-budget to
-affordable inner optima; the bracketing pair is then patched into candidate
-solutions.  The bracket starts at the integers 0 and P + 1 (P the largest
-profit) and is halved at every step, so each probe's lambda is a dyadic
-rational k / 2^j: the search keeps integer numerators over a doubling
-denominator and builds each probe's exact ``Fraction`` from them, with no
-rational arithmetic in the loop.  Profit densities are compared by integer
-cross-multiplication.
+sets.  The search brackets the transition from over-budget to affordable
+inner optima between lambda = 0 and P + 1 (P the largest profit); the
+bracketing pair is then patched into candidate solutions.  Profit densities
+are compared by integer cross-multiplication.
 
-The bisection stops at breakpoint resolution: the inner optimum changes only
-at rationals of bounded denominator D, and once the bracket is too narrow to
-hold two of them, deeper probes could only return the bracketing pair again
-(the argument is in ``_candidate_pool``).  D is the largest cost for the
-greedy inner oracle; for the exact one it also shrinks with the bracket's
-cost range.  A search that bisects makes at most
-2 + ((P + 1) * D^2).bit_length() inner probes, D as it is at the start,
-whatever the size of the numbers: on the benchmark's low-profit workload, 16.
+Above ``EXACT_LIMIT`` elements the inner oracle is greedy and the search
+bisects.  Each probe's lambda is a dyadic rational k / 2^j: the search keeps
+integer numerators over a doubling denominator and builds each probe's exact
+``Fraction`` from them, with no rational arithmetic in the loop.  It stops at
+breakpoint resolution: the greedy optimum changes only at rationals whose
+denominator is at most the largest cost D, and once the bracket is too
+narrow to hold two of them, deeper probes could only return the bracketing
+pair again.  A search that bisects makes 2 + ((P + 1) * D^2).bit_length()
+inner probes, whatever the size of the numbers: on the benchmark's
+low-profit workload, 16.
 
-A residual of at most ``EXACT_LIMIT`` elements is brute-forced outright, and
-the optimum estimate's inner oracle is exact at those sizes.  Above it the
-inner oracle is greedy: it pushes the positive-weight ids in descending
-weight (ties by id) through a fresh feasibility cursor, so its result
-depends only on that order, not on the weights.  Each search keeps one cache
-from order to result, and its lambda probes run the push loop only once per
-distinct order.
+At most ``EXACT_LIMIT`` elements the inner oracle is exact, and the search
+walks the breakpoints of its upper envelope instead (Megiddo, *Combinatorial
+optimization with rational objective functions*, 1979): it probes where the
+bracket ends' lines cross until the envelope on the bracket is just those
+two lines.  Probes a step 1 / (2 c(E)^2) either side of that crossing then
+rebuild the pair bisection would end with; where bisection would probe the
+crossing itself, the walk's last probe stands in for it.  A search that gets
+past lambda = 0 makes 6-10 probes on the benchmark's uniform workloads,
+where bisection made 21-24.  The arguments are in ``_candidate_pool``.
+
+A residual of at most ``EXACT_LIMIT`` elements is brute-forced outright.
+Above it the greedy inner oracle pushes the positive-weight ids in
+descending weight (ties by id) through a fresh feasibility cursor, so its
+result depends only on that order, not on the weights.  Each search keeps
+one cache from order to result, and its lambda probes run the push loop only
+once per distinct order.
 """
 
 from __future__ import annotations
@@ -148,60 +155,98 @@ def approx_opt(instance: BCInstance) -> Solution:
 def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     """Budget-feasible candidates, in a deterministic order.
 
-    The bisection stops once its bracket can hold only one breakpoint of the
-    inner oracle, so a search that bisects makes at most
-    ((P + 1) * D^2).bit_length() steps (P and D below, D as it is before the
-    first step), and two inner-oracle probes more.  Its pool then holds the
-    same distinct sets, and hands ``_patched`` the same pair, as a search
-    that bisects to any greater depth:
+    Both searches start from the bracket [0, P + 1], P the largest profit,
+    and hand ``_patched`` the pair ``(s_minus, s_plus)`` that bisecting it
+    to any depth past breakpoint resolution ends with: ``s_minus``
+    affordable, ``s_plus`` over budget.
 
-    - The oracle's result is piecewise constant in lambda; its breakpoints
-      are the lambda where it changes.  The greedy one (above
+    - The inner oracle's result is piecewise constant in lambda; its
+      breakpoints are the lambda where it changes.  The greedy one (above
       ``EXACT_LIMIT`` elements) changes only where two weights p - lambda c
       cross or one crosses zero, at a rational whose denominator is at most
       the largest cost.  The exact one breaks ties among equally heavy sets
       by the same weight order, so it changes at those points, or where the
-      family of optimal sets changes.
+      family of optimal sets changes: where two sets' weights cross, at
+      (p(A) - p(B)) / (c(A) - c(B)), whose denominator is at most c(E).
+    - With D a bound on those denominators, two distinct breakpoints are at
+      least 1/D^2 apart.
+
+    The greedy search bisects, with D the largest cost:
+
+    - The bracket [lo / den, hi / den] has width (hi - lo) / den, so once
+      (hi - lo) * D^2 < den it holds exactly one breakpoint: its two ends
+      return different sets.  D is at least 1 once the search bisects,
+      since the lambda = 0 optimum costs something.
+    - hi - lo stays P + 1 and den is 2^t after t steps.  Every later probe
+      is an odd multiple of (P + 1) / 2^s for some s > t, whose reduced
+      denominator is at least 2^s / (P + 1) > D^2 >= D.  So no later probe
+      lands on the breakpoint: a breakpoint's dyadic depth is at most
+      log2((P + 1) * D), and the search is already deeper than that.
+    - So every skipped probe lies in the open piece of one bracket end and
+      would return that end's set again, through an order already cached:
+      it would add only duplicates to the pool and leave the pair
+      unchanged.  The search makes ((P + 1) * D^2).bit_length() steps and
+      two probes more.
+
+    The exact search walks the breakpoints of the upper envelope
+    f(lambda) = max p(S) - lambda c(S) over feasible S, which is convex and
+    piecewise linear:
+
     - The exact optimum's cost does not increase with lambda: for
       lambda < mu, with A optimal at lambda and B at mu, adding
       p(A) - lambda c(A) >= p(B) - lambda c(B) and
       p(B) - mu c(B) >= p(A) - mu c(A) gives (mu - lambda)(c(A) - c(B)) >= 0.
-      So a set optimal anywhere inside the bracket costs between c(s_minus)
-      and c(s_plus).  Where the family changes at a point of the bracket, two
-      sets of different costs are optimal there: each is optimal on a side of
-      the point inside the bracket, or is the set of an end.  The point is
-      where their weights cross, at (p(A) - p(B)) / (c(A) - c(B)), so its
-      denominator is at most c(s_plus) - c(s_minus).
-    - Call D the largest cost for the greedy oracle, and the larger of the
-      largest cost and c(s_plus) - c(s_minus) for the exact one, taken anew
-      after every probe; it bounds the denominator of every breakpoint in
-      the bracket.  It is at least 1 once the search bisects, since the
-      lambda = 0 optimum costs something, and it never grows, since the
-      bracket's cost range only narrows.
-    - Two distinct such breakpoints are at least 1/D^2 apart.  The bracket
-      [lo / den, hi / den] has width (hi - lo) / den, so once
-      (hi - lo) * D^2 < den it holds exactly one breakpoint: its two ends
-      return different sets.
-    - hi - lo stays P + 1 (P the largest profit) and den is 2^t after t
-      steps.  Every later probe is an odd multiple of (P + 1) / 2^s for some
-      s > t, whose reduced denominator is at least 2^s / (P + 1) > D^2 >= D.
-      So no later probe lands on the breakpoint: a breakpoint's dyadic depth
-      is at most log2((P + 1) * D), and the search is already deeper than
-      that.
-    - So every skipped probe lies in the open piece of one bracket end and
-      would return that end's set, ``s_plus`` or ``s_minus``, again (for the
-      greedy oracle, through an order already cached): it would add only
-      duplicates to the pool and leave the pair unchanged.
+    - Each end's set is optimal at its end.  The walk probes where the two
+      ends' lines cross.  If the probe's set weighs no more there than they
+      do, f is the larger of the two lines on the whole bracket (it is
+      convex, at least both, and meets them at three points), so that
+      crossing, lambda*, is the bracket's one breakpoint of f, where the
+      optimum's cost passes the budget.  Otherwise the probe's set is
+      optimal there and heavier than both lines, so its cost lies strictly
+      between the ends' costs, and it replaces the end on its budget side.
+      The walk thus makes at most c(s_plus) - c(s_minus) probes, with the
+      opening probes' costs: one per envelope piece between them and one to
+      stop.
+    - With D = c(E), no breakpoint but lambda* lies within 1/D^2 of it, so
+      the oracle returns one set on (lambda* - 1/D^2, lambda*) and one on
+      (lambda*, lambda* + 1/D^2).  Bisection past resolution ends with a
+      bracket narrower than 1/D^2 around lambda*, so each of its ends is
+      lambda* itself or returns the set of that side.  D must bound every
+      breakpoint, not only those between the walk's ends: the piece beside
+      lambda* can end where an end's set gives way to a set outside the
+      ends' cost range.
+    - Bisection probes lambda* exactly when lambda* / (P + 1) is dyadic: the
+      denominator of lambda* is at most D, so its dyadic depth is at most
+      log2((P + 1) * D), within the depth bisection reaches.  Then the
+      walk's last probe, at lambda*, is the end on the side its cost
+      decides, and the other end is the probe at lambda* - delta or
+      lambda* + delta, delta = 1 / (2 D^2).  Otherwise ``s_plus`` is the
+      probe at lambda* - delta and ``s_minus`` the one at lambda* + delta.
+    - The walk pools none of its own probes.  A probe heavier than the
+      ends' lines can land on the last crossing lambda* itself, where three
+      or more sets weigh the same; an affordable one there can earn more
+      than ``s_minus``, and bisection never sees it unless lambda* is
+      dyadic.  So the pool holds the opening probes, ``s_minus`` and the
+      blends of the same pair, all of which bisection pools too.  The
+      affordable probes bisection adds lie right of lambda*, where the
+      optimum costs at most c(s_minus) and so, being no heavier than
+      ``s_minus`` at lambda* + delta, earns at most p(s_minus).  So alpha's
+      profit is bisection's, and so are its ids unless bisection's winner is
+      one of those probes, tied with p(s_minus).
     """
     budget = instance.budget
     cost = instance.cost_of
+    profit = instance.profit_of
     pool: list[frozenset[int]] = [frozenset()]
-    orders = _GreedyOrders(instance)
+    greedy = len(instance.elements) > EXACT_LIMIT
+    # Only the greedy oracle reads a cache; it also records each set's cost.
+    orders = _GreedyOrders(instance) if greedy else None
+    cached_cost = orders.spent if orders is not None else {}
 
     def offer(s: frozenset[int], spent: int | None = None) -> int:
         """Pool ``s`` if it is affordable; return its cost, ``spent`` when known."""
         if spent is None:
-            spent = orders.spent.get(s)
+            spent = cached_cost.get(s)
             if spent is None:
                 spent = sum(map(cost.__getitem__, s))
         if spent <= budget:
@@ -224,38 +269,70 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
             spent += e.cost
     offer(frozenset(fill), spent)
 
-    # Bisection on lambda, all probes sharing one greedy cache.  At lambda = 0
-    # the inner optimum ignores cost; if it is affordable it is optimal
-    # outright.  At the upper end, one above the largest profit, only
-    # zero-cost elements carry positive weight, so the optimum is affordable.
-    # s_minus stays affordable and s_plus over budget throughout, so the
-    # bracket never closes early.
+    # The two opening probes; on the greedy path they share one cache with
+    # every later probe.
+    # At lambda = 0 the inner optimum ignores cost; if it is affordable it
+    # is optimal outright.  At P + 1, one above the largest profit, only
+    # zero-cost elements carry positive weight, so the optimum is
+    # affordable.  s_minus stays affordable and s_plus over budget
+    # throughout, so the bracket never closes early.
     s_plus = inner_max_weight(instance, Fraction(0), _orders=orders)
     c_plus = offer(s_plus)
     if c_plus <= budget:
         return pool
-    # The bracket is [lo / den, hi / den]; each halving doubles den.
-    lo, hi, den = 0, max(e.profit for e in instance.elements) + 1, 1
-    s_minus = inner_max_weight(instance, Fraction(hi), _orders=orders)
+    top = max(e.profit for e in instance.elements) + 1
+    s_minus = inner_max_weight(instance, Fraction(top), _orders=orders)
     c_minus = offer(s_minus)
-    # Breakpoint denominators are at most d (see the docstring): the largest
-    # cost, and on the exact path also the bracket's cost range.  hi - lo
-    # stays P + 1 and den doubles, so the loop ends after at most
-    # ((P + 1) * d * d).bit_length() steps, d as it is before the first.
-    exact = len(instance.elements) <= EXACT_LIMIT
-    largest = max(orders.costs)
+
+    if greedy:
+        # Bisection.  The bracket is [lo / den, hi / den]; each halving
+        # doubles den while hi - lo stays P + 1.  Breakpoint denominators are
+        # at most the largest cost d, so the loop ends after
+        # ((P + 1) * d * d).bit_length() steps.
+        lo, hi, den = 0, top, 1
+        d = max(orders.costs)
+        while top * d * d >= den:
+            mid = lo + hi
+            lo, hi, den = 2 * lo, 2 * hi, 2 * den
+            s_mid = inner_max_weight(instance, Fraction(mid, den), _orders=orders)
+            if offer(s_mid) <= budget:
+                hi, s_minus = mid, s_mid
+            else:
+                lo, s_plus = mid, s_mid
+        pool.extend(_patched(instance, s_minus, s_plus))
+        return pool
+
+    # The breakpoint walk: probe where the two ends' lines cross, until the
+    # probe's set is no heavier there than they are.  No probe is pooled.
+    p_plus = sum(map(profit.__getitem__, s_plus))
+    p_minus = sum(map(profit.__getitem__, s_minus))
     while True:
-        d = max(largest, c_plus - c_minus) if exact else largest
-        if (hi - lo) * d * d < den:
+        lam = Fraction(p_plus - p_minus, c_plus - c_minus)
+        s = inner_max_weight(instance, lam)
+        c = sum(map(cost.__getitem__, s))
+        p = sum(map(profit.__getitem__, s))
+        if (p - p_plus) * lam.denominator <= (c - c_plus) * lam.numerator:
             break
-        mid = lo + hi
-        lo, hi, den = 2 * lo, 2 * hi, 2 * den
-        s_mid = inner_max_weight(instance, Fraction(mid, den), _orders=orders)
-        c_mid = offer(s_mid)
-        if c_mid <= budget:
-            hi, s_minus, c_minus = mid, s_mid, c_mid
+        if c <= budget:
+            s_minus, c_minus, p_minus = s, c, p
         else:
-            lo, s_plus, c_plus = mid, s_mid, c_mid
+            s_plus, c_plus, p_plus = s, c, p
+    # Rebuild the pair that bisection ends with around lam, the one
+    # breakpoint left in the bracket.  No other breakpoint lies within
+    # 1 / D^2 of it, D the sum of all costs.
+    total = sum(cost.values())
+    delta = Fraction(1, 2 * total * total)
+    # Bisection probes lam itself when lam / (P + 1) is dyadic, and then
+    # keeps that probe's set on the side its cost decides.
+    den = (lam / top).denominator
+    if den & (den - 1):
+        s_minus = inner_max_weight(instance, lam + delta)
+        s_plus = inner_max_weight(instance, lam - delta)
+    elif c <= budget:
+        s_minus, s_plus = s, inner_max_weight(instance, lam - delta)
+    else:
+        s_minus, s_plus = inner_max_weight(instance, lam + delta), s
+    offer(s_minus)
     pool.extend(_patched(instance, s_minus, s_plus))
     return pool
 

@@ -215,6 +215,19 @@ class TestSolveCmd:
                 build_parser().parse_args([*command, "--epsilon", "1/4", *extra])
             assert exc.value.code == EXIT_INVALID_INPUT
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "inst.json", "--epsilon", "1/4", "--mode", "brute", "--guard"],
+        ["verify", "inst.json", "--epsilon", "1/4", "--property", "npsolver", "--guard"],
+        ["verify", "inst.json", "--epsilon", "1/4", "--property", "weak-exchange", "--trials"],
+        ["bench", "corpus", "--guard"],
+    ])
+    @pytest.mark.parametrize("value", ["-1", "-5", "1.5", "x"])
+    def test_counts_must_be_non_negative_integers(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*command, value])
+        assert exc.value.code == EXIT_INVALID_INPUT
+        assert f"must be a non-negative integer, got '{value}'" in capsys.readouterr().err
+
 
 class TestVerifyCmd:
     def test_axioms_pass(self, tmp_path):
@@ -268,6 +281,16 @@ class TestVerifyCmd:
         assert code == EXIT_INVALID_INPUT
         assert out == ""
         assert message in err
+
+    def test_class_index_is_checked_when_every_profit_is_zero(self, tmp_path):
+        # alpha is 0 here, so no class layout is built.
+        path = write_instance(tmp_path, generate_instance(3, 6, "matching", profit_range=(0, 0)))
+        code, out, err = run_cli(["verify", str(path), "--epsilon", "1/4",
+                                  "--property", "exchange", "--x-ids", "1",
+                                  "--class-index", "99"])
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "--x-ids needs a --class-index in 1..8, got 99" in err
 
     @pytest.mark.parametrize("kind,seed", [("matroid-intersection", 17), ("matching", 22)])
     def test_exchange_constructor_output_passes(self, tmp_path, kind, seed):

@@ -167,8 +167,8 @@ class TestInnerOracle:
     )
     @settings(max_examples=150, deadline=None)
     def test_cost_monotone_in_lambda_when_exact(self, seed, size, kind, top, lams):
-        # What lets the exact search shrink its breakpoint bound with the
-        # bracket.  Ranges from 0, often small, make ties and zero costs common.
+        # What the exact search's breakpoint walk relies on.  Ranges from 0,
+        # often small, make ties and zero costs common.
         inst = generate_instance(seed, size, kind, cost_range=(0, top), profit_range=(0, top))
         costs = [inst.total_cost(inner_max_weight(inst, lam)) for lam in sorted(lams)]
         assert costs == sorted(costs, reverse=True)
@@ -363,6 +363,12 @@ def searched_pool_and_pair(inst):
     return list(dict.fromkeys(pool)), pairs
 
 
+def pool_winner(inst, pool):
+    """``approx_opt``'s rule over ``pool``: maximum profit, then smaller ids."""
+    best = max(map(inst.total_profit, pool))
+    return min(tuple(sorted(ids)) for ids in pool if inst.total_profit(ids) == best)
+
+
 def full_depth_pool_and_pair(inst, depth=FULL_DEPTH):
     """The same for a search that probes all 2 + ``depth`` dyadic lambda."""
     pairs = []
@@ -387,7 +393,20 @@ class TestBreakpointStop:
                                  profit_range=(0, top), budget_percent=percent)
         # The default search is exact at these sizes.
         with exact_limit(0 if greedy else EXACT_LIMIT):
-            assert searched_pool_and_pair(inst) == full_depth_pool_and_pair(inst)
+            pool, pairs = searched_pool_and_pair(inst)
+            full_pool, full_pairs = full_depth_pool_and_pair(inst)
+            alpha = approx_opt(inst)
+        assert pairs == full_pairs
+        if greedy:
+            assert pool == full_pool
+            return
+        # The exact search walks the breakpoints, so its pool holds other
+        # probes; alpha keeps its profit, and its ids unless the reference
+        # winner is missing from the walk's pool.
+        full_alpha = pool_winner(inst, full_pool)
+        assert alpha.total_profit == inst.total_profit(full_alpha)
+        if frozenset(full_alpha) in pool:
+            assert alpha.element_ids == full_alpha
 
     def test_greedy_stop_separates_two_close_zero_crossings(self):
         # Edges 0 and 1 turn non-positive at lambda = 8/39 and 7/34, 1/1326
@@ -402,13 +421,12 @@ class TestBreakpointStop:
             assert pairs == [(frozenset({1, 2}), frozenset({0, 1, 2}))]
             assert (pool, pairs) == full_depth_pool_and_pair(inst)
 
-    def test_exact_stop_separates_a_crossing_beyond_the_largest_cost(self):
-        # Edges 0, 1, 2 form a path and edge 3 stands apart.  The exact
-        # optimum {0, 2, 3} gives way to the affordable {1, 3} at
-        # lambda = 12/17, and edge 3 turns non-positive at 5/7, 1/119 later.
-        # 17 is above the largest cost, 9, so the guard needs the sum of the
-        # size_cap = 3 largest costs, 25: with the largest cost it stops with
-        # s_minus = {1}.
+    def test_walk_stops_a_step_short_of_a_close_breakpoint(self):
+        # Edges 0, 1, 2 form a path and edge 3 stands apart.  The walk
+        # replaces the affordable end twice, the empty set by {1} and {1} by
+        # {1, 3}, and stops where {1, 3} crosses the over-budget {0, 2, 3},
+        # at lambda = 12/17.  Edge 3 turns non-positive at 5/7, 1/119 later,
+        # so the probe past 12/17 must step less than that to keep {1, 3}.
         inst = BCInstance(
             (Element(0, 9, 11), Element(1, 1, 10), Element(2, 9, 11), Element(3, 7, 5)),
             Matching(6, {0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (4, 5)}), 8)
@@ -416,29 +434,27 @@ class TestBreakpointStop:
         assert pairs == [(frozenset({1, 3}), frozenset({0, 2, 3}))]
         assert (pool, pairs) == full_depth_pool_and_pair(inst)
 
-    def test_exact_stop_separates_a_crossing_at_a_whole_set_cost(self):
-        # Edges 0 and 1 share vertex 0, so size_cap is 1 and D is the largest
-        # cost, 9.  The exact optimum {0} gives way to {1} at lambda = 1/5,
-        # and {1} to the empty set at 9/4.  The budget, 3, affords neither
-        # edge, so 9/4 is the separating crossing: its denominator is the
-        # whole cost of {1}.  A D that leaves out one cost, the sum of the
-        # size_cap - 1 = 0 largest, never bisects and pairs the empty set
-        # with {0}.
+    def test_walk_stops_on_the_empty_set(self):
+        # Edges 0 and 1 share vertex 0, and the budget, 3, affords neither.
+        # The walk's first crossing, 10/9, returns the over-budget {1}, which
+        # replaces {0}; the next, 9/4, returns the empty set, whose weight 0
+        # equals the lines of {1} and the empty set there, so the walk stops
+        # and pairs the empty set with {1}.
         inst = BCInstance((Element(0, 9, 10), Element(1, 4, 9)),
                           Matching(3, {0: (0, 1), 1: (0, 2)}), 3)
         pool, pairs = searched_pool_and_pair(inst)
         assert pairs == [(frozenset(), frozenset({1}))]
         assert (pool, pairs) == full_depth_pool_and_pair(inst)
 
-    def test_exact_stop_separates_a_tie_break_flip_past_the_bracket_costs(self):
+    def test_walk_rebuilds_the_affordable_end_past_a_tie_break_flip(self):
         # Edges 0, 3, 1, 2 form the cycle 0-1-2-3-0, whose perfect matchings
         # {0, 1} and {2, 3} tie at every lambda: each costs 4 and is worth 7.
         # The exact oracle takes the one holding the heavier of edges 3 and 0,
-        # which cross at lambda = 3/4.  The stand-alone edge 4 turns
-        # non-positive at 2/3, where the over-budget {2, 3, 4} gives way.
-        # The bracket's cost range is then 7 - 4 = 3, below the crossing's
-        # denominator 4: a D without the largest-cost floor stops with the
-        # bracket [21/32, 49/64], which holds both points, and s_minus = {0, 1}.
+        # which cross at lambda = 3/4.  The walk's affordable end is {0, 1},
+        # from its probe at 6/7, and it stops at 2/3, where the stand-alone
+        # edge 4 turns non-positive and the over-budget {2, 3, 4} gives way.
+        # Just above 2/3 the oracle returns {2, 3}, so the pair's affordable
+        # end comes from the probe there, not from the walk's end.
         inst = BCInstance(
             (Element(0, 0, 3), Element(1, 4, 4), Element(2, 0, 1), Element(3, 4, 6),
              Element(4, 3, 2)),
@@ -446,6 +462,79 @@ class TestBreakpointStop:
         pool, pairs = searched_pool_and_pair(inst)
         assert pairs == [(frozenset({2, 3}), frozenset({2, 3, 4}))]
         assert (pool, pairs) == full_depth_pool_and_pair(inst)
+
+    def test_walk_keeps_the_probe_at_a_dyadic_breakpoint(self):
+        # Edges 0 - 3 - 2 form a path and edge 1 shares a vertex with edge 2.
+        # {0, 2}, {0, 1} and {1, 3} all weigh 7/2 at lambda = 1/2, where the
+        # walk stops; 1/2 over P + 1 = 4 is dyadic, so bisection probes it.
+        # Its optimum there, {0, 1}, is over budget and ends the pair; {1, 3},
+        # the optimum just below 1/2, does not.
+        inst = BCInstance(
+            (Element(0, 1, 2), Element(1, 2, 3), Element(2, 0, 2), Element(3, 3, 3)),
+            Matching(6, {0: (0, 2), 1: (1, 5), 2: (1, 4), 3: (2, 4)}), 1)
+        assert inner_max_weight(inst, Fraction(1, 2)) == frozenset({0, 1})
+        pool, pairs = searched_pool_and_pair(inst)
+        assert pairs == [(frozenset({0, 2}), frozenset({0, 1}))]
+        assert pairs == full_depth_pool_and_pair(inst)[1]
+
+    def test_walk_keeps_the_probe_at_zero(self):
+        # The walk's ends cost 2 and 1 at equal profit, so they cross at
+        # lambda = 0, which is dyadic: the pair keeps the lambda = 0 optimum,
+        # and no probe goes below 0.
+        inst = generate_instance(8, 14, "matroid-intersection", cost_range=(0, 1),
+                                 profit_range=(0, 1), budget_percent=12)
+        pool, pairs = searched_pool_and_pair(inst)
+        assert pairs == [(frozenset({0, 7, 11}), frozenset({0, 6, 7}))]
+        assert pairs == full_depth_pool_and_pair(inst)[1]
+
+    def test_walk_takes_its_step_from_the_sum_of_all_costs(self):
+        # The walk ends with {0, 1, 2, 3, 5} (cost 4, profit 9) and
+        # {0, 2, 3, 5} (cost 3, profit 8), which cross at lambda = 1.  The
+        # affordable {3, 5, 6} (cost 1) takes over at 4/3, whose denominator
+        # is above the ends' cost range and the largest cost, both 1: a step
+        # of 1 / (2 D^2) with that D probes 3/2 and pairs {3, 5, 6}.
+        inst = generate_instance(351123, 7, "matching", cost_range=(0, 2),
+                                 profit_range=(0, 2), budget_percent=67)
+        assert inner_max_weight(inst, Fraction(3, 2)) == frozenset({3, 5, 6})
+        pool, pairs = searched_pool_and_pair(inst)
+        assert pairs == [(frozenset({0, 2, 3, 5}), frozenset({0, 1, 2, 3, 5}))]
+        assert pairs == full_depth_pool_and_pair(inst)[1]
+
+    def test_walk_pools_none_of_its_probes(self):
+        # {3, 6, 8, 16, 17} (cost 28, profit 30), {3, 5, 6, 8, 16} (21, 25)
+        # and {3, 5, 6, 16, 18} (14, 20) all weigh 10 at the walk's last
+        # crossing, lambda* = 5/7, and the budget is 23.  The walk meets the
+        # affordable middle set there before its ends close in; bisection
+        # never probes 5/7, which is not dyadic over P + 1 = 9.  Pooled, the
+        # middle set would raise alpha from 24 to 25.
+        inst = generate_instance(85133, 19, "matroid-intersection", cost_range=(0, 8),
+                                 profit_range=(0, 8), budget_percent=26)
+        middle = inner_max_weight(inst, Fraction(5, 7))
+        assert middle == frozenset({3, 5, 6, 8, 16})
+        assert inst.total_cost(middle) <= inst.budget
+        pool, pairs = searched_pool_and_pair(inst)
+        assert middle not in pool
+        assert pairs == full_depth_pool_and_pair(inst)[1]
+        assert approx_opt(inst).element_ids == (3, 6, 8, 16)
+
+    def test_walk_makes_fewer_probes_than_the_bisection(self, monkeypatch):
+        # 17 edges, the benchmark's matching size: bisection takes at least
+        # 2 + ((P + 1) * d^2).bit_length() = 22 probes, d the largest cost.
+        inst = generate_instance(0, 17, "matching")
+        probes = []
+        original_inner = bcopt.lagrange.inner_max_weight
+
+        def counting_inner(instance, lam, **kwargs):
+            probes.append(lam)
+            return original_inner(instance, lam, **kwargs)
+
+        monkeypatch.setattr(bcopt.lagrange, "inner_max_weight", counting_inner)
+        pool, pairs = searched_pool_and_pair(inst)
+        resolution = (max(e.profit for e in inst.elements) + 1) * max(
+            e.cost for e in inst.elements) ** 2
+        assert len(probes) <= 10 < 2 + resolution.bit_length() == 22
+        monkeypatch.undo()
+        assert pairs == full_depth_pool_and_pair(inst)[1]
 
     def test_bisection_runs_past_64_steps_on_large_numbers(self, monkeypatch):
         # 30 edges, so the search is greedy, with costs and profits near 2^40:
