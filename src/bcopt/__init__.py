@@ -19,10 +19,8 @@ from .core import (
     InvalidParameterError,
     Solution,
     UnknownElementError,
-    ValidationReport,
     is_solution,
     preprocess_discard,
-    validate_instance,
 )
 from .constraints import Matching, MatroidIntersection
 from .matroids import (
@@ -58,7 +56,6 @@ __all__ = [
     "Solution",
     "UniformMatroid",
     "UnknownElementError",
-    "ValidationReport",
     "approx_opt",
     "brute_force_opt",
     "class_index",
@@ -74,6 +71,5 @@ __all__ = [
     "residual_instance",
     "small_profit_pool",
     "solve",
-    "validate_instance",
     "weak_exchange_extend",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import random
 import sys
@@ -29,7 +30,6 @@ from .core import (
     InvalidParameterError,
     Solution,
     preprocess_discard,
-    validate_instance,
 )
 from .classes import ClassLayout, _class_bounds, q_of
 from .constraints import Constraint, Matching, MatroidIntersection
@@ -119,6 +119,9 @@ def instance_from_json(data: dict[str, Any]) -> BCInstance:
 
 
 def _edges_from_json(edges: dict[str, Any]) -> dict[int, Any]:
+    if not isinstance(edges, dict):
+        raise InvalidParameterError(
+            f"edges must be an object of id: [u, v] pairs, got {type(edges).__name__}")
     return {_edge_id(eid): uv for eid, uv in edges.items()}
 
 
@@ -163,13 +166,7 @@ def load_instance(path: str | Path) -> BCInstance:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidParameterError(f"cannot read instance file {path}: {exc}") from exc
-    instance = instance_from_json(data)
-    report = validate_instance(instance)
-    if not report.ok:
-        raise InvalidParameterError(
-            "invalid instance: " + "; ".join(report.violations)
-        )
-    return instance
+    return instance_from_json(data)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +266,17 @@ def _solve_record(path: str, epsilon: Epsilon, mode: str, solution: Solution,
     }
 
 
+def _write_out(out: str | None, text: str) -> None:
+    """``text`` to the ``--out`` file, or to stdout when there is none."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, newline="")
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {out}: {exc}") from exc
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     instance = generate_instance(
         args.seed, args.size, args.kind,
@@ -276,11 +284,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         profit_range=_parse_range(args.profit_range),
         budget_percent=args.budget_percent,
     )
-    text = dump_instance(instance)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, dump_instance(instance))
     return EXIT_OK
 
 
@@ -389,19 +393,24 @@ def _run_verifier(instance: BCInstance, epsilon: Epsilon,
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    corpus = sorted(Path(args.corpus).glob("*.json"))
+    if not Path(args.corpus).is_dir():
+        raise InvalidParameterError(f"corpus {args.corpus} is not a directory")
+    if args.out and not Path(args.out).parent.is_dir():
+        raise InvalidParameterError(f"cannot write {args.out}: no directory")
+    # Every path and file is checked before the first solve.
+    corpus = [(path.name, load_instance(path))
+              for path in sorted(Path(args.corpus).glob("*.json"))]
     epsilons = [
         Epsilon.parse(t) for t in (args.epsilon or ["1/10"])
     ]
     rows = []
-    for path in corpus:
-        instance = load_instance(path)
+    for name, instance in corpus:
         opt = oracle.brute_force_opt(instance, guard=args.guard).total_profit
         for epsilon in epsilons:
             solution, stats = solve_detailed(instance, epsilon)
             ratio = f"{1:.6f}" if opt == 0 else f"{solution.total_profit / opt:.6f}"
             rows.append({
-                "instance": path.name,
+                "instance": name,
                 "epsilon": str(epsilon),
                 "opt": opt,
                 "profit": solution.total_profit,
@@ -414,14 +423,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             })
     fieldnames = ["instance", "epsilon", "opt", "profit", "ratio", "rep_size",
                   "enumerated", "alpha", "gamma", "ms_total"]
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    table = io.StringIO()
+    writer = csv.DictWriter(table, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_out(args.out, table.getvalue())
     return EXIT_OK
 
 

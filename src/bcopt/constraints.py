@@ -3,13 +3,17 @@
 Both feasible-set families are downward closed, which the solver relies on
 for pruning.  Residual constraints fix a feasible skeleton F and describe
 what may still be added next to it.
+
+Constructors refuse a broken structure with
+:class:`~bcopt.core.InvalidParameterError`: an endpoint outside the vertex
+range, or two oracles over different ground sets.  A self-loop is legal.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .core import BCError, UnknownElementError, checked_int
+from .core import BCError, InvalidParameterError, UnknownElementError, checked_edges, checked_int
 from .matroids import MatroidOracle
 
 
@@ -20,10 +24,6 @@ class Constraint:
         raise NotImplementedError
 
     def is_feasible(self, subset: Iterable[int]) -> bool:
-        raise NotImplementedError
-
-    def validate(self, element_ids: set[int]) -> list[str]:
-        """Structural problems relative to an instance's element ids."""
         raise NotImplementedError
 
     def restrict(self, keep: Iterable[int]) -> "Constraint":
@@ -37,14 +37,13 @@ class Constraint:
 class Matching(Constraint):
     """Elements are edges of a graph; feasible sets are vertex-disjoint edge sets.
 
-    Numbers are checked, never converted, by :func:`~bcopt.core.checked_int`.
+    Edges are checked, never converted, by :func:`~bcopt.core.checked_edges`.
+    A self-loop is an edge no feasible set holds.
     """
 
     def __init__(self, vertex_count: int, edges: Mapping[int, tuple[int, int]]):
         self.vertex_count = checked_int(vertex_count, "vertex count")
-        self.edges = {checked_int(eid, "edge id"): (checked_int(u, "edge endpoint"),
-                                                    checked_int(v, "edge endpoint"))
-                      for eid, (u, v) in edges.items()}
+        self.edges = checked_edges(self.vertex_count, edges)
 
     def element_ids(self) -> frozenset[int]:
         return frozenset(self.edges)
@@ -61,19 +60,6 @@ class Matching(Constraint):
             used.add(v)
         return True
 
-    def validate(self, element_ids: set[int]) -> list[str]:
-        problems = []
-        for eid, (u, v) in sorted(self.edges.items()):
-            if eid not in element_ids:
-                problems.append(f"dangling id {eid}: constraint edge has no element")
-            if u == v:
-                problems.append(f"self-loop at edge {eid}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                problems.append(f"edge {eid} endpoint out of range")
-        for eid in sorted(element_ids - set(self.edges)):
-            problems.append(f"element {eid} has no edge in the matching constraint")
-        return problems
-
     def restrict(self, keep: Iterable[int]) -> "Matching":
         keep = set(keep)
         return Matching(self.vertex_count, {e: uv for e, uv in self.edges.items() if e in keep})
@@ -83,28 +69,25 @@ class Matching(Constraint):
 
 
 class MatroidIntersection(Constraint):
-    """Feasible sets are the common independent sets of two matroid oracles."""
+    """Feasible sets are the common independent sets of two matroid oracles.
+
+    Both oracles must have the same ground set.
+    """
 
     def __init__(self, oracle1: MatroidOracle, oracle2: MatroidOracle):
+        if oracle1.ground_ids != oracle2.ground_ids:
+            raise InvalidParameterError(
+                "matroid oracles have different ground sets: "
+                f"{sorted(oracle1.ground_ids ^ oracle2.ground_ids)} in only one")
         self.oracle1 = oracle1
         self.oracle2 = oracle2
 
     def element_ids(self) -> frozenset[int]:
-        return self.oracle1.ground_ids | self.oracle2.ground_ids
+        return self.oracle1.ground_ids
 
     def is_feasible(self, subset: Iterable[int]) -> bool:
         s = frozenset(subset)
         return self.oracle1.is_independent(s) and self.oracle2.is_independent(s)
-
-    def validate(self, element_ids: set[int]) -> list[str]:
-        problems = []
-        if self.oracle1.ground_ids != self.oracle2.ground_ids:
-            problems.append("matroid oracles have different ground sets")
-        for eid in sorted(self.element_ids() - element_ids):
-            problems.append(f"dangling id {eid}: oracle ground id has no element")
-        for eid in sorted(element_ids - (self.oracle1.ground_ids & self.oracle2.ground_ids)):
-            problems.append(f"element {eid} missing from an oracle ground set")
-        return problems
 
     def restrict(self, keep: Iterable[int]) -> "MatroidIntersection":
         keep = frozenset(keep)
@@ -210,14 +193,11 @@ class IntersectionCursor(FeasibilityCursor):
         self._c2 = intersection.oracle2.cursor()
 
     def try_push(self, eid: int) -> bool:
+        # Both cursors share one ground set, so an unknown id raises in the first.
         if not self._c1.try_push(eid):
             return False
-        try:
-            if self._c2.try_push(eid):
-                return True
-        except UnknownElementError:
-            self._c1.pop()
-            raise
+        if self._c2.try_push(eid):
+            return True
         self._c1.pop()
         return False
 

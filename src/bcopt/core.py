@@ -4,6 +4,10 @@ Every number of an instance is a non-negative 64-bit integer (see
 :func:`checked_int`); the error parameter is an exact rational in
 (0, 1/2).  All arithmetic on these values is exact, so boundary comparisons
 (class membership, profit thresholds) never suffer from floating-point drift.
+
+Structure is checked where it is built: every constructor refuses a broken
+one with :class:`InvalidParameterError` (edges by :func:`checked_edges`, the
+ground set by :class:`BCInstance`), so an instance that exists is valid.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
-from typing import Iterable, TYPE_CHECKING
+from typing import Iterable, Mapping, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .constraints import Constraint
@@ -72,6 +76,24 @@ def checked_int(value: object, what: str) -> int:
     if value > MAX_VALUE:
         raise InvalidParameterError(f"{what} exceeds 64-bit range: {value}")
     return value
+
+
+def checked_edges(vertex_count: int,
+                  edges: Mapping[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
+    """``edges`` as a dict of checked ids and endpoints, each endpoint below ``vertex_count``.
+
+    The one edge rule, called by the graph constructors (``Matching``,
+    ``GraphicMatroid``).  A self-loop ``(v, v)`` is a legal edge.
+    """
+    checked = {}
+    for eid, (u, v) in edges.items():
+        eid = checked_int(eid, "edge id")
+        u, v = checked_int(u, "edge endpoint"), checked_int(v, "edge endpoint")
+        if u >= vertex_count or v >= vertex_count:
+            raise InvalidParameterError(
+                f"edge {eid} endpoint out of range for {vertex_count} vertices: ({u}, {v})")
+        checked[eid] = (u, v)
+    return checked
 
 
 @dataclass(frozen=True)
@@ -145,7 +167,11 @@ class Epsilon:
 
 @dataclass(frozen=True)
 class BCInstance:
-    """Elements plus a constraint plus a budget: the input every algorithm consumes."""
+    """Elements plus a constraint plus a budget: the input every algorithm consumes.
+
+    The element ids are distinct and are exactly the constraint's
+    ``element_ids()``; any other instance is refused.
+    """
 
     elements: tuple[Element, ...]
     constraint: "Constraint"
@@ -165,6 +191,12 @@ class BCInstance:
             counts = Counter(e.id for e in self.elements)
             raise InvalidParameterError(
                 f"duplicate element ids {sorted(i for i, k in counts.items() if k > 1)}")
+        ground = self.constraint.element_ids()
+        if ground != self.cost_of.keys():
+            raise InvalidParameterError(
+                "the constraint's ids are not the element ids: "
+                f"ids {sorted(ground - self.cost_of.keys())} have no element, "
+                f"elements {sorted(self.cost_of.keys() - ground)} are not in the constraint")
 
     @property
     def ids(self) -> frozenset[int]:
@@ -216,25 +248,6 @@ class Solution:
     @property
     def id_set(self) -> frozenset[int]:
         return frozenset(self.element_ids)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_instance(instance: BCInstance) -> ValidationReport:
-    """Check structural integrity; returns a report instead of raising.
-
-    Flags dangling constraint references, self-loop edges and mismatched
-    oracle ground sets.  Negative values and duplicate ids never get this
-    far: they are rejected when elements and instances are constructed.
-    """
-    return ValidationReport(tuple(instance.constraint.validate(set(instance.cost_of))))
 
 
 def is_solution(instance: BCInstance, ids: Iterable[int]) -> bool:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .core import BCError, UnknownElementError, checked_int
+from .core import InvalidParameterError, UnknownElementError, checked_edges, checked_int
 
 
 class MatroidOracle:
@@ -185,6 +185,8 @@ class PartitionMatroid(MatroidOracle):
 
     Elements outside every block are unconstrained (a free direct summand).
     Block ids and capacities are integers (:func:`~bcopt.core.checked_int`).
+    The blocks are disjoint subsets of the ground set with one capacity each;
+    anything else raises :class:`~bcopt.core.InvalidParameterError`.
     """
 
     def __init__(self, ground_ids: Iterable[int], blocks: Iterable[Iterable[int]],
@@ -193,14 +195,17 @@ class PartitionMatroid(MatroidOracle):
         self.blocks = tuple(frozenset(checked_int(e, "block id") for e in b) for b in blocks)
         self.capacities = tuple(checked_int(c, "capacity") for c in capacities)
         if len(self.blocks) != len(self.capacities):
-            raise BCError("one capacity per block required")
+            raise InvalidParameterError(
+                f"one capacity per block required: {len(self.blocks)} blocks, "
+                f"{len(self.capacities)} capacities")
         self._block_of: dict[int, int] = {}
         for idx, block in enumerate(self.blocks):
             if not block <= self.ground_ids:
-                raise BCError("block contains ids outside the ground set")
+                raise InvalidParameterError(
+                    f"block ids {sorted(block - self.ground_ids)} are outside the ground set")
             for e in block:
                 if e in self._block_of:
-                    raise BCError(f"blocks are not disjoint at id {e}")
+                    raise InvalidParameterError(f"blocks are not disjoint at id {e}")
                 self._block_of[e] = idx
 
     def _independent(self, subset: frozenset[int]) -> bool:
@@ -247,18 +252,13 @@ class GraphicMatroid(MatroidOracle):
     """Edges of a graph; independent iff the edge set is acyclic.
 
     A self-loop edge is a one-element circuit, i.e. dependent on its own.
-    Numbers are checked, never converted, by :func:`~bcopt.core.checked_int`.
+    Edges are checked, never converted, by :func:`~bcopt.core.checked_edges`.
     """
 
     def __init__(self, vertex_count: int, edges: Mapping[int, tuple[int, int]]):
         super().__init__(edges)
         self.vertex_count = checked_int(vertex_count, "vertex count")
-        self.edges = {checked_int(eid, "edge id"): (checked_int(u, "edge endpoint"),
-                                                    checked_int(v, "edge endpoint"))
-                      for eid, (u, v) in edges.items()}
-        for eid, (u, v) in self.edges.items():
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise BCError(f"edge {eid} endpoints out of range")
+        self.edges = checked_edges(self.vertex_count, edges)
 
     def _independent(self, subset: frozenset[int]) -> bool:
         parent: dict[int, int] = {}

@@ -171,7 +171,7 @@ def _build_residual(instance: BCInstance, pool: frozenset[int],
     # Edges incident to the skeleton are deleted by the residual matching, so
     # the element list shrinks with the constraint's ground; the dropped
     # elements could never extend the skeleton anyway.
-    alive = remaining & constraint.element_ids()
+    alive = constraint.element_ids()
     elements = tuple(e for e in instance.elements if e.id in alive)
     return BCInstance(elements, constraint, instance.budget - instance.total_cost(skeleton))
 

@@ -1,9 +1,11 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
+import bcopt.cli
 import bcopt.enumeration
 import bcopt.lagrange
 import bcopt.oracle
@@ -21,7 +23,7 @@ from bcopt.cli import (
     load_instance,
     main,
 )
-from bcopt.core import InvalidParameterError, validate_instance
+from bcopt.core import InvalidParameterError
 
 
 def run_cli(args):
@@ -42,7 +44,6 @@ class TestGen:
     def test_size_zero_is_empty_and_valid(self):
         inst = generate_instance(1, 0, "matching")
         assert inst.elements == ()
-        assert validate_instance(inst).ok
 
     def test_same_seed_same_bytes(self):
         a = dump_instance(generate_instance(9, 12, "matroid-intersection"))
@@ -54,9 +55,14 @@ class TestGen:
         code, _, _ = run_cli(["gen", "--seed", "7", "--size", "12",
                               "--kind", "matching", "--out", str(out)])
         assert code == EXIT_OK
-        inst = load_instance(out)
-        assert len(inst.elements) == 12
-        assert validate_instance(inst).ok
+        assert len(load_instance(out).elements) == 12
+
+    def test_out_into_a_missing_directory_is_invalid_input(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["gen", "--seed", "7", "--size", "4", "--kind", "matching",
+                     "--out", str(out)]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("kind", ["matching", "matroid-intersection"])
     def test_round_trip_identity(self, kind):
@@ -96,6 +102,41 @@ def _set(data, path, value):
     data[last] = value
 
 
+# (instance maker, edit, message): one structural fault per row.
+STRUCTURAL_FILE_FAULTS = {
+    "matching endpoint out of range": (
+        _matching_json, lambda d: _set(d, ("constraint", "edges", "1"), [1, 3]),
+        "edge 1 endpoint out of range"),
+    "graphic endpoint out of range": (
+        _graphic_json, lambda d: _set(d, ("constraint", "matroids", 0, "edges", "0"), [0, 5]),
+        "edge 0 endpoint out of range"),
+    "dangling edge": (
+        _matching_json, lambda d: _set(d, ("constraint", "edges", "7"), [0, 2]),
+        r"ids \[7\] have no element"),
+    "element with no edge": (
+        _matching_json, lambda d: d["constraint"]["edges"].pop("1"),
+        r"elements \[1\] are not in the constraint"),
+    "graphic edge without an element": (
+        _graphic_json, lambda d: _set(d, ("constraint", "matroids", 0, "edges", "7"), [0, 2]),
+        "different ground sets"),
+    "element missing from the graphic matroid": (
+        _graphic_json, lambda d: d["constraint"]["matroids"][0]["edges"].pop("1"),
+        "different ground sets"),
+    "partition block outside the ground set": (
+        _intersection_json, lambda d: _set(d, ("constraint", "matroids", 1, "blocks", 1), [1, 5]),
+        "outside the ground set"),
+    "overlapping partition blocks": (
+        _intersection_json, lambda d: _set(d, ("constraint", "matroids", 1, "blocks", 1), [0, 1]),
+        "not disjoint at id 0"),
+    "partition capacity count": (
+        _intersection_json, lambda d: _set(d, ("constraint", "matroids", 1, "capacities"), [1]),
+        "one capacity per block"),
+    "duplicate element ids": (
+        _matching_json, lambda d: _set(d, ("elements", 1, "id"), 0),
+        r"duplicate element ids \[0\]"),
+}
+
+
 # (instance maker, path to one number); every number of the file format is covered.
 NUMBER_FIELDS = [
     (_matching_json, ("elements", 0, "id")),
@@ -117,7 +158,7 @@ class TestInstanceFromJson:
     def test_integer_files_load(self, make):
         inst = instance_from_json(make())
         assert inst.budget == 6
-        assert validate_instance(inst).ok
+        assert inst.ids == frozenset({0, 1})
 
     @pytest.mark.parametrize("make,path", NUMBER_FIELDS)
     @pytest.mark.parametrize("value", [2.5, 1.0, True, "1"])
@@ -139,9 +180,46 @@ class TestInstanceFromJson:
         with pytest.raises(InvalidParameterError, match="edge id"):
             instance_from_json(data)
 
+    @pytest.mark.parametrize("make,path", [(_matching_json, ("constraint", "edges")),
+                                           (_graphic_json, ("constraint", "matroids", 0, "edges"))])
+    def test_edges_as_a_list_are_a_malformed_file(self, tmp_path, capsys, make, path):
+        data = make()
+        _set(data, path, [[0, 1], [1, 2]])
+        with pytest.raises(InvalidParameterError, match="malformed instance file: edges must be"):
+            instance_from_json(data)
+        file = tmp_path / "list.json"
+        file.write_text(json.dumps(data))
+        assert main(["solve", str(file), "--epsilon", "1/4"]) == EXIT_INVALID_INPUT
+        assert "error: malformed instance file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", sorted(STRUCTURAL_FILE_FAULTS))
+    def test_structural_faults_are_invalid_input(self, tmp_path, capsys, fault):
+        make, edit, message = STRUCTURAL_FILE_FAULTS[fault]
+        data = make()
+        edit(data)
+        file = tmp_path / "fault.json"
+        file.write_text(json.dumps(data))
+        assert main(["solve", str(file), "--epsilon", "1/4"]) == EXIT_INVALID_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert re.search(message, err)
+
+    def test_a_self_loop_file_solves_without_the_loop(self, tmp_path, capsys):
+        # The loop is the cheapest and most profitable edge, and never feasible.
+        data = _matching_json()
+        data["elements"].append({"id": 2, "cost": 1, "profit": 100})
+        data["constraint"]["edges"]["2"] = [2, 2]
+        file = tmp_path / "loop.json"
+        file.write_text(json.dumps(data))
+        assert main(["solve", str(file), "--epsilon", "1/4"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert record["solution_ids"] == [1]
+        assert record["profit"] == 5
+
     def test_two_spellings_of_one_edge_id_are_refused(self, tmp_path):
         # int() reads "1" and "01" as the same id: the second edge would
-        # silently replace the first, and the file would still validate.
+        # silently replace the first, and the file would still load.
         data = _matching_json()
         data["constraint"]["edges"]["01"] = [0, 2]
         path = tmp_path / "dup.json"
@@ -343,6 +421,33 @@ class TestBenchCmd:
         assert code == EXIT_OK
         lines = out.read_text().strip().splitlines()
         assert lines == ["instance,epsilon,opt,profit,ratio,rep_size,enumerated,alpha,gamma,ms_total"]
+
+    @pytest.mark.parametrize("corpus,out,message", [
+        ("missing", None, "corpus {tmp}/missing is not a directory"),
+        ("file.json", None, "corpus {tmp}/file.json is not a directory"),
+        ("corpus", "missing/bench.csv", "cannot write {tmp}/missing/bench.csv"),
+        ("broken", None, "cannot read instance file {tmp}/broken/b.json"),
+    ])
+    def test_bad_paths_are_refused_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                     corpus, out, message):
+        # "a.json" sorts first, so a lazy bench would solve it before it met b.json.
+        for name in ("corpus", "broken"):
+            (tmp_path / name).mkdir()
+            write_instance(tmp_path / name, generate_instance(21, 8, "matching"), "a.json")
+        (tmp_path / "broken" / "b.json").write_text("{")
+        write_instance(tmp_path, generate_instance(21, 8, "matching"), "file.json")
+
+        def no_solve(instance, guard):
+            raise AssertionError("an instance was solved before every path was checked")
+
+        monkeypatch.setattr(bcopt.oracle, "brute_force_opt", no_solve)
+        args = ["bench", str(tmp_path / corpus)]
+        if out:
+            args += ["--out", str(tmp_path / out)]
+        assert main(args) == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message.format(tmp=tmp_path))
 
     def test_single_instance_row(self, tmp_path):
         corpus = tmp_path / "corpus"

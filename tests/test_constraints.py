@@ -39,14 +39,6 @@ class TestFeasibility:
         with pytest.raises(UnknownElementError):
             Matching(2, {0: (0, 1)}).cursor().try_push(9)
 
-    def test_intersection_cursor_unchanged_by_an_id_one_oracle_lacks(self):
-        cons = MatroidIntersection(UniformMatroid({0, 1}, 1), UniformMatroid({1}, 1))
-        cursor = cons.cursor()
-        with pytest.raises(UnknownElementError):
-            cursor.try_push(0)
-        # The first oracle's push of 0 was undone, so its rank is still free.
-        assert cursor.try_push(1)
-
 
 class TestBoundedFeasibility:
     def test_empty_at_q_zero(self):

@@ -12,9 +12,8 @@ from bcopt.core import (
     UnknownElementError,
     is_solution,
     preprocess_discard,
-    validate_instance,
 )
-from bcopt.constraints import Matching
+from bcopt.constraints import Matching, MatroidIntersection
 from bcopt.matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 
 from conftest import free_constraint, free_instance, triangle_matching
@@ -91,6 +90,23 @@ class TestBCInstance:
             with pytest.raises(InvalidParameterError):
                 BCInstance((), free_constraint(()), budget)
 
+    def test_empty_instance_builds(self):
+        assert BCInstance((), free_constraint(()), 0).ids == frozenset()
+
+    def test_duplicate_ids(self):
+        # Refused at construction, whatever the order: solving such an
+        # instance would depend on which of the two id-0 elements comes first.
+        for elements in ((Element(0, 100, 1), Element(0, 1, 1), Element(1, 5, 1)),
+                         (Element(0, 1, 1), Element(0, 100, 1), Element(1, 5, 1))):
+            with pytest.raises(InvalidParameterError, match=r"duplicate element ids \[0\]"):
+                BCInstance(elements, free_constraint((0, 1)), 50)
+        with pytest.raises(InvalidParameterError, match=r"duplicate element ids \[3\]"):
+            BCInstance((Element(3, 1, 1), Element(3, 2, 2)), Matching(4, {3: (0, 1)}), 5)
+
+    def test_self_loop_is_a_legal_edge(self):
+        inst = BCInstance((Element(0, 1, 1),), Matching(3, {0: (1, 1)}), 5)
+        assert not is_solution(inst, (0,))
+
 
 # Every number argument of the six constructors that take one, as a function
 # of that number; 2 builds each of them.
@@ -147,32 +163,54 @@ class TestIntegerRule:
             build()
 
 
-class TestValidateInstance:
-    def test_empty_instance_is_ok(self):
-        inst = BCInstance((), free_constraint(()), 0)
-        assert validate_instance(inst).ok
+# One structural fault per row, each refused by the constructor that owns it
+# (duplicate ids: TestBCInstance.test_duplicate_ids).
+STRUCTURAL_FAULTS = {
+    "Matching endpoint out of range": (
+        lambda: Matching(3, {0: (0, 1), 1: (1, 3)}), "edge 1 endpoint out of range"),
+    "GraphicMatroid endpoint out of range": (
+        lambda: GraphicMatroid(3, {0: (3, 1)}), "edge 0 endpoint out of range"),
+    "PartitionMatroid capacity count": (
+        lambda: PartitionMatroid(range(3), [[0], [1]], [1]), "one capacity per block"),
+    "PartitionMatroid block outside the ground set": (
+        lambda: PartitionMatroid(range(3), [[0, 5]], [1]), r"block ids \[5\] are outside"),
+    "PartitionMatroid overlapping blocks": (
+        lambda: PartitionMatroid(range(3), [[0, 1], [1, 2]], [1, 1]), "not disjoint at id 1"),
+    "MatroidIntersection ground sets differ": (
+        lambda: MatroidIntersection(UniformMatroid({0, 1}, 1), UniformMatroid({1}, 1)),
+        r"different ground sets: \[0\]"),
+    "BCInstance dangling edge": (
+        lambda: BCInstance((Element(0, 1, 1),), Matching(4, {0: (0, 1), 7: (2, 3)}), 5),
+        r"ids \[7\] have no element"),
+    "BCInstance element with no edge": (
+        lambda: BCInstance((Element(0, 1, 1), Element(1, 1, 1)), Matching(4, {0: (0, 1)}), 5),
+        r"elements \[1\] are not in the constraint"),
+    "BCInstance dangling oracle id": (
+        lambda: BCInstance((Element(0, 1, 1),), free_constraint((0, 1)), 5),
+        r"ids \[1\] have no element"),
+    "BCInstance element missing from the oracles": (
+        lambda: BCInstance((Element(0, 1, 1), Element(2, 1, 1)), free_constraint((0,)), 5),
+        r"elements \[2\] are not in the constraint"),
+}
 
-    def test_dangling_constraint_reference(self):
-        inst = BCInstance(
-            (Element(0, 1, 1),), Matching(4, {0: (0, 1), 7: (2, 3)}), 5
-        )
-        report = validate_instance(inst)
-        assert any("dangling id 7" in v for v in report.violations)
 
-    def test_duplicate_ids(self):
-        # Refused at construction, whatever the order: solving such an
-        # instance would depend on which of the two id-0 elements comes first.
-        for elements in ((Element(0, 100, 1), Element(0, 1, 1), Element(1, 5, 1)),
-                         (Element(0, 1, 1), Element(0, 100, 1), Element(1, 5, 1))):
-            with pytest.raises(InvalidParameterError, match=r"duplicate element ids \[0\]"):
-                BCInstance(elements, free_constraint((0, 1)), 50)
-        with pytest.raises(InvalidParameterError, match=r"duplicate element ids \[3\]"):
-            BCInstance((Element(3, 1, 1), Element(3, 2, 2)), Matching(4, {3: (0, 1)}), 5)
+class TestStructuralRules:
+    @pytest.mark.parametrize("fault", sorted(STRUCTURAL_FAULTS))
+    def test_every_fault_is_refused_by_its_constructor(self, fault):
+        build, message = STRUCTURAL_FAULTS[fault]
+        with pytest.raises(InvalidParameterError, match=message):
+            build()
 
-    def test_self_loop_is_flagged(self):
-        inst = BCInstance((Element(0, 1, 1),), Matching(3, {0: (1, 1)}), 5)
-        report = validate_instance(inst)
-        assert any("self-loop" in v for v in report.violations)
+    def test_a_dangling_id_never_reaches_solve(self):
+        # Accepted, this instance would fail inside preprocess_discard with
+        # a bare UnknownElementError: 5.
+        with pytest.raises(InvalidParameterError, match="endpoint out of range"):
+            BCInstance((Element(0, 1, 5), Element(5, 1, 3)),
+                       Matching(4, {0: (0, 1), 7: (2, 9)}), 2)
+        with pytest.raises(InvalidParameterError, match=r"ids \[7\] have no element, "
+                                                        r"elements \[5\] are not"):
+            BCInstance((Element(0, 1, 5), Element(5, 1, 3)),
+                       Matching(10, {0: (0, 1), 7: (2, 9)}), 2)
 
 
 class TestPreprocessDiscard:
