@@ -112,10 +112,9 @@ def instance_from_json(data: dict[str, Any]) -> BCInstance:
         elements = tuple(Element(e["id"], e["cost"], e["profit"]) for e in data["elements"])
         ids = frozenset(e.id for e in elements)
         constraint = _constraint_from_json(data["constraint"], ids)
-        budget = data["budget"]
+        return BCInstance(elements, constraint, data["budget"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed instance file: {exc}") from exc
-    return BCInstance(elements, constraint, budget)
 
 
 def _edges_from_json(edges: dict[str, Any]) -> dict[int, Any]:
@@ -397,9 +396,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise InvalidParameterError(f"corpus {args.corpus} is not a directory")
     if args.out and not Path(args.out).parent.is_dir():
         raise InvalidParameterError(f"cannot write {args.out}: no directory")
-    # Every path and file is checked before the first solve.
+    # Every path, file and guard is checked before the first solve.
     corpus = [(path.name, load_instance(path))
               for path in sorted(Path(args.corpus).glob("*.json"))]
+    for _, instance in corpus:
+        oracle._check_guard(instance, args.guard)
     epsilons = [
         Epsilon.parse(t) for t in (args.epsilon or ["1/10"])
     ]

@@ -11,7 +11,7 @@ range, or two oracles over different ground sets.  A self-loop is legal.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .core import BCError, InvalidParameterError, UnknownElementError, checked_edges, checked_int
 from .matroids import MatroidOracle
@@ -145,6 +145,40 @@ def size_cap(constraint: Constraint, ids: Iterable[int]) -> int:
         return min(sum(map(oracle.cursor().try_push, ids))
                    for oracle in (constraint.oracle1, constraint.oracle2))
     return len(ids)
+
+
+def conflict_masks(constraint: Constraint, ids: Sequence[int]
+                   ) -> tuple[list[int], int, "FeasibilityCursor | None"]:
+    """One search's int mask per id of ``ids``, its starting ``used``, and its cursor.
+
+    A search grows a set S of ``ids`` and keeps ``used``, the start or'ed
+    with the masks of S; an id whose mask meets ``used`` cannot join S.  For
+    a :class:`Matching` an edge's mask holds its endpoints' bits, so it meets
+    ``used`` exactly when S covers an endpoint, and the masks decide alone:
+    the cursor is None.  A self-loop's mask also holds bit 0, which the
+    start already holds, so it never joins.  For any other constraint the
+    mask is the id's own bit, its position in ``ids``, which never meets
+    ``used`` in a search that takes each position once; a fresh cursor
+    decides.  Bits are numbered per call, so masks of two calls do not mix.
+    An unknown id raises :class:`UnknownElementError`: for a matching here,
+    otherwise when the cursor meets it.
+    """
+    if isinstance(constraint, Matching):
+        edges = constraint.edges
+        bit: dict[int, int] = {}
+        masks = []
+        for eid in ids:
+            try:
+                u, v = edges[eid]
+            except KeyError:
+                raise UnknownElementError(eid) from None
+            if u not in bit:
+                bit[u] = 2 << len(bit)
+            if v not in bit:
+                bit[v] = 2 << len(bit)
+            masks.append(bit[u] | bit[v] if u != v else bit[u] | 1)
+        return masks, 1, None
+    return [1 << k for k in range(len(ids))], 0, constraint.cursor()
 
 
 class FeasibilityCursor:

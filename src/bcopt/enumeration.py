@@ -7,10 +7,16 @@ The engines walk elements in a fixed order (the caller's for the listing,
 ascending ids for the exact search, heaviest first for the maximum-weight
 search) and rely on downward closure of the feasible-set family: once a
 partial set is infeasible or over budget, no superset can recover, so the
-whole branch is pruned.  The maximum-weight search also knows that no
+whole branch is pruned.  Each engine tests whether an id fits with the int
+masks of :func:`bcopt.constraints.conflict_masks`, built per search beside
+its cost list: an id whose mask meets the chosen ids' ``used`` does not
+fit.  For a matching the masks are the edges' vertex bits and decide alone,
+so a matching search makes no cursor call; for an intersection a
+feasibility cursor decides.  The maximum-weight search also knows that no
 feasible set holds more than :func:`bcopt.constraints.size_cap` elements,
 so a branch can gain at most the heaviest values that fit in the slots it
-has left.  The listing also takes the caller's bound test: it leaves out
+has left.  The exact search can start from a floor and cut against it from
+the root.  The listing also takes the caller's bound test: it leaves out
 every subtree the test rejects, and after a rejected child of a parent that
 is not itself wanted it asks the test once more for the parent over the
 later positions, which covers every later child and its subtree, and on a
@@ -27,18 +33,22 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
-from .constraints import size_cap
+from .constraints import conflict_masks, size_cap
 from .core import BCInstance, CapExceededError
 
 
-def max_profit_solution_ids(instance: BCInstance) -> frozenset[int]:
+def max_profit_solution_ids(instance: BCInstance, *, floor: int = -1) -> frozenset[int] | None:
     """Exact maximum-profit feasible set within the budget.
 
     Ties keep the first optimum found in ascending-id, include-first order.
+    The search starts from ``floor`` and returns None when no feasible set
+    earns more than it; the default -1 asks for the optimum, which earns at
+    least 0, so the answer is then never None.
     """
     ids = instance.sorted_ids()
     return _branch_and_bound(instance, ids, [instance.profit_of[i] for i in ids],
-                             [instance.cost_of[i] for i in ids], instance.budget, len(ids))
+                             [instance.cost_of[i] for i in ids], instance.budget, len(ids),
+                             floor)
 
 
 def max_weight_feasible_ids(instance: BCInstance, weight: Mapping[int, int]) -> frozenset[int]:
@@ -51,17 +61,21 @@ def max_weight_feasible_ids(instance: BCInstance, weight: Mapping[int, int]) -> 
     """
     ids = sorted((i for i in instance.cost_of if weight[i] > 0),
                  key=lambda i: (-weight[i], i))
+    # Never None: the empty set beats the floor -1.
     return _branch_and_bound(instance, ids, [weight[i] for i in ids], [0] * len(ids), 0,
-                             size_cap(instance.constraint, ids))
+                             size_cap(instance.constraint, ids), -1)
 
 
 def _branch_and_bound(instance: BCInstance, ids: list[int], values: list[int],
-                      costs: list[int], budget: int, cap: int) -> frozenset[int]:
+                      costs: list[int], budget: int, cap: int,
+                      floor: int) -> frozenset[int] | None:
     """Maximum-value feasible subset of ``ids`` whose cost fits ``budget``.
 
     Include/exclude per id in the given order; values are non-negative.
-    Ties keep the first optimum found in include-first order, the empty set
-    when nothing has positive value.
+    Ties keep the first optimum found in include-first order.  The incumbent
+    starts at ``floor`` with no set; None means no set is worth more than
+    ``floor``.  With ``floor = -1`` the empty set is the first incumbent, so
+    the answer is the empty set when nothing has positive value.
 
     No feasible set may hold more than ``cap`` ids.  When ``values`` do not
     increase, a node at ``idx`` with k ids chosen can gain at most
@@ -70,9 +84,10 @@ def _branch_and_bound(instance: BCInstance, ids: list[int], values: list[int],
     A node whose bound cannot beat the incumbent is cut.  The incumbent is
     replaced only on a strict gain, so a cut subtree holds no set that would
     have replaced it, and the walk meets the same incumbents in the same
-    order as with no cut at all.  In particular every ancestor of the first
-    optimum in include-first order has a bound of at least that optimum,
-    above the incumbent before it is reached, so it is reached and returned.
+    order as with no cut at all, less those at or below ``floor``.  In
+    particular every ancestor of the first optimum in include-first order
+    has a bound of at least that optimum, above the incumbent before it is
+    reached, so when the optimum beats ``floor`` it is reached and returned.
     """
     n = len(ids)
     cap = min(cap, n)
@@ -81,31 +96,33 @@ def _branch_and_bound(instance: BCInstance, ids: list[int], values: list[int],
     suffix = [0] * (n + cap + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + values[i]
-    cursor = instance.constraint.cursor()
-    best_ids: list[int] = []
-    best_value = 0
+    masks, start, cursor = conflict_masks(instance.constraint, ids)
+    best_ids: list[int] | None = None
+    best_value = floor
     chosen: list[int] = []
 
-    def walk(idx: int, cost: int, value: int, slots: int) -> None:
+    def walk(idx: int, cost: int, value: int, slots: int, used: int) -> None:
         nonlocal best_value, best_ids
         if value > best_value:
             best_value = value
             best_ids = list(chosen)
         if idx == n or value + suffix[idx] - suffix[idx + slots] <= best_value:
             return
-        eid = ids[idx]
-        if cost + costs[idx] <= budget and cursor.try_push(eid):
+        eid, m = ids[idx], masks[idx]
+        if (cost + costs[idx] <= budget and not m & used
+                and (cursor is None or cursor.try_push(eid))):
             chosen.append(eid)
-            walk(idx + 1, cost + costs[idx], value + values[idx], slots - 1)
+            walk(idx + 1, cost + costs[idx], value + values[idx], slots - 1, used | m)
             chosen.pop()
-            cursor.pop()
-        walk(idx + 1, cost, value, slots)
+            if cursor is not None:
+                cursor.pop()
+        walk(idx + 1, cost, value, slots, used)
 
     try:
-        walk(0, 0, 0, cap)
+        walk(0, 0, 0, cap, start)
     finally:
         del walk
-    return frozenset(best_ids)
+    return None if best_ids is None else frozenset(best_ids)
 
 
 def feasible_subsets_within_budget(
@@ -139,12 +156,12 @@ def feasible_subsets_within_budget(
     """
     n = len(pool)
     costs = [instance.cost_of[i] for i in pool]
-    cursor = instance.constraint.cursor()
+    masks, start, cursor = conflict_masks(instance.constraint, pool)
     budget = instance.budget
     out: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
-    def walk(j: int, cost: int) -> bool:
+    def walk(j: int, cost: int, used: int) -> bool:
         if promising is not None and not promising(chosen, j):
             return False
         out.append(tuple(chosen))
@@ -157,18 +174,20 @@ def feasible_subsets_within_budget(
             return True
         for k in range(j + 1, n):
             nc = cost + costs[k]
-            if nc > budget or not cursor.try_push(pool[k]):
+            eid, m = pool[k], masks[k]
+            if nc > budget or m & used or not (cursor is None or cursor.try_push(eid)):
                 continue
-            chosen.append(pool[k])
-            kept = walk(k, nc)
+            chosen.append(eid)
+            kept = walk(k, nc, used | m)
             chosen.pop()
-            cursor.pop()
+            if cursor is not None:
+                cursor.pop()
             if not (kept or wanted or k + 1 == n or promising(chosen, k)):
                 break
         return True
 
     try:
-        walk(-1, 0)
+        walk(-1, 0, start)
     finally:
         del walk
     return out

@@ -64,15 +64,19 @@ EXACT_LIMIT = 20
 GAMMA = Fraction(4)
 
 
-def non_profitable_solver(instance: BCInstance) -> Solution:
+def non_profitable_solver(instance: BCInstance, *, floor: int = -1) -> Solution | None:
     """A solution with profit at least OPT minus twice the largest profit.
 
     Instances of at most ``EXACT_LIMIT`` elements are brute-forced outright
-    (the contract then holds with equality to OPT).  Larger ones go through
-    the Lagrangian search with patching of the bracketing pair.
+    (the contract then holds with equality to OPT), from ``floor``: the
+    answer is None ("cannot win") when no solution earns more than
+    ``floor``, and never None at the default -1.  Larger ones go through
+    the Lagrangian search with patching of the bracketing pair, whose answer
+    is no optimum, so it ignores ``floor``.
     """
     if len(instance.elements) <= EXACT_LIMIT:
-        return Solution.build(instance, max_profit_solution_ids(instance))
+        ids = max_profit_solution_ids(instance, floor=floor)
+        return None if ids is None else Solution.build(instance, ids)
     return approx_opt(instance)
 
 
@@ -206,7 +210,9 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
       between the ends' costs, and it replaces the end on its budget side.
       The walk thus makes at most c(s_plus) - c(s_minus) probes, with the
       opening probes' costs: one per envelope piece between them and one to
-      stop.
+      stop.  The crossing lies in the bracket, so it is 0 only while
+      ``s_plus`` is still the lambda = 0 probe; the walk then stops on that
+      probe's set without asking the oracle again.
     - With D = c(E), no breakpoint but lambda* lies within 1/D^2 of it, so
       the oracle returns one set on (lambda* - 1/D^2, lambda*) and one on
       (lambda*, lambda* + 1/D^2).  Bisection past resolution ends with a
@@ -308,7 +314,9 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     p_minus = sum(map(profit.__getitem__, s_minus))
     while True:
         lam = Fraction(p_plus - p_minus, c_plus - c_minus)
-        s = inner_max_weight(instance, lam)
+        # The crossing lies at or right of where s_plus is optimal, so it is
+        # 0 only while s_plus is the opening probe, which answers lambda = 0.
+        s = inner_max_weight(instance, lam) if lam else s_plus
         c = sum(map(cost.__getitem__, s))
         p = sum(map(profit.__getitem__, s))
         if (p - p_plus) * lam.denominator <= (c - c_plus) * lam.numerator:

@@ -24,7 +24,7 @@ from .core import (
     ratio_key,
 )
 from .classes import small_profit_pool
-from .constraints import Matching, MatroidIntersection, residual_constraint, size_cap
+from .constraints import MatroidIntersection, conflict_masks, residual_constraint, size_cap
 from .enumeration import feasible_subsets_within_budget
 from .lagrange import GAMMA, approx_opt, non_profitable_solver
 from .repset import rep_set
@@ -146,7 +146,15 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
         solved += 1
         skeleton = frozenset(chosen)
         residual = _build_residual(working, pool, skeleton)
-        combined_ids = skeleton | non_profitable_solver(residual).id_set
+        # The extension must earn more than the floor to win; an exact
+        # residual search that finds nothing above it reports None.
+        floor = best_profit - working.total_profit(skeleton)
+        if (len(chosen), tuple(sorted(chosen))) < best_key:
+            floor -= 1
+        extension = non_profitable_solver(residual, floor=floor)
+        if extension is None:
+            return
+        combined_ids = skeleton | extension.id_set
         profit = working.total_profit(combined_ids)
         if can_win(profit, chosen):
             best = Solution.build(working, combined_ids)
@@ -200,17 +208,20 @@ class SkeletonBound:
     slots.
 
     The candidates are sorted once by exact density, zero-cost elements
-    first; each knapsack walks them until the budget runs out.
+    first; each knapsack walks them until the budget runs out.  Blocking is
+    one int per call, F's :func:`~bcopt.constraints.conflict_masks` or'ed
+    together, which each candidate's mask must not meet.  A self-loop's
+    mask holds bit 0 as well as its vertex, but no skeleton holds a
+    self-loop, so it is blocked exactly when F covers its vertex.
     """
 
     def __init__(self, instance: BCInstance, pool: frozenset[int], rep):
-        # An element leaves F's residual pool when it shares a key with F:
-        # an endpoint for a matching (which covers F's own edges), else its id.
+        # An element leaves F's residual pool when its conflict mask meets
+        # F's: a shared endpoint for a matching (which covers F's own
+        # edges), else its own bit.
         cons = instance.constraint
-        if isinstance(cons, Matching):
-            self._keys = {e.id: cons.edges[e.id] for e in instance.elements}
-        else:
-            self._keys = {e.id: (e.id, e.id) for e in instance.elements}
+        ids = [e.id for e in instance.elements]
+        self._mask = dict(zip(ids, conflict_masks(cons, ids)[0]))
         self._cost = instance.cost_of
         self._profit = instance.profit_of
         self._budget = instance.budget
@@ -223,40 +234,40 @@ class SkeletonBound:
         # Densest first; a zero-cost element's (-profit, 0) is minus infinity.
         # The fractional knapsack does not depend on how equal densities tie.
         items.sort(key=lambda e: ratio_key((-e.profit, e.cost, e.id)))
-        self._order = [(e.cost, e.profit) + self._keys[e.id] + (until[e.id],) for e in items]
+        self._order = [(e.cost, e.profit, self._mask[e.id], until[e.id]) for e in items]
         self._rank = None
         if isinstance(cons, MatroidIntersection):
             self._rank = size_cap(cons, instance.sorted_ids())
             # Largest profit first; how equal profits tie cannot change a sum.
-            self._by_profit = sorted(((p, eid, u) for _, p, eid, _, u in self._order),
+            self._by_profit = sorted(((p, m, u) for _, p, m, u in self._order),
                                      reverse=True)
 
     def bound(self, skeleton, j: int) -> int:
         room = self._budget
         gain = 0
-        blocked: set[int] = set()
+        blocked = 0
         for eid in skeleton:
             room -= self._cost[eid]
             gain += self._profit[eid]
-            blocked.update(self._keys[eid])
+            blocked |= self._mask[eid]
         value = self._knapsack(room, blocked, j)
         if self._rank is not None:
             slots = self._rank - len(skeleton)
             top = 0
-            for profit, a, until in self._by_profit:
+            for profit, mask, until in self._by_profit:
                 if slots <= 0 or top >= value:
                     break
-                if j < until and a not in blocked:
+                if j < until and not mask & blocked:
                     top += profit
                     slots -= 1
             value = min(value, top)
         return gain + value
 
-    def _knapsack(self, room: int, blocked: set[int], j: int) -> int:
+    def _knapsack(self, room: int, blocked: int, j: int) -> int:
         """Floor of the fractional knapsack over the elements open at ``j``."""
         value = 0
-        for cost, profit, a, b, until in self._order:
-            if j >= until or a in blocked or b in blocked:
+        for cost, profit, mask, until in self._order:
+            if j >= until or mask & blocked:
                 continue
             if cost > room:
                 return value + profit * room // cost

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from bcopt.core import BCInstance, Element
 from bcopt.cli import generate_instance
@@ -66,6 +67,33 @@ def random_matroid(rng: random.Random, ids: frozenset[int]):
         v = rng.randrange(vertices)
         edges[eid] = (u, v)  # self-loops possible: dependent singletons
     return GraphicMatroid(vertices, edges)
+
+
+# A vertex far above the others: a search must number its mask bits by
+# the vertices it meets, not by their values.
+FAR_VERTEX = 10**12
+
+
+@st.composite
+def tiny_instances(draw):
+    """Up to 10 elements on sparse ids, with zero costs and budgets from 0.
+
+    Half are matchings on a few vertices and ``FAR_VERTEX``, self-loops
+    included; half intersect two random matroids.
+    """
+    ids = sorted(draw(st.sets(st.integers(0, 40), max_size=10)))
+    costs = draw(st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids)))
+    profits = draw(st.lists(st.integers(0, 5), min_size=len(ids), max_size=len(ids)))
+    elements = tuple(Element(i, c, p) for i, c, p in zip(ids, costs, profits))
+    if draw(st.booleans()):
+        ends = st.sampled_from([0, 1, 2, 3, 4, FAR_VERTEX])
+        constraint = Matching(FAR_VERTEX + 1, {i: (draw(ends), draw(ends)) for i in ids})
+    else:
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        ground = frozenset(ids)
+        constraint = MatroidIntersection(random_matroid(rng, ground),
+                                         random_matroid(rng, ground))
+    return BCInstance(elements, constraint, draw(st.integers(0, 8)))
 
 
 def exact_rep_set(instance, epsilon):

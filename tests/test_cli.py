@@ -205,6 +205,33 @@ class TestInstanceFromJson:
         assert err.startswith("error: ")
         assert re.search(message, err)
 
+    @pytest.mark.parametrize("fault", ["dangling edge", "element with no edge",
+                                       "duplicate element ids", "budget"])
+    def test_instance_refusals_carry_the_file_prefix(self, fault):
+        # The instance's own refusals read like the element and constraint
+        # constructors' ones.
+        if fault == "budget":
+            data = _matching_json()
+            data["budget"] = -1
+            message = "budget must be non-negative"
+        else:
+            make, edit, message = STRUCTURAL_FILE_FAULTS[fault]
+            data = make()
+            edit(data)
+        with pytest.raises(InvalidParameterError,
+                           match="^malformed instance file: .*" + message):
+            instance_from_json(data)
+
+    def test_a_dangling_edge_id_is_a_malformed_file(self, tmp_path, capsys):
+        data = _matching_json()
+        data["constraint"]["edges"]["7"] = [0, 2]
+        file = tmp_path / "dangling.json"
+        file.write_text(json.dumps(data))
+        assert main(["solve", str(file), "--epsilon", "1/4"]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == (
+            "error: malformed instance file: the constraint's ids are not the element ids: "
+            "ids [7] have no element, elements [] are not in the constraint\n")
+
     def test_a_self_loop_file_solves_without_the_loop(self, tmp_path, capsys):
         # The loop is the cheapest and most profitable edge, and never feasible.
         data = _matching_json()
@@ -448,6 +475,24 @@ class TestBenchCmd:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: " + message.format(tmp=tmp_path))
+
+    def test_an_oversize_later_file_is_refused_before_any_solve(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # a.json is within the guard and sorts first; b.json is above it.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_instance(corpus, generate_instance(1, 8, "matching"), "a.json")
+        write_instance(corpus, generate_instance(2, 30, "matching"), "b.json")
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an instance was solved before every guard was checked")
+
+        monkeypatch.setattr(bcopt.oracle, "brute_force_opt", no_solve)
+        monkeypatch.setattr(bcopt.cli, "solve_detailed", no_solve)
+        assert main(["bench", str(corpus), "--guard", "20"]) == EXIT_GUARD_EXCEEDED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: instance has 30 elements, above the guard of 20\n"
 
     def test_single_instance_row(self, tmp_path):
         corpus = tmp_path / "corpus"

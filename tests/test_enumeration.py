@@ -1,6 +1,5 @@
 import gc
 import random
-import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +9,11 @@ from bcopt.constraints import (
     IntersectionCursor,
     Matching,
     MatroidIntersection,
+    conflict_masks,
     residual_constraint,
     size_cap,
 )
-from bcopt.core import BCInstance
+from bcopt.core import BCInstance, UnknownElementError
 from bcopt.enumeration import (
     feasible_subsets_within_budget,
     max_profit_solution_ids,
@@ -21,7 +21,7 @@ from bcopt.enumeration import (
 )
 from bcopt.oracle import iter_feasible_sets
 
-from conftest import BareOracle, path_matching
+from conftest import BareOracle, path_matching, tiny_instances
 
 
 SEARCHES = {
@@ -32,23 +32,24 @@ SEARCHES = {
 }
 
 
+KINDS = {
+    "matching": lambda: path_matching(6, profits=[3, 1, 4, 1, 5, 9], budget=4),
+    "intersection": lambda: generate_instance(4, 8, "matroid-intersection"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
 @pytest.mark.parametrize("name", sorted(SEARCHES))
-def test_search_state_is_freed_without_the_cycle_collector(name, monkeypatch):
-    inst = path_matching(6, profits=[3, 1, 4, 1, 5, 9], budget=4)
-    cursors = []
-    original = Matching.cursor
-
-    def tracking(self):
-        cursor = original(self)
-        cursors.append(weakref.ref(cursor))
-        return cursor
-
-    monkeypatch.setattr(Matching, "cursor", tracking)
+def test_search_state_is_freed_without_the_cycle_collector(name, kind):
+    # A walk closure left bound after the search would be a reference cycle
+    # holding the search's cursor and masks, which only the collector frees.
+    # A matching search opens no cursor, so count what the collector finds.
+    inst = KINDS[kind]()
+    gc.collect()
     gc.disable()
     try:
         SEARCHES[name](inst)
-        assert len(cursors) == 1
-        assert cursors[0]() is None
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -173,6 +174,34 @@ class TestCardinalityCap:
         reference_pushes, pushes[0] = pushes[0], 0
         assert max_weight_feasible_ids(inst, inst.profit_of) == reference
         assert 2 * pushes[0] < reference_pushes
+
+
+class TestConflictMasks:
+    # The exact search tests fit by masks; the reference asks a cursor.
+    @given(inst=tiny_instances(), floor=st.integers(-1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_search_matches_the_cursor_reference(self, inst, floor):
+        ids = inst.sorted_ids()
+        reference = _suffix_only_branch_and_bound(
+            inst, ids, [inst.profit_of[i] for i in ids], [inst.cost_of[i] for i in ids],
+            inst.budget)
+        assert max_profit_solution_ids(inst) == reference
+        beaten = inst.total_profit(reference) > floor
+        assert max_profit_solution_ids(inst, floor=floor) == (reference if beaten else None)
+        assert max_weight_feasible_ids(inst, inst.profit_of) == \
+            suffix_only_max_weight_feasible_ids(inst, inst.profit_of)
+
+    def test_a_self_loop_never_joins_and_decides_without_a_cursor(self):
+        matching = Matching(3, {0: (0, 1), 1: (2, 2), 2: (1, 2)})
+        masks, used, cursor = conflict_masks(matching, [0, 1, 2])
+        assert cursor is None
+        assert masks[1] & used
+        assert not masks[0] & used and not masks[2] & used
+        assert masks[0] & masks[2] and not masks[0] & masks[1]
+
+    def test_an_unknown_edge_is_refused(self):
+        with pytest.raises(UnknownElementError):
+            conflict_masks(Matching(2, {0: (0, 1)}), [0, 5])
 
 
 class TestSkeletonListing:

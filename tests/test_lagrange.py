@@ -138,6 +138,22 @@ class TestNonProfitableSolver:
         assert 1 not in sol.element_ids
         assert sol.total_profit == 20
 
+    def test_a_floor_never_beaten_reports_cannot_win(self, npsolver_corpus):
+        # Brute-forced residuals start from the floor: at the optimum's
+        # profit nothing beats it, so the answer is None ("cannot win");
+        # one below, the answer is the optimum the default search returns.
+        for name, inst in npsolver_corpus:
+            best = non_profitable_solver(inst)
+            assert non_profitable_solver(inst, floor=best.total_profit) is None, name
+            assert non_profitable_solver(inst, floor=best.total_profit - 1) == best, name
+
+    def test_the_lagrangian_path_ignores_the_floor(self):
+        # Above EXACT_LIMIT elements the answer is no optimum, so a floor
+        # proves nothing and the search answers as without one.
+        inst = preprocess_discard(generate_instance(11, 30, "matching"))
+        assert len(inst.elements) > EXACT_LIMIT
+        assert non_profitable_solver(inst, floor=10**9) == approx_opt(inst)
+
     def test_ids_on_large_instances_are_pinned(self):
         lines = [f"{k} {non_profitable_solver(inst).element_ids}"
                  for k, inst in enumerate(large_instances())]
@@ -486,6 +502,26 @@ class TestBreakpointStop:
         pool, pairs = searched_pool_and_pair(inst)
         assert pairs == [(frozenset({0, 7, 11}), frozenset({0, 6, 7}))]
         assert pairs == full_depth_pool_and_pair(inst)[1]
+
+    def test_walk_answers_a_zero_crossing_from_the_opening_probe(self, monkeypatch):
+        # After the probe at 1/2 the ends earn the same, so they cross at
+        # lambda = 0, where the opening probe already holds the answer: the
+        # walk stops there without probing 0 again, and the rebuild probes
+        # 0 + delta alone.  Probing 0 twice made five probes, with the same
+        # alpha and ids.
+        inst = generate_instance(8, 14, "matroid-intersection", cost_range=(0, 1),
+                                 profit_range=(0, 1), budget_percent=12)
+        probes = []
+        original_inner = bcopt.lagrange.inner_max_weight
+
+        def counting_inner(instance, lam, **kwargs):
+            probes.append(lam)
+            return original_inner(instance, lam, **kwargs)
+
+        monkeypatch.setattr(bcopt.lagrange, "inner_max_weight", counting_inner)
+        alpha = approx_opt(inst)
+        assert probes == [0, 2, Fraction(1, 2), Fraction(1, 162)]
+        assert alpha.element_ids == (0, 2, 3, 7, 11) and alpha.total_profit == 3
 
     def test_walk_takes_its_step_from_the_sum_of_all_costs(self):
         # The walk ends with {0, 1, 2, 3, 5} (cost 4, profit 9) and

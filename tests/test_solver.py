@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,7 +16,7 @@ from bcopt.core import (
 )
 from bcopt.classes import small_profit_pool
 from bcopt.cli import generate_instance
-from bcopt.constraints import MatroidIntersection
+from bcopt.constraints import Matching, MatroidIntersection
 from bcopt.enumeration import feasible_subsets_within_budget
 from bcopt.lagrange import approx_opt, non_profitable_solver
 from bcopt.matroids import PartitionMatroid, UniformMatroid
@@ -29,7 +30,7 @@ from bcopt.solver import (
     solve_detailed,
 )
 
-from conftest import BareOracle, free_instance, make_elements, path_matching
+from conftest import BareOracle, free_instance, make_elements, path_matching, tiny_instances
 
 
 class TestResidual:
@@ -169,7 +170,8 @@ class TestSolve:
         # With empty extensions every candidate is a skeleton of the
         # representative set alone; alpha's solution holds element 7, which
         # is not in it.
-        monkeypatch.setattr(bcopt.solver, "non_profitable_solver", lambda _: Solution.empty())
+        monkeypatch.setattr(bcopt.solver, "non_profitable_solver",
+                            lambda _, *, floor: Solution.empty())
         monkeypatch.setattr(bcopt.solver, "feasible_subsets_within_budget", counting)
         inst = generate_instance(1, 10, "matroid-intersection")
         solution, stats = solve_detailed(inst, Epsilon(1, 4))
@@ -241,6 +243,17 @@ def untailed_listing(instance, pool, max_size, cap=None, promising=None, visit=N
 
     walk(-1, 0)
     return out
+
+
+@given(inst=tiny_instances(), max_size=st.integers(0, 4), shuffle=st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_the_listing_matches_the_cursor_walker(inst, max_size, shuffle):
+    # The listing tests fit by masks; the walker above asks a cursor.  With
+    # every subset wanted, neither cuts, so both list the same preorder.
+    pool = inst.sorted_ids()
+    random.Random(shuffle).shuffle(pool)
+    assert feasible_subsets_within_budget(inst, pool, max_size) == untailed_listing(
+        inst, pool, max_size, promising=lambda chosen, j: True, visit=lambda chosen: None)
 
 
 def low_rank(instance, ranks):
@@ -389,12 +402,22 @@ class TestSkeletonBound:
         bound = SkeletonBound(inst, frozenset({0, 1}), ())
         assert bound.bound((), bound.leaf) == 1 + 6 * 2 // 3
 
+    def test_a_self_loop_is_blocked_only_through_its_vertex(self):
+        # Edge 3 is a self-loop at vertex 1 in the pool: no residual holds
+        # it, but the knapsack counts it until a skeleton covers vertex 1.
+        inst = BCInstance(make_elements([1, 1, 1, 1], [5, 4, 3, 2]),
+                          Matching(5, {0: (0, 1), 1: (2, 3), 2: (3, 4), 3: (1, 1)}), 10)
+        bound = SkeletonBound(inst, frozenset({2, 3}), [0, 1])
+        assert bound.bound((), bound.leaf) == 3 + 2
+        assert bound.bound((1,), bound.leaf) == 4 + 2
+        assert bound.bound((0,), bound.leaf) == 5 + 3
+
     def test_pruned_plus_residual_solves_is_enumerated(self, monkeypatch):
         solves = []
 
-        def counting(instance):
+        def counting(instance, *, floor):
             solves.append(instance)
-            return non_profitable_solver(instance)
+            return non_profitable_solver(instance, floor=floor)
 
         monkeypatch.setattr(bcopt.solver, "non_profitable_solver", counting)
         for seed, kind in ((5, "matching"), (31, "matroid-intersection")):
@@ -402,6 +425,23 @@ class TestSkeletonBound:
             _, stats = solve_detailed(generate_instance(seed, 12, kind), Epsilon(1, 4))
             assert stats.pruned > 0
             assert stats.pruned + len(solves) == stats.enumerated
+
+    def test_a_residual_that_cannot_win_reports_none(self, monkeypatch):
+        # Each exact residual search starts from the incumbent's floor; one
+        # that finds nothing above it answers None, and the answer is the
+        # unpruned loop's.
+        answers = []
+
+        def recording(instance, *, floor):
+            answers.append(non_profitable_solver(instance, floor=floor))
+            return answers[-1]
+
+        monkeypatch.setattr(bcopt.solver, "non_profitable_solver", recording)
+        inst = generate_instance(1, 12, "matching")
+        solution = solve(inst, Epsilon(1, 4))
+        assert len(answers) == 2 and answers[0] is not None and answers[1] is None
+        monkeypatch.undo()
+        assert solution.element_ids == unpruned_solve_ids(inst, Epsilon(1, 4))
 
     def test_solve_matches_the_unpruned_loop_on_the_acceptance_corpus(self, main_corpus):
         for eps in (Epsilon(1, 10), Epsilon(1, 4)):
