@@ -5,7 +5,11 @@ into geometric classes; two elements of the same class have profits within a
 factor (1 - epsilon) of each other.  All interval boundaries are exact
 fractions, so membership at a boundary is decided exactly.  They depend on
 epsilon and gamma only, so they are cached per (epsilon, gamma) pair and
-shared by every layout.
+shared by every layout, together with their numerators and denominators as
+integer tuples and their values as floats.  Floats only locate a class:
+``class_index`` starts at the float bisection's answer and decides
+membership by integer cross-multiplication, moving off it if rounding put
+it on the wrong side of a boundary.
 
 The class-index range is parameterized by the estimator quality ``gamma``
 (alpha is guaranteed to be within [OPT/gamma, OPT]).  With gamma = 2 the
@@ -16,10 +20,11 @@ element still lands in exactly one class.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import BCInstance, Element, Epsilon, InvalidParameterError
 
@@ -29,7 +34,9 @@ def q_of(epsilon: Epsilon) -> int:
 
     Exact when 1/eps is an integer.  Otherwise the exponent is rounded up
     first, which can only enlarge the result; q appears solely as an upper
-    cap (set sizes, recursion depth), so over-approximation is sound.
+    cap (set sizes, recursion depth), so over-approximation is sound.  At
+    the solver's eps' = eps/8 < 1/16 it exceeds 16^17, so the caps on a
+    matching class never bind there (see :mod:`bcopt.exchange`).
     """
     num, den = epsilon.numerator, epsilon.denominator
     if num == 1:
@@ -40,9 +47,24 @@ def q_of(epsilon: Epsilon) -> int:
     return -(-power_num // power_den)  # ceil
 
 
+class _Bounds(NamedTuple):
+    """A layout's index range and boundaries; none of them depends on alpha."""
+
+    r_lo: int
+    r_hi: int
+    # boundaries[k] = (1 - eps)^(r_lo - 1 + k), strictly decreasing
+    boundaries: tuple[Fraction, ...]
+    # The boundaries' numerators and denominators, which decide membership.
+    nums: tuple[int, ...]
+    dens: tuple[int, ...]
+    # The boundaries negated, as floats: ascending, for a C-level bisection
+    # that only locates where the integer test starts.
+    located: tuple[float, ...]
+
+
 @lru_cache(maxsize=64)
-def _class_bounds(epsilon: Epsilon, gamma: Fraction) -> tuple[int, int, tuple[Fraction, ...]]:
-    """``(r_lo, r_hi, boundaries)`` of a layout; they do not depend on alpha."""
+def _class_bounds(epsilon: Epsilon, gamma: Fraction) -> _Bounds:
+    """The :class:`_Bounds` of a layout for ``epsilon`` and ``gamma``."""
     eps = epsilon.fraction
     base = epsilon.one_minus
 
@@ -70,7 +92,8 @@ def _class_bounds(epsilon: Epsilon, gamma: Fraction) -> tuple[int, int, tuple[Fr
     for _ in range(r_lo - 1, r_hi + 1):
         bounds.append(power)
         power *= base
-    return r_lo, r_hi, tuple(bounds)
+    return _Bounds(r_lo, r_hi, tuple(bounds), tuple(b.numerator for b in bounds),
+                   tuple(b.denominator for b in bounds), tuple(-float(b) for b in bounds))
 
 
 @dataclass(frozen=True)
@@ -82,23 +105,28 @@ class ClassLayout:
     gamma: Fraction = Fraction(2)
     r_lo: int = field(init=False)
     r_hi: int = field(init=False)
-    # boundaries[k] = (1 - eps)^(r_lo - 1 + k), strictly decreasing
-    boundaries: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    # The cached entry of _class_bounds, which class_index reads.
+    _bounds: _Bounds = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
             raise InvalidParameterError("alpha must be positive")
         if self.gamma < 2:
             raise InvalidParameterError("gamma must be at least 2")
-        r_lo, r_hi, bounds = _class_bounds(self.epsilon, self.gamma)
-        object.__setattr__(self, "r_lo", r_lo)
-        object.__setattr__(self, "r_hi", r_hi)
-        object.__setattr__(self, "boundaries", bounds)
+        bounds = _class_bounds(self.epsilon, self.gamma)
+        object.__setattr__(self, "r_lo", bounds.r_lo)
+        object.__setattr__(self, "r_hi", bounds.r_hi)
+        object.__setattr__(self, "_bounds", bounds)
 
         if self.gamma == 2:
             # class count <= 3 / eps^2, exact integer comparison
             n, d = self.epsilon.numerator, self.epsilon.denominator
             assert self.class_count * n * n <= 3 * d * d, "class-count bound violated"
+
+    @property
+    def boundaries(self) -> tuple[Fraction, ...]:
+        """boundaries[k] = (1 - eps)^(r_lo - 1 + k), strictly decreasing."""
+        return self._bounds.boundaries
 
     @property
     def class_count(self) -> int:
@@ -114,19 +142,26 @@ class ClassLayout:
 
 
 def class_index(element: Element, layout: ClassLayout) -> int | None:
-    """The unique class r with p(e) / (2 alpha) in ((1-eps)^r, (1-eps)^(r-1)], or None."""
+    """The unique class r with p(e) / (2 alpha) in ((1-eps)^r, (1-eps)^(r-1)], or None.
+
+    The class is given by k, the first boundary strictly below the ratio.
+    A bisection over the float boundaries guesses k; the integer test
+    b_k < p / (2 alpha), p * den_k > 2 alpha * num_k, then moves the guess
+    until it holds at k and fails at k - 1.  Rounding can only misplace the
+    guess, never the answer.
+    """
     p, two_alpha = element.profit, 2 * layout.alpha
-    bounds = layout.boundaries
-
-    def below(b: Fraction) -> bool:  # b < p / (2 alpha), by integer cross-multiplication
-        return p * b.denominator > two_alpha * b.numerator
-
-    # Most elements of a solve sit under the last boundary, in no class.
-    if not below(bounds[-1]):
-        return None
-    # The first boundary strictly below the ratio, over the decreasing list.
-    k = bisect_left(bounds, True, key=below)
-    return None if k == 0 else layout.r_lo - 1 + k
+    bounds = layout._bounds
+    nums, dens = bounds.nums, bounds.dens
+    last = len(nums)
+    k = bisect_right(bounds.located, -p / two_alpha)
+    while k < last and p * dens[k] <= two_alpha * nums[k]:
+        k += 1
+    while k and p * dens[k - 1] > two_alpha * nums[k - 1]:
+        k -= 1
+    # k == last: under the last boundary, where most elements of a solve
+    # sit; k == 0: above the first.
+    return None if k == 0 or k == last else layout.r_lo - 1 + k
 
 
 def class_partition(instance: BCInstance, layout: ClassLayout) -> dict[int, frozenset[int]]:

@@ -367,10 +367,10 @@ def _run_verifier(instance: BCInstance, epsilon: Epsilon,
 
     if prop == "exchange" and args.x_ids is not None:
         # The class indices do not depend on alpha, so they are checked first.
-        r_lo, r_hi, _ = _class_bounds(epsilon, oracle.EXACT_GAMMA)
-        if args.class_index not in range(r_lo, r_hi + 1):
+        bounds = _class_bounds(epsilon, oracle.EXACT_GAMMA)
+        if args.class_index not in range(bounds.r_lo, bounds.r_hi + 1):
             raise InvalidParameterError(f"--x-ids needs a --class-index in "
-                                        f"{r_lo}..{r_hi}, got {args.class_index}")
+                                        f"{bounds.r_lo}..{bounds.r_hi}, got {args.class_index}")
 
     # The classes are built from the exact optimum, under the guard.
     alpha = oracle.brute_force_opt(working, guard=guard).total_profit

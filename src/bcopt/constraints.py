@@ -7,6 +7,8 @@ what may still be added next to it.
 Constructors refuse a broken structure with
 :class:`~bcopt.core.InvalidParameterError`: an endpoint outside the vertex
 range, or two oracles over different ground sets.  A self-loop is legal.
+A matching's restriction and residual keep some of its edges, which its
+constructor has already checked, so they are built without the re-check.
 """
 
 from __future__ import annotations
@@ -45,6 +47,20 @@ class Matching(Constraint):
         self.vertex_count = checked_int(vertex_count, "vertex count")
         self.edges = checked_edges(self.vertex_count, edges)
 
+    @classmethod
+    def _of_checked(cls, vertex_count: int, edges: dict[int, tuple[int, int]]) -> "Matching":
+        """A matching on ``edges`` drawn from a constructed matching's, not re-checked.
+
+        The constructor owns the edge rule; this shares it by taking only
+        edges that have passed it.  A subset of valid edges on the same
+        vertex count is valid, so a solver that builds one residual per
+        skeleton does not pay for the check again.
+        """
+        graph = cls.__new__(cls)
+        graph.vertex_count = vertex_count
+        graph.edges = edges
+        return graph
+
     def element_ids(self) -> frozenset[int]:
         return frozenset(self.edges)
 
@@ -62,7 +78,8 @@ class Matching(Constraint):
 
     def restrict(self, keep: Iterable[int]) -> "Matching":
         keep = set(keep)
-        return Matching(self.vertex_count, {e: uv for e, uv in self.edges.items() if e in keep})
+        return Matching._of_checked(self.vertex_count,
+                                    {e: uv for e, uv in self.edges.items() if e in keep})
 
     def cursor(self) -> "MatchingCursor":
         return MatchingCursor(self)
@@ -115,7 +132,7 @@ def residual_constraint(constraint: Constraint, fixed: Iterable[int]) -> Constra
             for eid, uv in constraint.edges.items()
             if eid not in fixed and uv[0] not in blocked and uv[1] not in blocked
         }
-        return Matching(constraint.vertex_count, surviving)
+        return Matching._of_checked(constraint.vertex_count, surviving)
     if isinstance(constraint, MatroidIntersection):
         return MatroidIntersection(constraint.oracle1.contract(fixed),
                                    constraint.oracle2.contract(fixed))

@@ -1,7 +1,12 @@
 """Exchange-set construction per profit class.
 
 For matching constraints the exchange set is a union of bounded greedy
-matchings drawn from the class.  For matroid-intersection constraints the
+matchings drawn from the class: at most 6q rounds of at most 3q edges each,
+q = q(eps).  Each round takes at least one edge that is not a self-loop
+while one is left, so a class of at most 6q edges comes back whole, less
+its self-loops, and no round need be run.  At the eps' = eps/8 of
+:func:`bcopt.solver.solve`, below 1/16, q(eps') exceeds 16^17, so that is
+every class the solver builds.  For matroid-intersection constraints the
 two matroids play asymmetric roles: the first gates which elements may
 extend a branch, the second supplies minimum-cost bases of truncated
 restrictions, and the search over those bases accumulates the exchange set.
@@ -31,14 +36,21 @@ def exset_matching(instance: BCInstance, layout: ClassLayout,
 
     With q = q(eps), repeatedly extracts greedy matchings of size at most
     N = 3q from the remaining class edges, for at most k = 6q rounds, and
-    returns their union.  The pool usually empties long before the round cap
-    at small scale.  Hard postconditions: each round yields at most N edges
-    and the union has at most k * N = 18 * q^2 elements.
+    returns their union.  Hard postconditions: each round yields at most N
+    edges and the union has at most k * N = 18 * q^2 elements.
+
+    A round keeps the first edge it meets that is not a self-loop, so while
+    one is left every round takes at least one.  A class of at most k edges
+    is therefore used up by the rounds, less its self-loops, which no
+    matching holds; that set is returned without running them.
     """
     graph = instance.constraint
     if not isinstance(graph, Matching):
         raise BCError("exset_matching requires a matching constraint")
     q = q_of(layout.epsilon)
+    if len(class_ids) <= 6 * q:
+        edges = graph.edges
+        return frozenset([e for e in class_ids if edges[e][0] != edges[e][1]])
     pool = set(class_ids)
     union: set[int] = set()
     for _ in range(6 * q):
@@ -61,7 +73,10 @@ def exset_matroid_intersection(instance: BCInstance, layout: ClassLayout,
     branches on S + b for every b in B_S.  B_S depends only on S as a set,
     so the branches reached, their number and the union of their bases do
     not depend on the order in which branches are expanded; each is expanded
-    once.  The (``BRANCH_BUDGET`` + 1)-th branch raises
+    once.  B_S is empty when S holds the whole class or has no candidate,
+    so such a branch is left before any cursor is built in the first case,
+    and before the second matroid's cursor and sort in the other; it still
+    counts against the budget.  The (``BRANCH_BUDGET`` + 1)-th branch raises
     :class:`CapExceededError`.
     """
     cons = instance.constraint
@@ -79,16 +94,19 @@ def exset_matroid_intersection(instance: BCInstance, layout: ClassLayout,
             raise CapExceededError(
                 f"exchange-set search exceeded its branch budget of {BRANCH_BUDGET} branches"
             )
-        if len(branch) > q:
+        rest = class_ids - branch
+        if len(branch) > q or not rest:
             continue
         gate = cons.oracle1.cursor()
         for e in branch:  # independent in the first matroid by construction
             gate.try_push(e)
         candidates = []
-        for e in class_ids - branch:
+        for e in rest:
             if gate.try_push(e):
                 gate.pop()
                 candidates.append(e)
+        if not candidates:
+            continue
         basis = greedy_min_cost(cons.oracle2.cursor(), candidates, instance.cost_of, q)
         union |= basis
         for b in basis:

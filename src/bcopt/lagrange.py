@@ -37,10 +37,14 @@ where bisection made 21-24.  The arguments are in ``_candidate_pool``.
 
 A residual of at most ``EXACT_LIMIT`` elements is brute-forced outright.
 Above it the greedy inner oracle pushes the positive-weight ids in
-descending weight (ties by id) through a fresh feasibility cursor, so its
-result depends only on that order, not on the weights.  Each search keeps
-one cache from order to result, and its lambda probes run the push loop only
-once per distinct order.
+descending weight (ties by id), keeping each that fits beside those kept
+before it, so its result depends only on that order, not on the weights.
+Each search keeps one cache from order to result, and its lambda probes run
+the push loop only once per distinct order.  On a matching, fit is decided
+by the int vertex masks of :func:`bcopt.constraints.conflict_masks`, built
+once per search, in the greedy push loop and in the singletons and density
+fill of the candidate pool alike; on an intersection a fresh feasibility
+cursor decides.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import BCInstance, Element, Solution, ratio_key
-from .constraints import Matching, MatroidIntersection
+from .constraints import Matching, MatroidIntersection, conflict_masks
 from .enumeration import max_profit_solution_ids, max_weight_feasible_ids
 
 # Exhaustive patching enumerates all component subsets up to this many
@@ -101,9 +105,18 @@ def inner_max_weight(instance: BCInstance, lam: Fraction, *,
                          key=weight.__getitem__, reverse=True))
     chosen = orders.sets.get(order)
     if chosen is None:
-        ids = orders.ids
-        cursor = instance.constraint.cursor()
-        kept = [k for k in order if cursor.try_push(ids[k])]
+        ids, masks = orders.ids, orders.masks
+        if masks is None:
+            cursor = instance.constraint.cursor()
+            kept = [k for k in order if cursor.try_push(ids[k])]
+        else:
+            kept = []
+            used = orders.start
+            for k in order:
+                m = masks[k]
+                if not m & used:
+                    used |= m
+                    kept.append(k)
         chosen = frozenset([ids[k] for k in kept])
         orders.sets[order] = chosen
         orders.spent[chosen] = sum([orders.costs[k] for k in kept])
@@ -114,18 +127,25 @@ class _GreedyOrders:
     """One search's greedy inner optima, keyed by positive-weight order.
 
     The order is a tuple of positions in the id-ordered ``ids``, ``costs``
-    and ``profits`` lists, which are built once per search.  ``spent`` maps
+    and ``profits`` lists, which are built once per search.  On a matching,
+    ``masks`` holds the ids' :func:`~bcopt.constraints.conflict_masks` in the
+    same positions, and ``start`` their starting ``used``; on any other
+    constraint ``masks`` is None and a cursor decides fit.  ``spent`` maps
     each cached set to its cost, so a probe that repeats a set is not
     re-summed.
     """
 
-    __slots__ = ("ids", "costs", "profits", "sets", "spent")
+    __slots__ = ("ids", "costs", "profits", "masks", "start", "sets", "spent")
 
     def __init__(self, instance: BCInstance) -> None:
         elements = sorted(instance.elements, key=lambda e: e.id)
         self.ids = [e.id for e in elements]
         self.costs = [e.cost for e in elements]
         self.profits = [e.profit for e in elements]
+        self.masks: list[int] | None = None
+        self.start = 0
+        if isinstance(instance.constraint, Matching):
+            self.masks, self.start, _ = conflict_masks(instance.constraint, self.ids)
         self.sets: dict[tuple[int, ...], frozenset[int]] = {}
         self.spent: dict[frozenset[int], int] = {}
 
@@ -245,9 +265,10 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     profit = instance.profit_of
     pool: list[frozenset[int]] = [frozenset()]
     greedy = len(instance.elements) > EXACT_LIMIT
-    # Only the greedy oracle reads a cache; it also records each set's cost.
-    orders = _GreedyOrders(instance) if greedy else None
-    cached_cost = orders.spent if orders is not None else {}
+    # Only the greedy oracle reads the cache, and records each set's cost in
+    # it; the fill below reads the masks on both paths.
+    orders = _GreedyOrders(instance)
+    cached_cost = orders.spent
 
     def offer(s: frozenset[int], spent: int | None = None) -> int:
         """Pool ``s`` if it is affordable; return its cost, ``spent`` when known."""
@@ -260,19 +281,35 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
         return spent
 
     # Feasible affordable singletons and a profit-density greedy fill.  A
-    # residual constraint may reject a singleton its skeleton spans.  Each
-    # singleton is popped again, so the fill starts from an empty cursor.
-    cursor = instance.constraint.cursor()
-    for e in sorted(instance.elements, key=lambda e: e.id):
-        if cursor.try_push(e.id):
-            cursor.pop()
-            offer(frozenset((e.id,)), e.cost)
+    # residual constraint may reject a singleton its skeleton spans.  On a
+    # matching that is only a self-loop, whose mask meets the start; on an
+    # intersection each singleton is popped again, so the fill starts from
+    # an empty cursor.
+    ids, costs, masks = orders.ids, orders.costs, orders.masks
     fill: list[int] = []
     spent = 0
-    for e in sorted(instance.elements, key=_density_key):
-        if spent + e.cost <= budget and cursor.try_push(e.id):
-            fill.append(e.id)
-            spent += e.cost
+    if masks is None:
+        cursor = instance.constraint.cursor()
+        for eid, c in zip(ids, costs):
+            if cursor.try_push(eid):
+                cursor.pop()
+                offer(frozenset((eid,)), c)
+        for e in sorted(instance.elements, key=_density_key):
+            if spent + e.cost <= budget and cursor.try_push(e.id):
+                fill.append(e.id)
+                spent += e.cost
+    else:
+        used = orders.start
+        for eid, c, m in zip(ids, costs, masks):
+            if not m & used:
+                offer(frozenset((eid,)), c)
+        mask_of = dict(zip(ids, masks))
+        for e in sorted(instance.elements, key=_density_key):
+            m = mask_of[e.id]
+            if spent + e.cost <= budget and not m & used:
+                used |= m
+                fill.append(e.id)
+                spent += e.cost
     offer(frozenset(fill), spent)
 
     # The two opening probes; on the greedy path they share one cache with

@@ -3,6 +3,13 @@
 The representative set of an instance keeps, from every profit class, enough
 elements that some near-optimal solution draws all of its high-profit picks
 from the kept pool.  The solver then only enumerates subsets of this pool.
+
+The solver builds it at eps' = eps/8 < 1/16, where q(eps') > 16^17, so no
+matching class comes near the 6q edges above which
+:func:`~bcopt.exchange.exset_matching` would leave edges out: a matching's
+representative set there is its classed edges less self-loops.  The classes
+themselves are found by :func:`~bcopt.classes.class_partition`, whose float
+boundaries only locate a class that exact integers then decide.
 """
 
 from __future__ import annotations

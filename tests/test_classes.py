@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -217,3 +218,63 @@ def test_class_index_matches_a_fraction_reference(num, den, gamma, k, scale, alp
     for p in (2 * b.numerator * scale + step for step in (-1, 0, 1)):
         assert class_index(Element(0, 0, p), on_boundary) == _class_index_reference(
             Element(0, 0, p), on_boundary)
+
+
+def _class_index_by_fraction_bisect(element, layout):
+    """The class by a key-function bisection over the ``Fraction`` boundaries,
+    each step decided by integer cross-multiplication, with no float."""
+    p, two_alpha = element.profit, 2 * layout.alpha
+    bounds = layout.boundaries
+
+    def below(b: Fraction) -> bool:  # b < p / (2 alpha), by integer cross-multiplication
+        return p * b.denominator > two_alpha * b.numerator
+
+    # Most elements of a solve sit under the last boundary, in no class.
+    if not below(bounds[-1]):
+        return None
+    # The first boundary strictly below the ratio, over the decreasing list.
+    k = bisect_left(bounds, True, key=below)
+    return None if k == 0 else layout.r_lo - 1 + k
+
+
+LOCATOR_EPSILONS = [Epsilon(1, 4), Epsilon(1, 10), Epsilon(1, 32), Epsilon(1, 80), Epsilon(3, 7)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    eps=st.sampled_from(LOCATOR_EPSILONS),
+    gamma=st.sampled_from([Fraction(2), Fraction(4)]),
+    alpha=st.integers(min_value=1, max_value=MAX_VALUE),
+    profit=st.integers(min_value=0, max_value=MAX_VALUE),
+    scale=st.integers(min_value=0, max_value=62),
+)
+def test_float_located_class_index_equals_the_fraction_bisect(eps, gamma, alpha, profit, scale):
+    """Floats only locate: the class is the one the exact bisection gives, for
+    profits and estimates of every magnitude up to 2^63 - 1."""
+    layout = ClassLayout(eps, max(1, alpha >> scale), gamma)
+    for p in (profit, profit >> scale):
+        element = Element(0, 0, p)
+        assert class_index(element, layout) == _class_index_by_fraction_bisect(element, layout)
+
+
+@pytest.mark.parametrize("gamma", [Fraction(2), Fraction(4)])
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 10**6 + 1, 2**50 + 3, 2**53 - 1])
+def test_class_index_on_and_beside_exact_boundaries(gamma, m):
+    """eps = 1/4: p = 3^k m over 2 alpha = 4^k m is the boundary (3/4)^k, a
+    ratio whose float is inexact for k >= 1; one unit either side moves it
+    off the boundary.  For m near 2^53 the unit is below float resolution,
+    so the float locator lands on the wrong side and the integers decide."""
+    eps = Epsilon(1, 4)
+    for k in range(1, 16):
+        if 4**k * m // 2 > MAX_VALUE or 3**k * m + 1 > MAX_VALUE:
+            continue
+        layout = ClassLayout(eps, 4**k * m // 2, gamma)
+        for p in (3**k * m - 1, 3**k * m, 3**k * m + 1):
+            element = Element(0, 0, p)
+            got = class_index(element, layout)
+            assert got == _class_index_by_fraction_bisect(element, layout)
+            assert got == _class_index_reference(element, layout)
+        # On the boundary (3/4)^k the ratio closes class k from above when
+        # class k + 1 exists: half-open intervals ((3/4)^r, (3/4)^(r-1)].
+        on = class_index(Element(0, 0, 3**k * m), layout)
+        assert on == (k + 1 if k + 1 <= layout.r_hi else None)

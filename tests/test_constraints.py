@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import bcopt.constraints
 from bcopt.core import UnknownElementError
 from bcopt.constraints import Matching, MatroidIntersection, residual_constraint
 from bcopt.matroids import UniformMatroid
@@ -113,3 +114,35 @@ class TestResidual:
                 if cons.is_feasible(s):
                     for e in s:
                         assert cons.is_feasible(s - {e})
+
+
+def refuse_the_check(*args):
+    raise AssertionError("checked_edges called on a derived matching")
+
+
+class TestDerivedMatchingsAreNotRechecked:
+    """A restriction or residual of a matching keeps edges its constructor
+    checked, so it is built without ``checked_edges``."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_same_matching_as_the_public_constructor(self, seed):
+        rng = random.Random(seed)
+        vertices = rng.randint(1, 9)
+        edges = {i: (rng.randrange(vertices), rng.randrange(vertices))
+                 for i in rng.sample(range(40), rng.randint(0, 12))}
+        m = Matching(vertices, edges)
+        keep = {i for i in edges if rng.random() < 0.6}
+        fixed = next((frozenset([i]) for i in edges if edges[i][0] != edges[i][1]), frozenset())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bcopt.constraints, "checked_edges", refuse_the_check)
+            derived = [m.restrict(keep), residual_constraint(m, fixed)]
+        blocked = {v for i in fixed for v in edges[i]}
+        expected = [
+            Matching(vertices, {i: uv for i, uv in edges.items() if i in keep}),
+            Matching(vertices, {i: uv for i, uv in edges.items()
+                                if i not in fixed and not blocked & set(uv)}),
+        ]
+        for got, want in zip(derived, expected):
+            assert type(got) is Matching
+            assert (got.vertex_count, got.edges) == (want.vertex_count, want.edges)
+            assert list(got.edges) == list(want.edges)

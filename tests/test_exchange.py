@@ -102,6 +102,67 @@ class TestExsetMatching:
                 assert ex <= ids
 
 
+def exset_matching_by_rounds(instance, layout, class_ids):
+    """The matching exchange set by its greedy rounds, always run: at most
+    6q rounds, each a greedy matching of at most 3q of the class edges left."""
+    graph = instance.constraint
+    q = q_of(layout.epsilon)
+    pool = set(class_ids)
+    union: set[int] = set()
+    for _ in range(6 * q):
+        matched = greedy_min_cost(graph.cursor(), pool, instance.cost_of, 3 * q)
+        if not matched:
+            break
+        union |= matched
+        pool -= matched
+    return frozenset(union)
+
+
+class TestExsetMatchingAgainstTheRounds:
+    # q(49/100) = 9, so classes above 54 edges keep the rounds; q(2/5) = 16
+    # and q(1/3) = 27 put the same graphs below 6q.
+    @pytest.mark.parametrize("eps", [Epsilon(49, 100), Epsilon(2, 5), Epsilon(1, 3)])
+    def test_random_matchings_with_self_loops(self, eps):
+        rng = random.Random(2201)
+        layout = ClassLayout(eps, alpha=10)
+        sizes = set()
+        for _ in range(120):
+            n = rng.randint(0, 90)
+            vertices = rng.randint(1, 14)
+            edges = {}
+            for i in range(n):
+                u = rng.randrange(vertices)
+                edges[i] = (u, u) if rng.random() < 0.15 else (u, rng.randrange(vertices))
+            inst = matching_instance(edges, [rng.randint(0, 5) for _ in range(n)], [10] * n)
+            class_ids = frozenset(i for i in range(n) if rng.random() < 0.9)
+            sizes.add(len(class_ids) <= 6 * q_of(eps))
+            assert exset_matching(inst, layout, class_ids) == \
+                exset_matching_by_rounds(inst, layout, class_ids)
+        # Classes meet both sides of 6q at q = 9; at q = 16 and 27 all are below.
+        assert sizes == ({True, False} if q_of(eps) == 9 else {True})
+
+    def test_a_class_of_at_most_6q_edges_comes_back_less_its_self_loops(self):
+        # A star of 54 = 6q edges at eps = 49/100: one edge per round, so the
+        # 54 rounds take every edge, and the self-loop never.
+        edges = {i: (0, i + 1) for i in range(54)}
+        edges[54] = (3, 3)
+        inst = matching_instance(edges, [1] * 55, [10] * 55)
+        layout = ClassLayout(Epsilon(49, 100), alpha=10)
+        assert q_of(layout.epsilon) == 9
+        ex = exset_matching(inst, layout, frozenset(edges))
+        assert ex == frozenset(range(54)) == exset_matching_by_rounds(
+            inst, layout, frozenset(edges))
+
+    def test_rounds_run_out_on_a_star_above_6q(self):
+        # 60 star edges: 54 rounds of one edge leave the six dearest out.
+        edges = {i: (0, i + 1) for i in range(60)}
+        inst = matching_instance(edges, list(range(60)), [10] * 60)
+        layout = ClassLayout(Epsilon(49, 100), alpha=10)
+        ex = exset_matching(inst, layout, frozenset(edges))
+        assert ex == frozenset(range(54)) == exset_matching_by_rounds(
+            inst, layout, frozenset(edges))
+
+
 class TestExtensionCandidates:
     def test_free_oracle_admits_whole_class(self):
         o1 = UniformMatroid(range(4), 4)
@@ -182,6 +243,50 @@ class TestExsetMatroidIntersection:
         monkeypatch.setattr(bcopt.exchange, "BRANCH_BUDGET", 2**6)
         ex = exset_matroid_intersection(inst, layout, ids)
         assert ex == ids
+
+
+class CountingCursors(BareOracle):
+    """A bare oracle that counts the cursors built on it."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.cursors = 0
+
+    def cursor(self):
+        self.cursors += 1
+        return super().cursor()
+
+
+class TestSkippedBranches:
+    """Branches whose basis must be empty are counted but build nothing."""
+
+    def test_branch_holding_the_whole_class(self, monkeypatch):
+        # Root -> {0}; the branch {0} holds the class: no cursor, one branch.
+        ids = frozenset({0})
+        o1, o2 = CountingCursors(UniformMatroid(ids, 1)), CountingCursors(UniformMatroid(ids, 1))
+        inst = intersection_instance(o1, o2, [1], [10])
+        layout = ClassLayout(Epsilon(1, 3), alpha=10)
+        monkeypatch.setattr(bcopt.exchange, "BRANCH_BUDGET", 2)
+        assert exset_matroid_intersection(inst, layout, ids) == ids
+        assert (o1.cursors, o2.cursors) == (1, 1)
+        monkeypatch.setattr(bcopt.exchange, "BRANCH_BUDGET", 1)
+        with pytest.raises(CapExceededError):
+            exset_matroid_intersection(inst, layout, ids)
+
+    def test_branches_without_candidates(self, monkeypatch):
+        # The first matroid has rank 1, so the root's three children have no
+        # candidate: each builds the gate cursor only, and the fourth branch,
+        # the last one expanded, is one of them.
+        ids = frozenset(range(3))
+        o1, o2 = CountingCursors(UniformMatroid(ids, 1)), CountingCursors(UniformMatroid(ids, 3))
+        inst = intersection_instance(o1, o2, [1, 2, 3], [10] * 3)
+        layout = ClassLayout(Epsilon(1, 3), alpha=10)
+        monkeypatch.setattr(bcopt.exchange, "BRANCH_BUDGET", 4)
+        assert exset_matroid_intersection(inst, layout, ids) == ids
+        assert (o1.cursors, o2.cursors) == (4, 1)
+        monkeypatch.setattr(bcopt.exchange, "BRANCH_BUDGET", 3)
+        with pytest.raises(CapExceededError):
+            exset_matroid_intersection(inst, layout, ids)
 
 
 def reference_exchange_set(instance, layout, class_ids):

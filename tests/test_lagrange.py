@@ -27,7 +27,7 @@ from bcopt.lagrange import (
 from bcopt.matroids import PartitionMatroid, UniformMatroid
 from bcopt.oracle import brute_force_opt
 
-from conftest import free_instance
+from conftest import free_instance, tiny_instances
 
 
 # Bisection depth of the reference search; every search of these tests
@@ -310,14 +310,18 @@ class TestGreedyOrderCache:
                 assert cached == inner_max_weight(inst, lam)
                 assert cached == reference_greedy_inner(inst, lam)
 
-    def test_search_runs_the_push_loop_once_per_distinct_order(self, monkeypatch):
-        # 40 edges, so the greedy oracle serves every probe; the lambda = 0
+    @pytest.mark.parametrize("kind, constraint_type, budget_percent", [
+        ("matching", Matching, None), ("matroid-intersection", MatroidIntersection, 20)])
+    def test_search_runs_the_push_loop_once_per_distinct_order(self, monkeypatch, kind,
+                                                               constraint_type, budget_percent):
+        # 40 elements, so the greedy oracle serves every probe; the lambda = 0
         # optimum is over budget, so the search bisects.
-        inst = generate_instance(2, 40, "matching")
+        inst = generate_instance(2, 40, kind, budget_percent=budget_percent)
         original_inner = bcopt.lagrange.inner_max_weight
-        original_cursor = Matching.cursor
+        original_cursor = constraint_type.cursor
         probes = []
         loops = []
+        cursors = []
         inside = []
 
         def recording_inner(instance, lam, **kwargs):
@@ -328,14 +332,31 @@ class TestGreedyOrderCache:
             finally:
                 inside.pop()
 
+        # A push loop ends by storing its set under its order, once per loop.
+        class RecordingSets(dict):
+            def __setitem__(self, order, chosen):
+                loops.append(probes[-1])
+                super().__setitem__(order, chosen)
+
+        class RecordingOrders(_GreedyOrders):
+            __slots__ = ()
+
+            def __init__(self, instance):
+                super().__init__(instance)
+                self.sets = RecordingSets()
+
         def counting_cursor(self):
             if inside:
-                loops.append(probes[-1])
+                cursors.append(probes[-1])
             return original_cursor(self)
 
         monkeypatch.setattr(bcopt.lagrange, "inner_max_weight", recording_inner)
-        monkeypatch.setattr(Matching, "cursor", counting_cursor)
+        monkeypatch.setattr(bcopt.lagrange, "_GreedyOrders", RecordingOrders)
+        monkeypatch.setattr(constraint_type, "cursor", counting_cursor)
         non_profitable_solver(inst)
+        # A matching's push loop tests fit by vertex masks; an intersection's
+        # opens one cursor per loop.
+        assert cursors == ([] if constraint_type is Matching else loops)
         # The search stops once (P + 1) * D^2 < 2^steps, D the largest cost.
         largest_profit = max(e.profit for e in inst.elements)
         resolution = (largest_profit + 1) * max(e.cost for e in inst.elements) ** 2
@@ -352,6 +373,16 @@ class TestGreedyOrderCache:
         assert len(full_depth) == 2 + FULL_DEPTH
         assert loops == list(dict.fromkeys(full_depth))
         assert len(loops) < len(full_depth) // 2
+
+    @given(inst=tiny_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_forced_greedy_pool_matches_the_cursor_reference(self, inst):
+        # Self-loops, a far vertex and sparse ids: the singletons, the fill
+        # and every probe's push loop test fit by masks on a matching, and
+        # the reference by cursors.
+        with exact_limit(0):
+            pool = list(dict.fromkeys(_candidate_pool(inst)))
+        assert pool == list(dict.fromkeys(reference_candidate_pool(inst, FULL_DEPTH)))
 
     def test_forced_greedy_search_matches_the_uncached_reference_on_the_corpus(self, main_corpus):
         with exact_limit(0):
