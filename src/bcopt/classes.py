@@ -29,8 +29,9 @@ from typing import NamedTuple
 from .core import BCInstance, Element, Epsilon, InvalidParameterError
 
 
+@lru_cache(maxsize=64)
 def q_of(epsilon: Epsilon) -> int:
-    """Cardinality cap q(eps) = ceil(eps^(-1/eps)).
+    """Cardinality cap q(eps) = ceil(eps^(-1/eps)), cached like the class bounds.
 
     Exact when 1/eps is an integer.  Otherwise the exponent is rounded up
     first, which can only enlarge the result; q appears solely as an upper

@@ -33,6 +33,7 @@ from .core import (
 )
 from .classes import ClassLayout, _class_bounds, q_of
 from .constraints import Constraint, Matching, MatroidIntersection
+from .lagrange import EXACT_LIMIT
 from .matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .repset import rep_set
 from .solver import DEFAULT_SUBSET_CAP, SolveConfig, SolveStats, solve_detailed
@@ -468,7 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--guard", type=_count, default=oracle.DEFAULT_GUARD)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--trials", type=_count, default=200)
-    verify.add_argument("--force-heuristic", action="store_true")
+    verify.add_argument("--force-heuristic", action="store_true",
+                        help="npsolver: check approx_opt, not non_profitable_solver; at most "
+                             f"{EXACT_LIMIT} elements still take the exact breakpoint walk")
     verify.add_argument("--x-ids", type=_id_list, default=None,
                         help="comma-separated ids to verify as the exchange set")
     verify.add_argument("--class-index", type=int, default=None)

@@ -40,19 +40,21 @@ Above it the greedy inner oracle pushes the positive-weight ids in
 descending weight (ties by id), keeping each that fits beside those kept
 before it, so its result depends only on that order, not on the weights.
 Each search keeps one cache from order to result, and its lambda probes run
-the push loop only once per distinct order.  On a matching, fit is decided
-by the int vertex masks of :func:`bcopt.constraints.conflict_masks`, built
-once per search, in the greedy push loop and in the singletons and density
-fill of the candidate pool alike; on an intersection a fresh feasibility
-cursor decides.
+the push loop only once per distinct order.  That loop, the candidate
+pool's density fill and the patching of an intersection pair are one greedy
+growth, ``_GreedyOrders.grow``, whose fit test is the search's
+:func:`bcopt.constraints.conflict_masks`: on a matching the int vertex
+masks decide alone, otherwise a feasibility cursor does, a fresh one for
+each growth but the fill, which reuses the singleton scan's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 from .core import BCInstance, Element, Solution, ratio_key
-from .constraints import Matching, MatroidIntersection, conflict_masks
+from .constraints import FeasibilityCursor, Matching, MatroidIntersection, conflict_masks
 from .enumeration import max_profit_solution_ids, max_weight_feasible_ids
 
 # Exhaustive patching enumerates all component subsets up to this many
@@ -105,49 +107,68 @@ def inner_max_weight(instance: BCInstance, lam: Fraction, *,
                          key=weight.__getitem__, reverse=True))
     chosen = orders.sets.get(order)
     if chosen is None:
-        ids, masks = orders.ids, orders.masks
-        if masks is None:
-            cursor = instance.constraint.cursor()
-            kept = [k for k in order if cursor.try_push(ids[k])]
-        else:
-            kept = []
-            used = orders.start
-            for k in order:
-                m = masks[k]
-                if not m & used:
-                    used |= m
-                    kept.append(k)
-        chosen = frozenset([ids[k] for k in kept])
+        kept, spent = orders.grow(order)
+        chosen = frozenset([orders.ids[k] for k in kept])
         orders.sets[order] = chosen
-        orders.spent[chosen] = sum([orders.costs[k] for k in kept])
+        orders.spent[chosen] = spent
     return chosen
 
 
 class _GreedyOrders:
-    """One search's greedy inner optima, keyed by positive-weight order.
+    """One search's elements by position, its greedy growth and its inner optima.
 
-    The order is a tuple of positions in the id-ordered ``ids``, ``costs``
-    and ``profits`` lists, which are built once per search.  On a matching,
-    ``masks`` holds the ids' :func:`~bcopt.constraints.conflict_masks` in the
-    same positions, and ``start`` their starting ``used``; on any other
-    constraint ``masks`` is None and a cursor decides fit.  ``spent`` maps
-    each cached set to its cost, so a probe that repeats a set is not
-    re-summed.
+    A position indexes the id-ordered ``elements`` and their ``ids``,
+    ``costs`` and ``profits``.  ``masks``, ``start`` and ``cursor`` are the
+    ids' :func:`~bcopt.constraints.conflict_masks`, the fit test of
+    :meth:`grow`.  ``sets`` maps each positive-weight order the inner oracle
+    has met to its set and ``spent`` each set to its cost, so a repeated
+    order runs no push loop and its set is not re-summed.
     """
 
-    __slots__ = ("ids", "costs", "profits", "masks", "start", "sets", "spent")
+    __slots__ = ("ids", "costs", "profits", "elements", "constraint", "masks", "start",
+                 "cursor", "sets", "spent")
 
     def __init__(self, instance: BCInstance) -> None:
         elements = sorted(instance.elements, key=lambda e: e.id)
         self.ids = [e.id for e in elements]
         self.costs = [e.cost for e in elements]
         self.profits = [e.profit for e in elements]
-        self.masks: list[int] | None = None
-        self.start = 0
-        if isinstance(instance.constraint, Matching):
-            self.masks, self.start, _ = conflict_masks(instance.constraint, self.ids)
+        self.elements = elements
+        self.constraint = instance.constraint
+        self.masks, self.start, self.cursor = conflict_masks(self.constraint, self.ids)
         self.sets: dict[tuple[int, ...], frozenset[int]] = {}
         self.spent: dict[frozenset[int], int] = {}
+
+    def grow(self, positions: Iterable[int], room: int | None = None,
+             cursor: FeasibilityCursor | None = None) -> tuple[list[int], int]:
+        """The greedy growth: the kept ``positions`` and their cost.
+
+        Each position is kept iff it fits beside those kept before it and,
+        with a ``room``, the kept cost stays within it.  On a matching the
+        masks decide fit alone; otherwise ``cursor`` does, an empty cursor
+        of the constraint, or a fresh one when None.
+        """
+        costs = self.costs
+        if room is None:
+            room = sum(costs)
+        kept: list[int] = []
+        spent = 0
+        if self.cursor is None:
+            masks, used = self.masks, self.start
+            for k in positions:
+                m = masks[k]
+                if not m & used and spent + costs[k] <= room:
+                    used |= m
+                    kept.append(k)
+                    spent += costs[k]
+        else:
+            ids = self.ids
+            push = (cursor if cursor is not None else self.constraint.cursor()).try_push
+            for k in positions:
+                if spent + costs[k] <= room and push(ids[k]):
+                    kept.append(k)
+                    spent += costs[k]
+        return kept, spent
 
 
 def approx_opt(instance: BCInstance) -> Solution:
@@ -265,8 +286,7 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     profit = instance.profit_of
     pool: list[frozenset[int]] = [frozenset()]
     greedy = len(instance.elements) > EXACT_LIMIT
-    # Only the greedy oracle reads the cache, and records each set's cost in
-    # it; the fill below reads the masks on both paths.
+    # The fit test serves both paths; only the greedy oracle fills the cache.
     orders = _GreedyOrders(instance)
     cached_cost = orders.spent
 
@@ -281,36 +301,18 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
         return spent
 
     # Feasible affordable singletons and a profit-density greedy fill.  A
-    # residual constraint may reject a singleton its skeleton spans.  On a
-    # matching that is only a self-loop, whose mask meets the start; on an
-    # intersection each singleton is popped again, so the fill starts from
-    # an empty cursor.
-    ids, costs, masks = orders.ids, orders.costs, orders.masks
-    fill: list[int] = []
-    spent = 0
-    if masks is None:
-        cursor = instance.constraint.cursor()
-        for eid, c in zip(ids, costs):
-            if cursor.try_push(eid):
+    # residual constraint may reject a singleton its skeleton spans; on a
+    # matching only a self-loop, whose mask meets the start.  A cursor pops
+    # each singleton again, so the fill grows through it, empty.
+    ids, masks, used, cursor = orders.ids, orders.masks, orders.start, orders.cursor
+    for eid, c, m in zip(ids, orders.costs, masks):
+        if not m & used and (cursor is None or cursor.try_push(eid)):
+            if cursor is not None:
                 cursor.pop()
-                offer(frozenset((eid,)), c)
-        for e in sorted(instance.elements, key=_density_key):
-            if spent + e.cost <= budget and cursor.try_push(e.id):
-                fill.append(e.id)
-                spent += e.cost
-    else:
-        used = orders.start
-        for eid, c, m in zip(ids, costs, masks):
-            if not m & used:
-                offer(frozenset((eid,)), c)
-        mask_of = dict(zip(ids, masks))
-        for e in sorted(instance.elements, key=_density_key):
-            m = mask_of[e.id]
-            if spent + e.cost <= budget and not m & used:
-                used |= m
-                fill.append(e.id)
-                spent += e.cost
-    offer(frozenset(fill), spent)
+            offer(frozenset((eid,)), c)
+    keys = list(map(_density_key, orders.elements))
+    fill, spent = orders.grow(sorted(range(len(ids)), key=keys.__getitem__), budget, cursor)
+    offer(frozenset([ids[k] for k in fill]), spent)
 
     # The two opening probes; on the greedy path they share one cache with
     # every later probe.
@@ -342,7 +344,7 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
                 hi, s_minus = mid, s_mid
             else:
                 lo, s_plus = mid, s_mid
-        pool.extend(_patched(instance, s_minus, s_plus))
+        pool.extend(_patched(instance, s_minus, s_plus, orders))
         return pool
 
     # The breakpoint walk: probe where the two ends' lines cross, until the
@@ -378,7 +380,7 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     else:
         s_minus, s_plus = inner_max_weight(instance, lam + delta), s
     offer(s_minus)
-    pool.extend(_patched(instance, s_minus, s_plus))
+    pool.extend(_patched(instance, s_minus, s_plus, orders))
     return pool
 
 
@@ -390,9 +392,9 @@ def _density_key(e: Element):
     return ratio_key((-e.profit, e.cost, e.id) if e.cost else (-e.profit - 1, 1, e.id))
 
 
-def _patched(instance: BCInstance, s_minus: frozenset[int],
-             s_plus: frozenset[int]) -> list[frozenset[int]]:
-    """Blend the bracketing pair into further budget-feasible candidates."""
+def _patched(instance: BCInstance, s_minus: frozenset[int], s_plus: frozenset[int],
+             orders: _GreedyOrders) -> list[frozenset[int]]:
+    """Blend the bracketing pair into budget-feasible candidates; ``orders`` is the search's."""
     cons = instance.constraint
     budget = instance.budget
     cost = instance.cost_of
@@ -428,19 +430,13 @@ def _patched(instance: BCInstance, s_minus: frozenset[int],
             k += 1
         if k < len(victims):
             out.append(frozenset(victims[k:]))
-        # And grow the affordable side from the other bracket greedily.
-        cursor = cons.cursor()
-        grown = []
-        spent = 0
-        for eid in sorted(s_minus):
-            if cursor.try_push(eid):
-                grown.append(eid)
-                spent += cost[eid]
-        for eid in sorted(s_plus - s_minus, key=lambda i: (-profit[i], i)):
-            if spent + cost[eid] <= budget and cursor.try_push(eid):
-                grown.append(eid)
-                spent += cost[eid]
-        out.append(frozenset(grown))
+        # And grow the affordable side from the other bracket greedily.  Any
+        # part of s_minus fits the budget, so the room binds only on the rest.
+        ids, profits = orders.ids, orders.profits
+        rest = [k for k, i in enumerate(ids) if i in s_plus and i not in s_minus]
+        grown, _ = orders.grow([k for k, i in enumerate(ids) if i in s_minus]
+                               + sorted(rest, key=lambda k: (-profits[k], k)), budget)
+        out.append(frozenset([ids[k] for k in grown]))
     return out
 
 

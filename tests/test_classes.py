@@ -33,6 +33,16 @@ class TestQOf:
     def test_reduction_applies_first(self):
         assert q_of(Epsilon(2, 8)) == q_of(Epsilon(1, 4))
 
+    def test_a_repeated_call_is_a_cache_hit(self):
+        q_of.cache_clear()
+        pinned = {Epsilon(1, 3): 27, Epsilon(1, 4): 256, Epsilon(1, 5): 3125, Epsilon(2, 5): 16}
+        for _ in range(2):
+            assert {eps: q_of(eps) for eps in pinned} == pinned
+        # Epsilon(2, 8) is stored as 1/4, so it hits 1/4's entry.
+        assert q_of(Epsilon(2, 8)) == 256
+        assert q_of.cache_info().hits == len(pinned) + 1
+        assert q_of.cache_info().misses == len(pinned)
+
 
 class TestClassLayout:
     def test_range_at_gamma_two(self):

@@ -265,7 +265,7 @@ def reference_candidate_pool(instance, depth, inner=reference_greedy_inner, pair
             lo, s_plus = mid, s_mid
     if pairs is not None:
         pairs.append((s_minus, s_plus))
-    pool.extend(_patched(instance, s_minus, s_plus))
+    pool.extend(_patched(instance, s_minus, s_plus, _GreedyOrders(instance)))
     return pool
 
 
@@ -322,6 +322,7 @@ class TestGreedyOrderCache:
         probes = []
         loops = []
         cursors = []
+        every_cursor = []
         inside = []
 
         def recording_inner(instance, lam, **kwargs):
@@ -346,6 +347,7 @@ class TestGreedyOrderCache:
                 self.sets = RecordingSets()
 
         def counting_cursor(self):
+            every_cursor.append(self)
             if inside:
                 cursors.append(probes[-1])
             return original_cursor(self)
@@ -357,6 +359,13 @@ class TestGreedyOrderCache:
         # A matching's push loop tests fit by vertex masks; an intersection's
         # opens one cursor per loop.
         assert cursors == ([] if constraint_type is Matching else loops)
+        # Beside the loops' cursors, the search builds one that the
+        # singletons and the fill share and one for the patching grow: 14 on
+        # this intersection, as many as before the growths were one routine.
+        if constraint_type is Matching:
+            assert every_cursor == []
+        else:
+            assert len(every_cursor) == len(loops) + 2 <= 14
         # The search stops once (P + 1) * D^2 < 2^steps, D the largest cost.
         largest_profit = max(e.profit for e in inst.elements)
         resolution = (largest_profit + 1) * max(e.cost for e in inst.elements) ** 2
@@ -401,9 +410,9 @@ def searched_pool_and_pair(inst):
     """``_candidate_pool``'s distinct candidates and the pair it patches."""
     pairs = []
 
-    def recording_patched(instance, s_minus, s_plus):
+    def recording_patched(instance, s_minus, s_plus, orders):
         pairs.append((s_minus, s_plus))
-        return _patched(instance, s_minus, s_plus)
+        return _patched(instance, s_minus, s_plus, orders)
 
     with mock.patch.object(bcopt.lagrange, "_patched", recording_patched):
         pool = _candidate_pool(inst)
@@ -656,7 +665,7 @@ class TestPatchedMatching:
         affordable = [p for p in prefixes if inst.total_cost(p) <= budget]
         assert 0 < len(affordable) < len(prefixes)
 
-        got = _patched(inst, s_minus, s_plus)
+        got = _patched(inst, s_minus, s_plus, _GreedyOrders(inst))
         assert got == affordable
         assert all(inst.total_cost(ids) <= budget for ids in got)
 
@@ -722,4 +731,78 @@ class TestExactDensityOrder:
                                  cost_range=(0, top), profit_range=(0, top))
         s_plus = frozenset(i for i in picks if i < size)
         # The last candidate grows the affordable side; the rest is the trim.
-        assert _patched(inst, frozenset(), s_plus)[:-1] == reference_trimmed(inst, s_plus)
+        got = _patched(inst, frozenset(), s_plus, _GreedyOrders(inst))
+        assert got[:-1] == reference_trimmed(inst, s_plus)
+
+
+# --- reference: greedy growth by whole-set feasibility, and the patching grow
+# as it was written before it became a ``_GreedyOrders.grow`` call
+
+
+def reference_grow(instance, positions, room):
+    """Push each position of the id-ordered elements in turn; keep it iff the
+    kept ids plus its id are feasible and, with a ``room``, their cost fits."""
+    elements = sorted(instance.elements, key=lambda e: e.id)
+    kept, spent = [], 0
+    for k in positions:
+        ids = [elements[j].id for j in kept] + [elements[k].id]
+        if instance.constraint.is_feasible(ids) and (
+                room is None or spent + elements[k].cost <= room):
+            kept.append(k)
+            spent += elements[k].cost
+    return kept, spent
+
+
+def reference_grown(instance, s_minus, s_plus):
+    cons = instance.constraint
+    budget = instance.budget
+    cost = instance.cost_of
+    profit = instance.profit_of
+    cursor = cons.cursor()
+    grown = []
+    spent = 0
+    for eid in sorted(s_minus):
+        if cursor.try_push(eid):
+            grown.append(eid)
+            spent += cost[eid]
+    for eid in sorted(s_plus - s_minus, key=lambda i: (-profit[i], i)):
+        if spent + cost[eid] <= budget and cursor.try_push(eid):
+            grown.append(eid)
+            spent += cost[eid]
+    return frozenset(grown)
+
+
+class TestGreedyGrowth:
+    @given(inst=tiny_instances(), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_grow_matches_the_feasibility_reference(self, inst, data):
+        # Self-loops, zero costs, budget 0 and a far vertex; each position
+        # at most once, as in every growth of a search.
+        n = len(inst.elements)
+        positions = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+        room = data.draw(st.none() | st.integers(0, inst.budget))
+        expected = reference_grow(inst, positions, room)
+        assert _GreedyOrders(inst).grow(positions, room) == expected
+        # The fill grows through the search's own cursor, still empty.
+        orders = _GreedyOrders(inst)
+        assert orders.grow(positions, room, orders.cursor) == expected
+
+    @given(
+        seed=st.integers(0, 10**6),
+        size=st.integers(0, 14),
+        top=st.integers(1, 6),
+        minus=st.lists(st.integers(0, 13), max_size=14),
+        plus=st.lists(st.integers(0, 13), max_size=14),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_intersection_grow_matches_the_former_loop(self, seed, size, top, minus, plus):
+        inst = generate_instance(seed, size, "matroid-intersection",
+                                 cost_range=(0, top), profit_range=(0, top))
+        # s_minus is affordable, as the search's always is; s_plus may not be.
+        s_minus = set()
+        for i in minus:
+            if i < size and inst.total_cost(s_minus | {i}) <= inst.budget:
+                s_minus.add(i)
+        s_minus, s_plus = frozenset(s_minus), frozenset(i for i in plus if i < size)
+        got = _patched(inst, s_minus, s_plus, _GreedyOrders(inst))
+        assert got[-1] == reference_grown(inst, s_minus, s_plus)
