@@ -361,7 +361,7 @@ def _run_verifier(instance: BCInstance, epsilon: Epsilon,
         h = oracle.profitable_set(working, epsilon, guard=guard)
         q = q_of(epsilon)
         for s in oracle.iter_feasible_sets(working, max_size=min(q, len(working.elements))):
-            report = oracle.verify_replacement(working, epsilon, s, s & h, guard=guard)
+            report = oracle.verify_replacement(working, epsilon, s, s & h, h)
             if not report.passed:
                 return [report]
         return [oracle.VerificationReport("replacement", True)]

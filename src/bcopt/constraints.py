@@ -8,11 +8,15 @@ Constructors refuse a broken structure with
 :class:`~bcopt.core.InvalidParameterError`: an endpoint outside the vertex
 range, or two oracles over different ground sets.  A self-loop is legal.
 A matching's restriction and residual keep some of its edges, which its
-constructor has already checked, so they are built without the re-check.
+constructor has already checked, so they are built without the re-check,
+and they share its vertex numbering: one table of edge masks per matching,
+which every reader of a conflict reads through :func:`conflict_masks`.
 """
 
 from __future__ import annotations
 
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .core import BCError, InvalidParameterError, UnknownElementError, checked_edges, checked_int
@@ -47,18 +51,30 @@ class Matching(Constraint):
         self.vertex_count = checked_int(vertex_count, "vertex count")
         self.edges = checked_edges(self.vertex_count, edges)
 
-    @classmethod
-    def _of_checked(cls, vertex_count: int, edges: dict[int, tuple[int, int]]) -> "Matching":
-        """A matching on ``edges`` drawn from a constructed matching's, not re-checked.
+    @cached_property
+    def _masks(self) -> dict[int, int]:
+        """Each edge id's int mask: its endpoints' bits, from bit 1 on, and
+        bit 0 for a self-loop.  Built on first use, so a matching that
+        nothing searches costs no more to construct."""
+        bit: dict[int, int] = {}
+        masks = {}
+        for eid, (u, v) in self.edges.items():
+            mu = bit.setdefault(u, 2 << len(bit))
+            masks[eid] = mu | bit.setdefault(v, 2 << len(bit)) if u != v else mu | 1
+        return masks
+
+    def _of_checked(self, edges: dict[int, tuple[int, int]]) -> "Matching":
+        """A matching on some of this one's ``edges``, not re-checked.
 
         The constructor owns the edge rule; this shares it by taking only
         edges that have passed it.  A subset of valid edges on the same
         vertex count is valid, so a solver that builds one residual per
-        skeleton does not pay for the check again.
+        skeleton does not pay for the check again.  It shares the mask table.
         """
-        graph = cls.__new__(cls)
-        graph.vertex_count = vertex_count
+        graph = Matching.__new__(Matching)
+        graph.vertex_count = self.vertex_count
         graph.edges = edges
+        graph._masks = self._masks
         return graph
 
     def element_ids(self) -> frozenset[int]:
@@ -78,8 +94,7 @@ class Matching(Constraint):
 
     def restrict(self, keep: Iterable[int]) -> "Matching":
         keep = set(keep)
-        return Matching._of_checked(self.vertex_count,
-                                    {e: uv for e, uv in self.edges.items() if e in keep})
+        return self._of_checked({e: uv for e, uv in self.edges.items() if e in keep})
 
     def cursor(self) -> "MatchingCursor":
         return MatchingCursor(self)
@@ -119,20 +134,18 @@ def residual_constraint(constraint: Constraint, fixed: Iterable[int]) -> Constra
 
     Feasible sets of the result are exactly the A disjoint from ``fixed``
     with A | fixed feasible in the original constraint.  For a matching this
-    deletes the fixed edges and everything touching their endpoints; for an
+    keeps the edges whose masks, their endpoints, miss the fixed edges'; for an
     intersection each oracle is contracted by the fixed set.  ``fixed`` must
     be feasible, and is not re-tested here: the solver lists only feasible
     skeletons, and :func:`bcopt.solver.residual_instance` checks its input.
+    An unknown id raises :class:`UnknownElementError`.
     """
     fixed = frozenset(fixed)
     if isinstance(constraint, Matching):
-        blocked = {v for eid in fixed for v in constraint.edges[eid]}
-        surviving = {
-            eid: uv
-            for eid, uv in constraint.edges.items()
-            if eid not in fixed and uv[0] not in blocked and uv[1] not in blocked
-        }
-        return Matching._of_checked(constraint.vertex_count, surviving)
+        blocked = reduce(or_, conflict_masks(constraint, fixed)[0], 0)
+        masks = constraint._masks
+        return constraint._of_checked(
+            {eid: uv for eid, uv in constraint.edges.items() if not masks[eid] & blocked})
     if isinstance(constraint, MatroidIntersection):
         return MatroidIntersection(constraint.oracle1.contract(fixed),
                                    constraint.oracle2.contract(fixed))
@@ -153,11 +166,8 @@ def size_cap(constraint: Constraint, ids: Iterable[int]) -> int:
     """
     ids = list(ids)
     if isinstance(constraint, Matching):
-        edges = constraint.edges
-        try:
-            return len({v for eid in ids for v in edges[eid]}) // 2
-        except KeyError as exc:
-            raise UnknownElementError(exc.args[0]) from None
+        # Bit 0 marks a self-loop, not a vertex.
+        return (reduce(or_, conflict_masks(constraint, ids)[0], 0) >> 1).bit_count() // 2
     if isinstance(constraint, MatroidIntersection):
         return min(sum(map(oracle.cursor().try_push, ids))
                    for oracle in (constraint.oracle1, constraint.oracle2))
@@ -170,32 +180,22 @@ def conflict_masks(constraint: Constraint, ids: Sequence[int]
 
     A search grows a set S of ``ids`` and keeps ``used``, the start or'ed
     with the masks of S; an id whose mask meets ``used`` cannot join S.  For
-    a :class:`Matching` an edge's mask holds its endpoints' bits, so it meets
-    ``used`` exactly when S covers an endpoint, and the masks decide alone:
-    the cursor is None.  A self-loop's mask also holds bit 0, which the
-    start already holds, so it never joins.  For any other constraint the
-    mask is the id's own bit, its position in ``ids``, which never meets
-    ``used`` in a search that takes each position once; a fresh cursor
-    decides.  Bits are numbered per call, so masks of two calls do not mix.
-    An unknown id raises :class:`UnknownElementError`: for a matching here,
+    a :class:`Matching` the masks are read from its table, numbered once per
+    matching: an edge's mask holds its endpoints' bits, so it meets ``used``
+    exactly when S covers an endpoint, and the masks decide alone: the
+    cursor is None.  A self-loop's mask also holds bit 0, which the start
+    already holds, so it never joins.  An intersection knows no pairwise
+    conflict: its masks are zeros, and a fresh cursor decides alone.  An
+    unknown id raises :class:`UnknownElementError`: for a matching here,
     otherwise when the cursor meets it.
     """
     if isinstance(constraint, Matching):
         edges = constraint.edges
-        bit: dict[int, int] = {}
-        masks = []
         for eid in ids:
-            try:
-                u, v = edges[eid]
-            except KeyError:
-                raise UnknownElementError(eid) from None
-            if u not in bit:
-                bit[u] = 2 << len(bit)
-            if v not in bit:
-                bit[v] = 2 << len(bit)
-            masks.append(bit[u] | bit[v] if u != v else bit[u] | 1)
-        return masks, 1, None
-    return [1 << k for k in range(len(ids))], 0, constraint.cursor()
+            if eid not in edges:
+                raise UnknownElementError(eid)
+        return list(map(constraint._masks.__getitem__, ids)), 1, None
+    return [0] * len(ids), 0, constraint.cursor()
 
 
 class FeasibilityCursor:

@@ -8,19 +8,20 @@ ascending ids for the exact search, heaviest first for the maximum-weight
 search) and rely on downward closure of the feasible-set family: once a
 partial set is infeasible or over budget, no superset can recover, so the
 whole branch is pruned.  Each engine tests whether an id fits with the int
-masks of :func:`bcopt.constraints.conflict_masks`, built per search beside
+masks of :func:`bcopt.constraints.conflict_masks`, read per search beside
 its cost list: an id whose mask meets the chosen ids' ``used`` does not
-fit.  For a matching the masks are the edges' vertex bits and decide alone,
-so a matching search makes no cursor call; for an intersection a
-feasibility cursor decides.  The maximum-weight search also knows that no
-feasible set holds more than :func:`bcopt.constraints.size_cap` elements,
-so a branch can gain at most the heaviest values that fit in the slots it
-has left.  The exact search can start from a floor and cut against it from
-the root.  The listing also takes the caller's bound test: it leaves out
-every subtree the test rejects, and after a rejected child of a parent that
-is not itself wanted it asks the test once more for the parent over the
-later positions, which covers every later child and its subtree, and on a
-rejection stops taking the parent's children.
+fit.  For a matching the masks are the edges' vertex bits, numbered once
+per matching, and decide alone, so a matching search makes no cursor call;
+for an intersection they are zeros and a feasibility cursor decides.  The
+maximum-weight search also knows that no feasible set holds more than
+:func:`bcopt.constraints.size_cap` elements, so a branch can gain at most
+the heaviest values that fit in the slots it has left.  The exact search
+can start from a floor and cut against it from the root.  The listing
+also takes the caller's bound test: it leaves out every subtree the test
+rejects, and after a rejected child of a parent that is not itself wanted
+it asks the test once more for the parent over the later positions, which
+covers every later child and its subtree, and on a rejection stops taking
+the parent's children.
 
 Each engine's recursive ``walk`` closure refers to itself, so the engine
 unbinds it when the search ends.  Otherwise every search would leave a

@@ -44,7 +44,8 @@ the push loop only once per distinct order.  That loop, the candidate
 pool's density fill and the patching of an intersection pair are one greedy
 growth, ``_GreedyOrders.grow``, whose fit test is the search's
 :func:`bcopt.constraints.conflict_masks`: on a matching the int vertex
-masks decide alone, otherwise a feasibility cursor does, a fresh one for
+masks, numbered once per matching, decide alone (and split a patched pair
+into components), otherwise a feasibility cursor does, a fresh one for
 each growth but the fill, which reuses the singleton scan's.
 """
 
@@ -405,7 +406,6 @@ def _patched(instance: BCInstance, s_minus: frozenset[int], s_plus: frozenset[in
         if len(components) <= _MAX_PATCH_COMPONENTS:
             subsets = range(1 << len(components))
         else:
-            # Greedy prefix order by profit gain per unit of extra cost.
             components = sorted(
                 components,
                 key=lambda comp: _component_priority(instance, comp, s_minus),
@@ -442,40 +442,31 @@ def _patched(instance: BCInstance, s_minus: frozenset[int], s_plus: frozenset[in
 
 def _symmetric_difference_components(graph: Matching, a: frozenset[int],
                                      b: frozenset[int]) -> list[frozenset[int]]:
-    """Connected components (paths/cycles) of the edge set a ^ b."""
-    edges = sorted(a ^ b)
-    by_vertex: dict[int, list[int]] = {}
-    for eid in edges:
-        u, v = graph.edges[eid]
-        by_vertex.setdefault(u, []).append(eid)
-        by_vertex.setdefault(v, []).append(eid)
-    seen: set[int] = set()
-    components: list[frozenset[int]] = []
-    for start in edges:
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            eid = frontier.pop()
-            for vertex in graph.edges[eid]:
-                for nxt in by_vertex[vertex]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        comp.add(nxt)
-                        frontier.append(nxt)
-        components.append(frozenset(comp))
-    return components
+    """Connected components (paths/cycles) of a ^ b, by smallest id; a and b are
+    matchings, so no self-loop's bit 0 joins two edges of a component."""
+    ids = sorted(a ^ b)
+    parts: list[tuple[int, list[int]]] = []  # (vertex mask, ids) per component so far
+    for eid, mask in zip(ids, conflict_masks(graph, ids)[0]):
+        members, rest = [eid], []
+        for part in parts:
+            # Components share no vertex, so a grown mask meets no other part.
+            if part[0] & mask:
+                mask |= part[0]
+                members += part[1]
+            else:
+                rest.append(part)
+        parts = rest + [(mask, members)]
+    return sorted((frozenset(comp) for _, comp in parts), key=min)
 
 
 def _component_priority(instance: BCInstance, comp: frozenset[int],
-                        s_minus: frozenset[int]) -> tuple:
-    gain = sum(instance.profit_of[i] for i in comp - s_minus) - sum(
-        instance.profit_of[i] for i in comp & s_minus
-    )
-    extra = sum(instance.cost_of[i] for i in comp - s_minus) - sum(
-        instance.cost_of[i] for i in comp & s_minus
-    )
-    density = Fraction(gain, extra) if extra > 0 else Fraction(gain + 1, 1) * 10**6
-    return (-density, min(comp))
+                        s_minus: frozenset[int]):
+    """Gain per extra cost descending, then smallest id; an extra cost of at
+    most 0 counts as density (gain + 1) * 10^6."""
+    gain = extra = 0
+    for i in comp:
+        sign = -1 if i in s_minus else 1
+        gain += sign * instance.profit_of[i]
+        extra += sign * instance.cost_of[i]
+    first = min(comp)
+    return ratio_key((-gain, extra, first) if extra > 0 else (-(gain + 1) * 10**6, 1, first))

@@ -88,7 +88,11 @@ def brute_force_opt(instance: BCInstance, guard: int = DEFAULT_GUARD) -> Solutio
 def profitable_set(instance: BCInstance, epsilon: Epsilon,
                    guard: int = DEFAULT_GUARD) -> frozenset[int]:
     """Elements with p(e) strictly above eps * OPT, with OPT exact."""
-    opt = brute_force_opt(instance, guard).total_profit
+    return _above(instance, epsilon, brute_force_opt(instance, guard).total_profit)
+
+
+def _above(instance: BCInstance, epsilon: Epsilon, opt: int) -> frozenset[int]:
+    """Elements with p(e) strictly above eps * ``opt``."""
     num, den = epsilon.numerator, epsilon.denominator
     return frozenset(e.id for e in instance.elements if e.profit * den > num * opt)
 
@@ -131,15 +135,14 @@ def verify_exchange_set(instance: BCInstance, layout: ClassLayout, r: int,
 
 
 def verify_replacement(instance: BCInstance, epsilon: Epsilon, s_ids: Iterable[int],
-                       z_ids: Iterable[int], guard: int = DEFAULT_GUARD) -> VerificationReport:
-    """Check the four replacement properties of Z for a bounded feasible S."""
-    _check_guard(instance, guard)
+                       z_ids: Iterable[int], h: frozenset[int]) -> VerificationReport:
+    """Check the four replacement properties of Z for a bounded feasible S,
+    given H = :func:`profitable_set`, which a caller checking many S finds once."""
     s_ids, z_ids = frozenset(s_ids), frozenset(z_ids)
     q = q_of(epsilon)
     cons = instance.constraint
     if not is_bounded_feasible(cons, s_ids, q):
         raise InfeasibleSetError("S must be bounded feasible")
-    h = profitable_set(instance, epsilon, guard)
     merged = (s_ids - h) | z_ids
     checks = {
         "merged bounded feasible": is_bounded_feasible(cons, merged, q),
@@ -174,7 +177,7 @@ def verify_representative(instance: BCInstance, epsilon: Epsilon, r_ids: Iterabl
     opt = brute_force_opt(instance, guard).total_profit
     if opt == 0:
         return VerificationReport("representative-set", True)
-    h = profitable_set(instance, epsilon, guard)
+    h = _above(instance, epsilon, opt)
     allowed = instance.ids - (h - r_ids)
     restricted = BCInstance(
         tuple(e for e in instance.elements if e.id in allowed),

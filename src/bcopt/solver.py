@@ -10,7 +10,9 @@ optimum from below is the first incumbent and loses every tie, so the answer
 is never worse than it.  One exact-integer bound keeps most of the work from
 being done: the walk leaves out every subtree of skeletons that cannot beat
 the incumbent, and skips the residual of a skeleton whose bound at the last
-rep index cannot.  ``solve_detailed`` also returns the run metadata.
+rep index cannot.  On a matching the bound, the walk and every residual
+read one table of vertex masks, numbered once per matching.
+``solve_detailed`` also returns the run metadata.
 """
 
 from __future__ import annotations
@@ -209,19 +211,22 @@ class SkeletonBound:
 
     The candidates are sorted once by exact density, zero-cost elements
     first; each knapsack walks them until the budget runs out.  Blocking is
-    one int per call, F's :func:`~bcopt.constraints.conflict_masks` or'ed
-    together, which each candidate's mask must not meet.  A self-loop's
-    mask holds bit 0 as well as its vertex, but no skeleton holds a
-    self-loop, so it is blocked exactly when F covers its vertex.
+    one int per call, F's masks or'ed together, which each candidate's mask
+    must not meet: for a matching its vertex bits from
+    :func:`~bcopt.constraints.conflict_masks`, which also block F's own
+    edges (a self-loop, in no skeleton, is blocked through its vertex); for
+    an intersection, whose conflict masks are zeros, each element's own bit.
     """
 
     def __init__(self, instance: BCInstance, pool: frozenset[int], rep):
-        # An element leaves F's residual pool when its conflict mask meets
-        # F's: a shared endpoint for a matching (which covers F's own
-        # edges), else its own bit.
         cons = instance.constraint
         ids = [e.id for e in instance.elements]
-        self._mask = dict(zip(ids, conflict_masks(cons, ids)[0]))
+        self._rank = None
+        if isinstance(cons, MatroidIntersection):
+            self._rank = size_cap(cons, instance.sorted_ids())
+            self._mask = {eid: 1 << k for k, eid in enumerate(ids)}
+        else:
+            self._mask = dict(zip(ids, conflict_masks(cons, ids)[0]))
         self._cost = instance.cost_of
         self._profit = instance.profit_of
         self._budget = instance.budget
@@ -235,9 +240,7 @@ class SkeletonBound:
         # The fractional knapsack does not depend on how equal densities tie.
         items.sort(key=lambda e: ratio_key((-e.profit, e.cost, e.id)))
         self._order = [(e.cost, e.profit, self._mask[e.id], until[e.id]) for e in items]
-        self._rank = None
-        if isinstance(cons, MatroidIntersection):
-            self._rank = size_cap(cons, instance.sorted_ids())
+        if self._rank is not None:
             # Largest profit first; how equal profits tie cannot change a sum.
             self._by_profit = sorted(((p, m, u) for _, p, m, u in self._order),
                                      reverse=True)

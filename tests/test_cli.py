@@ -438,6 +438,25 @@ class TestVerifyCmd:
                                       "--property", prop])
             assert code == EXIT_OK, (prop, err)
 
+    # replacement: H once, for every bounded feasible S.  representative:
+    # alpha in the CLI, OPT in the verifier, then the instance restricted to R.
+    @pytest.mark.parametrize("prop,name,calls", [("replacement", "replacement", 1),
+                                                 ("representative", "representative-set", 3)])
+    def test_brute_force_runs_a_fixed_number_of_times(self, tmp_path, capsys, monkeypatch,
+                                                       prop, name, calls):
+        seen = []
+        brute_force_opt = bcopt.oracle.brute_force_opt
+
+        def counted(instance, guard=bcopt.oracle.DEFAULT_GUARD):
+            seen.append(instance)
+            return brute_force_opt(instance, guard)
+
+        monkeypatch.setattr(bcopt.oracle, "brute_force_opt", counted)
+        path = write_instance(tmp_path, generate_instance(7, 14, "matching"))
+        assert main(["verify", str(path), "--epsilon", "1/4", "--property", prop]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"property": name, "passed": True}
+        assert len(seen) == calls
+
 
 class TestBenchCmd:
     def test_empty_corpus_header_only(self, tmp_path):

@@ -1,15 +1,19 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
 
 import bcopt.constraints
 from bcopt.core import UnknownElementError
-from bcopt.constraints import Matching, MatroidIntersection, residual_constraint
+from bcopt.constraints import (
+    Matching, MatroidIntersection, conflict_masks, residual_constraint, size_cap,
+)
 from bcopt.matroids import UniformMatroid
-from bcopt.oracle import is_bounded_feasible
+from bcopt.oracle import is_bounded_feasible, iter_feasible_sets
 
-from conftest import random_matroid
+from conftest import random_matroid, tiny_instances
 
 
 def all_subsets(ids):
@@ -146,3 +150,79 @@ class TestDerivedMatchingsAreNotRechecked:
             assert type(got) is Matching
             assert (got.vertex_count, got.edges) == (want.vertex_count, want.edges)
             assert list(got.edges) == list(want.edges)
+
+
+def counting_table_builds(monkeypatch):
+    """The matchings whose mask table is built, one entry per build."""
+    builds = []
+    build = Matching._masks.func
+
+    def counted(self):
+        builds.append(self)
+        return build(self)
+
+    table = functools.cached_property(counted)
+    table.__set_name__(Matching, "_masks")
+    monkeypatch.setattr(Matching, "_masks", table)
+    return builds
+
+
+class TestOneMaskTablePerMatching:
+    """A matching numbers its vertices once; its restrictions and residuals
+    read the same table."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_derived_matchings_share_the_parent_table(self, seed, monkeypatch):
+        builds = counting_table_builds(monkeypatch)
+        rng = random.Random(seed)
+        vertices = rng.randint(1, 9)
+        edges = {i: (rng.randrange(vertices), rng.randrange(vertices))
+                 for i in rng.sample(range(40), rng.randint(0, 12))}
+        m = Matching(vertices, edges)
+        keep = {i for i in edges if rng.random() < 0.6}
+        fixed = next((frozenset([i]) for i in edges if edges[i][0] != edges[i][1]), frozenset())
+        residual = residual_constraint(m, fixed)
+        for derived in (m.restrict(keep), residual, residual.restrict(keep)):
+            ids = sorted(derived.edges)
+            rng.shuffle(ids)
+            assert conflict_masks(derived, ids) == (conflict_masks(m, ids)[0], 1, None)
+            assert size_cap(derived, ids) == size_cap(m, ids)
+        assert builds == [m]
+
+    def test_a_matching_nothing_searches_builds_no_table(self, monkeypatch):
+        builds = counting_table_builds(monkeypatch)
+        Matching(3, {0: (0, 1), 1: (1, 2)}).is_feasible({0})
+        assert builds == []
+
+    def test_self_loops_in_the_size_cap_and_the_residual(self):
+        m = Matching(4, {0: (0, 1), 1: (1, 1), 2: (2, 3), 3: (3, 3)})
+        # A self-loop covers one vertex.
+        assert [size_cap(m, ids) for ids in ([1], [0, 1], [1, 3], [0, 1, 2, 3])] == [0, 1, 1, 2]
+        assert residual_constraint(m, ()).edges == m.edges
+        assert residual_constraint(m, {2}).edges == {0: (0, 1), 1: (1, 1)}
+        assert residual_constraint(m, {0}).edges == {2: (2, 3), 3: (3, 3)}
+
+    def test_unknown_ids_are_refused(self):
+        m = Matching(4, {0: (0, 1), 1: (1, 1), 2: (2, 3)})
+        with pytest.raises(UnknownElementError):
+            size_cap(m, [0, 9])
+        with pytest.raises(UnknownElementError):
+            residual_constraint(m, {9})
+        # The residual shares a table that still knows edge 0.
+        residual = residual_constraint(m, {0})
+        for read in (size_cap, residual_constraint, conflict_masks):
+            with pytest.raises(UnknownElementError):
+                read(residual, [0])
+
+    # The set-based rules the masks replace, on self-loops and a far vertex.
+    @given(inst=tiny_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_masks_agree_with_the_vertex_sets(self, inst):
+        m = inst.constraint
+        assume(isinstance(m, Matching))
+        ids = inst.sorted_ids()
+        assert size_cap(m, ids) == len({v for i in ids for v in m.edges[i]}) // 2
+        for fixed in iter_feasible_sets(inst):
+            blocked = {v for i in fixed for v in m.edges[i]}
+            assert residual_constraint(m, fixed).edges == {
+                i: uv for i, uv in m.edges.items() if i not in fixed and not blocked & set(uv)}

@@ -19,6 +19,7 @@ from bcopt.enumeration import (
     max_profit_solution_ids,
     max_weight_feasible_ids,
 )
+from bcopt.matroids import UniformMatroid
 from bcopt.oracle import iter_feasible_sets
 
 from conftest import BareOracle, path_matching, tiny_instances
@@ -198,6 +199,13 @@ class TestConflictMasks:
         assert masks[1] & used
         assert not masks[0] & used and not masks[2] & used
         assert masks[0] & masks[2] and not masks[0] & masks[1]
+
+    def test_an_intersection_has_zero_masks_and_a_cursor(self):
+        ids = frozenset(range(3))
+        masks, used, cursor = conflict_masks(
+            MatroidIntersection(UniformMatroid(ids, 1), UniformMatroid(ids, 3)), [2, 0, 1])
+        assert (masks, used) == ([0, 0, 0], 0)
+        assert cursor.try_push(2) and not cursor.try_push(0)
 
     def test_an_unknown_edge_is_refused(self):
         with pytest.raises(UnknownElementError):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import bcopt.lagrange
 from bcopt.core import BCInstance, Element, Solution, preprocess_discard
@@ -25,7 +25,7 @@ from bcopt.lagrange import (
     non_profitable_solver,
 )
 from bcopt.matroids import PartitionMatroid, UniformMatroid
-from bcopt.oracle import brute_force_opt
+from bcopt.oracle import brute_force_opt, iter_feasible_sets
 
 from conftest import free_instance, tiny_instances
 
@@ -656,7 +656,7 @@ class TestPatchedMatching:
         components = _symmetric_difference_components(inst.constraint, s_minus, s_plus)
         assert len(components) == paths > _MAX_PATCH_COMPONENTS
 
-        ordered = sorted(components, key=lambda c: _component_priority(inst, c, s_minus))
+        ordered = sorted(components, key=lambda c: reference_component_priority(inst, c, s_minus))
         assert ordered != components  # the priority order is not the id order
         prefixes, swapped = [], set(s_minus)
         for comp in ordered:
@@ -668,6 +668,74 @@ class TestPatchedMatching:
         got = _patched(inst, s_minus, s_plus, _GreedyOrders(inst))
         assert got == affordable
         assert all(inst.total_cost(ids) <= budget for ids in got)
+
+    @given(costs=st.lists(st.integers(0, 6), min_size=1, max_size=24),
+           profits=st.lists(st.integers(0, 9), min_size=24, max_size=24),
+           cuts=st.sets(st.integers(1, 23)), minus=st.integers(0, 2**24 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_the_priority_orders_components_as_the_fraction_reference(
+            self, costs, profits, cuts, minus):
+        # Components of consecutive ids, each element in s_minus or not, so
+        # the extra cost and the gain take every sign, zero included.
+        inst = free_instance(costs, profits[:len(costs)])
+        bounds = [0, *sorted(c for c in cuts if c < len(costs)), len(costs)]
+        components = [frozenset(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        s_minus = frozenset(i for i in range(len(costs)) if minus >> i & 1)
+        assert sorted(components, key=lambda c: _component_priority(inst, c, s_minus)) == \
+            sorted(components, key=lambda c: reference_component_priority(inst, c, s_minus))
+
+
+def reference_component_priority(instance, comp, s_minus):
+    """The Fraction-keyed priority ``_component_priority`` replaces."""
+    gain = sum(instance.profit_of[i] for i in comp - s_minus) - sum(
+        instance.profit_of[i] for i in comp & s_minus)
+    extra = sum(instance.cost_of[i] for i in comp - s_minus) - sum(
+        instance.cost_of[i] for i in comp & s_minus)
+    density = Fraction(gain, extra) if extra > 0 else Fraction(gain + 1, 1) * 10**6
+    return (-density, min(comp))
+
+
+def reference_components(graph, a, b):
+    """The breadth-first components of a ^ b that the mask merge replaces."""
+    edges = sorted(a ^ b)
+    by_vertex = {}
+    for eid in edges:
+        for vertex in graph.edges[eid]:
+            by_vertex.setdefault(vertex, []).append(eid)
+    seen, components = set(), []
+    for start in edges:
+        if start in seen:
+            continue
+        comp, frontier = {start}, [start]
+        seen.add(start)
+        while frontier:
+            for vertex in graph.edges[frontier.pop()]:
+                for nxt in by_vertex[vertex]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        comp.add(nxt)
+                        frontier.append(nxt)
+        components.append(frozenset(comp))
+    return components
+
+
+class TestSymmetricDifferenceComponents:
+    def test_the_bracketing_pairs_match_the_breadth_first_reference(self):
+        for seed, inst in patched_matchings():
+            _, pairs = searched_pool_and_pair(inst)
+            for a, b in pairs:
+                assert _symmetric_difference_components(inst.constraint, a, b) == \
+                    reference_components(inst.constraint, a, b), seed
+
+    # Self-loops and a far vertex shape the table; the pair is two matchings.
+    @given(inst=tiny_instances(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_tiny_matchings_match_the_breadth_first_reference(self, inst, data):
+        assume(isinstance(inst.constraint, Matching))
+        matchings = list(iter_feasible_sets(inst))
+        a, b = data.draw(st.sampled_from(matchings)), data.draw(st.sampled_from(matchings))
+        assert _symmetric_difference_components(inst.constraint, a, b) == \
+            reference_components(inst.constraint, a, b)
 
 
 def assert_every_candidate_is_a_solution(inst):

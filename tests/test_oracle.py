@@ -98,20 +98,20 @@ class TestVerifyReplacement:
         eps = Epsilon(1, 4)
         h = profitable_set(inst, eps)
         for s in iter_feasible_sets(inst, max_size=4):
-            report = verify_replacement(inst, eps, s, s & h)
+            report = verify_replacement(inst, eps, s, s & h, h)
             assert report.passed, report.counterexample
 
     def test_empty_replacement_fails_when_profit_is_needed(self):
         inst = free_instance([1, 1], [100, 100], budget=5)
         eps = Epsilon(1, 4)
-        report = verify_replacement(inst, eps, {0, 1}, ())
+        report = verify_replacement(inst, eps, {0, 1}, (), profitable_set(inst, eps))
         assert not report.passed
         assert "profit" in report.counterexample["failed"]
 
     def test_oversized_replacement_fails_cardinality(self):
         inst = free_instance([1, 1, 1], [100, 100, 1], budget=5)
         eps = Epsilon(1, 4)
-        report = verify_replacement(inst, eps, {0}, {1, 2})
+        report = verify_replacement(inst, eps, {0}, {1, 2}, profitable_set(inst, eps))
         assert not report.passed
         assert "cardinality" in report.counterexample["failed"]
 

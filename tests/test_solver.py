@@ -412,6 +412,14 @@ class TestSkeletonBound:
         assert bound.bound((1,), bound.leaf) == 4 + 2
         assert bound.bound((0,), bound.leaf) == 5 + 3
 
+    def test_an_intersection_skeleton_closes_its_own_element(self):
+        # Element 0 is classed and in the pool, so it stays open at every rep
+        # index; F = {0} must not count it a second time.
+        inst = free_instance([1, 1, 1], [9, 4, 2], budget=10)
+        bound = SkeletonBound(inst, frozenset({0, 1, 2}), [0])
+        assert bound.bound([0], 0) == 9 + 4 + 2
+        assert bound.bound([], -1) == 9 + 4 + 2
+
     def test_pruned_plus_residual_solves_is_enumerated(self, monkeypatch):
         solves = []
 
