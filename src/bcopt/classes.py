@@ -165,6 +165,21 @@ def class_index(element: Element, layout: ClassLayout) -> int | None:
     return None if k == 0 or k == last else layout.r_lo - 1 + k
 
 
+def classed(instance: BCInstance, layout: ClassLayout) -> list[Element]:
+    """The elements that lie in some class, in instance order.
+
+    They are those whose :func:`class_index` is not None: p / (2 alpha) in
+    (b_last, b_0], the outer boundaries, decided by the same two integer
+    cross-multiplications, with no class located.
+    """
+    bounds = layout._bounds
+    two_alpha = 2 * layout.alpha
+    top, top_den = two_alpha * bounds.nums[0], bounds.dens[0]
+    low, low_den = two_alpha * bounds.nums[-1], bounds.dens[-1]
+    return [e for e in instance.elements
+            if e.profit * low_den > low and e.profit * top_den <= top]
+
+
 def class_partition(instance: BCInstance, layout: ClassLayout) -> dict[int, frozenset[int]]:
     """Pairwise-disjoint profit classes, keyed by class index.
 

@@ -377,7 +377,8 @@ def _run_verifier(instance: BCInstance, epsilon: Epsilon,
     alpha = oracle.brute_force_opt(working, guard=guard).total_profit
     if prop == "representative":
         rep = rep_set(working, epsilon, alpha=alpha, gamma=oracle.EXACT_GAMMA)
-        return [oracle.verify_representative(working, epsilon, rep.elements, guard=guard)]
+        return [oracle.verify_representative(working, epsilon, rep.elements, alpha,
+                                             guard=guard)]
     if prop == "exchange":
         if alpha == 0:
             return [oracle.VerificationReport("exchange-set", True)]

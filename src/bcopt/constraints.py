@@ -117,6 +117,15 @@ class MatroidIntersection(Constraint):
     def element_ids(self) -> frozenset[int]:
         return self.oracle1.ground_ids
 
+    @cached_property
+    def _rank(self) -> int:
+        """min(r1, r2), the two matroids' ranks of the ground set, found once
+        per constraint by pushing it into a fresh cursor of each; any order
+        gives the rank."""
+        ids = sorted(self.oracle1.ground_ids)
+        return min(sum(map(oracle.cursor().try_push, ids))
+                   for oracle in (self.oracle1, self.oracle2))
+
     def is_feasible(self, subset: Iterable[int]) -> bool:
         s = frozenset(subset)
         return self.oracle1.is_independent(s) and self.oracle2.is_independent(s)
@@ -157,20 +166,23 @@ def size_cap(constraint: Constraint, ids: Iterable[int]) -> int:
 
     For a matching it is floor(|V| / 2), V the endpoints of the edges
     ``ids``: a matching covers two vertices per edge.  For an intersection
-    it is min(r1, r2), the ranks of ``ids`` in the two matroids, each found
-    by pushing ``ids`` into a fresh matroid cursor; any order gives the rank.
-    This is the cardinality row of Caprara, Kellerer, Pferschy and Pisinger
-    (EJOR 2000).  Other constraints get the trivial bound |ids|.  An id
-    outside the constraint raises :class:`UnknownElementError`, as a cursor
-    push would.
+    it is min(r1, r2), the ranks of the whole ground set in the two
+    matroids, which bound the ranks of ``ids``; it is found once per
+    constraint object, so every search on one residual shares it.  This is
+    the cardinality row of Caprara, Kellerer, Pferschy and Pisinger (EJOR
+    2000).  Other constraints get the trivial bound |ids|.  An id outside
+    the constraint raises :class:`UnknownElementError`.
     """
     ids = list(ids)
     if isinstance(constraint, Matching):
         # Bit 0 marks a self-loop, not a vertex.
         return (reduce(or_, conflict_masks(constraint, ids)[0], 0) >> 1).bit_count() // 2
     if isinstance(constraint, MatroidIntersection):
-        return min(sum(map(oracle.cursor().try_push, ids))
-                   for oracle in (constraint.oracle1, constraint.oracle2))
+        ground = constraint.oracle1.ground_ids
+        for eid in ids:
+            if eid not in ground:
+                raise UnknownElementError(eid)
+        return constraint._rank
     return len(ids)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
 from typing import Iterable, Mapping, TYPE_CHECKING
 
@@ -27,15 +26,30 @@ if TYPE_CHECKING:
 MAX_VALUE = 2**63 - 1
 
 
-def _compare_ratios(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
-    return a[0] * b[1] - b[0] * a[1] or a[2] - b[2]
+# ratio_key's scale: the quotient keeps 256 bits below the point, and the
+# id takes the low 64 bits of the key.
+_RATIO_SHIFT = 256
+_ID_BITS = 64
+# The key of an infinity: beyond every finite key, whose magnitude stays
+# below 2^511 + 2^64 while |num| < 2^191.
+_INFINITE_KEY = 1 << 512
 
 
-# Sort key for (num, den, id) triples: num/den ascending, then id ascending,
-# decided by integer cross-multiplication.  den is non-negative; den == 0
-# with num != 0 stands for an infinity of num's sign, and all infinities in
-# one sort must share that sign.
-ratio_key = cmp_to_key(_compare_ratios)
+def ratio_key(num: int, den: int, eid: int) -> int:
+    """Int sort key of num/den ascending, then of the id ``eid`` ascending.
+
+    The key is floor(num * 2^256 / den) * 2^64 + eid.  Two distinct ratios
+    whose denominators are below 2^127 differ by more than 2^-254, so their
+    floors differ and keep the exact order; equal ratios share a floor, and
+    ids below 2^63 then decide.  Every denominator here is a sum of fewer
+    than 2^64 checked values, so it is below 2^127.  den is non-negative;
+    den == 0 with num != 0 stands for an infinity of num's sign, whose key
+    is beyond every finite one while |num| < 2^191, and all infinities in
+    one sort must share that sign.
+    """
+    if den:
+        return ((num << _RATIO_SHIFT) // den << _ID_BITS) + eid
+    return (_INFINITE_KEY if num > 0 else -_INFINITE_KEY) + eid
 
 
 class BCError(Exception):

@@ -6,12 +6,16 @@ q = q(eps).  Each round takes at least one edge that is not a self-loop
 while one is left, so a class of at most 6q edges comes back whole, less
 its self-loops, and no round need be run.  At the eps' = eps/8 of
 :func:`bcopt.solver.solve`, below 1/16, q(eps') exceeds 16^17, so that is
-every class the solver builds.  For matroid-intersection constraints the
-two matroids play asymmetric roles: the first gates which elements may
-extend a branch, the second supplies minimum-cost bases of truncated
-restrictions, and the search over those bases accumulates the exchange set.
-Both grow their greedy sets through the constraints' cursors with
-:func:`bcopt.matroids.greedy_min_cost`.
+every class the solver builds, and :func:`bcopt.repset.rep_set` then
+calls no exchange-set function at all: it runs ``exset_matching`` only on a
+matching of more than 6q elements, or when ``per_class`` is read.  For
+matroid-intersection constraints the two matroids play asymmetric roles:
+the first gates which elements may extend a branch, the second supplies
+minimum-cost bases of truncated restrictions, and the search over those
+bases accumulates the exchange set.  A one-element class {e} comes back
+whole iff {e} is feasible, so ``rep_set`` runs the search only on classes
+of two or more elements.  Both grow their greedy sets through the
+constraints' cursors with :func:`bcopt.matroids.greedy_min_cost`.
 
 The defining guarantee (any bounded feasible set can swap a class element it
 holds for a cheaper-or-equal one inside the exchange set) is checked

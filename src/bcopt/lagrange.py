@@ -95,20 +95,22 @@ def inner_max_weight(instance: BCInstance, lam: Fraction, *,
     weight above it.  Weights are cleared to integers with lambda's
     denominator so the search never touches fractions.  ``_orders`` is the
     calling search's greedy cache; without it the greedy result is computed
-    afresh.
+    afresh, grown through the fresh cache's own cursor.
     """
     num, den = lam.numerator, lam.denominator
     if len(instance.elements) <= EXACT_LIMIT:
         weight = {e.id: e.profit * den - num * e.cost for e in instance.elements}
         return max_weight_feasible_ids(instance, weight)
-    orders = _orders if _orders is not None else _GreedyOrders(instance)
+    fresh = _orders is None
+    orders = _GreedyOrders(instance) if fresh else _orders
     weight = [p * den - num * c for p, c in zip(orders.profits, orders.costs)]
     # Descending weight; the stable sort keeps ascending ids on ties.
     order = tuple(sorted([k for k, w in enumerate(weight) if w > 0],
                          key=weight.__getitem__, reverse=True))
     chosen = orders.sets.get(order)
     if chosen is None:
-        kept, spent = orders.grow(order)
+        # A fresh cache's cursor is still empty; a search's holds its fill.
+        kept, spent = orders.grow(order, cursor=orders.cursor if fresh else None)
         chosen = frozenset([orders.ids[k] for k in kept])
         orders.sets[order] = chosen
         orders.spent[chosen] = spent
@@ -390,7 +392,7 @@ def _density_key(e: Element):
 
     A zero-cost element counts as density profit + 1.
     """
-    return ratio_key((-e.profit, e.cost, e.id) if e.cost else (-e.profit - 1, 1, e.id))
+    return ratio_key(-e.profit, e.cost, e.id) if e.cost else ratio_key(-e.profit - 1, 1, e.id)
 
 
 def _patched(instance: BCInstance, s_minus: frozenset[int], s_plus: frozenset[int],
@@ -421,8 +423,8 @@ def _patched(instance: BCInstance, s_minus: frozenset[int], s_plus: frozenset[in
     elif isinstance(cons, MatroidIntersection):
         # Shrink the over-budget side until affordable: drop elements by
         # ascending profit per cost, zero-cost ones last, ties by id.
-        victims = sorted(s_plus, key=lambda i: ratio_key(
-            (profit[i], cost[i], i) if cost[i] else (1, 0, i)))
+        victims = sorted(s_plus, key=lambda i: ratio_key(profit[i], cost[i], i)
+                         if cost[i] else ratio_key(1, 0, i))
         spent = sum(cost[i] for i in s_plus)
         k = 0
         while k < len(victims) and spent > budget:
@@ -469,4 +471,6 @@ def _component_priority(instance: BCInstance, comp: frozenset[int],
         gain += sign * instance.profit_of[i]
         extra += sign * instance.cost_of[i]
     first = min(comp)
-    return ratio_key((-gain, extra, first) if extra > 0 else (-(gain + 1) * 10**6, 1, first))
+    if extra > 0:
+        return ratio_key(-gain, extra, first)
+    return ratio_key(-(gain + 1) * 10**6, 1, first)

@@ -161,20 +161,21 @@ def verify_replacement(instance: BCInstance, epsilon: Epsilon, s_ids: Iterable[i
 
 
 def verify_representative(instance: BCInstance, epsilon: Epsilon, r_ids: Iterable[int],
-                          threshold_factor: Fraction | None = None,
+                          opt: int, threshold_factor: Fraction | None = None,
                           guard: int = DEFAULT_GUARD) -> VerificationReport:
     """Search for a solution whose profitable part lives inside R.
 
-    Passes iff some solution S with S & H inside R reaches
-    threshold_factor * OPT; the default threshold is (1 - 4 eps).  The search
-    is a brute force over the instance restricted to elements allowed next to
-    R (everything except profitable elements outside R).
+    ``opt`` is the instance's optimal profit, which a caller that built R
+    from it has already found.  Passes iff some solution S with S & H
+    inside R reaches threshold_factor * OPT; the default threshold is
+    (1 - 4 eps).  The search is a brute force over the instance restricted
+    to elements allowed next to R (everything except profitable elements
+    outside R).
     """
     _check_guard(instance, guard)
     r_ids = frozenset(r_ids)
     if threshold_factor is None:
         threshold_factor = 1 - 4 * epsilon.fraction
-    opt = brute_force_opt(instance, guard).total_profit
     if opt == 0:
         return VerificationReport("representative-set", True)
     h = _above(instance, epsilon, opt)

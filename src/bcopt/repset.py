@@ -4,21 +4,34 @@ The representative set of an instance keeps, from every profit class, enough
 elements that some near-optimal solution draws all of its high-profit picks
 from the kept pool.  The solver then only enumerates subsets of this pool.
 
-The solver builds it at eps' = eps/8 < 1/16, where q(eps') > 16^17, so no
-matching class comes near the 6q edges above which
-:func:`~bcopt.exchange.exset_matching` would leave edges out: a matching's
-representative set there is its classed edges less self-loops.  The classes
-themselves are found by :func:`~bcopt.classes.class_partition`, whose float
-boundaries only locate a class that exact integers then decide.
+The classes are found by :func:`~bcopt.classes.class_partition`, whose float
+boundaries only locate a class that exact integers then decide.  Two kinds
+of class need no search:
+
+- On a matching of at most 6q elements, q = q(eps), every class holds at
+  most 6q edges, so :func:`~bcopt.exchange.exset_matching` returns each
+  class whole, less its self-loops.  The representative set is then the
+  classed edges less self-loops, found by :func:`~bcopt.classes.classed`,
+  two integer comparisons per element and no partition; ``per_class`` is
+  built only when read.  The solver builds the set at
+  eps' = eps/8 < 1/16, where q(eps') > 16^17, so every solve takes this
+  path.
+- On an intersection, a one-element class {e} is its own exchange set iff
+  {e} is feasible: the search's root branch keeps e iff both matroids accept
+  it, and its one child holds the whole class.  So one singleton test
+  answers it, and :func:`~bcopt.exchange.exset_matroid_intersection` runs
+  only on classes of two or more elements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable
 
 from .core import BCInstance, Epsilon
-from .classes import ClassLayout, class_partition, q_of
+from .classes import ClassLayout, class_partition, classed, q_of
 from .constraints import Matching
 from .exchange import exset_matching, exset_matroid_intersection
 from .lagrange import GAMMA, approx_opt
@@ -31,11 +44,18 @@ class RepresentativeSet:
     elements: frozenset[int]
     alpha: int
     layout: ClassLayout | None
-    per_class: dict[int, frozenset[int]]
+    # Returns ``per_class``, which is built on its first read.
+    _per_class: Callable[[], dict[int, frozenset[int]]] = field(
+        default=dict, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def per_class(self) -> dict[int, frozenset[int]]:
+        """The exchange set of each non-empty class, in ascending class order."""
+        return self._per_class()
 
 
 def rep_set(instance: BCInstance, epsilon: Epsilon, *, alpha: int | None = None,
@@ -52,24 +72,36 @@ def rep_set(instance: BCInstance, epsilon: Epsilon, *, alpha: int | None = None,
     if alpha is None:
         alpha = approx_opt(instance).total_profit
     if alpha == 0:
-        return RepresentativeSet(frozenset(), 0, None, {})
+        return RepresentativeSet(frozenset(), 0, None)
     layout = ClassLayout(epsilon, alpha, gamma)
-    partition = class_partition(instance, layout)
-    is_matching = isinstance(instance.constraint, Matching)
-
-    def build(r: int) -> frozenset[int]:
-        ids = partition[r]
-        if is_matching:
-            return exset_matching(instance, layout, ids)
-        return exset_matroid_intersection(instance, layout, ids)
-
-    per_class = {r: build(r) for r in sorted(partition)}
-    elements = frozenset().union(*per_class.values())
-
     q = q_of(epsilon)
-    if is_matching:
+    if isinstance(instance.constraint, Matching):
+        if len(instance.elements) <= 6 * q:
+            edges = instance.constraint.edges
+            elements = frozenset([e.id for e in classed(instance, layout)
+                                  if edges[e.id][0] != edges[e.id][1]])
+            return RepresentativeSet(elements, alpha, layout,
+                                     lambda: _matching_classes(instance, layout))
+        per_class = _matching_classes(instance, layout)
+        elements = frozenset().union(*per_class.values())
         assert all(len(ex) <= 18 * q * q for ex in per_class.values())
         assert len(elements) <= layout.class_count * 18 * q * q
         if layout.gamma == 2:
             assert len(elements) <= 54 * q**3, "representative-set size bound violated"
-    return RepresentativeSet(elements, alpha, layout, per_class)
+    else:
+        feasible = instance.constraint.is_feasible
+        per_class = {}
+        for r, ids in sorted(class_partition(instance, layout).items()):
+            if len(ids) > 1:
+                per_class[r] = exset_matroid_intersection(instance, layout, ids)
+            else:
+                per_class[r] = ids if feasible(ids) else frozenset()
+        elements = frozenset().union(*per_class.values())
+    return RepresentativeSet(elements, alpha, layout, per_class.copy)
+
+
+def _matching_classes(instance: BCInstance,
+                      layout: ClassLayout) -> dict[int, frozenset[int]]:
+    """Each class's :func:`~bcopt.exchange.exset_matching`, in ascending class order."""
+    return {r: exset_matching(instance, layout, ids)
+            for r, ids in sorted(class_partition(instance, layout).items())}

@@ -197,7 +197,8 @@ class SkeletonBound:
     also be in the pool).  An element is blocked when it is in F or, for a
     matching, when it touches F's vertices.  For a matroid intersection
     every extension S of F has F | S independent in both matroids, so
-    |S| <= r - |F| with r = min(r1, r2), its ``size_cap``; the bound is then
+    |S| <= r - |F| with r = min(r1, r2), its ``size_cap``, found once per
+    constraint and shared with the exact searches on it; the bound is then
     the smaller of the knapsack and the r - |F| largest unblocked profits.
 
     At ``leaf = len(rep) - 1`` only the pool is open, so ``bound(F, leaf)``
@@ -223,7 +224,7 @@ class SkeletonBound:
         ids = [e.id for e in instance.elements]
         self._rank = None
         if isinstance(cons, MatroidIntersection):
-            self._rank = size_cap(cons, instance.sorted_ids())
+            self._rank = size_cap(cons, cons.element_ids())
             self._mask = {eid: 1 << k for k, eid in enumerate(ids)}
         else:
             self._mask = dict(zip(ids, conflict_masks(cons, ids)[0]))
@@ -238,7 +239,7 @@ class SkeletonBound:
         items = [e for e in instance.elements if e.id in until and e.profit > 0]
         # Densest first; a zero-cost element's (-profit, 0) is minus infinity.
         # The fractional knapsack does not depend on how equal densities tie.
-        items.sort(key=lambda e: ratio_key((-e.profit, e.cost, e.id)))
+        items.sort(key=lambda e: ratio_key(-e.profit, e.cost, e.id))
         self._order = [(e.cost, e.profit, self._mask[e.id], until[e.id]) for e in items]
         if self._rank is not None:
             # Largest profit first; how equal profits tie cannot change a sum.

@@ -118,6 +118,18 @@ class BareOracle(MatroidOracle):
         return self._inner.is_independent(subset)
 
 
+class CountingCursors(BareOracle):
+    """A bare oracle that counts the cursors built on it."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.cursors = 0
+
+    def cursor(self):
+        self.cursors += 1
+        return super().cursor()
+
+
 @pytest.fixture(scope="session", autouse=True)
 def children_import_this_checkout():
     """CLI tests start ``python -m bcopt.cli``; pytest's ``pythonpath`` setting

@@ -63,7 +63,8 @@ def test_criterion_2_representative_property(main_corpus):
         for name, inst in main_corpus:
             working = preprocess_discard(inst)
             rep = rep_set(working, eps)  # default lagrangian estimate
-            report = verify_representative(working, eps, rep.elements)
+            report = verify_representative(working, eps, rep.elements,
+                                               brute_force_opt(working).total_profit)
             if not report.passed:
                 violations.append((name, str(eps), report.counterexample))
     assert not violations, f"representative violations: {violations[:5]}"

@@ -10,6 +10,7 @@ from bcopt.classes import (
     _class_bounds,
     class_index,
     class_partition,
+    classed,
     q_of,
     small_profit_pool,
 )
@@ -288,3 +289,27 @@ def test_class_index_on_and_beside_exact_boundaries(gamma, m):
         # class k + 1 exists: half-open intervals ((3/4)^r, (3/4)^(r-1)].
         on = class_index(Element(0, 0, 3**k * m), layout)
         assert on == (k + 1 if k + 1 <= layout.r_hi else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eps=st.sampled_from(LOCATOR_EPSILONS + [Epsilon(1, 3), Epsilon(1, 32 * 8)]),
+    gamma=st.sampled_from([Fraction(2), Fraction(4), Fraction(9, 2)]),
+    alpha=st.integers(min_value=1, max_value=10**6),
+    profits=st.lists(st.integers(min_value=0, max_value=10**7), max_size=12),
+    scale=st.integers(min_value=1, max_value=50),
+)
+def test_classed_keeps_the_elements_with_a_class(eps, gamma, alpha, profits, scale):
+    """``classed`` is the elements whose ``class_index`` is not None, in
+    instance order, also exactly on and one unit beside the outer boundaries."""
+    layout = ClassLayout(eps, alpha, gamma)
+    inst = free_instance([0] * len(profits), profits)
+    assert classed(inst, layout) == [e for e in inst.elements
+                                     if class_index(e, layout) is not None]
+    for b in (layout.boundaries[0], layout.boundaries[-1]):
+        if 2 * b.numerator * scale + 1 > MAX_VALUE:
+            continue
+        on_boundary = ClassLayout(eps, b.denominator * scale, gamma)
+        inst = free_instance([0] * 3, [2 * b.numerator * scale + step for step in (-1, 0, 1)])
+        assert classed(inst, on_boundary) == [e for e in inst.elements
+                                              if class_index(e, on_boundary) is not None]

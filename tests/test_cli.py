@@ -439,9 +439,10 @@ class TestVerifyCmd:
             assert code == EXIT_OK, (prop, err)
 
     # replacement: H once, for every bounded feasible S.  representative:
-    # alpha in the CLI, OPT in the verifier, then the instance restricted to R.
+    # alpha = OPT in the CLI, handed to the verifier, then the instance
+    # restricted to R.
     @pytest.mark.parametrize("prop,name,calls", [("replacement", "replacement", 1),
-                                                 ("representative", "representative-set", 3)])
+                                                 ("representative", "representative-set", 2)])
     def test_brute_force_runs_a_fixed_number_of_times(self, tmp_path, capsys, monkeypatch,
                                                        prop, name, calls):
         seen = []

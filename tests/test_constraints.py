@@ -10,10 +10,13 @@ from bcopt.core import UnknownElementError
 from bcopt.constraints import (
     Matching, MatroidIntersection, conflict_masks, residual_constraint, size_cap,
 )
-from bcopt.matroids import UniformMatroid
+from bcopt.core import BCInstance, Element
+from bcopt.enumeration import max_weight_feasible_ids
+from bcopt.matroids import PartitionMatroid, UniformMatroid
 from bcopt.oracle import is_bounded_feasible, iter_feasible_sets
+from bcopt.solver import SkeletonBound
 
-from conftest import random_matroid, tiny_instances
+from conftest import CountingCursors, random_matroid, tiny_instances
 
 
 def all_subsets(ids):
@@ -226,3 +229,37 @@ class TestOneMaskTablePerMatching:
             blocked = {v for i in fixed for v in m.edges[i]}
             assert residual_constraint(m, fixed).edges == {
                 i: uv for i, uv in m.edges.items() if i not in fixed and not blocked & set(uv)}
+
+
+class TestOneRankPerIntersection:
+    def counted_intersection(self):
+        ids = frozenset(range(6))
+        o1 = CountingCursors(UniformMatroid(ids, 4))
+        o2 = CountingCursors(PartitionMatroid(ids, [frozenset({0, 1, 2}), frozenset({3, 4, 5})],
+                                              [1, 2]))
+        return MatroidIntersection(o1, o2), o1, o2
+
+    def test_the_rank_of_the_ground_set_is_found_once(self):
+        cons, o1, o2 = self.counted_intersection()
+        # min(r1, r2) = min(4, 1 + 2) of the ground set, also for a subset.
+        assert [size_cap(cons, ids) for ids in ([0, 3], [], range(6), [5])] == [3] * 4
+        assert (o1.cursors, o2.cursors) == (1, 1)
+        # A restriction or a residual is a new constraint with its own rank.
+        assert size_cap(cons.restrict({0, 1, 3}), [0]) == 2
+        assert size_cap(residual_constraint(cons, {3}), [0]) == 2
+
+    def test_the_skeleton_bound_and_the_exact_search_share_it(self):
+        cons, o1, o2 = self.counted_intersection()
+        inst = BCInstance(tuple(Element(i, 1, i + 1) for i in range(6)), cons, 4)
+        SkeletonBound(inst, inst.ids, [])
+        assert (o1.cursors, o2.cursors) == (1, 1)
+        # The search builds one intersection cursor and no second rank.
+        assert max_weight_feasible_ids(inst, inst.profit_of) == {2, 4, 5}
+        assert (o1.cursors, o2.cursors) == (2, 2)
+
+    def test_unknown_ids_are_refused(self):
+        cons, _, _ = self.counted_intersection()
+        with pytest.raises(UnknownElementError):
+            size_cap(cons, [0, 9])
+        with pytest.raises(UnknownElementError):
+            size_cap(residual_constraint(cons, {3}), [3])

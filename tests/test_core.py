@@ -1,7 +1,9 @@
 import itertools
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bcopt.core import (
     BCInstance,
@@ -12,6 +14,7 @@ from bcopt.core import (
     UnknownElementError,
     is_solution,
     preprocess_discard,
+    ratio_key,
 )
 from bcopt.constraints import Matching, MatroidIntersection
 from bcopt.matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
@@ -276,3 +279,58 @@ class TestSolution:
             Solution.build(inst, (0, 1))
         with pytest.raises(Exception):
             Solution.build(triangle_matching(costs=(5, 5, 5), budget=1), (0,))
+
+
+def cross_multiplied(a, b):
+    """num/den ascending, then id, by integer cross-multiplication; den == 0
+    stands for an infinity of num's sign."""
+    return a[0] * b[1] - b[0] * a[1] or a[2] - b[2]
+
+
+CHECKED = st.integers(0, 2**63 - 1)
+
+
+@st.composite
+def ratio_lists(draw):
+    """(num, den, id) triples: values from 0 to 2^63 - 1, num of either sign,
+    den == 0 (whose infinities share one sign) and equal ratios included."""
+    infinity_sign = draw(st.sampled_from([-1, 1]))
+    triples = []
+    for _ in range(draw(st.integers(1, 8))):
+        num, den = draw(CHECKED), draw(st.one_of(st.just(0), st.integers(1, 3), CHECKED))
+        if triples and draw(st.booleans()):
+            # A multiple of an earlier ratio, within the checked range.
+            num, den = triples[draw(st.integers(0, len(triples) - 1))][:2]
+            k = draw(st.integers(1, max(1, (2**63 - 1) // max(abs(num), den, 1))))
+            num, den = num * k, den * k
+        elif den:
+            num *= draw(st.sampled_from([-1, 1]))
+        else:
+            assume(num)
+            num *= infinity_sign
+        triples.append((num, den, draw(CHECKED)))
+    return triples
+
+
+class TestRatioKey:
+    @given(triples=ratio_lists())
+    @settings(max_examples=500, deadline=None)
+    def test_int_key_orders_as_cross_multiplication(self, triples):
+        keys = [ratio_key(*t) for t in triples]
+        for a, ka in zip(triples, keys):
+            for b, kb in zip(triples, keys):
+                diff = cross_multiplied(a, b)
+                assert (ka > kb) - (ka < kb) == (diff > 0) - (diff < 0), (a, b)
+        assert sorted(triples, key=lambda t: ratio_key(*t)) == \
+            sorted(triples, key=cmp_to_key(cross_multiplied))
+
+    def test_close_ratios_with_large_denominators(self):
+        # Neighbours near 2^63 that differ by 1 / (d (d - 1)) < 2^-125; the ids
+        # favour the other order, so only an exact ratio order passes.
+        d = 2**63 - 1
+        assert ratio_key(d - 2, d - 1, 1) < ratio_key(d - 1, d, 0)
+        assert ratio_key(-(d - 1), d, 1) < ratio_key(-(d - 2), d - 1, 0)
+        # Equal ratios tie by id; infinities lie beyond large finite ratios.
+        assert ratio_key(6, 4, 5) < ratio_key(3, 2, 6) < ratio_key(1, 0, 0)
+        assert ratio_key(-1, 0, 9) < ratio_key(-(2**127), 1, 0)
+        assert ratio_key(1, 0, 0) > ratio_key(2**127, 1, 2**63 - 1)

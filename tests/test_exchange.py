@@ -15,7 +15,7 @@ from bcopt.matroids import (
 )
 from bcopt.oracle import extension_candidates, is_semi_shift, is_shift, verify_exchange_set
 
-from conftest import BareOracle, make_elements, random_matroid
+from conftest import BareOracle, CountingCursors, make_elements, random_matroid
 
 
 def matching_instance(edges, costs, profits, budget=10**9):
@@ -243,18 +243,6 @@ class TestExsetMatroidIntersection:
         monkeypatch.setattr(bcopt.exchange, "BRANCH_BUDGET", 2**6)
         ex = exset_matroid_intersection(inst, layout, ids)
         assert ex == ids
-
-
-class CountingCursors(BareOracle):
-    """A bare oracle that counts the cursors built on it."""
-
-    def __init__(self, inner):
-        super().__init__(inner)
-        self.cursors = 0
-
-    def cursor(self):
-        self.cursors += 1
-        return super().cursor()
 
 
 class TestSkippedBranches:

@@ -196,6 +196,25 @@ class TestInnerOracle:
         assert inst.constraint.is_feasible(ids)
 
 
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(0)])
+    def test_an_uncached_greedy_probe_builds_one_cursor(self, monkeypatch, lam):
+        # 40 elements, above the exact limit: the probe grows through the
+        # cursor of its own fresh cache, the one cursor it builds.
+        inst = generate_instance(2, 40, "matroid-intersection", budget_percent=20)
+        built = []
+        original = MatroidIntersection.cursor
+
+        def counting_cursor(self):
+            built.append(self)
+            return original(self)
+
+        monkeypatch.setattr(MatroidIntersection, "cursor", counting_cursor)
+        got = inner_max_weight(inst, lam)
+        assert len(built) == 1
+        monkeypatch.undo()
+        assert got == reference_greedy_inner(inst, lam)
+
+
 # --- reference: the greedy oracle and candidate search without the order cache
 
 

@@ -119,21 +119,24 @@ class TestVerifyReplacement:
 class TestVerifyRepresentative:
     def test_whole_ground_set_passes(self):
         inst = preprocess_discard(generate_instance(3, 9, "matching"))
-        assert verify_representative(inst, Epsilon(1, 4), inst.ids).passed
+        assert verify_representative(inst, Epsilon(1, 4), inst.ids,
+                                     brute_force_opt(inst).total_profit).passed
 
     def test_opt_zero_vacuous(self):
         inst = free_instance([1], [0], budget=5)
-        assert verify_representative(inst, Epsilon(1, 4), frozenset()).passed
+        assert verify_representative(inst, Epsilon(1, 4), frozenset(), 0).passed
 
     def test_rep_set_output_passes(self):
         inst = preprocess_discard(generate_instance(23, 10, "matroid-intersection"))
         eps = Epsilon(1, 4)
         rep = exact_rep_set(inst, eps)
-        assert verify_representative(inst, eps, rep.elements).passed
+        # exact_rep_set's alpha is OPT.
+        assert verify_representative(inst, eps, rep.elements, rep.alpha).passed
 
     def test_empty_r_fails_when_high_profit_is_essential(self):
         inst = free_instance([1, 1], [100, 1], budget=5)
-        report = verify_representative(inst, Epsilon(1, 8), frozenset())
+        report = verify_representative(inst, Epsilon(1, 8), frozenset(),
+                                       brute_force_opt(inst).total_profit)
         assert not report.passed
 
 
