@@ -33,8 +33,8 @@ from .classes import ClassLayout, class_index, class_partition, q_of, small_prof
 from .exchange import exset_matching, exset_matroid_intersection
 from .lagrange import approx_opt, non_profitable_solver
 from .repset import RepresentativeSet, rep_set
-from .solver import SolveConfig, residual_instance, solve
-from .oracle import brute_force_opt, profitable_set, weak_exchange_extend
+from .solver import SolveConfig, solve
+from .oracle import brute_force_opt, profitable_set
 
 __all__ = [
     "BCError",
@@ -68,8 +68,6 @@ __all__ = [
     "profitable_set",
     "q_of",
     "rep_set",
-    "residual_instance",
     "small_profit_pool",
     "solve",
-    "weak_exchange_extend",
 ]

@@ -357,15 +357,6 @@ def _run_verifier(instance: BCInstance, epsilon: Epsilon,
                                        force_heuristic=args.force_heuristic)]
 
     working = preprocess_discard(instance)
-    if prop == "replacement":
-        h = oracle.profitable_set(working, epsilon, guard=guard)
-        q = q_of(epsilon)
-        for s in oracle.iter_feasible_sets(working, max_size=min(q, len(working.elements))):
-            report = oracle.verify_replacement(working, epsilon, s, s & h, h)
-            if not report.passed:
-                return [report]
-        return [oracle.VerificationReport("replacement", True)]
-
     if prop == "exchange" and args.x_ids is not None:
         # The class indices do not depend on alpha, so they are checked first.
         bounds = _class_bounds(epsilon, oracle.EXACT_GAMMA)
@@ -375,6 +366,8 @@ def _run_verifier(instance: BCInstance, epsilon: Epsilon,
 
     # The classes are built from the exact optimum, under the guard.
     alpha = oracle.brute_force_opt(working, guard=guard).total_profit
+    if prop == "replacement":
+        return [_check_replacement(working, epsilon, alpha, guard)]
     if prop == "representative":
         rep = rep_set(working, epsilon, alpha=alpha, gamma=oracle.EXACT_GAMMA)
         return [oracle.verify_representative(working, epsilon, rep.elements, alpha,
@@ -391,6 +384,32 @@ def _run_verifier(instance: BCInstance, epsilon: Epsilon,
                    for r, ex in rep.per_class.items()]
         return reports or [oracle.VerificationReport("exchange-set", True)]
     raise InvalidParameterError(f"unknown property {prop!r}")
+
+
+def _check_replacement(working: BCInstance, epsilon: Epsilon, alpha: int,
+                       guard: int) -> oracle.VerificationReport:
+    """Every bounded feasible S has a replacement Z of S & H drawn from R.
+
+    R is the representative set built from ``alpha`` = OPT; Z is the
+    substitution :func:`oracle.find_substitution` finds in R, checked by
+    :func:`oracle.verify_replacement`.  A counterexample names S and Z, with
+    Z null when R holds no substitution.
+    """
+    if alpha == 0:  # H is empty, so Z = {} replaces every S
+        return oracle.VerificationReport("replacement", True)
+    rep = rep_set(working, epsilon, alpha=alpha, gamma=oracle.EXACT_GAMMA)
+    h = oracle._above(working, epsilon, alpha)
+    q = q_of(epsilon)
+    for s in oracle.iter_feasible_sets(working, max_size=min(q, len(working.elements))):
+        z = oracle.find_substitution(working, rep.layout, s, rep.elements, h, guard=guard)
+        if z is None:
+            return oracle.VerificationReport(
+                "replacement", False,
+                {"s": sorted(s), "z": None, "failed": ["no substitution in R"]})
+        report = oracle.verify_replacement(working, epsilon, s, z, h)
+        if not report.passed:
+            return report
+    return oracle.VerificationReport("replacement", True)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

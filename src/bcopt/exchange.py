@@ -4,17 +4,11 @@ For matching constraints the exchange set is a union of bounded greedy
 matchings drawn from the class: at most 6q rounds of at most 3q edges each,
 q = q(eps).  Each round takes at least one edge that is not a self-loop
 while one is left, so a class of at most 6q edges comes back whole, less
-its self-loops, and no round need be run.  At the eps' = eps/8 of
-:func:`bcopt.solver.solve`, below 1/16, q(eps') exceeds 16^17, so that is
-every class the solver builds, and :func:`bcopt.repset.rep_set` then
-calls no exchange-set function at all: it runs ``exset_matching`` only on a
-matching of more than 6q elements, or when ``per_class`` is read.  For
-matroid-intersection constraints the two matroids play asymmetric roles:
-the first gates which elements may extend a branch, the second supplies
-minimum-cost bases of truncated restrictions, and the search over those
-bases accumulates the exchange set.  A one-element class {e} comes back
-whole iff {e} is feasible, so ``rep_set`` runs the search only on classes
-of two or more elements.  Both grow their greedy sets through the
+its self-loops.  For matroid-intersection constraints the two matroids play
+asymmetric roles: the first gates which elements may extend a branch, the
+second supplies minimum-cost bases of truncated restrictions, and the search
+over those bases accumulates the exchange set; a one-element class {e} comes
+back whole iff {e} is feasible.  Both grow their greedy sets through the
 constraints' cursors with :func:`bcopt.matroids.greedy_min_cost`.
 
 The defining guarantee (any bounded feasible set can swap a class element it
@@ -46,15 +40,12 @@ def exset_matching(instance: BCInstance, layout: ClassLayout,
     A round keeps the first edge it meets that is not a self-loop, so while
     one is left every round takes at least one.  A class of at most k edges
     is therefore used up by the rounds, less its self-loops, which no
-    matching holds; that set is returned without running them.
+    matching holds.
     """
     graph = instance.constraint
     if not isinstance(graph, Matching):
         raise BCError("exset_matching requires a matching constraint")
     q = q_of(layout.epsilon)
-    if len(class_ids) <= 6 * q:
-        edges = graph.edges
-        return frozenset([e for e in class_ids if edges[e][0] != edges[e][1]])
     pool = set(class_ids)
     union: set[int] = set()
     for _ in range(6 * q):

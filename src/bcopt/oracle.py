@@ -1,10 +1,10 @@
-"""Exact brute-force solver, exhaustive definitional verifiers and analysis predicates.
+"""Exact brute-force solver and exhaustive definitional verifiers.
 
 The solvers and verifiers are exponential and guarded by instance size.  These
-routines, and the predicates and constructions from the analysis (bounded
-feasibility, shifts, extension candidates, exchange witnesses, weak-exchange
-extensions), are the ground truth the test suite measures the real algorithms
-against; the solver path never calls them.
+routines, and the constructions the verifiers rest on (bounded feasibility,
+substitutions drawn from a representative set, weak-exchange extensions),
+are the ground truth that ``bcopt verify`` and the test suite measure the
+real algorithms against; the solver path never calls them.
 """
 
 from __future__ import annotations
@@ -195,20 +195,20 @@ def verify_representative(instance: BCInstance, epsilon: Epsilon, r_ids: Iterabl
     )
 
 
-def find_substitution(instance: BCInstance, epsilon: Epsilon, layout: ClassLayout,
-                      g_ids: Iterable[int], r_ids: Iterable[int],
+def find_substitution(instance: BCInstance, layout: ClassLayout, g_ids: Iterable[int],
+                      r_ids: Iterable[int], h: frozenset[int],
                       guard: int = DEFAULT_GUARD) -> frozenset[int] | None:
     """Exhaustively search R for a substitution of the bounded feasible set G.
 
-    A substitution swaps the profitable part of G class-for-class: same
-    per-class counts, no more cost, disjoint from the non-profitable part,
-    and the blend stays bounded feasible.  Returns one substitution drawn
-    from R, or None if none exists.
+    A substitution swaps the profitable part of G, its elements in
+    H = :func:`profitable_set`, class-for-class: same per-class counts, no
+    more cost, disjoint from the non-profitable part, and the blend stays
+    bounded feasible.  A caller checking many G finds H once.  Returns one
+    substitution drawn from R, or None if none exists.
     """
     _check_guard(instance, guard)
     g_ids, r_ids = frozenset(g_ids), frozenset(r_ids)
     q = q_of(layout.epsilon)
-    h = profitable_set(instance, epsilon, guard)
     partition = class_partition(instance, layout)
     keep = g_ids - h
     classed_profitable = [
@@ -229,66 +229,6 @@ def find_substitution(instance: BCInstance, epsilon: Epsilon, layout: ClassLayou
         if is_bounded_feasible(cons, keep | z, q):
             return z
     return None
-
-
-def extension_candidates(branch: Iterable[int], class_ids: Iterable[int],
-                         oracle1: MatroidOracle) -> frozenset[int]:
-    """Class elements that extend the branch independently in the first matroid."""
-    current = frozenset(branch)
-    return frozenset(
-        e for e in frozenset(class_ids) - current
-        if oracle1.is_independent(current | {e})
-    )
-
-
-def is_shift(instance: BCInstance, delta: Iterable[int], a: int, b: int, q: int) -> bool:
-    """b replaces a in delta preserving both matroids, cost-non-increasingly."""
-    delta, cons = _check_shift_args(instance, delta, a, b, q)
-    if instance.cost_of[b] > instance.cost_of[a]:
-        return False
-    swapped = (delta - {a}) | {b}
-    return is_bounded_feasible(cons, swapped, q)
-
-
-def is_semi_shift(instance: BCInstance, delta: Iterable[int], a: int, b: int, q: int) -> bool:
-    """b replaces a preserving only the second matroid (the first breaks)."""
-    delta, cons = _check_shift_args(instance, delta, a, b, q)
-    if instance.cost_of[b] > instance.cost_of[a]:
-        return False
-    swapped = (delta - {a}) | {b}
-    if len(swapped) > q or not cons.oracle2.is_independent(swapped):
-        return False
-    return not cons.oracle1.is_independent(swapped)
-
-
-def _check_shift_args(instance: BCInstance, delta: Iterable[int], a: int, b: int,
-                      q: int) -> tuple[frozenset[int], MatroidIntersection]:
-    cons = instance.constraint
-    if not isinstance(cons, MatroidIntersection):
-        raise BCError("shift predicates require a matroid-intersection constraint")
-    delta = frozenset(delta)
-    if a not in delta:
-        raise BCError("a must belong to delta")
-    if b in delta:
-        raise BCError("b must lie outside delta")
-    if not is_bounded_feasible(cons, delta, q):
-        raise BCError("delta must be bounded feasible")
-    return delta, cons
-
-
-def exchange_witness(oracle: MatroidOracle, a_set: frozenset[int], b_set: frozenset[int], a: int) -> int:
-    """Exhibit b in B - A with A - a + b independent.
-
-    Requires A, B independent, a in A - B and B + a dependent; such a b
-    always exists for a genuine matroid.
-    """
-    if a not in a_set or a in b_set:
-        raise BCError("need a in A \\ B")
-    reduced = a_set - {a}
-    for b in sorted(b_set - a_set):
-        if oracle.is_independent(reduced | {b}):
-            return b
-    raise BCError("no exchange witness found (is the oracle really a matroid?)")
 
 
 def check_matroid_axioms(oracle: MatroidOracle, guard: int = 12) -> VerificationReport:

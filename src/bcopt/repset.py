@@ -9,11 +9,12 @@ boundaries only locate a class that exact integers then decide.  Two kinds
 of class need no search:
 
 - On a matching of at most 6q elements, q = q(eps), every class holds at
-  most 6q edges, so :func:`~bcopt.exchange.exset_matching` returns each
-  class whole, less its self-loops.  The representative set is then the
-  classed edges less self-loops, found by :func:`~bcopt.classes.classed`,
-  two integer comparisons per element and no partition; ``per_class`` is
-  built only when read.  The solver builds the set at
+  most 6q edges, so the greedy rounds of
+  :func:`~bcopt.exchange.exset_matching` use each class up, less its
+  self-loops.  The representative set is then the classed edges less
+  self-loops, found by :func:`~bcopt.classes.classed`, two integer
+  comparisons per element and no partition; ``per_class``, which runs the
+  rounds, is built only when read.  The solver builds the set at
   eps' = eps/8 < 1/16, where q(eps') > 16^17, so every solve takes this
   path.
 - On an intersection, a one-element class {e} is its own exchange set iff
@@ -84,7 +85,6 @@ def rep_set(instance: BCInstance, epsilon: Epsilon, *, alpha: int | None = None,
                                      lambda: _matching_classes(instance, layout))
         per_class = _matching_classes(instance, layout)
         elements = frozenset().union(*per_class.values())
-        assert all(len(ex) <= 18 * q * q for ex in per_class.values())
         assert len(elements) <= layout.class_count * 18 * q * q
         if layout.gamma == 2:
             assert len(elements) <= 54 * q**3, "representative-set size bound violated"

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from bcopt.core import BCInstance, Element
+from bcopt.core import BCError, BCInstance, Element
 from bcopt.cli import generate_instance
 from bcopt.constraints import Matching, MatroidIntersection
 from bcopt.matroids import GraphicMatroid, MatroidOracle, PartitionMatroid, UniformMatroid
@@ -101,6 +101,21 @@ def exact_rep_set(instance, epsilon):
     (gamma = 2): the layout the paper's class-count and size bounds assume."""
     alpha = oracle.brute_force_opt(instance).total_profit
     return rep_set(instance, epsilon, alpha=alpha, gamma=Fraction(2))
+
+
+def exchange_witness(oracle: MatroidOracle, a_set: frozenset[int], b_set: frozenset[int], a: int) -> int:
+    """Exhibit b in B - A with A - a + b independent.
+
+    Requires A, B independent, a in A - B and B + a dependent; such a b
+    always exists for a genuine matroid.
+    """
+    if a not in a_set or a in b_set:
+        raise BCError("need a in A \\ B")
+    reduced = a_set - {a}
+    for b in sorted(b_set - a_set):
+        if oracle.is_independent(reduced | {b}):
+            return b
+    raise BCError("no exchange witness found (is the oracle really a matroid?)")
 
 
 class BareOracle(MatroidOracle):

@@ -23,7 +23,6 @@ from bcopt.lagrange import GAMMA, approx_opt, non_profitable_solver
 from bcopt.matroids import greedy_min_cost
 from bcopt.oracle import (
     brute_force_opt,
-    exchange_witness,
     verify_exchange_set,
     verify_representative,
     weak_exchange_extend,
@@ -31,7 +30,7 @@ from bcopt.oracle import (
 from bcopt.repset import rep_set
 from bcopt.solver import solve
 
-from conftest import exact_rep_set, random_matroid
+from conftest import exact_rep_set, exchange_witness, random_matroid
 
 
 def _report(criterion: str, detail: str = "") -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import subprocess
@@ -23,7 +24,7 @@ from bcopt.cli import (
     load_instance,
     main,
 )
-from bcopt.core import InvalidParameterError
+from bcopt.core import Epsilon, InvalidParameterError, preprocess_discard
 
 
 def run_cli(args):
@@ -438,7 +439,33 @@ class TestVerifyCmd:
                                       "--property", prop])
             assert code == EXIT_OK, (prop, err)
 
-    # replacement: H once, for every bounded feasible S.  representative:
+    def test_replacement_reads_the_representative_set(self, tmp_path, capsys, monkeypatch):
+        # With R emptied, the first bounded feasible S holding a profitable
+        # element has no substitution in R, and the record names it.  At
+        # eps = 1/4 this file has no profitable element; at 1/10 it has seven.
+        inst = generate_instance(7, 14, "matching")
+        path = write_instance(tmp_path, inst)
+        args = ["verify", str(path), "--epsilon", "1/10", "--property", "replacement"]
+        assert main(args) == EXIT_OK
+        capsys.readouterr()
+        rep_set = bcopt.cli.rep_set
+
+        def emptied(*args, **kwargs):
+            return dataclasses.replace(rep_set(*args, **kwargs), elements=frozenset())
+
+        monkeypatch.setattr(bcopt.cli, "rep_set", emptied)
+        assert main(args) == EXIT_VERIFY_FAILED
+        working = preprocess_discard(inst)
+        h = bcopt.oracle.profitable_set(working, Epsilon(1, 10))
+        first = next(s for s in bcopt.oracle.iter_feasible_sets(working) if s & h)
+        assert json.loads(capsys.readouterr().out) == {
+            "property": "replacement", "passed": False,
+            "counterexample": {"s": sorted(first), "z": None,
+                               "failed": ["no substitution in R"]},
+        }
+
+    # replacement: OPT once, which gives H and R, for every bounded feasible
+    # S.  representative:
     # alpha = OPT in the CLI, handed to the verifier, then the instance
     # restricted to R.
     @pytest.mark.parametrize("prop,name,calls", [("replacement", "replacement", 1),

@@ -13,7 +13,7 @@ from bcopt.matroids import (
     UniformMatroid,
     greedy_min_cost,
 )
-from bcopt.oracle import extension_candidates, is_semi_shift, is_shift, verify_exchange_set
+from bcopt.oracle import verify_exchange_set
 
 from conftest import BareOracle, CountingCursors, make_elements, random_matroid
 
@@ -119,8 +119,9 @@ def exset_matching_by_rounds(instance, layout, class_ids):
 
 
 class TestExsetMatchingAgainstTheRounds:
-    # q(49/100) = 9, so classes above 54 edges keep the rounds; q(2/5) = 16
-    # and q(1/3) = 27 put the same graphs below 6q.
+    # q(49/100) = 9, so classes above 54 edges outlast the rounds; q(2/5) = 16
+    # and q(1/3) = 27 put the same graphs below 6q, where the rounds use the
+    # class up, less its self-loops: the filter rep_set applies instead.
     @pytest.mark.parametrize("eps", [Epsilon(49, 100), Epsilon(2, 5), Epsilon(1, 3)])
     def test_random_matchings_with_self_loops(self, eps):
         rng = random.Random(2201)
@@ -136,8 +137,10 @@ class TestExsetMatchingAgainstTheRounds:
             inst = matching_instance(edges, [rng.randint(0, 5) for _ in range(n)], [10] * n)
             class_ids = frozenset(i for i in range(n) if rng.random() < 0.9)
             sizes.add(len(class_ids) <= 6 * q_of(eps))
-            assert exset_matching(inst, layout, class_ids) == \
-                exset_matching_by_rounds(inst, layout, class_ids)
+            ex = exset_matching(inst, layout, class_ids)
+            assert ex == exset_matching_by_rounds(inst, layout, class_ids)
+            if len(class_ids) <= 6 * q_of(eps):
+                assert ex == {e for e in class_ids if edges[e][0] != edges[e][1]}
         # Classes meet both sides of 6q at q = 9; at q = 16 and 27 all are below.
         assert sizes == ({True, False} if q_of(eps) == 9 else {True})
 
@@ -161,21 +164,6 @@ class TestExsetMatchingAgainstTheRounds:
         ex = exset_matching(inst, layout, frozenset(edges))
         assert ex == frozenset(range(54)) == exset_matching_by_rounds(
             inst, layout, frozenset(edges))
-
-
-class TestExtensionCandidates:
-    def test_free_oracle_admits_whole_class(self):
-        o1 = UniformMatroid(range(4), 4)
-        assert extension_candidates(set(), {0, 1, 2, 3}, o1) == {0, 1, 2, 3}
-
-    def test_saturated_rank_blocks_everything(self):
-        o1 = UniformMatroid(range(4), 2)
-        assert extension_candidates({0, 1}, {2, 3}, o1) == frozenset()
-
-    def test_partition_block_saturation(self):
-        o1 = PartitionMatroid(range(4), [{0, 1}, {2, 3}], [1, 1])
-        got = extension_candidates({0}, {1, 2, 3}, o1)
-        assert got == {2, 3}
 
 
 class TestExsetMatroidIntersection:
@@ -398,42 +386,3 @@ class TestDefinitionalSweep:
                 assert report.passed, report.counterexample
                 checks += 1
         assert checks > 50
-
-
-class TestShiftPredicates:
-    def _instance(self):
-        ids = frozenset(range(4))
-        o1 = UniformMatroid(ids, 2)
-        o2 = PartitionMatroid(ids, [{0, 1}, {2, 3}], [1, 1])
-        return intersection_instance(o1, o2, [3, 2, 5, 4], [1, 1, 1, 1])
-
-    def test_shift_requires_cost_not_above(self):
-        inst = self._instance()
-        # delta {0, 2}; swap 0 -> 1 is cheaper and keeps both matroids
-        assert is_shift(inst, {0, 2}, a=0, b=1, q=3)
-        # swap 1 -> 0 raises cost
-        assert not is_shift(inst, {1, 2}, a=1, b=0, q=3)
-
-    def test_semi_shift_needs_first_matroid_to_break(self):
-        inst = self._instance()
-        # delta {0, 2}: 0 -> 1 keeps matroid one, so it is not a semi-shift
-        assert not is_semi_shift(inst, {0, 2}, a=0, b=1, q=3)
-
-    def test_semi_shift_detected(self):
-        ids = frozenset(range(3))
-        o1 = PartitionMatroid(ids, [{1, 2}], [1])
-        o2 = UniformMatroid(ids, 3)
-        inst = intersection_instance(o1, o2, [2, 2, 1], [1, 1, 1])
-        # delta {0, 1}: swapping 0 -> 2 keeps matroid two but breaks matroid
-        # one ({1, 2} saturates the block), at equal-or-lower cost.
-        assert is_semi_shift(inst, {0, 1}, a=0, b=2, q=3)
-        assert not is_shift(inst, {0, 1}, a=0, b=2, q=3)
-
-    def test_precondition_violations(self):
-        inst = self._instance()
-        with pytest.raises(BCError):
-            is_shift(inst, {0, 2}, a=1, b=3, q=3)  # a not in delta
-        with pytest.raises(BCError):
-            is_shift(inst, {0, 2}, a=0, b=2, q=3)  # b inside delta
-        with pytest.raises(BCError):
-            is_shift(inst, {0, 1}, a=0, b=2, q=3)  # delta infeasible in o2

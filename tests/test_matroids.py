@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bcopt
 from bcopt.core import InfeasibleSetError, UnknownElementError
 from bcopt.constraints import Matching, MatroidIntersection
 from bcopt.matroids import (
@@ -15,12 +16,11 @@ from bcopt.matroids import (
 )
 from bcopt.oracle import (
     check_matroid_axioms,
-    exchange_witness,
     matroid_extend,
     weak_exchange_extend,
 )
 
-from conftest import BareOracle, random_matroid
+from conftest import BareOracle, exchange_witness, random_matroid
 
 
 def brute_subsets(ids):
@@ -185,6 +185,12 @@ class TestMatroidExtendAndWitness:
 
 
 class TestWeakExchange:
+    def test_weak_exchange_extend_is_not_a_top_level_name(self):
+        # verify --property weak-exchange reaches it in bcopt.oracle.
+        assert "weak_exchange_extend" not in bcopt.__all__
+        assert not hasattr(bcopt, "weak_exchange_extend")
+        assert bcopt.oracle.weak_exchange_extend is weak_exchange_extend
+
     def test_empty_b_returns_all_of_a(self):
         inst_edges = {0: (0, 1), 1: (2, 3), 2: (4, 5)}
         cons = Matching(6, inst_edges)

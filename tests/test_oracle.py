@@ -145,10 +145,10 @@ class TestSubstitution:
         inst = preprocess_discard(generate_instance(37, 8, "matching"))
         eps = Epsilon(1, 4)
         rep = exact_rep_set(inst, eps)
-        layout = rep.layout
+        h = profitable_set(inst, eps)
         budget_checked = 0
         for g in iter_feasible_sets(inst, max_size=3):
-            z = find_substitution(inst, eps, layout, g, rep.elements)
+            z = find_substitution(inst, rep.layout, g, rep.elements, h)
             assert z is not None, f"no substitution for {sorted(g)}"
             budget_checked += 1
         assert budget_checked > 1
@@ -169,11 +169,35 @@ class TestSubstitution:
             rep = exact_rep_set(inst, eps) if mode == "exact" else rep_set(inst, eps)
             if rep.layout is None:
                 continue
+            h = profitable_set(inst, eps)
             for g in iter_feasible_sets(inst, max_size=4):
-                z = find_substitution(inst, eps, rep.layout, g, rep.elements)
+                z = find_substitution(inst, rep.layout, g, rep.elements, h)
                 assert z is not None, (trial, mode, sorted(g))
                 searches += 1
         assert searches > 100
+
+
+    # Three elements of equal profit share a class; at eps = 1/4 and OPT = 30
+    # each is profitable (4 * 10 > 30).  Costs 5, 3, 4.
+    def _one_class(self):
+        inst = free_instance([5, 3, 4], [10, 10, 10])
+        layout = ClassLayout(Epsilon(1, 4), alpha=30)
+        assert len({r for r, ids in class_partition(inst, layout).items() if ids}) == 1
+        return inst, layout, profitable_set(inst, Epsilon(1, 4))
+
+    def test_nothing_profitable_is_replaced_by_nothing(self):
+        inst, layout, _ = self._one_class()
+        assert find_substitution(inst, layout, {0, 1}, frozenset(), frozenset()) == frozenset()
+
+    def test_an_empty_r_has_no_substitute_for_a_profitable_element(self):
+        inst, layout, h = self._one_class()
+        assert h == {0, 1, 2}
+        assert find_substitution(inst, layout, {0}, frozenset(), h) is None
+
+    def test_the_substitute_costs_no_more(self):
+        inst, layout, h = self._one_class()
+        assert find_substitution(inst, layout, {0}, {1}, h) == {1}
+        assert find_substitution(inst, layout, {1}, {0, 2}, h) is None
 
 
 class TestOtherVerifiers:

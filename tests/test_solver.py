@@ -34,6 +34,13 @@ from conftest import BareOracle, free_instance, make_elements, path_matching, ti
 
 
 class TestResidual:
+    def test_residual_instance_is_not_a_top_level_name(self):
+        # The verifiers and tests reach it in its module; the package exports
+        # only what a caller of solve needs.
+        assert "residual_instance" not in bcopt.__all__
+        assert not hasattr(bcopt, "residual_instance")
+        assert bcopt.solver.residual_instance is residual_instance
+
     def test_empty_skeleton_keeps_pool_and_budget(self):
         inst = free_instance([1, 2, 3], [1, 1, 1], budget=6)
         res = residual_instance(inst, alpha=2, epsilon=Epsilon(1, 4), skeleton=())
