@@ -333,6 +333,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         record = {"property": report.property_name, "passed": report.passed}
         if report.counterexample is not None:
             record["counterexample"] = report.counterexample
+        if report.profitable is not None:
+            record["profitable"] = report.profitable
         print(json.dumps(record))
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
@@ -393,10 +395,11 @@ def _check_replacement(working: BCInstance, epsilon: Epsilon, alpha: int,
     R is the representative set built from ``alpha`` = OPT; Z is the
     substitution :func:`oracle.find_substitution` finds in R, checked by
     :func:`oracle.verify_replacement`.  A counterexample names S and Z, with
-    Z null when R holds no substitution.
+    Z null when R holds no substitution; a pass names |H|, since with H
+    empty Z = {} replaces every S.
     """
-    if alpha == 0:  # H is empty, so Z = {} replaces every S
-        return oracle.VerificationReport("replacement", True)
+    if alpha == 0:  # H is empty
+        return oracle.VerificationReport("replacement", True, profitable=0)
     rep = rep_set(working, epsilon, alpha=alpha, gamma=oracle.EXACT_GAMMA)
     h = oracle._above(working, epsilon, alpha)
     q = q_of(epsilon)
@@ -409,7 +412,7 @@ def _check_replacement(working: BCInstance, epsilon: Epsilon, alpha: int,
         report = oracle.verify_replacement(working, epsilon, s, z, h)
         if not report.passed:
             return report
-    return oracle.VerificationReport("replacement", True)
+    return oracle.VerificationReport("replacement", True, profitable=len(h))
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Mapping, TYPE_CHECKING
 
@@ -50,6 +51,11 @@ def ratio_key(num: int, den: int, eid: int) -> int:
     if den:
         return ((num << _RATIO_SHIFT) // den << _ID_BITS) + eid
     return (_INFINITE_KEY if num > 0 else -_INFINITE_KEY) + eid
+
+
+def _density_key(e: Element) -> int:
+    """``BCInstance.density_order``'s key; a zero-cost element counts as density profit + 1."""
+    return ratio_key(-e.profit, e.cost, e.id) if e.cost else ratio_key(-e.profit - 1, 1, e.id)
 
 
 class BCError(Exception):
@@ -211,6 +217,15 @@ class BCInstance:
                 "the constraint's ids are not the element ids: "
                 f"ids {sorted(ground - self.cost_of.keys())} have no element, "
                 f"elements {sorted(self.cost_of.keys() - ground)} are not in the constraint")
+
+    @cached_property
+    def density_order(self) -> tuple[Element, ...]:
+        """The elements by profit per cost descending, then id, sorted once.
+
+        A zero-cost element counts as density profit + 1.  The Lagrangian
+        search's fill and probes and the solver's skeleton bound all read it.
+        """
+        return tuple(sorted(self.elements, key=_density_key))
 
     @property
     def ids(self) -> frozenset[int]:

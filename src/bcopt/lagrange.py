@@ -39,22 +39,30 @@ A residual of at most ``EXACT_LIMIT`` elements is brute-forced outright.
 Above it the greedy inner oracle pushes the positive-weight ids in
 descending weight (ties by id), keeping each that fits beside those kept
 before it, so its result depends only on that order, not on the weights.
-Each search keeps one cache from order to result, and its lambda probes run
-the push loop only once per distinct order.  That loop, the candidate
-pool's density fill and the patching of an intersection pair are one greedy
-growth, ``_GreedyOrders.grow``, whose fit test is the search's
+It weighs only those ids: p - lambda c is positive exactly on the zero-cost
+elements with p > 0 and on a prefix of the priced ones in descending
+density, whose end it finds by bisection.  Each search keeps one cache from
+order to result, and its lambda probes run the push loop only once per
+distinct order.  That loop, the candidate pool's density fill and the
+patching of an intersection pair are one greedy growth,
+``_GreedyOrders.grow``, whose fit test is the search's
 :func:`bcopt.constraints.conflict_masks`: on a matching the int vertex
 masks, numbered once per matching, decide alone (and split a patched pair
 into components), otherwise a feasibility cursor does, a fresh one for
-each growth but the fill, which reuses the singleton scan's.
+each growth but the fill, which reuses the singleton scan's.  The fill and
+the priced prefix read the instance's
+:attr:`~bcopt.core.BCInstance.density_order`, sorted once per instance and
+shared with the solver's skeleton bound.  Of the singletons, the pool
+offers only the best feasible affordable one, the only one that can win.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable
 
-from .core import BCInstance, Element, Solution, ratio_key
+from .core import BCInstance, Solution, ratio_key
 from .constraints import FeasibilityCursor, Matching, MatroidIntersection, conflict_masks
 from .enumeration import max_profit_solution_ids, max_weight_feasible_ids
 
@@ -103,10 +111,7 @@ def inner_max_weight(instance: BCInstance, lam: Fraction, *,
         return max_weight_feasible_ids(instance, weight)
     fresh = _orders is None
     orders = _GreedyOrders(instance) if fresh else _orders
-    weight = [p * den - num * c for p, c in zip(orders.profits, orders.costs)]
-    # Descending weight; the stable sort keeps ascending ids on ties.
-    order = tuple(sorted([k for k, w in enumerate(weight) if w > 0],
-                         key=weight.__getitem__, reverse=True))
+    order = orders.positive_order(num, den)
     chosen = orders.sets.get(order)
     if chosen is None:
         # A fresh cache's cursor is still empty; a search's holds its fill.
@@ -120,27 +125,46 @@ def inner_max_weight(instance: BCInstance, lam: Fraction, *,
 class _GreedyOrders:
     """One search's elements by position, its greedy growth and its inner optima.
 
-    A position indexes the id-ordered ``elements`` and their ``ids``,
-    ``costs`` and ``profits``.  ``masks``, ``start`` and ``cursor`` are the
-    ids' :func:`~bcopt.constraints.conflict_masks`, the fit test of
-    :meth:`grow`.  ``sets`` maps each positive-weight order the inner oracle
-    has met to its set and ``spent`` each set to its cost, so a repeated
-    order runs no push loop and its set is not re-summed.
+    A position indexes the id-ordered ``ids``, ``costs`` and ``profits``.
+    ``by_density`` lists the positions in the instance's
+    :attr:`~bcopt.core.BCInstance.density_order`, the fill's order;
+    ``priced`` is its subsequence of positive costs, and ``free`` the
+    zero-cost positions of positive profit, ascending.  ``masks``, ``start``
+    and ``cursor`` are the ids' :func:`~bcopt.constraints.conflict_masks`,
+    the fit test of :meth:`grow`.  ``sets`` maps each positive-weight order
+    the inner oracle has met to its set and ``spent`` each set to its cost,
+    so a repeated order runs no push loop and its set is not re-summed.
     """
 
-    __slots__ = ("ids", "costs", "profits", "elements", "constraint", "masks", "start",
-                 "cursor", "sets", "spent")
+    __slots__ = ("ids", "costs", "profits", "by_density", "priced", "free", "constraint",
+                 "masks", "start", "cursor", "sets", "spent")
 
     def __init__(self, instance: BCInstance) -> None:
         elements = sorted(instance.elements, key=lambda e: e.id)
         self.ids = [e.id for e in elements]
-        self.costs = [e.cost for e in elements]
-        self.profits = [e.profit for e in elements]
-        self.elements = elements
+        self.costs = costs = [e.cost for e in elements]
+        self.profits = profits = [e.profit for e in elements]
+        position = {eid: k for k, eid in enumerate(self.ids)}
+        self.by_density = [position[e.id] for e in instance.density_order]
+        self.priced = [k for k in self.by_density if costs[k]]
+        self.free = [k for k, (c, p) in enumerate(zip(costs, profits)) if not c and p]
         self.constraint = instance.constraint
         self.masks, self.start, self.cursor = conflict_masks(self.constraint, self.ids)
         self.sets: dict[tuple[int, ...], frozenset[int]] = {}
         self.spent: dict[frozenset[int], int] = {}
+
+    def positive_order(self, num: int, den: int) -> tuple[int, ...]:
+        """The positions of positive weight p den - num c, heaviest first.
+
+        They are the ``free`` positions and, in descending density, the
+        priced ones before the first whose density is at most num / den;
+        only those are weighed.  Equal weights keep ascending positions, so
+        ascending ids.
+        """
+        profits, costs, priced = self.profits, self.costs, self.priced
+        cut = bisect_left(priced, True, key=lambda k: profits[k] * den <= num * costs[k])
+        weight = {k: profits[k] * den - num * costs[k] for k in sorted(self.free + priced[:cut])}
+        return tuple(sorted(weight, key=weight.__getitem__, reverse=True))
 
     def grow(self, positions: Iterable[int], room: int | None = None,
              cursor: FeasibilityCursor | None = None) -> tuple[list[int], int]:
@@ -181,10 +205,12 @@ def approx_opt(instance: BCInstance) -> Solution:
     above the optimum and, on the acceptance corpus, never below
     OPT / ``GAMMA``.  This is ``non_profitable_solver`` without its
     brute-force path.  The winner is the candidate of maximum profit; among
-    equal profits, the one with the smaller sorted ids.  Candidates are compared by their profit
-    sums alone, and only the winner is built: ``Solution.build`` re-checks
-    its feasibility and budget.  The losers are never checked at run time;
-    the test suite checks that every candidate is feasible and affordable.
+    equal profits, the one with the smaller sorted ids.  So the pool offers
+    one singleton, the best feasible affordable one: any other singleton
+    loses to it.  Candidates are compared by their profit sums alone, and
+    only the winner is built: ``Solution.build`` re-checks its feasibility
+    and budget.  The losers are never checked at run time; the test suite
+    checks that every candidate is feasible and affordable.
     """
     profit = instance.profit_of
     # The pool starts with the empty set, whose ids () no other set undercuts.
@@ -303,18 +329,23 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
             pool.append(s)
         return spent
 
-    # Feasible affordable singletons and a profit-density greedy fill.  A
-    # residual constraint may reject a singleton its skeleton spans; on a
-    # matching only a self-loop, whose mask meets the start.  A cursor pops
-    # each singleton again, so the fill grows through it, empty.
-    ids, masks, used, cursor = orders.ids, orders.masks, orders.start, orders.cursor
-    for eid, c, m in zip(ids, orders.costs, masks):
-        if not m & used and (cursor is None or cursor.try_push(eid)):
+    # The best feasible affordable singleton and a profit-density greedy
+    # fill.  approx_opt takes the maximum profit, then the smaller ids, so
+    # no other singleton can win: the scan offers the first, by descending
+    # profit and then id, that is affordable and fits.  A residual
+    # constraint may reject a singleton its skeleton spans; on a matching
+    # only a self-loop, whose mask meets the start.  A cursor pops the
+    # singleton again, so the fill grows through it, empty.
+    ids, costs, masks, used, cursor = (orders.ids, orders.costs, orders.masks, orders.start,
+                                       orders.cursor)
+    for k in sorted(range(len(ids)), key=orders.profits.__getitem__, reverse=True):
+        if costs[k] <= budget and not masks[k] & used and (
+                cursor is None or cursor.try_push(ids[k])):
             if cursor is not None:
                 cursor.pop()
-            offer(frozenset((eid,)), c)
-    keys = list(map(_density_key, orders.elements))
-    fill, spent = orders.grow(sorted(range(len(ids)), key=keys.__getitem__), budget, cursor)
+            pool.append(frozenset((ids[k],)))
+            break
+    fill, spent = orders.grow(orders.by_density, budget, cursor)
     offer(frozenset([ids[k] for k in fill]), spent)
 
     # The two opening probes; on the greedy path they share one cache with
@@ -385,14 +416,6 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     offer(s_minus)
     pool.extend(_patched(instance, s_minus, s_plus, orders))
     return pool
-
-
-def _density_key(e: Element):
-    """Greedy fill order: profit per cost descending, then id.
-
-    A zero-cost element counts as density profit + 1.
-    """
-    return ratio_key(-e.profit, e.cost, e.id) if e.cost else ratio_key(-e.profit - 1, 1, e.id)
 
 
 def _patched(instance: BCInstance, s_minus: frozenset[int], s_plus: frozenset[int],

@@ -29,6 +29,8 @@ class VerificationReport:
     property_name: str
     passed: bool
     counterexample: dict | None = None
+    # |H|, on a passing replacement report: a pass over an empty H checks nothing.
+    profitable: int | None = None
 
     def __post_init__(self) -> None:
         assert (self.counterexample is not None) == (not self.passed)

@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from .core import (
     BCInstance, Epsilon, InfeasibleSetError, Solution, checked_int, is_solution, preprocess_discard,
-    ratio_key,
 )
 from .classes import small_profit_pool
 from .constraints import MatroidIntersection, conflict_masks, residual_constraint, size_cap
@@ -210,8 +209,10 @@ class SkeletonBound:
     feasible point of F's relaxation, and it also takes one of F's r - |F|
     slots.
 
-    The candidates are sorted once by exact density, zero-cost elements
-    first; each knapsack walks them until the budget runs out.  Blocking is
+    The candidates come in the instance's
+    :attr:`~bcopt.core.BCInstance.density_order`, sorted once per instance
+    and shared with the Lagrangian search, zero-cost elements moved first;
+    each knapsack walks them until the budget runs out.  Blocking is
     one int per call, F's masks or'ed together, which each candidate's mask
     must not meet: for a matching its vertex bits from
     :func:`~bcopt.constraints.conflict_masks`, which also block F's own
@@ -236,10 +237,11 @@ class SkeletonBound:
         until = {eid: i for i, eid in enumerate(rep)}
         self.leaf = len(until) - 1
         until.update(dict.fromkeys(pool, len(until)))
-        items = [e for e in instance.elements if e.id in until and e.profit > 0]
-        # Densest first; a zero-cost element's (-profit, 0) is minus infinity.
-        # The fractional knapsack does not depend on how equal densities tie.
-        items.sort(key=lambda e: ratio_key(-e.profit, e.cost, e.id))
+        # The instance's density order, zero-cost elements first (the stable
+        # sort keeps the rest in it).  The fractional knapsack depends neither
+        # on how equal densities tie nor on the order of zero-cost items.
+        items = [e for e in instance.density_order if e.id in until and e.profit > 0]
+        items.sort(key=lambda e: e.cost > 0)
         self._order = [(e.cost, e.profit, self._mask[e.id], until[e.id]) for e in items]
         if self._rank is not None:
             # Largest profit first; how equal profits tie cannot change a sum.

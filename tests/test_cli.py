@@ -442,12 +442,14 @@ class TestVerifyCmd:
     def test_replacement_reads_the_representative_set(self, tmp_path, capsys, monkeypatch):
         # With R emptied, the first bounded feasible S holding a profitable
         # element has no substitution in R, and the record names it.  At
-        # eps = 1/4 this file has no profitable element; at 1/10 it has seven.
+        # eps = 1/4 this file has no profitable element; at 1/10 it has
+        # seven, which the passing record names.
         inst = generate_instance(7, 14, "matching")
         path = write_instance(tmp_path, inst)
         args = ["verify", str(path), "--epsilon", "1/10", "--property", "replacement"]
         assert main(args) == EXIT_OK
-        capsys.readouterr()
+        assert json.loads(capsys.readouterr().out) == {
+            "property": "replacement", "passed": True, "profitable": 7}
         rep_set = bcopt.cli.rep_set
 
         def emptied(*args, **kwargs):
@@ -465,9 +467,9 @@ class TestVerifyCmd:
         }
 
     # replacement: OPT once, which gives H and R, for every bounded feasible
-    # S.  representative:
-    # alpha = OPT in the CLI, handed to the verifier, then the instance
-    # restricted to R.
+    # S; its record names |H|, empty on this file at eps = 1/4.
+    # representative: alpha = OPT in the CLI, handed to the verifier, then
+    # the instance restricted to R.
     @pytest.mark.parametrize("prop,name,calls", [("replacement", "replacement", 1),
                                                  ("representative", "representative-set", 2)])
     def test_brute_force_runs_a_fixed_number_of_times(self, tmp_path, capsys, monkeypatch,
@@ -482,7 +484,10 @@ class TestVerifyCmd:
         monkeypatch.setattr(bcopt.oracle, "brute_force_opt", counted)
         path = write_instance(tmp_path, generate_instance(7, 14, "matching"))
         assert main(["verify", str(path), "--epsilon", "1/4", "--property", prop]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out) == {"property": name, "passed": True}
+        record = {"property": name, "passed": True}
+        if prop == "replacement":
+            record["profitable"] = 0
+        assert json.loads(capsys.readouterr().out) == record
         assert len(seen) == calls
 
 

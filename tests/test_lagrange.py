@@ -16,7 +16,6 @@ from bcopt.lagrange import (
     _GreedyOrders,
     _candidate_pool,
     _component_priority,
-    _density_key,
     _patched,
     _symmetric_difference_components,
     GAMMA,
@@ -26,8 +25,9 @@ from bcopt.lagrange import (
 )
 from bcopt.matroids import PartitionMatroid, UniformMatroid
 from bcopt.oracle import brute_force_opt, iter_feasible_sets
+from bcopt.solver import _build_residual
 
-from conftest import free_instance, tiny_instances
+from conftest import free_constraint, free_instance, tiny_instances
 
 
 # Bisection depth of the reference search; every search of these tests
@@ -234,11 +234,15 @@ def reference_greedy_inner(instance, lam):
     return frozenset(chosen)
 
 
-def reference_candidate_pool(instance, depth, inner=reference_greedy_inner, pairs=None):
+def reference_candidate_pool(instance, depth, inner=reference_greedy_inner, pairs=None,
+                             every_singleton=False):
     """The search bisected ``depth`` times: all 2 + ``depth`` probes, every time.
 
     ``inner(instance, lam)`` answers each probe; ``pairs``, when given,
-    receives the bracketing pair handed to ``_patched``.
+    receives the bracketing pair handed to ``_patched``.  The pool offers
+    the best feasible affordable singleton (maximum profit, then smaller
+    id) or, with ``every_singleton``, each feasible affordable singleton
+    by ascending id, as the search did before it offered only the best.
     """
     budget = instance.budget
     cost = instance.cost_of
@@ -251,9 +255,12 @@ def reference_candidate_pool(instance, depth, inner=reference_greedy_inner, pair
             return True
         return False
 
-    for e in sorted(instance.elements, key=lambda e: e.id):
-        if instance.constraint.is_feasible((e.id,)):
-            offer((e.id,))
+    by_id = sorted(instance.elements, key=lambda e: e.id)
+    singletons = by_id if every_singleton else sorted(by_id, key=lambda e: -e.profit)
+    for e in singletons:
+        if instance.constraint.is_feasible((e.id,)) and offer((e.id,)):
+            if not every_singleton:
+                break
     cursor = instance.constraint.cursor()
     fill = []
     spent = 0
@@ -379,7 +386,7 @@ class TestGreedyOrderCache:
         # opens one cursor per loop.
         assert cursors == ([] if constraint_type is Matching else loops)
         # Beside the loops' cursors, the search builds one that the
-        # singletons and the fill share and one for the patching grow: 14 on
+        # singleton scan and the fill share and one for the patching grow: 14 on
         # this intersection, as many as before the growths were one routine.
         if constraint_type is Matching:
             assert every_cursor == []
@@ -405,12 +412,44 @@ class TestGreedyOrderCache:
     @given(inst=tiny_instances())
     @settings(max_examples=300, deadline=None)
     def test_forced_greedy_pool_matches_the_cursor_reference(self, inst):
-        # Self-loops, a far vertex and sparse ids: the singletons, the fill
-        # and every probe's push loop test fit by masks on a matching, and
-        # the reference by cursors.
+        # Self-loops, a far vertex and sparse ids: the singleton scan, the
+        # fill and every probe's push loop test fit by masks on a matching,
+        # and the reference by whole-set feasibility and cursors.
         with exact_limit(0):
             pool = list(dict.fromkeys(_candidate_pool(inst)))
         assert pool == list(dict.fromkeys(reference_candidate_pool(inst, FULL_DEPTH)))
+
+    @given(inst=tiny_instances(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_singleton_keeps_the_winner_of_every_singleton(self, inst, data):
+        # Zero costs, zero profits and self-loops come with the tiny
+        # instances.  Half the draws take the residual of a skeleton, where
+        # a singleton the skeleton spans is feasible in the instance but
+        # not in the residual.
+        if data.draw(st.booleans()):
+            skeletons = [f for f in iter_feasible_sets(inst) if inst.total_cost(f) <= inst.budget]
+            inst = _build_residual(inst, inst.ids, data.draw(st.sampled_from(skeletons)))
+        every = reference_candidate_pool(inst, FULL_DEPTH, every_singleton=True)
+        with exact_limit(0):
+            assert approx_opt(inst).element_ids == pool_winner(inst, every)
+
+    def test_a_spanned_best_singleton_gives_way_to_the_next(self):
+        # Partition block {0, 1} of capacity 1, contracted by {0}: in the
+        # residual, element 1 earns most but cannot stand alone, so the
+        # pool's one singleton is element 3, the most profitable after it.
+        ids = frozenset(range(5))
+        parent = MatroidIntersection(PartitionMatroid(ids, [{0, 1}], [1]), UniformMatroid(ids, 2))
+        elements = (Element(1, 1, 9), Element(2, 1, 5), Element(3, 1, 7), Element(4, 1, 7))
+        inst = BCInstance(elements, residual_constraint(parent, {0}), 1)
+        with exact_limit(0):
+            pool = _candidate_pool(inst)
+            alpha = approx_opt(inst)
+        # The singleton comes right after the empty set, before the fill.
+        assert pool[:2] == [frozenset(), frozenset({3})]
+        assert frozenset({1}) not in pool
+        assert alpha.element_ids == (3,)
+        assert alpha.element_ids == pool_winner(
+            inst, reference_candidate_pool(inst, FULL_DEPTH, every_singleton=True))
 
     def test_forced_greedy_search_matches_the_uncached_reference_on_the_corpus(self, main_corpus):
         with exact_limit(0):
@@ -449,6 +488,29 @@ def full_depth_pool_and_pair(inst, depth=FULL_DEPTH):
     pairs = []
     pool = reference_candidate_pool(inst, depth, inner_max_weight, pairs)
     return list(dict.fromkeys(pool)), pairs
+
+
+class TestPositiveWeightOrder:
+    # Ranges from 0 make zero costs, zero profits and equal densities
+    # common; every density of the instance is also tried as lambda.
+    @given(
+        seed=st.integers(0, 10**6),
+        size=st.integers(0, 30),
+        kind=st.sampled_from(["matching", "matroid-intersection"]),
+        top=st.integers(1, 6),
+        lams=st.lists(st.tuples(st.integers(0, 20), st.integers(1, 12)), max_size=10),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_the_density_prefix_matches_weighing_every_element(self, seed, size, kind, top,
+                                                                lams):
+        inst = generate_instance(seed, size, kind, cost_range=(0, top), profit_range=(0, top))
+        orders = _GreedyOrders(inst)
+        on_density = [(e.profit, e.cost) for e in inst.elements if e.cost]
+        for num, den in lams + on_density:
+            weight = [p * den - num * c for p, c in zip(orders.profits, orders.costs)]
+            expected = sorted([k for k, w in enumerate(weight) if w > 0],
+                              key=weight.__getitem__, reverse=True)
+            assert orders.positive_order(num, den) == tuple(expected), (num, den)
 
 
 class TestBreakpointStop:
@@ -804,7 +866,8 @@ class TestExactDensityOrder:
     def test_fill_order_matches_the_fraction_key(self, pairs, rng):
         elements = [Element(i, c, p) for i, (c, p) in enumerate(pairs)]
         rng.shuffle(elements)
-        assert sorted(elements, key=_density_key) == sorted(elements, key=reference_density_key)
+        inst = BCInstance(tuple(elements), free_constraint(range(len(elements))), 0)
+        assert list(inst.density_order) == sorted(elements, key=reference_density_key)
 
     @given(
         seed=st.integers(0, 10**6),

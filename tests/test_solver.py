@@ -13,6 +13,7 @@ from bcopt.core import (
     InvalidParameterError,
     Solution,
     preprocess_discard,
+    ratio_key,
 )
 from bcopt.classes import small_profit_pool
 from bcopt.cli import generate_instance
@@ -270,6 +271,19 @@ def low_rank(instance, ranks):
         UniformMatroid(ids, ranks[0]), UniformMatroid(ids, ranks[1])), instance.budget)
 
 
+class RatioSortedBound(SkeletonBound):
+    """``SkeletonBound`` with its candidates sorted per bound by ``ratio_key``,
+    zero-cost elements first, as before it read the instance's density order."""
+
+    def __init__(self, instance, pool, rep):
+        super().__init__(instance, pool, rep)
+        until = {eid: i for i, eid in enumerate(rep)}
+        until.update(dict.fromkeys(pool, len(until)))
+        items = [e for e in instance.elements if e.id in until and e.profit > 0]
+        items.sort(key=lambda e: ratio_key(-e.profit, e.cost, e.id))
+        self._order = [(e.cost, e.profit, self._mask[e.id], until[e.id]) for e in items]
+
+
 class TestSkeletonBound:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -426,6 +440,23 @@ class TestSkeletonBound:
         bound = SkeletonBound(inst, frozenset({0, 1, 2}), [0])
         assert bound.bound([0], 0) == 9 + 4 + 2
         assert bound.bound([], -1) == 9 + 4 + 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(inst=tiny_instances(), data=st.data())
+    def test_the_shared_density_order_gives_the_ratio_sorted_bound(self, inst, data):
+        # Zero costs, zero profits, equal densities and self-loops; the rep
+        # is any subset of the ids, walked by descending profit, and the
+        # pool any subset, so the two may overlap.
+        ids = inst.sorted_ids()
+        rep = sorted(data.draw(st.sets(st.sampled_from(ids))) if ids else (),
+                     key=lambda i: (-inst.profit_of[i], i))
+        pool = frozenset(data.draw(st.sets(st.sampled_from(ids))) if ids else ())
+        bound = SkeletonBound(inst, pool, rep)
+        reference = RatioSortedBound(inst, pool, rep)
+        for skeleton in feasible_subsets_within_budget(inst, rep, len(rep)):
+            first = rep.index(skeleton[-1]) if skeleton else -1
+            for j in range(first, len(rep)):
+                assert bound.bound(list(skeleton), j) == reference.bound(list(skeleton), j)
 
     def test_pruned_plus_residual_solves_is_enumerated(self, monkeypatch):
         solves = []
