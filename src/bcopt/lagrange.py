@@ -29,11 +29,12 @@ At most ``EXACT_LIMIT`` elements the inner oracle is exact, and the search
 walks the breakpoints of its upper envelope instead (Megiddo, *Combinatorial
 optimization with rational objective functions*, 1979): it probes where the
 bracket ends' lines cross until the envelope on the bracket is just those
-two lines.  Probes a step 1 / (2 c(E)^2) either side of that crossing then
-rebuild the pair bisection would end with; where bisection would probe the
-crossing itself, the walk's last probe stands in for it.  A search that gets
-past lambda = 0 makes 6-10 probes on the benchmark's uniform workloads,
-where bisection made 21-24.  The arguments are in ``_candidate_pool``.
+two lines.  Its two ends are then the pair to patch: both weigh the
+envelope's value at that last crossing, lambda*, one is affordable and the
+other over budget.  Of the walk's sets the pool takes only the affordable
+end; no other probe is pooled.  A search that gets past lambda = 0 makes
+4-8 probes on the benchmark's uniform workloads, where bisection made
+21-24.  The arguments are in ``_candidate_pool``.
 
 A residual of at most ``EXACT_LIMIT`` elements is brute-forced outright.
 Above it the greedy inner oracle pushes the positive-weight ids in
@@ -230,23 +231,16 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     """Budget-feasible candidates, in a deterministic order.
 
     Both searches start from the bracket [0, P + 1], P the largest profit,
-    and hand ``_patched`` the pair ``(s_minus, s_plus)`` that bisecting it
-    to any depth past breakpoint resolution ends with: ``s_minus``
-    affordable, ``s_plus`` over budget.
+    and hand ``_patched`` a pair ``(s_minus, s_plus)`` of inner optima,
+    ``s_minus`` affordable and ``s_plus`` over budget.
 
-    - The inner oracle's result is piecewise constant in lambda; its
-      breakpoints are the lambda where it changes.  The greedy one (above
-      ``EXACT_LIMIT`` elements) changes only where two weights p - lambda c
-      cross or one crosses zero, at a rational whose denominator is at most
-      the largest cost.  The exact one breaks ties among equally heavy sets
-      by the same weight order, so it changes at those points, or where the
-      family of optimal sets changes: where two sets' weights cross, at
-      (p(A) - p(B)) / (c(A) - c(B)), whose denominator is at most c(E).
-    - With D a bound on those denominators, two distinct breakpoints are at
-      least 1/D^2 apart.
+    The greedy search (above ``EXACT_LIMIT`` elements) bisects until its
+    pair is the one bisecting to any greater depth would end with:
 
-    The greedy search bisects, with D the largest cost:
-
+    - The greedy optimum is piecewise constant in lambda and changes only
+      where two weights p - lambda c cross or one crosses zero, at a
+      rational whose denominator is at most the largest cost D.  Two
+      distinct such breakpoints are at least 1/D^2 apart.
     - The bracket [lo / den, hi / den] has width (hi - lo) / den, so once
       (hi - lo) * D^2 < den it holds exactly one breakpoint: its two ends
       return different sets.  D is at least 1 once the search bisects,
@@ -283,32 +277,18 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
       stop.  The crossing lies in the bracket, so it is 0 only while
       ``s_plus`` is still the lambda = 0 probe; the walk then stops on that
       probe's set without asking the oracle again.
-    - With D = c(E), no breakpoint but lambda* lies within 1/D^2 of it, so
-      the oracle returns one set on (lambda* - 1/D^2, lambda*) and one on
-      (lambda*, lambda* + 1/D^2).  Bisection past resolution ends with a
-      bracket narrower than 1/D^2 around lambda*, so each of its ends is
-      lambda* itself or returns the set of that side.  D must bound every
-      breakpoint, not only those between the walk's ends: the piece beside
-      lambda* can end where an end's set gives way to a set outside the
-      ends' cost range.
-    - Bisection probes lambda* exactly when lambda* / (P + 1) is dyadic: the
-      denominator of lambda* is at most D, so its dyadic depth is at most
-      log2((P + 1) * D), within the depth bisection reaches.  Then the
-      walk's last probe, at lambda*, is the end on the side its cost
-      decides, and the other end is the probe at lambda* - delta or
-      lambda* + delta, delta = 1 / (2 D^2).  Otherwise ``s_plus`` is the
-      probe at lambda* - delta and ``s_minus`` the one at lambda* + delta.
-    - The walk pools none of its own probes.  A probe heavier than the
-      ends' lines can land on the last crossing lambda* itself, where three
-      or more sets weigh the same; an affordable one there can earn more
-      than ``s_minus``, and bisection never sees it unless lambda* is
-      dyadic.  So the pool holds the opening probes, ``s_minus`` and the
-      blends of the same pair, all of which bisection pools too.  The
-      affordable probes bisection adds lie right of lambda*, where the
-      optimum costs at most c(s_minus) and so, being no heavier than
-      ``s_minus`` at lambda* + delta, earns at most p(s_minus).  So alpha's
-      profit is bisection's, and so are its ids unless bisection's winner is
-      one of those probes, tied with p(s_minus).
+    - The walk's ends are the pair: both weigh f(lambda*), so both are
+      optimal at lambda*, ``s_minus`` is affordable and ``s_plus`` over
+      budget.
+    - Of the walk's sets the pool takes only ``s_minus``; no other probe
+      is pooled.  A probe that replaced the affordable end costs more than
+      the end it replaced and weighs more at the crossing, which is at
+      least 0, so it earns more: the final ``s_minus`` earns more than
+      every affordable probe that was an end before it.  The stopping
+      probe is optimal at lambda* too but is not an end: where three or
+      more sets tie there, an affordable one can earn more than
+      ``s_minus``; the patching needs only the pair, and the pool leaves
+      it out.
     """
     budget = instance.budget
     cost = instance.cost_of
@@ -382,7 +362,8 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
         return pool
 
     # The breakpoint walk: probe where the two ends' lines cross, until the
-    # probe's set is no heavier there than they are.  No probe is pooled.
+    # probe's set is no heavier there than they are.  The ends are then the
+    # pair, and only the affordable one is pooled; no other probe is.
     p_plus = sum(map(profit.__getitem__, s_plus))
     p_minus = sum(map(profit.__getitem__, s_minus))
     while True:
@@ -398,22 +379,7 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
             s_minus, c_minus, p_minus = s, c, p
         else:
             s_plus, c_plus, p_plus = s, c, p
-    # Rebuild the pair that bisection ends with around lam, the one
-    # breakpoint left in the bracket.  No other breakpoint lies within
-    # 1 / D^2 of it, D the sum of all costs.
-    total = sum(cost.values())
-    delta = Fraction(1, 2 * total * total)
-    # Bisection probes lam itself when lam / (P + 1) is dyadic, and then
-    # keeps that probe's set on the side its cost decides.
-    den = (lam / top).denominator
-    if den & (den - 1):
-        s_minus = inner_max_weight(instance, lam + delta)
-        s_plus = inner_max_weight(instance, lam - delta)
-    elif c <= budget:
-        s_minus, s_plus = s, inner_max_weight(instance, lam - delta)
-    else:
-        s_minus, s_plus = inner_max_weight(instance, lam + delta), s
-    offer(s_minus)
+    pool.append(s_minus)
     pool.extend(_patched(instance, s_minus, s_plus, orders))
     return pool
 

@@ -10,6 +10,7 @@ import bcopt.lagrange
 from bcopt.core import BCInstance, Element, Solution, preprocess_discard
 from bcopt.cli import generate_instance
 from bcopt.constraints import Matching, MatroidIntersection, residual_constraint
+from bcopt.enumeration import max_weight_feasible_ids
 from bcopt.lagrange import (
     EXACT_LIMIT,
     _MAX_PATCH_COMPONENTS,
@@ -80,6 +81,23 @@ def patched_matchings():
 PATCHED_MATCHINGS_IDS_SHA256 = "9af4640201da0fefdf893c3ec0643dd6481c72922efa7548efc3f88c73fc72f8"
 
 
+def tie_heavy_instances(count, sizes, base):
+    """``count`` seeded instances of each kind, of ``sizes[seed % len(sizes)]``
+    elements: costs and profits in [0, 3] make ties, zero costs and zero
+    profits common, and budgets of 10-60% of the total cost make about half
+    the searches go past lambda = 0."""
+    return [generate_instance(base + seed, sizes[seed % len(sizes)], kind, cost_range=(0, 3),
+                              profit_range=(0, 3), budget_percent=10 + 7 * seed % 51)
+            for seed in range(count) for kind in ("matching", "matroid-intersection")]
+
+
+# sha256 of "{k} {ids}" per line for ``approx_opt`` on the k-th of
+# ``tie_heavy_instances(100, range(1, 21), 7000)``, whose searches are all
+# exact, recorded once the breakpoint walk patched its own ends.
+# A change that moves any id must update it on purpose.
+EXACT_PATH_ALPHA_IDS_SHA256 = "4c114f4c52157b742561a769f1559e04ec71a052e897cdd945a01f7e329f6b3d"
+
+
 class TestApproxOpt:
     def test_empty_instance(self):
         assert approx_opt(free_instance([], [])).total_profit == 0
@@ -92,6 +110,24 @@ class TestApproxOpt:
         alpha = approx_opt(inst).total_profit
         assert alpha <= opt
         assert GAMMA * alpha >= opt
+
+    def test_ids_on_tie_heavy_instances_are_pinned(self):
+        instances = tie_heavy_instances(100, range(1, 21), 7000)
+        assert max(len(inst.elements) for inst in instances) <= EXACT_LIMIT
+        lines = [f"{k} {list(approx_opt(inst).element_ids)}"
+                 for k, inst in enumerate(instances)]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EXACT_PATH_ALPHA_IDS_SHA256
+
+    def test_contract_on_tie_heavy_instances(self):
+        # Ties make the walk's stopping probe and its ends differ; alpha
+        # still meets both contracts against the brute-force optimum.
+        for inst in tie_heavy_instances(200, range(6, 15), 7500):
+            inst = preprocess_discard(inst)
+            opt = brute_force_opt(inst).total_profit
+            alpha = approx_opt(inst).total_profit
+            max_p = max((e.profit for e in inst.elements), default=0)
+            assert alpha >= opt - 2 * max_p
+            assert alpha <= opt <= GAMMA * alpha
 
 
 class TestNonProfitableSolver:
@@ -490,6 +526,23 @@ def full_depth_pool_and_pair(inst, depth=FULL_DEPTH):
     return list(dict.fromkeys(pool)), pairs
 
 
+def assert_walk_pair(inst, pool, pairs):
+    """The exact walk's contract on its pair: both ends weigh the inner
+    optimum where their lines cross, at some lambda* >= 0; ``s_minus`` is
+    feasible, affordable and pooled, and ``s_plus`` is over budget."""
+    [(s_minus, s_plus)] = pairs
+    c_minus, c_plus = inst.total_cost(s_minus), inst.total_cost(s_plus)
+    assert c_minus <= inst.budget < c_plus
+    lam = Fraction(inst.total_profit(s_plus) - inst.total_profit(s_minus), c_plus - c_minus)
+    assert lam >= 0
+    weight = {e.id: e.profit * lam.denominator - lam.numerator * e.cost
+              for e in inst.elements}
+    best = sum(weight[i] for i in max_weight_feasible_ids(inst, weight))
+    assert sum(weight[i] for i in s_minus) == sum(weight[i] for i in s_plus) == best
+    assert inst.constraint.is_feasible(s_minus) and inst.constraint.is_feasible(s_plus)
+    assert s_minus in pool
+
+
 class TestPositiveWeightOrder:
     # Ranges from 0 make zero costs, zero profits and equal densities
     # common; every density of the instance is also tried as lambda.
@@ -532,18 +585,16 @@ class TestBreakpointStop:
         with exact_limit(0 if greedy else EXACT_LIMIT):
             pool, pairs = searched_pool_and_pair(inst)
             full_pool, full_pairs = full_depth_pool_and_pair(inst)
-            alpha = approx_opt(inst)
-        assert pairs == full_pairs
         if greedy:
+            assert pairs == full_pairs
             assert pool == full_pool
             return
-        # The exact search walks the breakpoints, so its pool holds other
-        # probes; alpha keeps its profit, and its ids unless the reference
-        # winner is missing from the walk's pool.
-        full_alpha = pool_winner(inst, full_pool)
-        assert alpha.total_profit == inst.total_profit(full_alpha)
-        if frozenset(full_alpha) in pool:
-            assert alpha.element_ids == full_alpha
+        # The exact search walks the breakpoints; it patches a pair exactly
+        # when the lambda = 0 optimum is over budget, and its pair keeps the
+        # walk's contract.
+        assert len(pairs) == len(full_pairs)
+        if pairs:
+            assert_walk_pair(inst, pool, pairs)
 
     def test_greedy_stop_separates_two_close_zero_crossings(self):
         # Edges 0 and 1 turn non-positive at lambda = 8/39 and 7/34, 1/1326
@@ -558,18 +609,17 @@ class TestBreakpointStop:
             assert pairs == [(frozenset({1, 2}), frozenset({0, 1, 2}))]
             assert (pool, pairs) == full_depth_pool_and_pair(inst)
 
-    def test_walk_stops_a_step_short_of_a_close_breakpoint(self):
+    def test_walk_replaces_the_affordable_end_twice(self):
         # Edges 0, 1, 2 form a path and edge 3 stands apart.  The walk
         # replaces the affordable end twice, the empty set by {1} and {1} by
         # {1, 3}, and stops where {1, 3} crosses the over-budget {0, 2, 3},
-        # at lambda = 12/17.  Edge 3 turns non-positive at 5/7, 1/119 later,
-        # so the probe past 12/17 must step less than that to keep {1, 3}.
+        # at lambda = 12/17.
         inst = BCInstance(
             (Element(0, 9, 11), Element(1, 1, 10), Element(2, 9, 11), Element(3, 7, 5)),
             Matching(6, {0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (4, 5)}), 8)
         pool, pairs = searched_pool_and_pair(inst)
         assert pairs == [(frozenset({1, 3}), frozenset({0, 2, 3}))]
-        assert (pool, pairs) == full_depth_pool_and_pair(inst)
+        assert_walk_pair(inst, pool, pairs)
 
     def test_walk_stops_on_the_empty_set(self):
         # Edges 0 and 1 share vertex 0, and the budget, 3, affords neither.
@@ -581,55 +631,21 @@ class TestBreakpointStop:
                           Matching(3, {0: (0, 1), 1: (0, 2)}), 3)
         pool, pairs = searched_pool_and_pair(inst)
         assert pairs == [(frozenset(), frozenset({1}))]
-        assert (pool, pairs) == full_depth_pool_and_pair(inst)
-
-    def test_walk_rebuilds_the_affordable_end_past_a_tie_break_flip(self):
-        # Edges 0, 3, 1, 2 form the cycle 0-1-2-3-0, whose perfect matchings
-        # {0, 1} and {2, 3} tie at every lambda: each costs 4 and is worth 7.
-        # The exact oracle takes the one holding the heavier of edges 3 and 0,
-        # which cross at lambda = 3/4.  The walk's affordable end is {0, 1},
-        # from its probe at 6/7, and it stops at 2/3, where the stand-alone
-        # edge 4 turns non-positive and the over-budget {2, 3, 4} gives way.
-        # Just above 2/3 the oracle returns {2, 3}, so the pair's affordable
-        # end comes from the probe there, not from the walk's end.
-        inst = BCInstance(
-            (Element(0, 0, 3), Element(1, 4, 4), Element(2, 0, 1), Element(3, 4, 6),
-             Element(4, 3, 2)),
-            Matching(6, {0: (0, 1), 1: (2, 3), 2: (3, 0), 3: (1, 2), 4: (4, 5)}), 6)
-        pool, pairs = searched_pool_and_pair(inst)
-        assert pairs == [(frozenset({2, 3}), frozenset({2, 3, 4}))]
-        assert (pool, pairs) == full_depth_pool_and_pair(inst)
-
-    def test_walk_keeps_the_probe_at_a_dyadic_breakpoint(self):
-        # Edges 0 - 3 - 2 form a path and edge 1 shares a vertex with edge 2.
-        # {0, 2}, {0, 1} and {1, 3} all weigh 7/2 at lambda = 1/2, where the
-        # walk stops; 1/2 over P + 1 = 4 is dyadic, so bisection probes it.
-        # Its optimum there, {0, 1}, is over budget and ends the pair; {1, 3},
-        # the optimum just below 1/2, does not.
-        inst = BCInstance(
-            (Element(0, 1, 2), Element(1, 2, 3), Element(2, 0, 2), Element(3, 3, 3)),
-            Matching(6, {0: (0, 2), 1: (1, 5), 2: (1, 4), 3: (2, 4)}), 1)
-        assert inner_max_weight(inst, Fraction(1, 2)) == frozenset({0, 1})
-        pool, pairs = searched_pool_and_pair(inst)
-        assert pairs == [(frozenset({0, 2}), frozenset({0, 1}))]
-        assert pairs == full_depth_pool_and_pair(inst)[1]
+        assert_walk_pair(inst, pool, pairs)
 
     def test_walk_keeps_the_probe_at_zero(self):
         # The walk's ends cost 2 and 1 at equal profit, so they cross at
-        # lambda = 0, which is dyadic: the pair keeps the lambda = 0 optimum,
-        # and no probe goes below 0.
+        # lambda = 0: the pair keeps the lambda = 0 optimum.
         inst = generate_instance(8, 14, "matroid-intersection", cost_range=(0, 1),
                                  profit_range=(0, 1), budget_percent=12)
         pool, pairs = searched_pool_and_pair(inst)
         assert pairs == [(frozenset({0, 7, 11}), frozenset({0, 6, 7}))]
-        assert pairs == full_depth_pool_and_pair(inst)[1]
+        assert_walk_pair(inst, pool, pairs)
 
     def test_walk_answers_a_zero_crossing_from_the_opening_probe(self, monkeypatch):
         # After the probe at 1/2 the ends earn the same, so they cross at
         # lambda = 0, where the opening probe already holds the answer: the
-        # walk stops there without probing 0 again, and the rebuild probes
-        # 0 + delta alone.  Probing 0 twice made five probes, with the same
-        # alpha and ids.
+        # walk stops there without probing 0 again.
         inst = generate_instance(8, 14, "matroid-intersection", cost_range=(0, 1),
                                  profit_range=(0, 1), budget_percent=12)
         probes = []
@@ -641,38 +657,49 @@ class TestBreakpointStop:
 
         monkeypatch.setattr(bcopt.lagrange, "inner_max_weight", counting_inner)
         alpha = approx_opt(inst)
-        assert probes == [0, 2, Fraction(1, 2), Fraction(1, 162)]
+        assert probes == [0, 2, Fraction(1, 2)]
         assert alpha.element_ids == (0, 2, 3, 7, 11) and alpha.total_profit == 3
 
-    def test_walk_takes_its_step_from_the_sum_of_all_costs(self):
+    def test_walk_pairs_its_ends_not_the_optimum_past_the_next_breakpoint(self):
         # The walk ends with {0, 1, 2, 3, 5} (cost 4, profit 9) and
         # {0, 2, 3, 5} (cost 3, profit 8), which cross at lambda = 1.  The
-        # affordable {3, 5, 6} (cost 1) takes over at 4/3, whose denominator
-        # is above the ends' cost range and the largest cost, both 1: a step
-        # of 1 / (2 D^2) with that D probes 3/2 and pairs {3, 5, 6}.
+        # affordable {3, 5, 6} (cost 1) takes over only at 4/3, so it is
+        # no end of the pair.
         inst = generate_instance(351123, 7, "matching", cost_range=(0, 2),
                                  profit_range=(0, 2), budget_percent=67)
-        assert inner_max_weight(inst, Fraction(3, 2)) == frozenset({3, 5, 6})
         pool, pairs = searched_pool_and_pair(inst)
         assert pairs == [(frozenset({0, 2, 3, 5}), frozenset({0, 1, 2, 3, 5}))]
-        assert pairs == full_depth_pool_and_pair(inst)[1]
+        assert_walk_pair(inst, pool, pairs)
 
-    def test_walk_pools_none_of_its_probes(self):
-        # {3, 6, 8, 16, 17} (cost 28, profit 30), {3, 5, 6, 8, 16} (21, 25)
-        # and {3, 5, 6, 16, 18} (14, 20) all weigh 10 at the walk's last
-        # crossing, lambda* = 5/7, and the budget is 23.  The walk meets the
-        # affordable middle set there before its ends close in; bisection
-        # never probes 5/7, which is not dyadic over P + 1 = 9.  Pooled, the
-        # middle set would raise alpha from 24 to 25.
+    def test_walk_pools_none_of_its_probes(self, monkeypatch):
+        # The walk's first crossing, 4/5, returns the affordable
+        # {3, 5, 6, 13, 18} (cost 10, profit 17), which becomes the
+        # affordable end; the crossing 5/7 returns {3, 5, 6, 8, 16} (cost 21,
+        # profit 25), which replaces it.  The walk stops at 5/7 again, between
+        # {3, 5, 6, 8, 16} and the over-budget {3, 6, 8, 16, 17} (cost 28,
+        # profit 30); the budget is 23.  Only the final affordable end is
+        # pooled, and it is alpha.
         inst = generate_instance(85133, 19, "matroid-intersection", cost_range=(0, 8),
                                  profit_range=(0, 8), budget_percent=26)
-        middle = inner_max_weight(inst, Fraction(5, 7))
-        assert middle == frozenset({3, 5, 6, 8, 16})
-        assert inst.total_cost(middle) <= inst.budget
+        probes = []
+        original_inner = bcopt.lagrange.inner_max_weight
+
+        def recording_inner(instance, lam, **kwargs):
+            probes.append(original_inner(instance, lam, **kwargs))
+            return probes[-1]
+
+        monkeypatch.setattr(bcopt.lagrange, "inner_max_weight", recording_inner)
         pool, pairs = searched_pool_and_pair(inst)
-        assert middle not in pool
-        assert pairs == full_depth_pool_and_pair(inst)[1]
-        assert approx_opt(inst).element_ids == (3, 6, 8, 16)
+        monkeypatch.undo()
+        end = frozenset({3, 5, 6, 8, 16})
+        assert pairs == [(end, frozenset({3, 6, 8, 16, 17}))]
+        assert_walk_pair(inst, pool, pairs)
+        # The two opening probes, then the walk's.
+        walked = probes[2:]
+        assert frozenset({3, 5, 6, 13, 18}) in walked
+        assert [s for s in walked if s in pool] == [end, end]
+        alpha = approx_opt(inst)
+        assert alpha.element_ids == (3, 5, 6, 8, 16) and alpha.total_profit == 25
 
     def test_walk_makes_fewer_probes_than_the_bisection(self, monkeypatch):
         # 17 edges, the benchmark's matching size: bisection takes at least
@@ -689,9 +716,8 @@ class TestBreakpointStop:
         pool, pairs = searched_pool_and_pair(inst)
         resolution = (max(e.profit for e in inst.elements) + 1) * max(
             e.cost for e in inst.elements) ** 2
-        assert len(probes) <= 10 < 2 + resolution.bit_length() == 22
-        monkeypatch.undo()
-        assert pairs == full_depth_pool_and_pair(inst)[1]
+        assert len(probes) == 6 < 2 + resolution.bit_length() == 22
+        assert_walk_pair(inst, pool, pairs)
 
     def test_bisection_runs_past_64_steps_on_large_numbers(self, monkeypatch):
         # 30 edges, so the search is greedy, with costs and profits near 2^40:
