@@ -2,11 +2,11 @@
 
 Elements whose profit is large relative to the estimate ``alpha`` are binned
 into geometric classes; two elements of the same class have profits within a
-factor (1 - epsilon) of each other.  All interval boundaries are exact
-fractions, so membership at a boundary is decided exactly.  They depend on
-epsilon and gamma only, so they are cached per (epsilon, gamma) pair and
-shared by every layout, together with their numerators and denominators as
-integer tuples and their values as floats.  Floats only locate a class:
+factor (1 - epsilon) of each other.  The interval boundaries are powers of
+(1 - epsilon), computed as exact fractions, so membership at a boundary is
+decided exactly.  They depend on epsilon and gamma only, so they are cached
+per (epsilon, gamma) pair and shared by every layout, as integer tuples of
+their numerators and denominators and as floats.  Floats only locate a class:
 ``class_index`` starts at the float bisection's answer and decides
 membership by integer cross-multiplication, moving off it if rounding put
 it on the wrong side of a boundary.
@@ -53,9 +53,9 @@ class _Bounds(NamedTuple):
 
     r_lo: int
     r_hi: int
-    # boundaries[k] = (1 - eps)^(r_lo - 1 + k), strictly decreasing
-    boundaries: tuple[Fraction, ...]
-    # The boundaries' numerators and denominators, which decide membership.
+    # The numerators and denominators of the boundaries
+    # b_k = (1 - eps)^(r_lo - 1 + k), strictly decreasing in k, which decide
+    # membership.
     nums: tuple[int, ...]
     dens: tuple[int, ...]
     # The boundaries negated, as floats: ascending, for a C-level bisection
@@ -93,7 +93,7 @@ def _class_bounds(epsilon: Epsilon, gamma: Fraction) -> _Bounds:
     for _ in range(r_lo - 1, r_hi + 1):
         bounds.append(power)
         power *= base
-    return _Bounds(r_lo, r_hi, tuple(bounds), tuple(b.numerator for b in bounds),
+    return _Bounds(r_lo, r_hi, tuple(b.numerator for b in bounds),
                    tuple(b.denominator for b in bounds), tuple(-float(b) for b in bounds))
 
 
@@ -125,21 +125,8 @@ class ClassLayout:
             assert self.class_count * n * n <= 3 * d * d, "class-count bound violated"
 
     @property
-    def boundaries(self) -> tuple[Fraction, ...]:
-        """boundaries[k] = (1 - eps)^(r_lo - 1 + k), strictly decreasing."""
-        return self._bounds.boundaries
-
-    @property
     def class_count(self) -> int:
         return self.r_hi - self.r_lo + 1
-
-    @property
-    def index_range(self) -> range:
-        return range(self.r_lo, self.r_hi + 1)
-
-    def power(self, r: int) -> Fraction:
-        """(1 - eps)^r for r in [r_lo - 1, r_hi]."""
-        return self.boundaries[r - (self.r_lo - 1)]
 
 
 def class_index(element: Element, layout: ClassLayout) -> int | None:

@@ -31,7 +31,7 @@ from .core import (
     Solution,
     preprocess_discard,
 )
-from .classes import ClassLayout, _class_bounds, q_of
+from .classes import ClassLayout, q_of
 from .constraints import Constraint, Matching, MatroidIntersection
 from .lagrange import EXACT_LIMIT
 from .matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
@@ -360,8 +360,9 @@ def _run_verifier(instance: BCInstance, epsilon: Epsilon,
 
     working = preprocess_discard(instance)
     if prop == "exchange" and args.x_ids is not None:
-        # The class indices do not depend on alpha, so they are checked first.
-        bounds = _class_bounds(epsilon, oracle.EXACT_GAMMA)
+        # The class indices do not depend on alpha, so they are checked
+        # first, on a layout for alpha = 1.
+        bounds = ClassLayout(epsilon, 1, oracle.EXACT_GAMMA)
         if args.class_index not in range(bounds.r_lo, bounds.r_hi + 1):
             raise InvalidParameterError(f"--x-ids needs a --class-index in "
                                         f"{bounds.r_lo}..{bounds.r_hi}, got {args.class_index}")

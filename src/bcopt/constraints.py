@@ -146,7 +146,7 @@ def residual_constraint(constraint: Constraint, fixed: Iterable[int]) -> Constra
     keeps the edges whose masks, their endpoints, miss the fixed edges'; for an
     intersection each oracle is contracted by the fixed set.  ``fixed`` must
     be feasible, and is not re-tested here: the solver lists only feasible
-    skeletons, and :func:`bcopt.solver.residual_instance` checks its input.
+    skeletons.
     An unknown id raises :class:`UnknownElementError`.
     """
     fixed = frozenset(fixed)

@@ -270,10 +270,6 @@ class Solution:
             raise InfeasibleSetError(f"set {ids} costs {cost} > budget {instance.budget}")
         return cls(tuple(ids), cost, instance.total_profit(ids))
 
-    @classmethod
-    def empty(cls) -> "Solution":
-        return cls((), 0, 0)
-
     @property
     def id_set(self) -> frozenset[int]:
         return frozenset(self.element_ids)

@@ -31,8 +31,8 @@ optimization with rational objective functions*, 1979): it probes where the
 bracket ends' lines cross until the envelope on the bracket is just those
 two lines.  Its two ends are then the pair to patch: both weigh the
 envelope's value at that last crossing, lambda*, one is affordable and the
-other over budget.  Of the walk's sets the pool takes only the affordable
-end; no other probe is pooled.  A search that gets past lambda = 0 makes
+other over budget.  Both searches pool every affordable probe, the final
+affordable end included.  A search that gets past lambda = 0 makes
 4-8 probes on the benchmark's uniform workloads, where bisection made
 21-24.  The arguments are in ``_candidate_pool``.
 
@@ -280,15 +280,11 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     - The walk's ends are the pair: both weigh f(lambda*), so both are
       optimal at lambda*, ``s_minus`` is affordable and ``s_plus`` over
       budget.
-    - Of the walk's sets the pool takes only ``s_minus``; no other probe
-      is pooled.  A probe that replaced the affordable end costs more than
-      the end it replaced and weighs more at the crossing, which is at
-      least 0, so it earns more: the final ``s_minus`` earns more than
-      every affordable probe that was an end before it.  The stopping
-      probe is optimal at lambda* too but is not an end: where three or
-      more sets tie there, an affordable one can earn more than
-      ``s_minus``; the patching needs only the pair, and the pool leaves
-      it out.
+    - As in the bisection, every affordable probe is pooled, the final
+      ``s_minus`` with them.  The stopping probe is optimal at lambda* too
+      but is not an end: where three or more sets tie there, an affordable
+      one can earn more than ``s_minus``.  The patching needs only the
+      pair; the pool keeps that probe as a candidate of its own.
     """
     budget = instance.budget
     cost = instance.cost_of
@@ -363,7 +359,7 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
 
     # The breakpoint walk: probe where the two ends' lines cross, until the
     # probe's set is no heavier there than they are.  The ends are then the
-    # pair, and only the affordable one is pooled; no other probe is.
+    # pair; every affordable probe is pooled, the final s_minus among them.
     p_plus = sum(map(profit.__getitem__, s_plus))
     p_minus = sum(map(profit.__getitem__, s_minus))
     while True:
@@ -371,7 +367,7 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
         # The crossing lies at or right of where s_plus is optimal, so it is
         # 0 only while s_plus is the opening probe, which answers lambda = 0.
         s = inner_max_weight(instance, lam) if lam else s_plus
-        c = sum(map(cost.__getitem__, s))
+        c = offer(s)
         p = sum(map(profit.__getitem__, s))
         if (p - p_plus) * lam.denominator <= (c - c_plus) * lam.numerator:
             break
@@ -379,7 +375,6 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
             s_minus, c_minus, p_minus = s, c, p
         else:
             s_plus, c_plus, p_plus = s, c, p
-    pool.append(s_minus)
     pool.extend(_patched(instance, s_minus, s_plus, orders))
     return pool
 

@@ -163,21 +163,18 @@ def verify_replacement(instance: BCInstance, epsilon: Epsilon, s_ids: Iterable[i
 
 
 def verify_representative(instance: BCInstance, epsilon: Epsilon, r_ids: Iterable[int],
-                          opt: int, threshold_factor: Fraction | None = None,
-                          guard: int = DEFAULT_GUARD) -> VerificationReport:
+                          opt: int, guard: int = DEFAULT_GUARD) -> VerificationReport:
     """Search for a solution whose profitable part lives inside R.
 
     ``opt`` is the instance's optimal profit, which a caller that built R
     from it has already found.  Passes iff some solution S with S & H
-    inside R reaches threshold_factor * OPT; the default threshold is
-    (1 - 4 eps).  The search is a brute force over the instance restricted
-    to elements allowed next to R (everything except profitable elements
-    outside R).
+    inside R reaches (1 - 4 eps) OPT.  The search is a brute force over the
+    instance restricted to elements allowed next to R (everything except
+    profitable elements outside R).
     """
     _check_guard(instance, guard)
     r_ids = frozenset(r_ids)
-    if threshold_factor is None:
-        threshold_factor = 1 - 4 * epsilon.fraction
+    threshold = 1 - 4 * epsilon.fraction
     if opt == 0:
         return VerificationReport("representative-set", True)
     h = _above(instance, epsilon, opt)
@@ -188,12 +185,12 @@ def verify_representative(instance: BCInstance, epsilon: Epsilon, r_ids: Iterabl
         instance.budget,
     )
     reachable = brute_force_opt(restricted, guard).total_profit
-    if reachable >= threshold_factor * opt:
+    if reachable >= threshold * opt:
         return VerificationReport("representative-set", True)
     return VerificationReport(
         "representative-set", False,
         {"r": sorted(r_ids), "opt": opt, "best_inside": reachable,
-         "threshold": str(threshold_factor)},
+         "threshold": str(threshold)},
     )
 
 

@@ -21,9 +21,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import (
-    BCInstance, Epsilon, InfeasibleSetError, Solution, checked_int, is_solution, preprocess_discard,
-)
+from .core import BCInstance, Epsilon, Solution, checked_int, preprocess_discard
 from .classes import small_profit_pool
 from .constraints import MatroidIntersection, conflict_masks, residual_constraint, size_cap
 from .enumeration import feasible_subsets_within_budget
@@ -67,21 +65,6 @@ class SolveStats:
     pruned: int = 0
     incumbent_profits: list[int] = field(default_factory=list)
     ms_total: float = 0.0
-
-
-def residual_instance(instance: BCInstance, alpha: int, epsilon: Epsilon,
-                      skeleton) -> BCInstance:
-    """Residual instance of a skeleton F: small-profit pool, contracted constraint.
-
-    Its elements are the small-profit pool minus F, its constraint the
-    parent's with F committed, and its budget what F left over.  F must be a
-    solution of the parent instance, so that budget is never negative.
-    """
-    skeleton = frozenset(skeleton)
-    if not is_solution(instance, skeleton):
-        raise InfeasibleSetError(f"skeleton {sorted(skeleton)} is not a solution")
-    pool = small_profit_pool(instance, alpha, epsilon)
-    return _build_residual(instance, pool, skeleton)
 
 
 def solve(instance: BCInstance, epsilon: Epsilon, config: SolveConfig | None = None) -> Solution:
@@ -200,9 +183,9 @@ class SkeletonBound:
     constraint and shared with the exact searches on it; the bound is then
     the smaller of the knapsack and the r - |F| largest unblocked profits.
 
-    At ``leaf = len(rep) - 1`` only the pool is open, so ``bound(F, leaf)``
-    covers F's residual instance, whose elements are the unblocked pool:
-    no residual solution can beat it.
+    At the leaf index j = len(rep) - 1 only the pool is open, so
+    ``bound(F, len(rep) - 1)`` covers F's residual instance, whose elements
+    are the unblocked pool: no residual solution can beat it.
 
     For j < k, with F | {rep[k]} a skeleton, bound(F | {rep[k]}, k) <=
     bound(F, j): forcing rep[k], which is open at j, into F's knapsack is one
@@ -235,7 +218,6 @@ class SkeletonBound:
         # An element is open at rep index j < its ``until``: its rep index,
         # or len(rep) for a pool element.
         until = {eid: i for i, eid in enumerate(rep)}
-        self.leaf = len(until) - 1
         until.update(dict.fromkeys(pool, len(until)))
         # The instance's density order, zero-cost elements first (the stable
         # sort keeps the rest in it).  The fractional knapsack depends neither

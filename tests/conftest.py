@@ -5,14 +5,19 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from bcopt.core import BCError, BCInstance, Element
+from bcopt.core import (
+    BCError, BCInstance, CapExceededError, Element, InfeasibleSetError, is_solution,
+)
+from bcopt.classes import small_profit_pool
 from bcopt.cli import generate_instance
-from bcopt.constraints import Matching, MatroidIntersection
+from bcopt.constraints import Matching, MatroidIntersection, residual_constraint
 from bcopt.matroids import GraphicMatroid, MatroidOracle, PartitionMatroid, UniformMatroid
 from bcopt.repset import rep_set
 from bcopt import oracle
@@ -94,6 +99,80 @@ def tiny_instances(draw):
         constraint = MatroidIntersection(random_matroid(rng, ground),
                                          random_matroid(rng, ground))
     return BCInstance(elements, constraint, draw(st.integers(0, 8)))
+
+
+def every_subset(pool):
+    """The skeleton listing's hooks for a walk that wants every subset of
+    ``pool``: a cap no listing reaches, a test that always passes, and a
+    visitor that does nothing."""
+    return {"cap": 2**len(pool), "promising": lambda chosen, j: True,
+            "visit": lambda chosen: None}
+
+
+def untailed_listing(instance, pool, max_size, cap, promising, visit):
+    """The skeleton listing without its sibling-tail cut: every child is
+    tested.  A plain walk that asks a cursor whether an id fits."""
+    cursor = instance.constraint.cursor()
+    out, chosen = [], []
+    last = len(pool) - 1
+
+    def walk(j, cost):
+        if not promising(chosen, j):
+            return
+        out.append(tuple(chosen))
+        if len(out) > cap:
+            raise CapExceededError(f"more than {cap} subsets")
+        if j == last or promising(chosen, last):
+            visit(chosen)
+        if len(chosen) == max_size:
+            return
+        for k in range(j + 1, len(pool)):
+            grown = cost + instance.cost_of[pool[k]]
+            if grown <= instance.budget and cursor.try_push(pool[k]):
+                chosen.append(pool[k])
+                walk(k, grown)
+                chosen.pop()
+                cursor.pop()
+
+    walk(-1, 0)
+    return out
+
+
+def listed_skeletons(instance, pool, max_size):
+    """The feasible, affordable subsets of ``pool`` with at most ``max_size``
+    ids, in the skeleton listing's depth-first preorder: the empty set first,
+    each subset before those grown from it, a subset's ids in pool order."""
+    return untailed_listing(instance, pool, max_size, **every_subset(pool))
+
+
+def pool_residual(instance, pool, skeleton):
+    """The residual of the solution ``skeleton`` over ``pool``: the elements
+    of ``pool`` minus the skeleton that the contracted constraint keeps, and
+    the budget the skeleton leaves."""
+    skeleton = frozenset(skeleton)
+    constraint = residual_constraint(instance.constraint, skeleton).restrict(pool - skeleton)
+    kept = constraint.element_ids()
+    return BCInstance(tuple(e for e in instance.elements if e.id in kept), constraint,
+                      instance.budget - instance.total_cost(skeleton))
+
+
+def residual_instance(instance, alpha, epsilon, skeleton):
+    """The residual the scheme solves next to the skeleton F: over the
+    small-profit pool of ``alpha`` and ``epsilon``.  F must be a solution."""
+    if not is_solution(instance, skeleton):
+        raise InfeasibleSetError(f"skeleton {sorted(skeleton)} is not a solution")
+    return pool_residual(instance, small_profit_pool(instance, alpha, epsilon), skeleton)
+
+
+@lru_cache(maxsize=None)
+def scanned_class_bounds(epsilon, gamma):
+    """(r_lo, r_hi, boundaries) of the profit classes for ``epsilon`` and
+    ``gamma``, by linear scans over exact powers of 1 - eps:
+    boundaries[k] = (1 - eps)^(r_lo - 1 + k), strictly decreasing."""
+    base = epsilon.one_minus
+    r_hi = next(r for r in count(1) if base**r < epsilon.fraction / gamma)
+    r_lo = 1 - next(w for w in count() if base**-w >= gamma / 2)
+    return r_lo, r_hi, tuple(base**k for k in range(r_lo - 1, r_hi + 1))
 
 
 def exact_rep_set(instance, epsilon):

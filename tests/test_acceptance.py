@@ -30,7 +30,7 @@ from bcopt.oracle import (
 from bcopt.repset import rep_set
 from bcopt.solver import solve
 
-from conftest import exact_rep_set, exchange_witness, random_matroid
+from conftest import exact_rep_set, exchange_witness, random_matroid, scanned_class_bounds
 
 
 def _report(criterion: str, detail: str = "") -> None:
@@ -237,10 +237,9 @@ def test_criterion_7_structural_properties():
         profit = rng.randint(0, 3 * alpha)
         ratio = Fraction(profit, 2 * alpha)
         r = class_index(Element(0, 0, profit), layout)
-        hits = [
-            rr for rr in layout.index_range
-            if layout.power(rr) < ratio <= layout.power(rr - 1)
-        ]
+        r_lo, r_hi, _ = scanned_class_bounds(eps, gamma)
+        base = eps.one_minus
+        hits = [rr for rr in range(r_lo, r_hi + 1) if base**rr < ratio <= base**(rr - 1)]
         assert len(hits) <= 1
         assert (r is None and not hits) or [r] == hits
 

@@ -15,7 +15,7 @@ from bcopt.classes import (
     small_profit_pool,
 )
 
-from conftest import free_instance
+from conftest import free_instance, scanned_class_bounds
 
 
 class TestQOf:
@@ -69,16 +69,18 @@ class TestClassLayout:
     @pytest.mark.parametrize("eps", [Epsilon(1, 32), Epsilon(1, 80), Epsilon(3, 7)])
     @pytest.mark.parametrize("gamma", [Fraction(2), Fraction(4)])
     def test_cached_bounds_equal_a_fresh_computation(self, eps, gamma):
-        base = eps.one_minus
-        r_hi = next(r for r in range(1, 10**4) if base**r < eps.fraction / gamma)
-        r_lo = 1 - next(w for w in range(10**4) if base**-w >= gamma / 2)
-        expected = tuple(base**k for k in range(r_lo - 1, r_hi + 1))
+        r_lo, r_hi, expected = scanned_class_bounds(eps, gamma)
         _class_bounds.cache_clear()
         layouts = [ClassLayout(eps, alpha, gamma) for alpha in (1, 7, 1, 10**6)]
         assert _class_bounds.cache_info().hits == 3
         for layout in layouts:
             assert (layout.r_lo, layout.r_hi) == (r_lo, r_hi)
-            assert layout.boundaries == expected
+            # The cached entry that class_index reads: exact numerators and
+            # denominators, and the floats that only locate.
+            bounds = layout._bounds
+            assert bounds.nums == tuple(b.numerator for b in expected)
+            assert bounds.dens == tuple(b.denominator for b in expected)
+            assert bounds.located == tuple(-float(b) for b in expected)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidParameterError):
@@ -184,21 +186,25 @@ def test_membership_unique_within_coverage(num, den, alpha, profit):
     element = Element(0, 0, profit)
     ratio = Fraction(profit, 2 * alpha)
     r = class_index(element, layout)
-    covered = layout.power(layout.r_hi) < ratio <= layout.power(layout.r_lo - 1)
+    r_lo, r_hi, _ = scanned_class_bounds(eps, Fraction(4))
+    base = eps.one_minus
+    covered = base**r_hi < ratio <= base**(r_lo - 1)
     assert (r is not None) == covered
     if r is not None:
-        assert layout.power(r) < ratio <= layout.power(r - 1)
+        assert base**r < ratio <= base**(r - 1)
         for other in (r - 1, r + 1):
-            if layout.r_lo <= other <= layout.r_hi:
-                assert not (layout.power(other) < ratio <= layout.power(other - 1))
+            if r_lo <= other <= r_hi:
+                assert not (base**other < ratio <= base**(other - 1))
 
 
 def _class_index_reference(element, layout):
     """The class by a linear scan over the exact ``Fraction`` intervals."""
     ratio = Fraction(element.profit, 2 * layout.alpha)
-    for r in layout.index_range:
-        if layout.power(r) < ratio <= layout.power(r - 1):
-            return r
+    r_lo, _, bounds = scanned_class_bounds(layout.epsilon, layout.gamma)
+    # Class r is (bounds[k], bounds[k - 1]] with k = r - r_lo + 1.
+    for k in range(1, len(bounds)):
+        if bounds[k] < ratio <= bounds[k - 1]:
+            return r_lo - 1 + k
     return None
 
 
@@ -223,7 +229,8 @@ def test_class_index_matches_a_fraction_reference(num, den, gamma, k, scale, alp
         Element(0, 0, profit), layout)
     # alpha chosen so that p / (2 alpha) hits the boundary b exactly at
     # p = 2 b.num * scale; b = 1 is always a boundary whose p fits an element.
-    fitting = [b for b in layout.boundaries if 2 * b.numerator * scale < MAX_VALUE]
+    fitting = [b for b in scanned_class_bounds(eps, gamma)[2]
+               if 2 * b.numerator * scale < MAX_VALUE]
     b = fitting[k % len(fitting)]
     on_boundary = ClassLayout(eps, b.denominator * scale, gamma)
     for p in (2 * b.numerator * scale + step for step in (-1, 0, 1)):
@@ -235,7 +242,7 @@ def _class_index_by_fraction_bisect(element, layout):
     """The class by a key-function bisection over the ``Fraction`` boundaries,
     each step decided by integer cross-multiplication, with no float."""
     p, two_alpha = element.profit, 2 * layout.alpha
-    bounds = layout.boundaries
+    r_lo, _, bounds = scanned_class_bounds(layout.epsilon, layout.gamma)
 
     def below(b: Fraction) -> bool:  # b < p / (2 alpha), by integer cross-multiplication
         return p * b.denominator > two_alpha * b.numerator
@@ -245,7 +252,7 @@ def _class_index_by_fraction_bisect(element, layout):
         return None
     # The first boundary strictly below the ratio, over the decreasing list.
     k = bisect_left(bounds, True, key=below)
-    return None if k == 0 else layout.r_lo - 1 + k
+    return None if k == 0 else r_lo - 1 + k
 
 
 LOCATOR_EPSILONS = [Epsilon(1, 4), Epsilon(1, 10), Epsilon(1, 32), Epsilon(1, 80), Epsilon(3, 7)]
@@ -306,7 +313,8 @@ def test_classed_keeps_the_elements_with_a_class(eps, gamma, alpha, profits, sca
     inst = free_instance([0] * len(profits), profits)
     assert classed(inst, layout) == [e for e in inst.elements
                                      if class_index(e, layout) is not None]
-    for b in (layout.boundaries[0], layout.boundaries[-1]):
+    bounds = scanned_class_bounds(eps, gamma)[2]
+    for b in (bounds[0], bounds[-1]):
         if 2 * b.numerator * scale + 1 > MAX_VALUE:
             continue
         on_boundary = ClassLayout(eps, b.denominator * scale, gamma)

@@ -22,13 +22,14 @@ from bcopt.enumeration import (
 from bcopt.matroids import UniformMatroid
 from bcopt.oracle import iter_feasible_sets
 
-from conftest import BareOracle, path_matching, tiny_instances
+from conftest import BareOracle, every_subset, path_matching, tiny_instances
 
 
 SEARCHES = {
     "max_profit": max_profit_solution_ids,
     "max_weight": lambda inst: max_weight_feasible_ids(inst, inst.profit_of),
-    "subsets": lambda inst: feasible_subsets_within_budget(inst, inst.sorted_ids(), 3),
+    "subsets": lambda inst: feasible_subsets_within_budget(inst, inst.sorted_ids(), 3,
+                                                           **every_subset(inst.ids)),
     "iter": lambda inst: list(iter_feasible_sets(inst, 3)),
 }
 
@@ -222,7 +223,7 @@ class TestSkeletonListing:
         inst = seeded_instance(seed, size, kind, minor, bare)
         pool = [i for i in inst.sorted_ids() if pool_mask >> i & 1]
         random.Random(shuffle).shuffle(pool)
-        listed = feasible_subsets_within_budget(inst, pool, max_size)
+        listed = feasible_subsets_within_budget(inst, pool, max_size, **every_subset(pool))
         expected = {s for s in iter_feasible_sets(inst, max_size)
                     if s <= set(pool) and inst.total_cost(s) <= inst.budget}
         assert len(listed) == len(expected)

@@ -26,9 +26,8 @@ from bcopt.lagrange import (
 )
 from bcopt.matroids import PartitionMatroid, UniformMatroid
 from bcopt.oracle import brute_force_opt, iter_feasible_sets
-from bcopt.solver import _build_residual
 
-from conftest import free_constraint, free_instance, tiny_instances
+from conftest import free_constraint, free_instance, pool_residual, tiny_instances
 
 
 # Bisection depth of the reference search; every search of these tests
@@ -93,9 +92,10 @@ def tie_heavy_instances(count, sizes, base):
 
 # sha256 of "{k} {ids}" per line for ``approx_opt`` on the k-th of
 # ``tie_heavy_instances(100, range(1, 21), 7000)``, whose searches are all
-# exact, recorded once the breakpoint walk patched its own ends.
-# A change that moves any id must update it on purpose.
-EXACT_PATH_ALPHA_IDS_SHA256 = "4c114f4c52157b742561a769f1559e04ec71a052e897cdd945a01f7e329f6b3d"
+# exact, recorded once the breakpoint walk pooled every affordable probe
+# (instance 195 then rose from alpha 15 to 16).  A change that moves any id
+# must update it on purpose.
+EXACT_PATH_ALPHA_IDS_SHA256 = "340fbd7af79e057b1c8576f5bf6f2ab96c45bd07d2cd285597bc97c6a117c33d"
 
 
 class TestApproxOpt:
@@ -332,7 +332,7 @@ def reference_candidate_pool(instance, depth, inner=reference_greedy_inner, pair
 
 
 def reference_greedy_solver_ids(instance):
-    best = Solution.empty()
+    best = Solution((), 0, 0)
     for ids in reference_candidate_pool(instance, FULL_DEPTH):
         cand = Solution.build(instance, ids)
         if cand.total_profit > best.total_profit or (
@@ -464,7 +464,7 @@ class TestGreedyOrderCache:
         # not in the residual.
         if data.draw(st.booleans()):
             skeletons = [f for f in iter_feasible_sets(inst) if inst.total_cost(f) <= inst.budget]
-            inst = _build_residual(inst, inst.ids, data.draw(st.sampled_from(skeletons)))
+            inst = pool_residual(inst, inst.ids, data.draw(st.sampled_from(skeletons)))
         every = reference_candidate_pool(inst, FULL_DEPTH, every_singleton=True)
         with exact_limit(0):
             assert approx_opt(inst).element_ids == pool_winner(inst, every)
@@ -671,14 +671,15 @@ class TestBreakpointStop:
         assert pairs == [(frozenset({0, 2, 3, 5}), frozenset({0, 1, 2, 3, 5}))]
         assert_walk_pair(inst, pool, pairs)
 
-    def test_walk_pools_none_of_its_probes(self, monkeypatch):
+    def test_walk_pools_every_affordable_probe(self, monkeypatch):
         # The walk's first crossing, 4/5, returns the affordable
         # {3, 5, 6, 13, 18} (cost 10, profit 17), which becomes the
         # affordable end; the crossing 5/7 returns {3, 5, 6, 8, 16} (cost 21,
         # profit 25), which replaces it.  The walk stops at 5/7 again, between
         # {3, 5, 6, 8, 16} and the over-budget {3, 6, 8, 16, 17} (cost 28,
-        # profit 30); the budget is 23.  Only the final affordable end is
-        # pooled, and it is alpha.
+        # profit 30); the budget is 23.  Every probe is pooled exactly when
+        # it is affordable, the one the walk gave up included, as in the
+        # bisection; alpha is the final affordable end.
         inst = generate_instance(85133, 19, "matroid-intersection", cost_range=(0, 8),
                                  profit_range=(0, 8), budget_percent=26)
         probes = []
@@ -696,10 +697,37 @@ class TestBreakpointStop:
         assert_walk_pair(inst, pool, pairs)
         # The two opening probes, then the walk's.
         walked = probes[2:]
-        assert frozenset({3, 5, 6, 13, 18}) in walked
-        assert [s for s in walked if s in pool] == [end, end]
+        assert [s for s in walked if s in pool] == [frozenset({3, 5, 6, 13, 18}), end, end]
+        for s in probes:
+            assert (s in pool) == (inst.total_cost(s) <= inst.budget), sorted(s)
         alpha = approx_opt(inst)
         assert alpha.element_ids == (3, 5, 6, 8, 16) and alpha.total_profit == 25
+
+    def test_walk_pools_an_affordable_stopping_probe(self, monkeypatch):
+        # The walk stops at lambda* = 1/2 on {0, 2, 5, 6, 8}, which is not an
+        # end of the pair but ties with both ends there, costs the budget, 4,
+        # and earns 14, the optimum; the final affordable end earns 12.
+        inst = generate_instance(285402, 15, "matroid-intersection", cost_range=(0, 3),
+                                 profit_range=(0, 3), budget_percent=31)
+        probes = []
+        original_inner = bcopt.lagrange.inner_max_weight
+
+        def recording_inner(instance, lam, **kwargs):
+            probes.append((lam, original_inner(instance, lam, **kwargs)))
+            return probes[-1][1]
+
+        monkeypatch.setattr(bcopt.lagrange, "inner_max_weight", recording_inner)
+        pool, pairs = searched_pool_and_pair(inst)
+        monkeypatch.undo()
+        assert_walk_pair(inst, pool, pairs)
+        stop_lam, stop = probes[-1]
+        best = frozenset({0, 2, 5, 6, 8})
+        assert stop_lam == Fraction(1, 2) and stop == best and best not in pairs[0]
+        assert inst.total_cost(best) == inst.budget == 4 and best in pool
+        assert inst.total_profit(pairs[0][0]) == 12
+        alpha = approx_opt(inst)
+        assert alpha.element_ids == (0, 2, 5, 6, 8) and alpha.total_profit == 14
+        assert alpha.total_profit == brute_force_opt(inst).total_profit
 
     def test_walk_makes_fewer_probes_than_the_bisection(self, monkeypatch):
         # 17 edges, the benchmark's matching size: bisection takes at least

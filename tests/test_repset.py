@@ -15,7 +15,7 @@ from bcopt.matroids import GraphicMatroid, UniformMatroid
 from bcopt.oracle import brute_force_opt, verify_representative
 from bcopt.repset import rep_set
 
-from conftest import exact_rep_set, free_instance, tiny_instances
+from conftest import exact_rep_set, free_instance, scanned_class_bounds, tiny_instances
 
 
 class TestRepSet:
@@ -138,7 +138,7 @@ class TestAgainstThePerClassLoop:
         # alpha puts p / (2 alpha) exactly on the first and the last class
         # boundary at p = 2 alpha b; the classes are (b_last, b_0].
         eps = Epsilon(1, 4)
-        bounds = ClassLayout(eps, 1, gamma).boundaries
+        bounds = scanned_class_bounds(eps, gamma)[2]
         alpha = lcm(bounds[0].denominator, bounds[-1].denominator)
         profits = [2 * alpha * b.numerator // b.denominator + step
                    for b in (bounds[0], bounds[-1]) for step in (-1, 0, 1)]

@@ -17,30 +17,57 @@ from bcopt.core import (
 )
 from bcopt.classes import small_profit_pool
 from bcopt.cli import generate_instance
-from bcopt.constraints import Matching, MatroidIntersection
+from bcopt.constraints import Matching, MatroidIntersection, residual_constraint
 from bcopt.enumeration import feasible_subsets_within_budget
 from bcopt.lagrange import approx_opt, non_profitable_solver
 from bcopt.matroids import PartitionMatroid, UniformMatroid
-from bcopt.oracle import brute_force_opt
+from bcopt.oracle import brute_force_opt, iter_feasible_sets
 from bcopt.repset import rep_set
-from bcopt.solver import (
-    SkeletonBound,
-    SolveConfig,
-    residual_instance,
-    solve,
-    solve_detailed,
-)
+from bcopt.solver import SkeletonBound, SolveConfig, solve, solve_detailed
 
-from conftest import BareOracle, free_instance, make_elements, path_matching, tiny_instances
+from conftest import (
+    BareOracle,
+    every_subset,
+    free_instance,
+    listed_skeletons,
+    make_elements,
+    path_matching,
+    residual_instance,
+    tiny_instances,
+    untailed_listing,
+)
 
 
 class TestResidual:
-    def test_residual_instance_is_not_a_top_level_name(self):
-        # The verifiers and tests reach it in its module; the package exports
-        # only what a caller of solve needs.
-        assert "residual_instance" not in bcopt.__all__
-        assert not hasattr(bcopt, "residual_instance")
-        assert bcopt.solver.residual_instance is residual_instance
+    @pytest.mark.parametrize("seed,kind", [(5, "matching"), (1, "matching"),
+                                           (31, "matroid-intersection"),
+                                           (6, "matroid-intersection")])
+    def test_the_solver_solves_the_reference_residuals(self, seed, kind, monkeypatch):
+        # Each residual the solver solves has the elements, the budget and
+        # the feasible sets of the reference residual of its skeleton.
+        skeletons, residuals = [], []
+
+        def recording_constraint(constraint, fixed):
+            skeletons.append(frozenset(fixed))
+            return residual_constraint(constraint, fixed)
+
+        def recording_solver(instance, *, floor):
+            residuals.append(instance)
+            return non_profitable_solver(instance, floor=floor)
+
+        monkeypatch.setattr(bcopt.solver, "residual_constraint", recording_constraint)
+        monkeypatch.setattr(bcopt.solver, "non_profitable_solver", recording_solver)
+        inst = generate_instance(seed, 12, kind)
+        eps = Epsilon(1, 4)
+        _, stats = solve_detailed(inst, eps)
+        monkeypatch.undo()
+        working = preprocess_discard(inst)
+        assert len(skeletons) == len(residuals) == stats.enumerated - stats.pruned > 0
+        for skeleton, got in zip(skeletons, residuals):
+            expected = residual_instance(working, stats.alpha, eps.scaled_down(8), skeleton)
+            assert got.elements == expected.elements
+            assert got.budget == expected.budget
+            assert set(iter_feasible_sets(got)) == set(iter_feasible_sets(expected))
 
     def test_empty_skeleton_keeps_pool_and_budget(self):
         inst = free_instance([1, 2, 3], [1, 1, 1], budget=6)
@@ -179,7 +206,7 @@ class TestSolve:
         # representative set alone; alpha's solution holds element 7, which
         # is not in it.
         monkeypatch.setattr(bcopt.solver, "non_profitable_solver",
-                            lambda _, *, floor: Solution.empty())
+                            lambda _, *, floor: Solution((), 0, 0))
         monkeypatch.setattr(bcopt.solver, "feasible_subsets_within_budget", counting)
         inst = generate_instance(1, 10, "matroid-intersection")
         solution, stats = solve_detailed(inst, Epsilon(1, 4))
@@ -215,8 +242,7 @@ def unpruned_solve_ids(instance, epsilon):
     rep = rep_set(working, epsilon, alpha=alpha)
     best_ids, best_profit = frozenset(), 0
     # Visited in (len(F), F) order, so the strict gain keeps the smaller key.
-    listed = feasible_subsets_within_budget(working, sorted(rep.elements),
-                                            epsilon.inverse_floor())
+    listed = listed_skeletons(working, sorted(rep.elements), epsilon.inverse_floor())
     for skeleton in sorted(listed, key=lambda t: (len(t), t)):
         residual = residual_instance(working, alpha, epsilon, skeleton)
         ids = frozenset(skeleton) | non_profitable_solver(residual).id_set
@@ -227,41 +253,15 @@ def unpruned_solve_ids(instance, epsilon):
     return tuple(sorted(best_ids))
 
 
-def untailed_listing(instance, pool, max_size, cap=None, promising=None, visit=None):
-    """The skeleton listing without its sibling-tail cut: every child is tested."""
-    cursor = instance.constraint.cursor()
-    out, chosen = [], []
-    last = len(pool) - 1
-
-    def walk(j, cost):
-        if not promising(chosen, j):
-            return
-        out.append(tuple(chosen))
-        if j == last or promising(chosen, last):
-            visit(chosen)
-        if len(chosen) == max_size:
-            return
-        for k in range(j + 1, len(pool)):
-            grown = cost + instance.cost_of[pool[k]]
-            if grown <= instance.budget and cursor.try_push(pool[k]):
-                chosen.append(pool[k])
-                walk(k, grown)
-                chosen.pop()
-                cursor.pop()
-
-    walk(-1, 0)
-    return out
-
-
 @given(inst=tiny_instances(), max_size=st.integers(0, 4), shuffle=st.integers(0, 10**6))
 @settings(max_examples=200, deadline=None)
 def test_the_listing_matches_the_cursor_walker(inst, max_size, shuffle):
-    # The listing tests fit by masks; the walker above asks a cursor.  With
+    # The listing tests fit by masks; the reference walker asks a cursor.  With
     # every subset wanted, neither cuts, so both list the same preorder.
     pool = inst.sorted_ids()
     random.Random(shuffle).shuffle(pool)
-    assert feasible_subsets_within_budget(inst, pool, max_size) == untailed_listing(
-        inst, pool, max_size, promising=lambda chosen, j: True, visit=lambda chosen: None)
+    assert feasible_subsets_within_budget(inst, pool, max_size, **every_subset(pool)) == (
+        untailed_listing(inst, pool, max_size, **every_subset(pool)))
 
 
 def low_rank(instance, ranks):
@@ -296,13 +296,14 @@ class TestSkeletonBound:
     )
     def test_bound_covers_the_best_residual_extension(self, seed, size, kind, alpha, eps, pick):
         inst = preprocess_discard(generate_instance(seed, size, kind))
-        skeletons = feasible_subsets_within_budget(inst, inst.sorted_ids(), 3)
+        skeletons = listed_skeletons(inst, inst.sorted_ids(), 3)
         skeleton = skeletons[pick % len(skeletons)]
         pool = small_profit_pool(inst, alpha, eps)
         residual = residual_instance(inst, alpha, eps, skeleton)
         best = inst.total_profit(skeleton) + brute_force_opt(residual).total_profit
-        bound = SkeletonBound(inst, pool, ())
-        assert bound.bound(skeleton, bound.leaf) >= best
+        rep = ()
+        bound = SkeletonBound(inst, pool, rep)
+        assert bound.bound(skeleton, len(rep) - 1) >= best
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -329,7 +330,7 @@ class TestSkeletonBound:
         rep = [i for i in inst.sorted_ids() if rep_mask >> i & 1]
         if by_profit:
             rep.sort(key=lambda i: (-inst.profit_of[i], i))
-        listed = feasible_subsets_within_budget(inst, rep, len(rep))
+        listed = listed_skeletons(inst, rep, len(rep))
         prefix = listed[pick % len(listed)]
         j = rep.index(prefix[-1]) if prefix else -1
         pool = small_profit_pool(inst, alpha, eps)
@@ -365,7 +366,7 @@ class TestSkeletonBound:
         inst = preprocess_discard(inst)
         rep = sorted((i for i in inst.sorted_ids() if rep_mask >> i & 1),
                      key=lambda i: (-inst.profit_of[i], i))
-        listed = feasible_subsets_within_budget(inst, rep, len(rep))
+        listed = listed_skeletons(inst, rep, len(rep))
         skeleton = listed[pick % len(listed)]
         bound = SkeletonBound(inst, small_profit_pool(inst, alpha, eps), rep)
         j = rep.index(skeleton[-1]) if skeleton else -1
@@ -390,10 +391,10 @@ class TestSkeletonBound:
         assert bound.bound([], -1) == 2 * 7
         assert bound.bound([0], 0) == 7 + 7
         assert bound.bound([0, 3], 3) == 7 + 7
-        # The leaf bound has the same cap; the knapsack alone would give 5 * 7.
-        assert bound.leaf == 4
-        assert bound.bound((), bound.leaf) == 2 * 7
-        assert bound.bound((0,), bound.leaf) == 7 + 7
+        # The leaf bound, at the last rep index 4, has the same cap; the
+        # knapsack alone would give 5 * 7.
+        assert bound.bound((), 4) == 2 * 7
+        assert bound.bound((0,), 4) == 7 + 7
 
     def test_subtree_bound_reaches_past_the_pool(self):
         # Path 0-1-2-3-4; the pool is {3}, the representative set {0, 1, 2}.
@@ -404,24 +405,24 @@ class TestSkeletonBound:
         # Nothing of the representative set lies after edge 2.
         assert bound.bound([2], 2) == 5
         assert bound.bound([], -1) == 8 + 6 + 5
-        # The leaf bound sees the pool alone.
-        assert bound.leaf == 2
-        assert bound.bound((), bound.leaf) == 1
-        assert bound.bound((0,), bound.leaf) == 8 + 1
+        # The leaf bound, at the last rep index 2, sees the pool alone.
+        assert bound.bound((), 2) == 1
+        assert bound.bound((0,), 2) == 8 + 1
 
     def test_bound_is_the_fractional_knapsack_value(self):
         # Path 0-1-2-3-4; the pool {0, 1, 2} has densities 3, 2 and 3/2.
         inst = path_matching(4, costs=[2, 2, 2, 1], profits=[6, 4, 3, 1], budget=5)
+        # The rep is empty, so the leaf index is -1.
         bound = SkeletonBound(inst, frozenset({0, 1, 2}), ())
         # Edges 0 and 1 share vertex 1, but the bound ignores the constraint
         # within the pool; one unit of budget is left for half of edge 2.
-        assert bound.bound((), bound.leaf) == 6 + 4 + 3 // 2
+        assert bound.bound((), -1) == 6 + 4 + 3 // 2
         # Edge 2 touches the skeleton edge 3 at vertex 3 and leaves the pool.
-        assert bound.bound((3,), bound.leaf) == 1 + 6 + 4
+        assert bound.bound((3,), -1) == 1 + 6 + 4
         # A zero-cost element is taken before any other, however dense.
         inst = free_instance([3, 0], [6, 1], budget=2)
         bound = SkeletonBound(inst, frozenset({0, 1}), ())
-        assert bound.bound((), bound.leaf) == 1 + 6 * 2 // 3
+        assert bound.bound((), -1) == 1 + 6 * 2 // 3
 
     def test_a_self_loop_is_blocked_only_through_its_vertex(self):
         # Edge 3 is a self-loop at vertex 1 in the pool: no residual holds
@@ -429,9 +430,10 @@ class TestSkeletonBound:
         inst = BCInstance(make_elements([1, 1, 1, 1], [5, 4, 3, 2]),
                           Matching(5, {0: (0, 1), 1: (2, 3), 2: (3, 4), 3: (1, 1)}), 10)
         bound = SkeletonBound(inst, frozenset({2, 3}), [0, 1])
-        assert bound.bound((), bound.leaf) == 3 + 2
-        assert bound.bound((1,), bound.leaf) == 4 + 2
-        assert bound.bound((0,), bound.leaf) == 5 + 3
+        # At the leaf, rep index 1.
+        assert bound.bound((), 1) == 3 + 2
+        assert bound.bound((1,), 1) == 4 + 2
+        assert bound.bound((0,), 1) == 5 + 3
 
     def test_an_intersection_skeleton_closes_its_own_element(self):
         # Element 0 is classed and in the pool, so it stays open at every rep
@@ -453,7 +455,7 @@ class TestSkeletonBound:
         pool = frozenset(data.draw(st.sets(st.sampled_from(ids))) if ids else ())
         bound = SkeletonBound(inst, pool, rep)
         reference = RatioSortedBound(inst, pool, rep)
-        for skeleton in feasible_subsets_within_budget(inst, rep, len(rep)):
+        for skeleton in listed_skeletons(inst, rep, len(rep)):
             first = rep.index(skeleton[-1]) if skeleton else -1
             for j in range(first, len(rep)):
                 assert bound.bound(list(skeleton), j) == reference.bound(list(skeleton), j)
