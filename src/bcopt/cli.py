@@ -33,9 +33,8 @@ from .core import (
 )
 from .classes import ClassLayout, q_of
 from .constraints import Constraint, Matching, MatroidIntersection
-from .lagrange import EXACT_LIMIT
 from .matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
-from .repset import rep_set
+from .repset import exchange_sets, rep_set
 from .solver import DEFAULT_SUBSET_CAP, SolveConfig, SolveStats, solve_detailed
 from . import oracle
 
@@ -162,9 +161,12 @@ def dump_instance(instance: BCInstance) -> str:
 
 
 def load_instance(path: str | Path) -> BCInstance:
+    # A file that is not UTF-8, nests too deep for the parser or writes an
+    # integer past Python's digit limit is as unreadable as a missing one;
+    # the ValueError covers the first and the last.
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvalidParameterError(f"cannot read instance file {path}: {exc}") from exc
     return instance_from_json(data)
 
@@ -355,8 +357,7 @@ def _run_verifier(instance: BCInstance, epsilon: Epsilon,
         return [oracle.verify_weak_exchange(instance, seed=args.seed,
                                             trials=args.trials, guard=min(guard, 12))]
     if prop == "npsolver":
-        return [oracle.verify_npsolver(instance, guard=guard,
-                                       force_heuristic=args.force_heuristic)]
+        return [oracle.verify_npsolver(instance, guard=guard)]
 
     working = preprocess_discard(instance)
     if prop == "exchange" and args.x_ids is not None:
@@ -378,13 +379,12 @@ def _run_verifier(instance: BCInstance, epsilon: Epsilon,
     if prop == "exchange":
         if alpha == 0:
             return [oracle.VerificationReport("exchange-set", True)]
+        layout = ClassLayout(epsilon, alpha, oracle.EXACT_GAMMA)
         if args.x_ids is not None:
-            layout = ClassLayout(epsilon, alpha, oracle.EXACT_GAMMA)
             return [oracle.verify_exchange_set(working, layout, args.class_index, args.x_ids,
                                                guard=guard)]
-        rep = rep_set(working, epsilon, alpha=alpha, gamma=oracle.EXACT_GAMMA)
-        reports = [oracle.verify_exchange_set(working, rep.layout, r, ex, guard=guard)
-                   for r, ex in rep.per_class.items()]
+        reports = [oracle.verify_exchange_set(working, layout, r, ex, guard=guard)
+                   for r, ex in exchange_sets(working, layout).items()]
         return reports or [oracle.VerificationReport("exchange-set", True)]
     raise InvalidParameterError(f"unknown property {prop!r}")
 
@@ -493,9 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--guard", type=_count, default=oracle.DEFAULT_GUARD)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--trials", type=_count, default=200)
-    verify.add_argument("--force-heuristic", action="store_true",
-                        help="npsolver: check approx_opt, not non_profitable_solver; at most "
-                             f"{EXACT_LIMIT} elements still take the exact breakpoint walk")
     verify.add_argument("--x-ids", type=_id_list, default=None,
                         help="comma-separated ids to verify as the exchange set")
     verify.add_argument("--class-index", type=int, default=None)

@@ -43,10 +43,10 @@ before it, so its result depends only on that order, not on the weights.
 It weighs only those ids: p - lambda c is positive exactly on the zero-cost
 elements with p > 0 and on a prefix of the priced ones in descending
 density, whose end it finds by bisection.  Each search keeps one cache from
-order to result, and its lambda probes run the push loop only once per
-distinct order.  That loop, the candidate pool's density fill and the
-patching of an intersection pair are one greedy growth,
-``_GreedyOrders.grow``, whose fit test is the search's
+order to result, which it passes to every lambda probe, so its probes run
+the push loop only once per distinct order.  That loop, the candidate
+pool's density fill and the patching of an intersection pair are one
+greedy growth, ``_GreedyOrders.grow``, whose fit test is the search's
 :func:`bcopt.constraints.conflict_masks`: on a matching the int vertex
 masks, numbered once per matching, decide alone (and split a patched pair
 into components), otherwise a feasibility cursor does, a fresh one for
@@ -97,26 +97,22 @@ def non_profitable_solver(instance: BCInstance, *, floor: int = -1) -> Solution 
 
 
 def inner_max_weight(instance: BCInstance, lam: Fraction, *,
-                     _orders: _GreedyOrders | None = None) -> frozenset[int]:
+                     orders: _GreedyOrders) -> frozenset[int]:
     """Inner oracle: a maximum-(p - lambda c) feasible set, budget ignored.
 
     Exact up to ``EXACT_LIMIT`` elements, greedy in descending truncated
     weight above it.  Weights are cleared to integers with lambda's
-    denominator so the search never touches fractions.  ``_orders`` is the
-    calling search's greedy cache; without it the greedy result is computed
-    afresh, grown through the fresh cache's own cursor.
+    denominator so the search never touches fractions.  ``orders`` is the
+    calling search's greedy cache; the greedy oracle reads and fills it.
     """
     num, den = lam.numerator, lam.denominator
     if len(instance.elements) <= EXACT_LIMIT:
         weight = {e.id: e.profit * den - num * e.cost for e in instance.elements}
         return max_weight_feasible_ids(instance, weight)
-    fresh = _orders is None
-    orders = _GreedyOrders(instance) if fresh else _orders
     order = orders.positive_order(num, den)
     chosen = orders.sets.get(order)
     if chosen is None:
-        # A fresh cache's cursor is still empty; a search's holds its fill.
-        kept, spent = orders.grow(order, cursor=orders.cursor if fresh else None)
+        kept, spent = orders.grow(order)
         chosen = frozenset([orders.ids[k] for k in kept])
         orders.sets[order] = chosen
         orders.spent[chosen] = spent
@@ -331,12 +327,12 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     # zero-cost elements carry positive weight, so the optimum is
     # affordable.  s_minus stays affordable and s_plus over budget
     # throughout, so the bracket never closes early.
-    s_plus = inner_max_weight(instance, Fraction(0), _orders=orders)
+    s_plus = inner_max_weight(instance, Fraction(0), orders=orders)
     c_plus = offer(s_plus)
     if c_plus <= budget:
         return pool
     top = max(e.profit for e in instance.elements) + 1
-    s_minus = inner_max_weight(instance, Fraction(top), _orders=orders)
+    s_minus = inner_max_weight(instance, Fraction(top), orders=orders)
     c_minus = offer(s_minus)
 
     if greedy:
@@ -349,7 +345,7 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
         while top * d * d >= den:
             mid = lo + hi
             lo, hi, den = 2 * lo, 2 * hi, 2 * den
-            s_mid = inner_max_weight(instance, Fraction(mid, den), _orders=orders)
+            s_mid = inner_max_weight(instance, Fraction(mid, den), orders=orders)
             if offer(s_mid) <= budget:
                 hi, s_minus = mid, s_mid
             else:
@@ -366,7 +362,7 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
         lam = Fraction(p_plus - p_minus, c_plus - c_minus)
         # The crossing lies at or right of where s_plus is optimal, so it is
         # 0 only while s_plus is the opening probe, which answers lambda = 0.
-        s = inner_max_weight(instance, lam) if lam else s_plus
+        s = inner_max_weight(instance, lam, orders=orders) if lam else s_plus
         c = offer(s)
         p = sum(map(profit.__getitem__, s))
         if (p - p_plus) * lam.denominator <= (c - c_plus) * lam.numerator:

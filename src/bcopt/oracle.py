@@ -346,13 +346,17 @@ def verify_weak_exchange(instance: BCInstance, seed: int = 0, trials: int = 200,
     return VerificationReport("weak-exchange", True)
 
 
-def verify_npsolver(instance: BCInstance, guard: int = DEFAULT_GUARD,
-                    force_heuristic: bool = False) -> VerificationReport:
-    """Low-profit solver contract: profit >= OPT - 2 * max single profit."""
-    from .lagrange import approx_opt, non_profitable_solver
+def verify_npsolver(instance: BCInstance, guard: int = DEFAULT_GUARD) -> VerificationReport:
+    """Low-profit contract of the Lagrangian search, at every size:
+    ``approx_opt``'s profit >= OPT - 2 * max single profit.
+
+    ``non_profitable_solver`` is ``approx_opt`` above ``EXACT_LIMIT``
+    elements and the brute force at or below it, where a check could not fail.
+    """
+    from .lagrange import approx_opt
 
     _check_guard(instance, guard)
-    got = (approx_opt if force_heuristic else non_profitable_solver)(instance)
+    got = approx_opt(instance)
     opt = brute_force_opt(instance, guard).total_profit
     bound = opt - 2 * max((e.profit for e in instance.elements), default=0)
     if got.total_profit >= bound:

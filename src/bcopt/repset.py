@@ -13,10 +13,9 @@ of class need no search:
   :func:`~bcopt.exchange.exset_matching` use each class up, less its
   self-loops.  The representative set is then the classed edges less
   self-loops, found by :func:`~bcopt.classes.classed`, two integer
-  comparisons per element and no partition; ``per_class``, which runs the
-  rounds, is built only when read.  The solver builds the set at
-  eps' = eps/8 < 1/16, where q(eps') > 16^17, so every solve takes this
-  path.
+  comparisons per element and no partition; only :func:`exchange_sets`
+  runs the rounds.  The solver builds the set at eps' = eps/8 < 1/16,
+  where q(eps') > 16^17, so every solve takes this path.
 - On an intersection, a one-element class {e} is its own exchange set iff
   {e} is feasible: the search's root branch keeps e iff both matroids accept
   it, and its one child holds the whole class.  So one singleton test
@@ -26,10 +25,8 @@ of class need no search:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable
 
 from .core import BCInstance, Epsilon
 from .classes import ClassLayout, class_partition, classed, q_of
@@ -40,23 +37,15 @@ from .lagrange import GAMMA, approx_opt
 
 @dataclass(frozen=True)
 class RepresentativeSet:
-    """Union of per-class exchange sets, keyed by class index in ``per_class``."""
+    """Union of the per-class exchange sets that :func:`exchange_sets` lists."""
 
     elements: frozenset[int]
     alpha: int
     layout: ClassLayout | None
-    # Returns ``per_class``, which is built on its first read.
-    _per_class: Callable[[], dict[int, frozenset[int]]] = field(
-        default=dict, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def per_class(self) -> dict[int, frozenset[int]]:
-        """The exchange set of each non-empty class, in ascending class order."""
-        return self._per_class()
 
 
 def rep_set(instance: BCInstance, epsilon: Epsilon, *, alpha: int | None = None,
@@ -67,8 +56,6 @@ def rep_set(instance: BCInstance, epsilon: Epsilon, *, alpha: int | None = None,
     [OPT / gamma, OPT].  A caller that already estimated the optimum passes
     ``alpha`` (the solver does, so estimate and enumeration stay consistent);
     otherwise it is ``approx_opt``'s, whose factor is the default ``gamma``.
-    Classes are disjoint; each class's exchange set is built on its own, in
-    ascending class order.
     """
     if alpha is None:
         alpha = approx_opt(instance).total_profit
@@ -76,32 +63,33 @@ def rep_set(instance: BCInstance, epsilon: Epsilon, *, alpha: int | None = None,
         return RepresentativeSet(frozenset(), 0, None)
     layout = ClassLayout(epsilon, alpha, gamma)
     q = q_of(epsilon)
-    if isinstance(instance.constraint, Matching):
-        if len(instance.elements) <= 6 * q:
-            edges = instance.constraint.edges
-            elements = frozenset([e.id for e in classed(instance, layout)
-                                  if edges[e.id][0] != edges[e.id][1]])
-            return RepresentativeSet(elements, alpha, layout,
-                                     lambda: _matching_classes(instance, layout))
-        per_class = _matching_classes(instance, layout)
-        elements = frozenset().union(*per_class.values())
+    matching = isinstance(instance.constraint, Matching)
+    if matching and len(instance.elements) <= 6 * q:
+        edges = instance.constraint.edges
+        elements = frozenset([e.id for e in classed(instance, layout)
+                              if edges[e.id][0] != edges[e.id][1]])
+        return RepresentativeSet(elements, alpha, layout)
+    elements = frozenset().union(*exchange_sets(instance, layout).values())
+    if matching:
         assert len(elements) <= layout.class_count * 18 * q * q
         if layout.gamma == 2:
             assert len(elements) <= 54 * q**3, "representative-set size bound violated"
-    else:
-        feasible = instance.constraint.is_feasible
-        per_class = {}
-        for r, ids in sorted(class_partition(instance, layout).items()):
-            if len(ids) > 1:
-                per_class[r] = exset_matroid_intersection(instance, layout, ids)
-            else:
-                per_class[r] = ids if feasible(ids) else frozenset()
-        elements = frozenset().union(*per_class.values())
-    return RepresentativeSet(elements, alpha, layout, per_class.copy)
+    return RepresentativeSet(elements, alpha, layout)
 
 
-def _matching_classes(instance: BCInstance,
-                      layout: ClassLayout) -> dict[int, frozenset[int]]:
-    """Each class's :func:`~bcopt.exchange.exset_matching`, in ascending class order."""
-    return {r: exset_matching(instance, layout, ids)
-            for r, ids in sorted(class_partition(instance, layout).items())}
+def exchange_sets(instance: BCInstance, layout: ClassLayout) -> dict[int, frozenset[int]]:
+    """The exchange set of each non-empty class, in ascending class order.
+
+    Classes are disjoint, so each class's set is built on its own.
+    """
+    matching = isinstance(instance.constraint, Matching)
+    feasible = instance.constraint.is_feasible
+    sets = {}
+    for r, ids in sorted(class_partition(instance, layout).items()):
+        if matching:
+            sets[r] = exset_matching(instance, layout, ids)
+        elif len(ids) > 1:
+            sets[r] = exset_matroid_intersection(instance, layout, ids)
+        else:
+            sets[r] = ids if feasible(ids) else frozenset()
+    return sets

@@ -27,7 +27,7 @@ from bcopt.oracle import (
     verify_representative,
     weak_exchange_extend,
 )
-from bcopt.repset import rep_set
+from bcopt.repset import exchange_sets, rep_set
 from bcopt.solver import solve
 
 from conftest import exact_rep_set, exchange_witness, random_matroid, scanned_class_bounds
@@ -109,7 +109,7 @@ def test_criterion_4_size_bounds(main_corpus):
         assert rep.size <= 54 * q**3, name
         if rep.layout is None:
             continue
-        for r, ex in rep.per_class.items():
+        for r, ex in exchange_sets(working, rep.layout).items():
             assert len(ex) <= 18 * q * q, (name, r)
             # replay the rounds to check the per-round cap
             pool = set(class_partition(working, rep.layout)[r])
@@ -316,12 +316,13 @@ def test_criterion_8_determinism(tmp_path):
                 "profit": sol.total_profit,
                 "cost": sol.total_cost,
             }, sort_keys=True))
-            rep = exact_rep_set(preprocess_discard(inst), eps)
+            working = preprocess_discard(inst)
+            rep = exact_rep_set(working, eps)
             rep_blobs.add(json.dumps({
                 "alpha": rep.alpha,
                 "elements": sorted(rep.elements),
                 "per_class": {str(r): sorted(ex)
-                              for r, ex in sorted(rep.per_class.items())},
+                              for r, ex in exchange_sets(working, rep.layout).items()},
             }, sort_keys=True))
         assert len(blobs) == 1, f"instance {idx}: solve output varied"
         assert len(rep_blobs) == 1, f"instance {idx}: rep_set output varied"

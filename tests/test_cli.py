@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import bcopt.cli
+import bcopt.core
 import bcopt.enumeration
 import bcopt.lagrange
 import bcopt.oracle
@@ -313,7 +314,8 @@ class TestSolveCmd:
         assert "subset cap must be non-negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [["--threads", "4"], ["--mode", "eptas"],
-                                       ["--alpha", "exact"], ["--branch-budget", "5"]])
+                                       ["--alpha", "exact"], ["--branch-budget", "5"],
+                                       ["--force-heuristic"]])
     def test_removed_options_are_usage_errors(self, extra):
         for command in (["solve", "inst.json"], ["bench", "corpus"],
                         ["verify", "inst.json", "--property", "representative"]):
@@ -333,6 +335,23 @@ class TestSolveCmd:
             build_parser().parse_args([*command, value])
         assert exc.value.code == EXIT_INVALID_INPUT
         assert f"must be a non-negative integer, got '{value}'" in capsys.readouterr().err
+
+
+# Files that cannot be read as JSON: bytes that are not UTF-8, arrays nested
+# deeper than the parser recurses, and an integer past Python's digit limit.
+UNREADABLE = {"not-utf8": b'{"budget": "\xff"}', "deep": b"[" * 100_000 + b"]" * 100_000,
+              "long-int": b'{"budget": ' + b"1" * 5000 + b"}"}
+
+
+@pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE)
+@pytest.mark.parametrize("command", [["solve"], ["verify", "--property", "npsolver"]])
+def test_an_unreadable_file_is_invalid_input(tmp_path, capsys, command, content):
+    path = tmp_path / "inst.json"
+    path.write_bytes(content)
+    assert main([command[0], str(path), "--epsilon", "1/4", *command[1:]]) == EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read instance file {path}: ")
 
 
 class TestVerifyCmd:
@@ -439,6 +458,22 @@ class TestVerifyCmd:
                                       "--property", prop])
             assert code == EXIT_OK, (prop, err)
 
+    def test_npsolver_checks_the_lagrangian_search_within_the_exact_limit(
+            self, tmp_path, capsys, monkeypatch):
+        # 18 elements, so the brute force would answer for non_profitable_solver;
+        # an approx_opt that returns nothing must still fail the contract.
+        inst = generate_instance(7, 18, "matching", profit_range=(1, 10), budget_percent=20)
+        assert len(inst.elements) <= bcopt.lagrange.EXACT_LIMIT
+        path = write_instance(tmp_path, inst)
+        args = ["verify", str(path), "--epsilon", "1/4", "--property", "npsolver"]
+        assert main(args) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(bcopt.lagrange, "approx_opt",
+                            lambda instance: bcopt.core.Solution((), 0, 0))
+        assert main(args) == EXIT_VERIFY_FAILED
+        record = json.loads(capsys.readouterr().out)
+        assert record["counterexample"]["profit"] == 0 < record["counterexample"]["bound"]
+
     def test_replacement_reads_the_representative_set(self, tmp_path, capsys, monkeypatch):
         # With R emptied, the first bounded feasible S holding a profitable
         # element has no substitution in R, and the record names it.  At
@@ -506,20 +541,26 @@ class TestBenchCmd:
         ("file.json", None, "corpus {tmp}/file.json is not a directory"),
         ("corpus", "missing/bench.csv", "cannot write {tmp}/missing/bench.csv"),
         ("broken", None, "cannot read instance file {tmp}/broken/b.json"),
+        ("not-utf8", None, "cannot read instance file {tmp}/not-utf8/b.json"),
+        ("deep", None, "cannot read instance file {tmp}/deep/b.json"),
+        ("long-int", None, "cannot read instance file {tmp}/long-int/b.json"),
     ])
     def test_bad_paths_are_refused_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                      corpus, out, message):
         # "a.json" sorts first, so a lazy bench would solve it before it met b.json.
-        for name in ("corpus", "broken"):
+        broken = {"broken": b"{", **UNREADABLE}
+        for name in ("corpus", *broken):
             (tmp_path / name).mkdir()
             write_instance(tmp_path / name, generate_instance(21, 8, "matching"), "a.json")
-        (tmp_path / "broken" / "b.json").write_text("{")
+        for name, content in broken.items():
+            (tmp_path / name / "b.json").write_bytes(content)
         write_instance(tmp_path, generate_instance(21, 8, "matching"), "file.json")
 
-        def no_solve(instance, guard):
+        def no_solve(*args, **kwargs):
             raise AssertionError("an instance was solved before every path was checked")
 
         monkeypatch.setattr(bcopt.oracle, "brute_force_opt", no_solve)
+        monkeypatch.setattr(bcopt.cli, "solve_detailed", no_solve)
         args = ["bench", str(tmp_path / corpus)]
         if out:
             args += ["--out", str(tmp_path / out)]

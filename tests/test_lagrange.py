@@ -222,21 +222,24 @@ class TestInnerOracle:
         # What the exact search's breakpoint walk relies on.  Ranges from 0,
         # often small, make ties and zero costs common.
         inst = generate_instance(seed, size, kind, cost_range=(0, top), profit_range=(0, top))
-        costs = [inst.total_cost(inner_max_weight(inst, lam)) for lam in sorted(lams)]
+        orders = _GreedyOrders(inst)
+        costs = [inst.total_cost(inner_max_weight(inst, lam, orders=orders))
+                 for lam in sorted(lams)]
         assert costs == sorted(costs, reverse=True)
 
     def test_greedy_mode_returns_feasible_set(self):
         inst = preprocess_discard(generate_instance(77, 10, "matching"))
         with exact_limit(0):
-            ids = inner_max_weight(inst, Fraction(1, 2))
+            ids = inner_max_weight(inst, Fraction(1, 2), orders=_GreedyOrders(inst))
         assert inst.constraint.is_feasible(ids)
 
 
     @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(0)])
     def test_an_uncached_greedy_probe_builds_one_cursor(self, monkeypatch, lam):
-        # 40 elements, above the exact limit: the probe grows through the
-        # cursor of its own fresh cache, the one cursor it builds.
+        # 40 elements, above the exact limit: the probe grows through one
+        # fresh cursor, and a repeated probe is answered from the cache.
         inst = generate_instance(2, 40, "matroid-intersection", budget_percent=20)
+        orders = _GreedyOrders(inst)
         built = []
         original = MatroidIntersection.cursor
 
@@ -245,8 +248,9 @@ class TestInnerOracle:
             return original(self)
 
         monkeypatch.setattr(MatroidIntersection, "cursor", counting_cursor)
-        got = inner_max_weight(inst, lam)
+        got = inner_max_weight(inst, lam, orders=orders)
         assert len(built) == 1
+        assert inner_max_weight(inst, lam, orders=orders) is got and len(built) == 1
         monkeypatch.undo()
         assert got == reference_greedy_inner(inst, lam)
 
@@ -368,8 +372,8 @@ class TestGreedyOrderCache:
         orders = _GreedyOrders(inst)
         with exact_limit(0):
             for lam in lams:
-                cached = inner_max_weight(inst, lam, _orders=orders)
-                assert cached == inner_max_weight(inst, lam)
+                cached = inner_max_weight(inst, lam, orders=orders)
+                assert cached == inner_max_weight(inst, lam, orders=_GreedyOrders(inst))
                 assert cached == reference_greedy_inner(inst, lam)
 
     @pytest.mark.parametrize("kind, constraint_type, budget_percent", [
@@ -522,7 +526,9 @@ def pool_winner(inst, pool):
 def full_depth_pool_and_pair(inst, depth=FULL_DEPTH):
     """The same for a search that probes all 2 + ``depth`` dyadic lambda."""
     pairs = []
-    pool = reference_candidate_pool(inst, depth, inner_max_weight, pairs)
+    orders = _GreedyOrders(inst)
+    pool = reference_candidate_pool(
+        inst, depth, lambda instance, lam: inner_max_weight(instance, lam, orders=orders), pairs)
     return list(dict.fromkeys(pool)), pairs
 
 

@@ -211,7 +211,6 @@ class TestOtherVerifiers:
     def test_npsolver_contract_verifier(self):
         inst = preprocess_discard(generate_instance(52, 10, "matching"))
         assert verify_npsolver(inst).passed
-        assert verify_npsolver(inst, force_heuristic=True).passed
 
     def test_guard_errors(self):
         inst = free_instance([1] * 30, [1] * 30, budget=5)

@@ -13,7 +13,7 @@ from bcopt.exchange import exset_matching, exset_matroid_intersection
 from bcopt.lagrange import GAMMA, approx_opt
 from bcopt.matroids import GraphicMatroid, UniformMatroid
 from bcopt.oracle import brute_force_opt, verify_representative
-from bcopt.repset import rep_set
+from bcopt.repset import exchange_sets, rep_set
 
 from conftest import exact_rep_set, free_instance, scanned_class_bounds, tiny_instances
 
@@ -48,10 +48,9 @@ class TestRepSet:
 
     def test_elements_union_of_per_class(self):
         inst = preprocess_discard(generate_instance(9, 10, "matroid-intersection"))
-        rep = exact_rep_set(inst, Epsilon(1, 5))
-        union = frozenset().union(*rep.per_class.values()) \
-            if rep.per_class else frozenset()
-        assert rep.elements == union
+        eps = Epsilon(1, 5)
+        rep = exact_rep_set(inst, eps)
+        assert rep == assert_matches_the_per_class_loop(inst, eps, rep.alpha, Fraction(2))[0]
         assert rep.elements <= inst.ids
 
     def test_size_bound_at_gamma_two(self):
@@ -101,15 +100,18 @@ def reference_per_class(instance, epsilon, alpha, gamma):
 
 
 def assert_matches_the_per_class_loop(instance, epsilon, alpha=None, gamma=GAMMA):
+    """``rep_set`` and ``exchange_sets`` against the reference; returns the
+    representative set and its exchange sets."""
     rep = rep_set(instance, epsilon, alpha=alpha, gamma=gamma)
     if rep.alpha == 0:
-        assert (rep.elements, rep.per_class) == (frozenset(), {})
-        return rep
+        assert (rep.elements, rep.layout) == (frozenset(), None)
+        return rep, {}
     elements, per_class = reference_per_class(instance, epsilon, rep.alpha, gamma)
-    assert rep.elements == elements
+    sets = exchange_sets(instance, rep.layout)
+    assert rep.elements == elements == frozenset().union(*sets.values())
     # Equal as dicts and in their order, empty classes included.
-    assert list(rep.per_class.items()) == list(per_class.items())
-    return rep
+    assert list(sets.items()) == list(per_class.items())
+    return rep, sets
 
 
 # The solver's eps' for a user eps of 1/4, and that user eps.
@@ -144,7 +146,7 @@ class TestAgainstThePerClassLoop:
                    for b in (bounds[0], bounds[-1]) for step in (-1, 0, 1)]
         inst = BCInstance(tuple(Element(i, 1, p) for i, p in enumerate(profits)),
                           Matching(12, {i: (2 * i, 2 * i + 1) for i in range(6)}), 10)
-        rep = assert_matches_the_per_class_loop(inst, eps, alpha, gamma)
+        rep, _ = assert_matches_the_per_class_loop(inst, eps, alpha, gamma)
         assert rep.elements == {0, 1, 5}
 
     def test_a_class_of_self_loops_keeps_its_empty_entry(self):
@@ -156,10 +158,9 @@ class TestAgainstThePerClassLoop:
         inst = BCInstance(tuple(Element(i, 1, p) for i, p in enumerate(profits)),
                           Matching(5, edges), 10)
         for eps, loop_classes in ((Epsilon(1, 4), (2, 3)), (Epsilon(1, 3), (2,))):
-            rep = assert_matches_the_per_class_loop(inst, eps, 10, Fraction(2))
+            rep, sets = assert_matches_the_per_class_loop(inst, eps, 10, Fraction(2))
             assert rep.elements == {0, 3}
-            assert rep.per_class == {1: frozenset({0, 3}),
-                                     **dict.fromkeys(loop_classes, frozenset())}
+            assert sets == {1: frozenset({0, 3}), **dict.fromkeys(loop_classes, frozenset())}
 
     def test_an_intersection_singleton_that_is_a_loop_of_one_matroid(self):
         # Element 2 is a self-loop of the graphic first matroid, alone in its
@@ -168,8 +169,8 @@ class TestAgainstThePerClassLoop:
         graph = GraphicMatroid(3, {0: (0, 1), 1: (1, 2), 2: (2, 2), 3: (0, 2)})
         inst = BCInstance(tuple(Element(i, 1, p) for i, p in enumerate([20, 20, 12, 9])),
                           MatroidIntersection(graph, UniformMatroid(ids, 4)), 10)
-        rep = assert_matches_the_per_class_loop(inst, Epsilon(1, 4), 10, Fraction(2))
-        assert rep.per_class == {1: frozenset({0, 1}), 2: frozenset(), 3: frozenset({3})}
+        _, sets = assert_matches_the_per_class_loop(inst, Epsilon(1, 4), 10, Fraction(2))
+        assert sets == {1: frozenset({0, 1}), 2: frozenset(), 3: frozenset({3})}
 
     def test_a_star_above_6q_edges_runs_the_rounds(self):
         # eps = 1/3: q = 27, and the class of profit 10 holds 170 hub edges
@@ -184,8 +185,8 @@ class TestAgainstThePerClassLoop:
         profits = [10] * 171 + [7] * 5
         inst = BCInstance(tuple(Element(i, 1 + i % 7, p) for i, p in enumerate(profits)),
                           Matching(182, edges), 50)
-        rep = assert_matches_the_per_class_loop(inst, eps, 10, Fraction(2))
-        assert [len(ex) for ex in rep.per_class.values()] == [162, 5]
+        _, sets = assert_matches_the_per_class_loop(inst, eps, 10, Fraction(2))
+        assert [len(ex) for ex in sets.values()] == [162, 5]
 
 
 def counting(monkeypatch, name, calls):
@@ -199,16 +200,22 @@ def counting(monkeypatch, name, calls):
 
 
 class TestSkippedSearches:
-    def test_a_matching_within_6q_searches_only_when_per_class_is_read(self, monkeypatch):
+    def test_a_matching_within_6q_runs_no_search(self, monkeypatch):
         calls = []
         for name in ("class_partition", "exset_matching"):
             counting(monkeypatch, name, calls)
         inst = preprocess_discard(generate_instance(3, 14, "matching"))
         rep = rep_set(inst, Epsilon(1, 32))
         assert rep.size > 0 and calls == []
-        classes = rep.per_class
-        assert [c[0] for c in calls] == ["class_partition"] + ["exset_matching"] * len(classes)
-        assert rep.per_class is classes and len(calls) == 1 + len(classes)
+
+    def test_exchange_sets_partitions_once_and_searches_each_class(self, monkeypatch):
+        calls = []
+        for name in ("class_partition", "exset_matching"):
+            counting(monkeypatch, name, calls)
+        inst = preprocess_discard(generate_instance(3, 14, "matching"))
+        sets = exchange_sets(inst, rep_set(inst, Epsilon(1, 32)).layout)
+        assert len(sets) > 1
+        assert [c[0] for c in calls] == ["class_partition"] + ["exset_matching"] * len(sets)
 
     def test_an_intersection_searches_only_classes_of_two_or_more(self, monkeypatch):
         calls = []
