@@ -33,7 +33,7 @@ from .classes import ClassLayout, class_index, class_partition, q_of, small_prof
 from .exchange import exset_matching, exset_matroid_intersection
 from .lagrange import approx_opt, non_profitable_solver
 from .repset import RepresentativeSet, rep_set
-from .solver import SolveConfig, solve
+from .solver import solve
 from .oracle import brute_force_opt, profitable_set
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "MatroidOracle",
     "PartitionMatroid",
     "RepresentativeSet",
-    "SolveConfig",
     "Solution",
     "UniformMatroid",
     "UnknownElementError",

@@ -35,7 +35,7 @@ from .classes import ClassLayout, q_of
 from .constraints import Constraint, Matching, MatroidIntersection
 from .matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .repset import exchange_sets, rep_set
-from .solver import DEFAULT_SUBSET_CAP, SolveConfig, SolveStats, solve_detailed
+from .solver import DEFAULT_SUBSET_CAP, SolveStats, solve_detailed
 from . import oracle
 
 SCHEMA_VERSION = 1
@@ -321,7 +321,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         stats = SolveStats(alpha=solution.total_profit, gamma=Fraction(1),
                            ms_total=(time.perf_counter() - start) * 1000.0)
     else:
-        solution, stats = solve_detailed(instance, epsilon, SolveConfig(subset_cap=args.subset_cap))
+        solution, stats = solve_detailed(instance, epsilon, subset_cap=args.subset_cap)
     print(json.dumps(_solve_record(args.instance, epsilon, args.mode, solution, stats)))
     return EXIT_OK
 

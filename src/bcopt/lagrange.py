@@ -16,14 +16,14 @@ are compared by integer cross-multiplication.
 
 Above ``EXACT_LIMIT`` elements the inner oracle is greedy and the search
 bisects.  Each probe's lambda is a dyadic rational k / 2^j: the search keeps
-integer numerators over a doubling denominator and builds each probe's exact
-``Fraction`` from them, with no rational arithmetic in the loop.  It stops at
-breakpoint resolution: the greedy optimum changes only at rationals whose
-denominator is at most the largest cost D, and once the bracket is too
-narrow to hold two of them, deeper probes could only return the bracketing
-pair again.  A search that bisects makes 2 + ((P + 1) * D^2).bit_length()
-inner probes, whatever the size of the numbers: on the benchmark's
-low-profit workload, 16.
+integer numerators over a doubling denominator and hands the oracle each
+probe's (numerator, denominator) pair unreduced, with no rational arithmetic
+in the loop.  It stops at breakpoint resolution: the greedy optimum changes
+only at rationals whose denominator is at most the largest cost D, and once
+the bracket is too narrow to hold two of them, deeper probes could only
+return the bracketing pair again.  A search that bisects makes
+2 + ((P + 1) * D^2).bit_length() inner probes, whatever the size of the
+numbers: on the benchmark's low-profit workload, 16.
 
 At most ``EXACT_LIMIT`` elements the inner oracle is exact, and the search
 walks the breakpoints of its upper envelope instead (Megiddo, *Combinatorial
@@ -96,16 +96,17 @@ def non_profitable_solver(instance: BCInstance, *, floor: int = -1) -> Solution 
     return approx_opt(instance)
 
 
-def inner_max_weight(instance: BCInstance, lam: Fraction, *,
+def inner_max_weight(instance: BCInstance, num: int, den: int, *,
                      orders: _GreedyOrders) -> frozenset[int]:
     """Inner oracle: a maximum-(p - lambda c) feasible set, budget ignored.
 
+    lambda = num / den with ``den > 0``, not necessarily in lowest terms.
     Exact up to ``EXACT_LIMIT`` elements, greedy in descending truncated
-    weight above it.  Weights are cleared to integers with lambda's
-    denominator so the search never touches fractions.  ``orders`` is the
-    calling search's greedy cache; the greedy oracle reads and fills it.
+    weight above it.  Both weigh the integers p den - num c, lambda's
+    weights scaled by den, so the search never touches fractions and no
+    answer depends on the scale.  ``orders`` is the calling search's greedy
+    cache; the greedy oracle reads and fills it.
     """
-    num, den = lam.numerator, lam.denominator
     if len(instance.elements) <= EXACT_LIMIT:
         weight = {e.id: e.profit * den - num * e.cost for e in instance.elements}
         return max_weight_feasible_ids(instance, weight)
@@ -327,12 +328,12 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     # zero-cost elements carry positive weight, so the optimum is
     # affordable.  s_minus stays affordable and s_plus over budget
     # throughout, so the bracket never closes early.
-    s_plus = inner_max_weight(instance, Fraction(0), orders=orders)
+    s_plus = inner_max_weight(instance, 0, 1, orders=orders)
     c_plus = offer(s_plus)
     if c_plus <= budget:
         return pool
     top = max(e.profit for e in instance.elements) + 1
-    s_minus = inner_max_weight(instance, Fraction(top), orders=orders)
+    s_minus = inner_max_weight(instance, top, 1, orders=orders)
     c_minus = offer(s_minus)
 
     if greedy:
@@ -345,7 +346,7 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
         while top * d * d >= den:
             mid = lo + hi
             lo, hi, den = 2 * lo, 2 * hi, 2 * den
-            s_mid = inner_max_weight(instance, Fraction(mid, den), orders=orders)
+            s_mid = inner_max_weight(instance, mid, den, orders=orders)
             if offer(s_mid) <= budget:
                 hi, s_minus = mid, s_mid
             else:
@@ -359,13 +360,13 @@ def _candidate_pool(instance: BCInstance) -> list[frozenset[int]]:
     p_plus = sum(map(profit.__getitem__, s_plus))
     p_minus = sum(map(profit.__getitem__, s_minus))
     while True:
-        lam = Fraction(p_plus - p_minus, c_plus - c_minus)
+        num, den = p_plus - p_minus, c_plus - c_minus
         # The crossing lies at or right of where s_plus is optimal, so it is
         # 0 only while s_plus is the opening probe, which answers lambda = 0.
-        s = inner_max_weight(instance, lam, orders=orders) if lam else s_plus
+        s = inner_max_weight(instance, num, den, orders=orders) if num else s_plus
         c = offer(s)
         p = sum(map(profit.__getitem__, s))
-        if (p - p_plus) * lam.denominator <= (c - c_plus) * lam.numerator:
+        if (p - p_plus) * den <= (c - c_plus) * num:
             break
         if c <= budget:
             s_minus, c_minus, p_minus = s, c, p

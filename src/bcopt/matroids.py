@@ -322,20 +322,20 @@ class _ForestCursor(MatroidCursor):
 
 
 def greedy_min_cost(cursor, ids: Iterable[int], cost: Mapping[int, int],
-                    limit: int | None = None) -> frozenset[int]:
+                    limit: int) -> frozenset[int]:
     """The ids of ``ids`` that ``cursor`` accepts, pushed in ascending (cost, id) order.
 
     ``cursor`` is any object with ``try_push`` (a matroid or feasibility
     cursor); it is left holding the kept ids.  The scan stops once ``limit``
-    ids are kept.  Over a matroid's ground set this is Edmonds' greedy
-    minimum-cost basis; with a limit it is a minimum-cost basis of the
-    matroid truncated at that rank.  The scan order makes the output
+    ids are kept.  Over a matroid's ground set this is a minimum-cost basis
+    of the matroid truncated at rank ``limit``; with ``limit = len(ids)``,
+    Edmonds' greedy minimum-cost basis.  The scan order makes the output
     canonical: any minimum basis would do for correctness, but a fixed one
     keeps every downstream construction reproducible.
     """
     kept: list[int] = []
     for eid in sorted(ids, key=lambda e: (cost[e], e)):
-        if limit is not None and len(kept) >= limit:
+        if len(kept) >= limit:
             break
         if cursor.try_push(eid):
             kept.append(eid)

@@ -37,10 +37,12 @@ from .lagrange import GAMMA, approx_opt
 
 @dataclass(frozen=True)
 class RepresentativeSet:
-    """Union of the per-class exchange sets that :func:`exchange_sets` lists."""
+    """Union of the per-class exchange sets that :func:`exchange_sets` lists.
+
+    alpha is ``layout.alpha``, or 0 when ``layout`` is None (no classes).
+    """
 
     elements: frozenset[int]
-    alpha: int
     layout: ClassLayout | None
 
     @property
@@ -56,11 +58,12 @@ def rep_set(instance: BCInstance, epsilon: Epsilon, *, alpha: int | None = None,
     [OPT / gamma, OPT].  A caller that already estimated the optimum passes
     ``alpha`` (the solver does, so estimate and enumeration stay consistent);
     otherwise it is ``approx_opt``'s, whose factor is the default ``gamma``.
+    The result keeps alpha only in its ``layout``.
     """
     if alpha is None:
         alpha = approx_opt(instance).total_profit
     if alpha == 0:
-        return RepresentativeSet(frozenset(), 0, None)
+        return RepresentativeSet(frozenset(), None)
     layout = ClassLayout(epsilon, alpha, gamma)
     q = q_of(epsilon)
     matching = isinstance(instance.constraint, Matching)
@@ -68,13 +71,13 @@ def rep_set(instance: BCInstance, epsilon: Epsilon, *, alpha: int | None = None,
         edges = instance.constraint.edges
         elements = frozenset([e.id for e in classed(instance, layout)
                               if edges[e.id][0] != edges[e.id][1]])
-        return RepresentativeSet(elements, alpha, layout)
+        return RepresentativeSet(elements, layout)
     elements = frozenset().union(*exchange_sets(instance, layout).values())
     if matching:
         assert len(elements) <= layout.class_count * 18 * q * q
         if layout.gamma == 2:
             assert len(elements) <= 54 * q**3, "representative-set size bound violated"
-    return RepresentativeSet(elements, alpha, layout)
+    return RepresentativeSet(elements, layout)
 
 
 def exchange_sets(instance: BCInstance, layout: ClassLayout) -> dict[int, frozenset[int]]:

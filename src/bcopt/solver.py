@@ -31,23 +31,6 @@ from .repset import rep_set
 DEFAULT_SUBSET_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class SolveConfig:
-    """The cap on ``solve``'s skeleton walk.
-
-    More than ``subset_cap`` visited skeletons raise
-    :class:`~bcopt.core.CapExceededError`.  The other exponential stage, the
-    exchange-set search, has a fixed cap of
-    :data:`~bcopt.exchange.BRANCH_BUDGET` branches.  alpha is always the
-    Lagrangian estimate (declared gamma :data:`~bcopt.lagrange.GAMMA` = 4).
-    """
-
-    subset_cap: int = DEFAULT_SUBSET_CAP
-
-    def __post_init__(self) -> None:
-        checked_int(self.subset_cap, "subset cap")
-
-
 @dataclass
 class SolveStats:
     """Run metadata surfaced through the CLI and the benchmark harness.
@@ -67,14 +50,21 @@ class SolveStats:
     ms_total: float = 0.0
 
 
-def solve(instance: BCInstance, epsilon: Epsilon, config: SolveConfig | None = None) -> Solution:
+def solve(instance: BCInstance, epsilon: Epsilon, *,
+          subset_cap: int = DEFAULT_SUBSET_CAP) -> Solution:
     """Public entry point: profit within (1 - eps) of the optimum."""
-    return solve_detailed(instance, epsilon, config)[0]
+    return solve_detailed(instance, epsilon, subset_cap=subset_cap)[0]
 
 
-def solve_detailed(instance: BCInstance, epsilon: Epsilon,
-                   config: SolveConfig | None = None) -> tuple[Solution, SolveStats]:
+def solve_detailed(instance: BCInstance, epsilon: Epsilon, *,
+                   subset_cap: int = DEFAULT_SUBSET_CAP) -> tuple[Solution, SolveStats]:
     """``solve`` plus its run metadata.
+
+    More than ``subset_cap`` visited skeletons raise
+    :class:`~bcopt.core.CapExceededError`.  The other exponential stage, the
+    exchange-set search, has a fixed cap of
+    :data:`~bcopt.exchange.BRANCH_BUDGET` branches.  alpha is always the
+    Lagrangian estimate (declared gamma :data:`~bcopt.lagrange.GAMMA` = 4).
 
     The winner is stated as a rule, not by visiting order: maximum profit,
     then the smaller key (len(F), sorted ids) of the extension's skeleton F;
@@ -97,8 +87,8 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
     visited skeletons, and with them the stats, are those of the walk
     without the cut.
     """
+    checked_int(subset_cap, "subset cap")
     epsilon = epsilon.scaled_down(8)  # the scheme's own eps'
-    config = config or SolveConfig()
     start = time.perf_counter()
     working = preprocess_discard(instance)
     stats = SolveStats(gamma=GAMMA)
@@ -146,7 +136,7 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon,
             stats.incumbent_profits.append(profit)
 
     stats.enumerated = len(feasible_subsets_within_budget(
-        working, rep_ids, epsilon.inverse_floor(), cap=config.subset_cap,
+        working, rep_ids, epsilon.inverse_floor(), cap=subset_cap,
         promising=promising, visit=visit))
     stats.pruned = stats.enumerated - solved
 

@@ -175,7 +175,7 @@ def test_criterion_7_structural_properties():
         ids = frozenset(range(rng.randint(1, 10)))
         m = random_matroid(rng, ids)
         cost = {i: rng.randint(0, 9) for i in ids}
-        basis = greedy_min_cost(m.cursor(), m.ground_ids, cost)
+        basis = greedy_min_cost(m.cursor(), m.ground_ids, cost, len(ids))
         for a in ids - basis:
             if m.is_independent({a}):
                 blocker = {e for e in basis if cost[e] <= cost[a]}
@@ -319,7 +319,7 @@ def test_criterion_8_determinism(tmp_path):
             working = preprocess_discard(inst)
             rep = exact_rep_set(working, eps)
             rep_blobs.add(json.dumps({
-                "alpha": rep.alpha,
+                "alpha": rep.layout.alpha,
                 "elements": sorted(rep.elements),
                 "per_class": {str(r): sorted(ex)
                               for r, ex in exchange_sets(working, rep.layout).items()},

@@ -336,8 +336,8 @@ class TestAgainstRecursiveReference:
         layout = ClassLayout(Epsilon(49, 100), alpha=10)
         q = q_of(layout.epsilon)
         assert q == 9
-        assert len(greedy_min_cost(o2.cursor(), o2.ground_ids, inst.cost_of)) == 11
-        assert len(greedy_min_cost(o1.cursor(), o1.ground_ids, inst.cost_of)) == 10 > q
+        assert len(greedy_min_cost(o2.cursor(), o2.ground_ids, inst.cost_of, len(ids))) == 11
+        assert len(greedy_min_cost(o1.cursor(), o1.ground_ids, inst.cost_of, len(ids))) == 10 > q
         self.assert_matches_reference(monkeypatch, inst, layout, ids)
 
 

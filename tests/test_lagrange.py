@@ -223,14 +223,41 @@ class TestInnerOracle:
         # often small, make ties and zero costs common.
         inst = generate_instance(seed, size, kind, cost_range=(0, top), profit_range=(0, top))
         orders = _GreedyOrders(inst)
-        costs = [inst.total_cost(inner_max_weight(inst, lam, orders=orders))
+        costs = [inst.total_cost(inner_max_weight(inst, lam.numerator, lam.denominator,
+                                                  orders=orders))
                  for lam in sorted(lams)]
         assert costs == sorted(costs, reverse=True)
+
+    @given(
+        seed=st.integers(0, 10**6),
+        size=st.integers(1, 20),
+        kind=st.sampled_from(["matching", "matroid-intersection"]),
+        top=st.integers(1, 20),
+        num=st.integers(0, 40),
+        den=st.integers(1, 12),
+        k=st.integers(2, 5),
+        greedy=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_an_unreduced_lambda_gives_the_reduced_answer(self, seed, size, kind, top, num,
+                                                           den, k, greedy):
+        # The exact oracle (at most 20 elements) and the greedy one weigh
+        # p den - num c; scaling the pair scales every weight.  Ranges from 0
+        # make ties and zero costs common.
+        inst = generate_instance(seed, size, kind, cost_range=(0, top), profit_range=(0, top))
+        with exact_limit(0 if greedy else EXACT_LIMIT):
+            orders = _GreedyOrders(inst)
+            got = inner_max_weight(inst, k * num, k * den, orders=orders)
+            assert got == inner_max_weight(inst, num, den, orders=_GreedyOrders(inst))
+            if greedy:
+                # Both pairs meet one order: the second is a cache hit.
+                assert inner_max_weight(inst, num, den, orders=orders) is got
+                assert len(orders.sets) == 1
 
     def test_greedy_mode_returns_feasible_set(self):
         inst = preprocess_discard(generate_instance(77, 10, "matching"))
         with exact_limit(0):
-            ids = inner_max_weight(inst, Fraction(1, 2), orders=_GreedyOrders(inst))
+            ids = inner_max_weight(inst, 1, 2, orders=_GreedyOrders(inst))
         assert inst.constraint.is_feasible(ids)
 
 
@@ -248,9 +275,10 @@ class TestInnerOracle:
             return original(self)
 
         monkeypatch.setattr(MatroidIntersection, "cursor", counting_cursor)
-        got = inner_max_weight(inst, lam, orders=orders)
+        num, den = lam.numerator, lam.denominator
+        got = inner_max_weight(inst, num, den, orders=orders)
         assert len(built) == 1
-        assert inner_max_weight(inst, lam, orders=orders) is got and len(built) == 1
+        assert inner_max_weight(inst, num, den, orders=orders) is got and len(built) == 1
         monkeypatch.undo()
         assert got == reference_greedy_inner(inst, lam)
 
@@ -360,10 +388,8 @@ class TestGreedyOrderCache:
         size=st.integers(0, 30),
         kind=st.sampled_from(["matching", "matroid-intersection"]),
         top=st.integers(1, 100),
-        lams=st.lists(
-            st.builds(Fraction, st.integers(0, 120), st.integers(1, 6)),
-            min_size=1, max_size=25,
-        ),
+        lams=st.lists(st.tuples(st.integers(0, 120), st.integers(1, 6)),
+                      min_size=1, max_size=25),
     )
     @settings(max_examples=150, deadline=None)
     def test_cached_equals_uncached(self, seed, size, kind, top, lams):
@@ -371,10 +397,10 @@ class TestGreedyOrderCache:
         inst = generate_instance(seed, size, kind, cost_range=(1, top), profit_range=(1, top))
         orders = _GreedyOrders(inst)
         with exact_limit(0):
-            for lam in lams:
-                cached = inner_max_weight(inst, lam, orders=orders)
-                assert cached == inner_max_weight(inst, lam, orders=_GreedyOrders(inst))
-                assert cached == reference_greedy_inner(inst, lam)
+            for num, den in lams:
+                cached = inner_max_weight(inst, num, den, orders=orders)
+                assert cached == inner_max_weight(inst, num, den, orders=_GreedyOrders(inst))
+                assert cached == reference_greedy_inner(inst, Fraction(num, den))
 
     @pytest.mark.parametrize("kind, constraint_type, budget_percent", [
         ("matching", Matching, None), ("matroid-intersection", MatroidIntersection, 20)])
@@ -391,11 +417,11 @@ class TestGreedyOrderCache:
         every_cursor = []
         inside = []
 
-        def recording_inner(instance, lam, **kwargs):
-            probes.append(greedy_order(instance, lam))
+        def recording_inner(instance, num, den, **kwargs):
+            probes.append(greedy_order(instance, Fraction(num, den)))
             inside.append(True)
             try:
-                return original_inner(instance, lam, **kwargs)
+                return original_inner(instance, num, den, **kwargs)
             finally:
                 inside.pop()
 
@@ -528,7 +554,10 @@ def full_depth_pool_and_pair(inst, depth=FULL_DEPTH):
     pairs = []
     orders = _GreedyOrders(inst)
     pool = reference_candidate_pool(
-        inst, depth, lambda instance, lam: inner_max_weight(instance, lam, orders=orders), pairs)
+        inst, depth,
+        lambda instance, lam: inner_max_weight(instance, lam.numerator, lam.denominator,
+                                               orders=orders),
+        pairs)
     return list(dict.fromkeys(pool)), pairs
 
 
@@ -657,9 +686,9 @@ class TestBreakpointStop:
         probes = []
         original_inner = bcopt.lagrange.inner_max_weight
 
-        def counting_inner(instance, lam, **kwargs):
-            probes.append(lam)
-            return original_inner(instance, lam, **kwargs)
+        def counting_inner(instance, num, den, **kwargs):
+            probes.append(Fraction(num, den))
+            return original_inner(instance, num, den, **kwargs)
 
         monkeypatch.setattr(bcopt.lagrange, "inner_max_weight", counting_inner)
         alpha = approx_opt(inst)
@@ -691,8 +720,8 @@ class TestBreakpointStop:
         probes = []
         original_inner = bcopt.lagrange.inner_max_weight
 
-        def recording_inner(instance, lam, **kwargs):
-            probes.append(original_inner(instance, lam, **kwargs))
+        def recording_inner(instance, num, den, **kwargs):
+            probes.append(original_inner(instance, num, den, **kwargs))
             return probes[-1]
 
         monkeypatch.setattr(bcopt.lagrange, "inner_max_weight", recording_inner)
@@ -718,8 +747,8 @@ class TestBreakpointStop:
         probes = []
         original_inner = bcopt.lagrange.inner_max_weight
 
-        def recording_inner(instance, lam, **kwargs):
-            probes.append((lam, original_inner(instance, lam, **kwargs)))
+        def recording_inner(instance, num, den, **kwargs):
+            probes.append((Fraction(num, den), original_inner(instance, num, den, **kwargs)))
             return probes[-1][1]
 
         monkeypatch.setattr(bcopt.lagrange, "inner_max_weight", recording_inner)
@@ -742,9 +771,9 @@ class TestBreakpointStop:
         probes = []
         original_inner = bcopt.lagrange.inner_max_weight
 
-        def counting_inner(instance, lam, **kwargs):
-            probes.append(lam)
-            return original_inner(instance, lam, **kwargs)
+        def counting_inner(instance, num, den, **kwargs):
+            probes.append(Fraction(num, den))
+            return original_inner(instance, num, den, **kwargs)
 
         monkeypatch.setattr(bcopt.lagrange, "inner_max_weight", counting_inner)
         pool, pairs = searched_pool_and_pair(inst)
@@ -763,9 +792,9 @@ class TestBreakpointStop:
         probes = []
         original_inner = bcopt.lagrange.inner_max_weight
 
-        def counting_inner(instance, lam, **kwargs):
-            probes.append(lam)
-            return original_inner(instance, lam, **kwargs)
+        def counting_inner(instance, num, den, **kwargs):
+            probes.append(Fraction(num, den))
+            return original_inner(instance, num, den, **kwargs)
 
         monkeypatch.setattr(bcopt.lagrange, "inner_max_weight", counting_inner)
         pool, pairs = searched_pool_and_pair(inst)

@@ -140,15 +140,15 @@ class TestCursors:
 class TestMinCostBasis:
     def test_uniform_greedy_is_forced(self):
         m = UniformMatroid({0, 1, 2}, 2)
-        assert greedy_min_cost(m.cursor(), m.ground_ids, {0: 1, 1: 2, 2: 3}) == {0, 1}
+        assert greedy_min_cost(m.cursor(), m.ground_ids, {0: 1, 1: 2, 2: 3}, 3) == {0, 1}
 
     def test_empty_ground(self):
         m = UniformMatroid((), 0)
-        assert greedy_min_cost(m.cursor(), m.ground_ids, {}) == frozenset()
+        assert greedy_min_cost(m.cursor(), m.ground_ids, {}, 0) == frozenset()
 
     def test_triangle_spanning_tree(self):
         m = GraphicMatroid(3, {0: (0, 1), 1: (1, 2), 2: (2, 0)})
-        assert greedy_min_cost(m.cursor(), m.ground_ids, {0: 1, 1: 2, 2: 3}) == {0, 1}
+        assert greedy_min_cost(m.cursor(), m.ground_ids, {0: 1, 1: 2, 2: 3}, 3) == {0, 1}
 
     def test_min_basis_blocking_property(self):
         # For every non-basis element, the cheaper part of the basis blocks it.
@@ -157,7 +157,7 @@ class TestMinCostBasis:
             ids = frozenset(range(rng.randint(1, 7)))
             m = random_matroid(rng, ids)
             cost = {i: rng.randint(0, 9) for i in ids}
-            basis = greedy_min_cost(m.cursor(), m.ground_ids, cost)
+            basis = greedy_min_cost(m.cursor(), m.ground_ids, cost, len(ids))
             for a in ids - basis:
                 if not m.is_independent({a}):
                     continue

@@ -131,7 +131,7 @@ class TestVerifyRepresentative:
         eps = Epsilon(1, 4)
         rep = exact_rep_set(inst, eps)
         # exact_rep_set's alpha is OPT.
-        assert verify_representative(inst, eps, rep.elements, rep.alpha).passed
+        assert verify_representative(inst, eps, rep.elements, rep.layout.alpha).passed
 
     def test_empty_r_fails_when_high_profit_is_essential(self):
         inst = free_instance([1, 1], [100, 1], budget=5)

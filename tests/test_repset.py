@@ -22,7 +22,6 @@ class TestRepSet:
     def test_empty_instance(self):
         rep = rep_set(free_instance([], []), Epsilon(1, 4))
         assert rep.elements == frozenset()
-        assert rep.alpha == 0
         assert rep.layout is None
 
     def test_zero_profit_instance(self):
@@ -35,7 +34,7 @@ class TestRepSet:
         eps = Epsilon(1, 4)
         rep = rep_set(inst, eps)
         assert rep == rep_set(inst, eps, alpha=approx_opt(inst).total_profit)
-        assert rep.alpha > 0 and rep.layout.gamma == GAMMA
+        assert rep.layout.alpha > 0 and rep.layout.gamma == GAMMA
 
     def test_tiny_classes_saturate(self):
         inst = preprocess_discard(generate_instance(8, 8, "matching"))
@@ -50,7 +49,7 @@ class TestRepSet:
         inst = preprocess_discard(generate_instance(9, 10, "matroid-intersection"))
         eps = Epsilon(1, 5)
         rep = exact_rep_set(inst, eps)
-        assert rep == assert_matches_the_per_class_loop(inst, eps, rep.alpha, Fraction(2))[0]
+        assert rep == assert_matches_the_per_class_loop(inst, eps, rep.layout.alpha, Fraction(2))[0]
         assert rep.elements <= inst.ids
 
     def test_size_bound_at_gamma_two(self):
@@ -66,7 +65,7 @@ class TestRepSet:
         inst = preprocess_discard(generate_instance(seed, 10, "matching"))
         eps = Epsilon(1, 4)
         rep = exact_rep_set(inst, eps)
-        report = verify_representative(inst, eps, rep.elements, rep.alpha)
+        report = verify_representative(inst, eps, rep.elements, rep.layout.alpha)
         assert report.passed, report.counterexample
 
     @pytest.mark.parametrize("seed", [1001, 1005, 1013])
@@ -103,10 +102,10 @@ def assert_matches_the_per_class_loop(instance, epsilon, alpha=None, gamma=GAMMA
     """``rep_set`` and ``exchange_sets`` against the reference; returns the
     representative set and its exchange sets."""
     rep = rep_set(instance, epsilon, alpha=alpha, gamma=gamma)
-    if rep.alpha == 0:
+    if rep.layout is None:
         assert (rep.elements, rep.layout) == (frozenset(), None)
         return rep, {}
-    elements, per_class = reference_per_class(instance, epsilon, rep.alpha, gamma)
+    elements, per_class = reference_per_class(instance, epsilon, rep.layout.alpha, gamma)
     sets = exchange_sets(instance, rep.layout)
     assert rep.elements == elements == frozenset().union(*sets.values())
     # Equal as dicts and in their order, empty classes included.

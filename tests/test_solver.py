@@ -23,7 +23,7 @@ from bcopt.lagrange import approx_opt, non_profitable_solver
 from bcopt.matroids import PartitionMatroid, UniformMatroid
 from bcopt.oracle import brute_force_opt, iter_feasible_sets
 from bcopt.repset import rep_set
-from bcopt.solver import SkeletonBound, SolveConfig, solve, solve_detailed
+from bcopt.solver import SkeletonBound, solve, solve_detailed
 
 from conftest import (
     BareOracle,
@@ -119,12 +119,21 @@ class TestEptas:
     def test_subset_cap_overflow_raises(self):
         inst = generate_instance(6, 12, "matroid-intersection")
         with pytest.raises(CapExceededError):
-            solve_detailed(inst, Epsilon(1, 6), SolveConfig(subset_cap=3))
+            solve_detailed(inst, Epsilon(1, 6), subset_cap=3)
 
     @pytest.mark.parametrize("cap", [-1, 1.5, True])
-    def test_subset_cap_follows_the_integer_rule(self, cap):
+    def test_subset_cap_follows_the_integer_rule(self, monkeypatch, cap):
+        # The cap is checked before any work: alpha's search never runs.
+        def no_estimate(instance):
+            raise AssertionError("approx_opt ran before the cap was checked")
+
+        monkeypatch.setattr(bcopt.solver, "approx_opt", no_estimate)
         with pytest.raises(InvalidParameterError):
-            SolveConfig(subset_cap=cap)
+            solve(generate_instance(6, 12, "matching"), Epsilon(1, 6), subset_cap=cap)
+
+    def test_the_subset_cap_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            solve(generate_instance(6, 12, "matching"), Epsilon(1, 6), 10)
 
 
 # sha256 of "{name} {eps} {ids}" per line for ``solve`` on the main corpus at
@@ -285,6 +294,13 @@ class RatioSortedBound(SkeletonBound):
 
 
 class TestSkeletonBound:
+    def test_the_root_bound_covers_the_optimum(self, main_corpus, opt_cache):
+        # The empty skeleton at index -1 opens the whole ground set.
+        for name, inst in main_corpus:
+            working = preprocess_discard(inst)
+            root = SkeletonBound(working, frozenset(working.ids), []).bound([], -1)
+            assert opt_cache(inst) <= root, name
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
