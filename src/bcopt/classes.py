@@ -64,7 +64,7 @@ class _Bounds(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _class_bounds(epsilon: Epsilon, gamma: Fraction) -> _Bounds:
+def _class_bounds(epsilon: Epsilon, gamma: int | Fraction) -> _Bounds:
     """The :class:`_Bounds` of a layout for ``epsilon`` and ``gamma``."""
     eps = epsilon.fraction
     base = epsilon.one_minus
@@ -80,7 +80,7 @@ def _class_bounds(epsilon: Epsilon, gamma: Fraction) -> _Bounds:
 
     # r_lo = 1 - ceil(log_{1/(1-eps)}(gamma/2)): widen upward until the
     # class ceiling reaches gamma/2.  With gamma = 2 this is exactly 1.
-    high_target = gamma / 2
+    high_target = Fraction(gamma, 2)
     power = Fraction(1)
     widen = 0
     while power < high_target:
@@ -103,7 +103,7 @@ class ClassLayout:
 
     epsilon: Epsilon
     alpha: int
-    gamma: Fraction = Fraction(2)
+    gamma: int | Fraction = 2
     r_lo: int = field(init=False)
     r_hi: int = field(init=False)
     # The cached entry of _class_bounds, which class_index reads.

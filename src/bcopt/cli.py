@@ -16,7 +16,6 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
@@ -69,15 +68,13 @@ def _constraint_to_json(constraint: Constraint) -> dict[str, Any]:
             "vertices": constraint.vertex_count,
             "edges": {str(eid): list(uv) for eid, uv in sorted(constraint.edges.items())},
         }
-    if isinstance(constraint, MatroidIntersection):
-        return {
-            "type": "matroid_intersection",
-            "matroids": [
-                _matroid_to_json(constraint.oracle1),
-                _matroid_to_json(constraint.oracle2),
-            ],
-        }
-    raise InvalidParameterError(f"cannot serialize constraint {type(constraint).__name__}")
+    return {
+        "type": "matroid_intersection",
+        "matroids": [
+            _matroid_to_json(constraint.oracle1),
+            _matroid_to_json(constraint.oracle2),
+        ],
+    }
 
 
 def _matroid_to_json(oracle_obj) -> dict[str, Any]:
@@ -318,7 +315,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.mode == "brute":
         start = time.perf_counter()
         solution = oracle.brute_force_opt(instance, guard=args.guard)
-        stats = SolveStats(alpha=solution.total_profit, gamma=Fraction(1),
+        stats = SolveStats(alpha=solution.total_profit, gamma=1,
                            ms_total=(time.perf_counter() - start) * 1000.0)
     else:
         solution, stats = solve_detailed(instance, epsilon, subset_cap=args.subset_cap)
@@ -513,17 +510,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP_OVERFLOW
-    except GuardExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD_EXCEEDED
     except BCError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, CapExceededError):
+            return EXIT_CAP_OVERFLOW
+        if isinstance(exc, GuardExceededError):
+            return EXIT_GUARD_EXCEEDED
         return EXIT_INVALID_INPUT
 
 

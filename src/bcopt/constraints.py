@@ -4,9 +4,12 @@ Both feasible-set families are downward closed, which the solver relies on
 for pruning.  Residual constraints fix a feasible skeleton F and describe
 what may still be added next to it.
 
+They are the only two kinds: :class:`~bcopt.core.BCInstance` refuses any
+other constraint, so every reader here branches on these two alone.
 Constructors refuse a broken structure with
 :class:`~bcopt.core.InvalidParameterError`: an endpoint outside the vertex
-range, or two oracles over different ground sets.  A self-loop is legal.
+range, an oracle that is not a :class:`~bcopt.matroids.MatroidOracle`, or
+two oracles over different ground sets.  A self-loop is legal.
 A matching's restriction and residual keep some of its edges, which its
 constructor has already checked, so they are built without the re-check,
 and they share its vertex numbering: one table of edge masks per matching,
@@ -19,28 +22,11 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
-from .core import BCError, InvalidParameterError, UnknownElementError, checked_edges, checked_int
+from .core import InvalidParameterError, UnknownElementError, checked_edges, checked_int
 from .matroids import MatroidOracle
 
 
-class Constraint:
-    """Common interface of the two constraint kinds."""
-
-    def element_ids(self) -> frozenset[int]:
-        raise NotImplementedError
-
-    def is_feasible(self, subset: Iterable[int]) -> bool:
-        raise NotImplementedError
-
-    def restrict(self, keep: Iterable[int]) -> "Constraint":
-        """The same constraint on the sub-ground-set ``keep``."""
-        raise NotImplementedError
-
-    def cursor(self) -> "FeasibilityCursor":
-        raise NotImplementedError
-
-
-class Matching(Constraint):
+class Matching:
     """Elements are edges of a graph; feasible sets are vertex-disjoint edge sets.
 
     Edges are checked, never converted, by :func:`~bcopt.core.checked_edges`.
@@ -100,13 +86,18 @@ class Matching(Constraint):
         return MatchingCursor(self)
 
 
-class MatroidIntersection(Constraint):
+class MatroidIntersection:
     """Feasible sets are the common independent sets of two matroid oracles.
 
-    Both oracles must have the same ground set.
+    Both oracles must be :class:`~bcopt.matroids.MatroidOracle` instances
+    with the same ground set.
     """
 
     def __init__(self, oracle1: MatroidOracle, oracle2: MatroidOracle):
+        for oracle in (oracle1, oracle2):
+            if not isinstance(oracle, MatroidOracle):
+                raise InvalidParameterError(
+                    f"a matroid oracle must be a MatroidOracle, got {type(oracle).__name__}")
         if oracle1.ground_ids != oracle2.ground_ids:
             raise InvalidParameterError(
                 "matroid oracles have different ground sets: "
@@ -138,6 +129,10 @@ class MatroidIntersection(Constraint):
         return IntersectionCursor(self)
 
 
+# The two kinds, for annotations; BCInstance accepts nothing else.
+Constraint = Matching | MatroidIntersection
+
+
 def residual_constraint(constraint: Constraint, fixed: Iterable[int]) -> Constraint:
     """The constraint left after committing to the feasible set ``fixed``.
 
@@ -155,10 +150,8 @@ def residual_constraint(constraint: Constraint, fixed: Iterable[int]) -> Constra
         masks = constraint._masks
         return constraint._of_checked(
             {eid: uv for eid, uv in constraint.edges.items() if not masks[eid] & blocked})
-    if isinstance(constraint, MatroidIntersection):
-        return MatroidIntersection(constraint.oracle1.contract(fixed),
-                                   constraint.oracle2.contract(fixed))
-    raise BCError(f"unsupported constraint type {type(constraint).__name__}")
+    return MatroidIntersection(constraint.oracle1.contract(fixed),
+                               constraint.oracle2.contract(fixed))
 
 
 def size_cap(constraint: Constraint, ids: Iterable[int]) -> int:
@@ -170,24 +163,21 @@ def size_cap(constraint: Constraint, ids: Iterable[int]) -> int:
     matroids, which bound the ranks of ``ids``; it is found once per
     constraint object, so every search on one residual shares it.  This is
     the cardinality row of Caprara, Kellerer, Pferschy and Pisinger (EJOR
-    2000).  Other constraints get the trivial bound |ids|.  An id outside
-    the constraint raises :class:`UnknownElementError`.
+    2000).  An id outside the constraint raises :class:`UnknownElementError`.
     """
     ids = list(ids)
     if isinstance(constraint, Matching):
         # Bit 0 marks a self-loop, not a vertex.
         return (reduce(or_, conflict_masks(constraint, ids)[0], 0) >> 1).bit_count() // 2
-    if isinstance(constraint, MatroidIntersection):
-        ground = constraint.oracle1.ground_ids
-        for eid in ids:
-            if eid not in ground:
-                raise UnknownElementError(eid)
-        return constraint._rank
-    return len(ids)
+    ground = constraint.oracle1.ground_ids
+    for eid in ids:
+        if eid not in ground:
+            raise UnknownElementError(eid)
+    return constraint._rank
 
 
 def conflict_masks(constraint: Constraint, ids: Sequence[int]
-                   ) -> tuple[list[int], int, "FeasibilityCursor | None"]:
+                   ) -> tuple[list[int], int, IntersectionCursor | None]:
     """One search's int mask per id of ``ids``, its starting ``used``, and its cursor.
 
     A search grows a set S of ``ids`` and keeps ``used``, the start or'ed
@@ -210,21 +200,13 @@ def conflict_masks(constraint: Constraint, ids: Sequence[int]
     return [0] * len(ids), 0, constraint.cursor()
 
 
-class FeasibilityCursor:
-    """Incremental feasibility state for depth-first subset search.
+class MatchingCursor:
+    """Incremental feasibility state of a matching for depth-first subset search.
 
-    ``try_push`` adds an element iff the grown set stays feasible; ``pop``
+    ``try_push`` adds an edge iff the grown set stays a matching; ``pop``
     undoes the most recent successful push.
     """
 
-    def try_push(self, eid: int) -> bool:
-        raise NotImplementedError
-
-    def pop(self) -> None:
-        raise NotImplementedError
-
-
-class MatchingCursor(FeasibilityCursor):
     def __init__(self, matching: Matching):
         self._edges = matching.edges
         self._used: set[int] = set()
@@ -248,7 +230,7 @@ class MatchingCursor(FeasibilityCursor):
         self._used.discard(v)
 
 
-class IntersectionCursor(FeasibilityCursor):
+class IntersectionCursor:
     """Pushes into one cursor per matroid; an element joins iff both accept it."""
 
     def __init__(self, intersection: MatroidIntersection):

@@ -6,8 +6,9 @@ Every number of an instance is a non-negative 64-bit integer (see
 (class membership, profit thresholds) never suffer from floating-point drift.
 
 Structure is checked where it is built: every constructor refuses a broken
-one with :class:`InvalidParameterError` (edges by :func:`checked_edges`, the
-ground set by :class:`BCInstance`), so an instance that exists is valid.
+one with :class:`InvalidParameterError` (edges by :func:`checked_edges`; the
+constraint kind, a ``Matching`` or a ``MatroidIntersection``, and the ground
+set by :class:`BCInstance`), so an instance that exists is valid.
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Mapping, TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .constraints import Constraint
+from typing import Iterable, Mapping
 
 # Values must fit a signed 64-bit integer so serialized instances stay
 # portable; Python itself never overflows.
@@ -189,12 +187,14 @@ class Epsilon:
 class BCInstance:
     """Elements plus a constraint plus a budget: the input every algorithm consumes.
 
-    The element ids are distinct and are exactly the constraint's
-    ``element_ids()``; any other instance is refused.
+    The constraint is a :class:`~bcopt.constraints.Matching` or a
+    :class:`~bcopt.constraints.MatroidIntersection`, and the element ids are
+    distinct and are exactly the constraint's ``element_ids()``; any other
+    instance is refused.
     """
 
     elements: tuple[Element, ...]
-    constraint: "Constraint"
+    constraint: Matching | MatroidIntersection
     budget: int
 
     # Derived lookups, filled in __post_init__.
@@ -203,6 +203,10 @@ class BCInstance:
 
     def __post_init__(self) -> None:
         checked_int(self.budget, "budget")
+        if not isinstance(self.constraint, (Matching, MatroidIntersection)):
+            raise InvalidParameterError(
+                "the constraint must be a Matching or a MatroidIntersection, "
+                f"got {type(self.constraint).__name__}")
         object.__setattr__(self, "elements", tuple(self.elements))
         object.__setattr__(self, "cost_of", {e.id: e.cost for e in self.elements})
         object.__setattr__(self, "profit_of", {e.id: e.profit for e in self.elements})
@@ -304,3 +308,8 @@ def preprocess_discard(instance: BCInstance) -> BCInstance:
 
     logging.getLogger(__name__).debug("preprocess discarded elements: %s", removed)
     return BCInstance(tuple(keep), instance.constraint.restrict({e.id for e in keep}), instance.budget)
+
+
+# constraints imports this module, so its two kinds are bound here, once,
+# after every name it imports is defined.
+from .constraints import Matching, MatroidIntersection  # noqa: E402

@@ -60,11 +60,10 @@ offers only the best feasible affordable one, the only one that can win.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from typing import Iterable
 
 from .core import BCInstance, Solution, ratio_key
-from .constraints import FeasibilityCursor, Matching, MatroidIntersection, conflict_masks
+from .constraints import IntersectionCursor, Matching, conflict_masks
 from .enumeration import max_profit_solution_ids, max_weight_feasible_ids
 
 # Exhaustive patching enumerates all component subsets up to this many
@@ -77,7 +76,7 @@ EXACT_LIMIT = 20
 
 # The factor alpha = approx_opt(...).total_profit is declared to be within:
 # OPT / GAMMA <= alpha <= OPT, checked on the acceptance corpus.
-GAMMA = Fraction(4)
+GAMMA = 4
 
 
 def non_profitable_solver(instance: BCInstance, *, floor: int = -1) -> Solution | None:
@@ -165,7 +164,7 @@ class _GreedyOrders:
         return tuple(sorted(weight, key=weight.__getitem__, reverse=True))
 
     def grow(self, positions: Iterable[int], room: int | None = None,
-             cursor: FeasibilityCursor | None = None) -> tuple[list[int], int]:
+             cursor: IntersectionCursor | None = None) -> tuple[list[int], int]:
         """The greedy growth: the kept ``positions`` and their cost.
 
         Each position is kept iff it fits beside those kept before it and,
@@ -401,7 +400,7 @@ def _patched(instance: BCInstance, s_minus: frozenset[int], s_plus: frozenset[in
                     swapped.symmetric_difference_update(comp)
             if sum(cost[i] for i in swapped) <= budget:
                 out.append(frozenset(swapped))
-    elif isinstance(cons, MatroidIntersection):
+    else:
         # Shrink the over-budget side until affordable: drop elements by
         # ascending profit per cost, zero-cost ones last, ties by id.
         victims = sorted(s_plus, key=lambda i: ratio_key(profit[i], cost[i], i)

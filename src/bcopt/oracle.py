@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .core import BCError, BCInstance, Epsilon, GuardExceededError, InfeasibleSetError, Solution
 from .classes import ClassLayout, class_partition, q_of
-from .constraints import Constraint, Matching, MatroidIntersection
+from .constraints import Constraint, Matching
 from .enumeration import max_profit_solution_ids
+from .lagrange import approx_opt
 from .matroids import MatroidOracle
 
 DEFAULT_GUARD = 24
@@ -78,7 +78,7 @@ def is_bounded_feasible(constraint: Constraint, subset: Iterable[int], q: int) -
 
 # The factor an exact estimate is known within: alpha = OPT is at least
 # OPT / 2, the tightest gamma a ClassLayout takes.
-EXACT_GAMMA = Fraction(2)
+EXACT_GAMMA = 2
 
 
 def brute_force_opt(instance: BCInstance, guard: int = DEFAULT_GUARD) -> Solution:
@@ -307,12 +307,10 @@ def weak_exchange_extend(constraint: Constraint, a_set: Iterable[int],
         blocked = {v for eid in b_set for v in constraint.edges[eid]}
         pool = sorted(eid for eid in a_set - b_set
                       if not (constraint.edges[eid][0] in blocked or constraint.edges[eid][1] in blocked))
-    elif isinstance(constraint, MatroidIntersection):
+    else:
         d1 = matroid_extend(constraint.oracle1, a_set, b_set)
         d2 = matroid_extend(constraint.oracle2, a_set, b_set)
         pool = sorted(d1 & d2)
-    else:
-        raise BCError(f"unsupported constraint type {type(constraint).__name__}")
     if len(pool) < target:
         raise BCError("weak exchange produced too few candidates "
                       "(constraint violates the exchange property)")
@@ -353,8 +351,6 @@ def verify_npsolver(instance: BCInstance, guard: int = DEFAULT_GUARD) -> Verific
     ``non_profitable_solver`` is ``approx_opt`` above ``EXACT_LIMIT``
     elements and the brute force at or below it, where a check could not fail.
     """
-    from .lagrange import approx_opt
-
     _check_guard(instance, guard)
     got = approx_opt(instance)
     opt = brute_force_opt(instance, guard).total_profit

@@ -51,7 +51,7 @@ class RepresentativeSet:
 
 
 def rep_set(instance: BCInstance, epsilon: Epsilon, *, alpha: int | None = None,
-            gamma: Fraction = GAMMA) -> RepresentativeSet:
+            gamma: int | Fraction = GAMMA) -> RepresentativeSet:
     """Build the representative set for ``instance`` and ``epsilon``.
 
     The classes are laid out for an estimate ``alpha`` known to lie in

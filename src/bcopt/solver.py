@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .core import BCInstance, Epsilon, Solution, checked_int, preprocess_discard
 from .classes import small_profit_pool
@@ -42,7 +41,7 @@ class SolveStats:
     """
 
     alpha: int = 0
-    gamma: Fraction = Fraction(2)
+    gamma: int = GAMMA
     rep_size: int = 0
     enumerated: int = 0
     pruned: int = 0
@@ -91,7 +90,7 @@ def solve_detailed(instance: BCInstance, epsilon: Epsilon, *,
     epsilon = epsilon.scaled_down(8)  # the scheme's own eps'
     start = time.perf_counter()
     working = preprocess_discard(instance)
-    stats = SolveStats(gamma=GAMMA)
+    stats = SolveStats()
 
     best = approx_opt(working)
     alpha = best.total_profit

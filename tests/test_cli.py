@@ -266,6 +266,7 @@ class TestSolveCmd:
         assert code == EXIT_OK
         record = json.loads(out)
         assert record["profit"] == brute_force_opt(inst).total_profit
+        assert record["gamma"] == "1"  # the brute force's alpha is OPT
 
     def test_solve_record_fields(self, tmp_path):
         inst = generate_instance(4, 9, "matroid-intersection")
@@ -277,6 +278,7 @@ class TestSolveCmd:
                     "alpha", "gamma", "rep_size", "enumerated", "ms_total"):
             assert key in record
         assert record["epsilon"] == "1/10"
+        assert record["gamma"] == "4"  # lagrange.GAMMA
 
     def test_epsilon_one_is_usage_error(self, tmp_path):
         inst = generate_instance(2, 6, "matching")
@@ -468,7 +470,7 @@ class TestVerifyCmd:
         args = ["verify", str(path), "--epsilon", "1/4", "--property", "npsolver"]
         assert main(args) == EXIT_OK
         capsys.readouterr()
-        monkeypatch.setattr(bcopt.lagrange, "approx_opt",
+        monkeypatch.setattr(bcopt.oracle, "approx_opt",
                             lambda instance: bcopt.core.Solution((), 0, 0))
         assert main(args) == EXIT_VERIFY_FAILED
         record = json.loads(capsys.readouterr().out)

@@ -166,6 +166,19 @@ class TestIntegerRule:
             build()
 
 
+class FreeSets:
+    """A hand-written third constraint kind: every subset of its ids is feasible."""
+
+    def __init__(self, ids):
+        self.ids = frozenset(ids)
+
+    def element_ids(self):
+        return self.ids
+
+    def is_feasible(self, subset):
+        return set(subset) <= self.ids
+
+
 # One structural fault per row, each refused by the constructor that owns it
 # (duplicate ids: TestBCInstance.test_duplicate_ids).
 STRUCTURAL_FAULTS = {
@@ -194,6 +207,18 @@ STRUCTURAL_FAULTS = {
     "BCInstance element missing from the oracles": (
         lambda: BCInstance((Element(0, 1, 1), Element(2, 1, 1)), free_constraint((0,)), 5),
         r"elements \[2\] are not in the constraint"),
+    "BCInstance matroid as the constraint": (
+        lambda: BCInstance((Element(0, 1, 1),), UniformMatroid({0}, 1), 5),
+        "must be a Matching or a MatroidIntersection, got UniformMatroid"),
+    "BCInstance no constraint": (
+        lambda: BCInstance((), None, 5),
+        "must be a Matching or a MatroidIntersection, got NoneType"),
+    "BCInstance third constraint kind": (
+        lambda: BCInstance((Element(0, 1, 1),), FreeSets({0}), 5),
+        "must be a Matching or a MatroidIntersection, got FreeSets"),
+    "MatroidIntersection matching as an oracle": (
+        lambda: MatroidIntersection(UniformMatroid({0}, 1), Matching(2, {0: (0, 1)})),
+        "must be a MatroidOracle, got Matching"),
 }
 
 
